@@ -12,7 +12,6 @@ from .mackey import (
     b_as_cokernel,
     constant_Z,
     dual_Z,
-    induce_mackey,
     parse_coefficient,
     render_mackey,
     restrict_mackey,
@@ -54,8 +53,7 @@ __all__ = [
     "Group", "is_odd_prime", "p_adic_val",
     "BredonHomology", "bredon_homology", "homres_injective", "level_complex",
     "B_ij", "MackeyFunctor", "Z_ij", "b_as_cokernel", "constant_Z", "dual_Z",
-    "induce_mackey", "parse_coefficient", "render_mackey", "restrict_mackey",
-    "validate_mackey",
+    "parse_coefficient", "render_mackey", "restrict_mackey", "validate_mackey",
     "SliceParams", "slice_params",
     "render_latex", "render_text",
     "Rep", "RepDiff", "RepParseError", "canonical_lambda", "lambda_block",

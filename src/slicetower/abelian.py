@@ -1,10 +1,10 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Everything here runs over Python's arbitrary-precision integers; no
-floating point, no modular shortcuts.  Smith normal form is computed
-with all four transform matrices tracked (U A V = S together with the
-inverses of U and V) because the homology code needs to move elements
-between bases, not just read off invariant factors.
+floating point, no modular shortcuts.  Smith normal form tracks the
+three transforms its callers read, not just the invariant factors: U
+and V (U A V = S) to solve linear systems and find kernels, and U's
+inverse to write down lattice bases and homology generators.
 """
 
 from __future__ import annotations
@@ -75,24 +75,8 @@ class Mat:
             raise ValueError("vector length mismatch")
         return [sum(self.a[i][j] * v[j] for j in range(self.c)) for i in range(self.r)]
 
-    def power(self, e: int) -> "Mat":
-        if self.r != self.c or e < 0:
-            raise ValueError("power needs a square matrix and e >= 0")
-        out = Mat.identity(self.r)
-        for _ in range(e):
-            out = out.times(self)
-        return out
-
-    def plus(self, other: "Mat") -> "Mat":
-        if (self.r, self.c) != (other.r, other.c):
-            raise ValueError("shape mismatch")
-        return Mat(self.r, self.c, [[self.a[i][j] + other.a[i][j] for j in range(self.c)] for i in range(self.r)])
-
     def scaled(self, s: int) -> "Mat":
         return Mat(self.r, self.c, [[s * x for x in row] for row in self.a])
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.a for x in row)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Mat) and self.r == other.r and self.c == other.c and self.a == other.a
@@ -103,13 +87,12 @@ class Mat:
 
 @dataclass
 class SmithForm:
-    """U @ A @ V == S with U, V unimodular; Uinv, Vinv their inverses."""
+    """U @ A @ V == S with U, V unimodular; Uinv is U's inverse."""
 
     S: Mat
     U: Mat
     Uinv: Mat
     V: Mat
-    Vinv: Mat
 
     @property
     def rank(self) -> int:
@@ -132,7 +115,7 @@ def smith_normal_form(A: Mat) -> SmithForm:
     S = A.copy()
     r, c = S.r, S.c
     U, Uinv = Mat.identity(r), Mat.identity(r)
-    V, Vinv = Mat.identity(c), Mat.identity(c)
+    V = Mat.identity(c)
     s = S.a
 
     def row_add(i: int, j: int, q: int) -> None:
@@ -174,18 +157,12 @@ def smith_normal_form(A: Mat) -> SmithForm:
             x = V.a[t][j]
             if x:
                 V.a[t][i] += q * x
-        vi, vj = Vinv.a[i], Vinv.a[j]
-        for t in range(Vinv.c):
-            x = vi[t]
-            if x:
-                vj[t] -= q * x
 
     def col_swap(i: int, j: int) -> None:
         for t in range(r):
             s[t][i], s[t][j] = s[t][j], s[t][i]
         for t in range(V.r):
             V.a[t][i], V.a[t][j] = V.a[t][j], V.a[t][i]
-        Vinv.a[i], Vinv.a[j] = Vinv.a[j], Vinv.a[i]
 
     for t in range(min(r, c)):
         while True:
@@ -242,7 +219,7 @@ def smith_normal_form(A: Mat) -> SmithForm:
             row_add(t, bad, 1)
         if t < min(r, c) and s[t][t] == 0:
             break
-    return SmithForm(S=S, U=U, Uinv=Uinv, V=V, Vinv=Vinv)
+    return SmithForm(S=S, U=U, Uinv=Uinv, V=V)
 
 
 def kernel_basis(A: Mat) -> list[list[int]]:

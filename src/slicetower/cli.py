@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Any
 
-from .document import tower_document
+from .document import FORMAT, tower_document
 from .group import Group, is_odd_prime
 from .homology import bredon_homology
 from .mackey import parse_coefficient, render_mackey
@@ -99,7 +99,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         print(json.dumps({
-            "format": "slicetower/1",
+            "format": FORMAT,
             "kind": "verify-report",
             "group": documents[0]["group"],
             "range": [lo, hi],
@@ -145,7 +145,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
     ab = hom.ab(level)
     if args.format == "json":
         print(json.dumps({
-            "format": "slicetower/1",
+            "format": FORMAT,
             "kind": "homology",
             "group": {"p": group.p, "k": group.k, "display": str(group)},
             "rep": render_rep(v),
@@ -166,7 +166,7 @@ def cmd_mackey(args: argparse.Namespace) -> int:
     M = parse_coefficient(args.show, group)
     if args.format == "json":
         print(json.dumps({
-            "format": "slicetower/1",
+            "format": FORMAT,
             "kind": "mackey",
             "group": {"p": group.p, "k": group.k, "display": str(group)},
             "name": M.name,

@@ -151,27 +151,25 @@ def _trivial_level() -> HomologyLevel:
     return HomologyLevel(AbGroup.trivial(), (), [], lambda x: [])
 
 
+def _preimage(T: Mat, orders: Sequence[int]) -> list[list[int]]:
+    """Generators of {x : T x in the lattice spanned by orders[i] * e_i},
+    read off the kernel of T next to its diagonal relation columns."""
+    rel = [(r, o) for r, o in enumerate(orders) if o > 0]
+    stack = Mat(T.r, T.c + len(rel))
+    for i in range(T.r):
+        stack.a[i][: T.c] = list(T.a[i])
+    for j, (r, o) in enumerate(rel):
+        stack.a[r][T.c + j] = o
+    return [vec[: T.c] for vec in kernel_basis(stack)]
+
+
 def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
     n = cx.gens(d)
     if n == 0:
         return _trivial_level()
 
-    D = cx.boundary_or_zero(d)
-    below = cx.orders.get(d - 1, ())
-    rel_below = [[o if i == r else 0 for i in range(len(below))]
-                 for r, o in enumerate(below) if o > 0]
-
-    # cycles: x with D x in the relation lattice one dimension down
-    if rel_below:
-        stack = Mat(D.r, D.c + len(rel_below))
-        for i in range(D.r):
-            stack.a[i][: D.c] = list(D.a[i])
-        for j, col in enumerate(rel_below):
-            for i in range(D.r):
-                stack.a[i][D.c + j] = col[i]
-    else:
-        stack = D
-    cycles = [vec[:n] for vec in kernel_basis(stack)]
+    # cycles: x whose boundary lies in the relation lattice one dimension down
+    cycles = _preimage(cx.boundary_or_zero(d), cx.orders.get(d - 1, ()))
     basis = lattice_basis(cycles, n)
     if not basis:
         return _trivial_level()
@@ -267,23 +265,9 @@ def bredon_homology(v: Rep | RepDiff, M: MackeyFunctor, degree: int) -> BredonHo
 
 
 def presented_injective(T: Mat, src_orders: Sequence[int], dst_orders: Sequence[int]) -> bool:
-    """Injectivity of the induced map (Z^s / src) -> (Z^t / dst)."""
-    rel_cols = [[o if i == r else 0 for i in range(len(dst_orders))]
-                for r, o in enumerate(dst_orders) if o > 0]
-    if rel_cols:
-        stack = Mat(T.r, T.c + len(rel_cols))
-        for i in range(T.r):
-            stack.a[i][: T.c] = list(T.a[i])
-        for j, col in enumerate(rel_cols):
-            for i in range(T.r):
-                stack.a[i][T.c + j] = col[i]
-    else:
-        stack = T
-    pre = [vec[: T.c] for vec in kernel_basis(stack)]
-    for v in lattice_basis(pre, T.c):
-        if not in_diagonal_lattice(v, list(src_orders)):
-            return False
-    return True
+    """Injectivity of the induced map (Z^s / src) -> (Z^t / dst): every
+    generator of the preimage of the dst relations must be a src relation."""
+    return all(in_diagonal_lattice(v, src_orders) for v in _preimage(T, dst_orders))
 
 
 def homres_injective(w: Rep, i: int, j: int, h: int) -> bool:

@@ -1,11 +1,12 @@
 """Mackey functors for C_{p^k} with explicit integer matrices.
 
 A functor is stored by its value at each subgroup level together with
-restriction, transfer, and the action of the chosen group generator.
-Level m is the value at the orbit G/C_{p^m}, so level 0 is the
-underlying abelian group and level k the fixed points.  Values are
-presented by generator orders (0 meaning an infinite cyclic summand),
-maps by integer matrices acting on those generators.
+restriction and transfer.  Every coefficient the verifier uses (Z, Z*,
+Z(i,j), B(i,j)) has trivial Weyl action, so none is recorded.  Level m
+is the value at the orbit G/C_{p^m}, so level 0 is the underlying
+abelian group and level k the fixed points.  Values are presented by
+generator orders (0 meaning an infinite cyclic summand), maps by
+integer matrices acting on those generators.
 """
 
 from __future__ import annotations
@@ -22,15 +23,12 @@ class MackeyFunctor:
     levels: tuple[tuple[int, ...], ...]  # generator orders; levels[m] for G/C_{p^m}
     res: tuple[Mat, ...]                 # res[m]: level m+1 -> level m
     tr: tuple[Mat, ...]                  # tr[m]: level m -> level m+1
-    gamma: tuple[Mat | None, ...]        # generator action per level; None = identity
     name: str = ""
 
     def __post_init__(self) -> None:
         k = self.group.k
         if len(self.levels) != k + 1 or len(self.res) != k or len(self.tr) != k:
             raise ValueError("level or map count mismatch")
-        if len(self.gamma) != k + 1:
-            raise ValueError("gamma count mismatch")
         for m in range(k):
             lo, hi = len(self.levels[m]), len(self.levels[m + 1])
             if (self.res[m].r, self.res[m].c) != (lo, hi):
@@ -43,13 +41,6 @@ class MackeyFunctor:
 
     def level_group(self, m: int) -> AbGroup:
         return AbGroup.from_orders(self.levels[m])
-
-    def gamma_mat(self, m: int) -> Mat:
-        g = self.gamma[m]
-        return Mat.identity(self.gens(m)) if g is None else g
-
-    def is_zero_at_and_below(self, m: int) -> bool:
-        return all(not self.levels[t] for t in range(m + 1))
 
     def res_composite(self, src: int, dst: int) -> Mat:
         """Composite restriction from level src down to level dst."""
@@ -80,7 +71,6 @@ def _scalar_functor(group: Group, res_scalars: list[int], tr_scalars: list[int],
         levels=((0,),) * (k + 1),
         res=tuple(Mat(1, 1, [[r]]) for r in res_scalars),
         tr=tuple(Mat(1, 1, [[t]]) for t in tr_scalars),
-        gamma=(None,) * (k + 1),
         name=name,
     )
 
@@ -126,7 +116,7 @@ def B_ij(i: int, j: int, group: Group) -> MackeyFunctor:
         lo, hi = len(levels[m]), len(levels[m + 1])
         res.append(Mat(lo, hi, [[1]] if lo and hi else None))
         tr.append(Mat(hi, lo, [[p]] if lo and hi else None))
-    return MackeyFunctor(group, levels, tuple(res), tuple(tr), (None,) * (k + 1), f"B({i},{j})")
+    return MackeyFunctor(group, levels, tuple(res), tuple(tr), f"B({i},{j})")
 
 
 def parse_coefficient(text: str, group: Group) -> MackeyFunctor:
@@ -144,115 +134,19 @@ def parse_coefficient(text: str, group: Group) -> MackeyFunctor:
     raise ValueError(f"cannot parse coefficient {text!r}; expected Z, Z*, Z(i,j), or B(i,j)")
 
 
-# --- restriction and induction ----------------------------------------------
+# --- restriction -------------------------------------------------------------
 
 def restrict_mackey(M: MackeyFunctor, h: int) -> MackeyFunctor:
-    """Restrict to C_{p^h}: keep the bottom h+1 levels.
-
-    The subgroup's chosen generator is the p^(k-h) power of the
-    ambient one, so the recorded actions are raised to that power.
-    """
+    """Restrict to C_{p^h}: keep the bottom h+1 levels."""
     if not 0 <= h <= M.group.k:
         raise ValueError(f"no subgroup at level {h}")
-    step = M.group.p ** (M.group.k - h)
-    gamma = []
-    for m in range(h + 1):
-        g = M.gamma[m]
-        if g is None:
-            gamma.append(None)
-        else:
-            gp = g.power(step)
-            gamma.append(None if gp == Mat.identity(gp.r) else gp)
     return MackeyFunctor(
         group=M.group.subgroup(h),
         levels=M.levels[: h + 1],
         res=M.res[:h],
         tr=M.tr[:h],
-        gamma=tuple(gamma),
         name=f"res({M.name}, {h})" if M.name else "",
     )
-
-
-def induce_mackey(M: MackeyFunctor, group: Group) -> MackeyFunctor:
-    """Induce from C_{p^h} up to the given overgroup.
-
-    Level m of the result is p^(k - max(m, h)) copies of M at level
-    min(m, h); below h the copies carry M's own maps blockwise, above h
-    restriction splits an index class into its p preimage classes and
-    transfer merges them.  Generators are indexed class-major.
-    """
-    h = M.group.k
-    p, k = group.p, group.k
-    if group.p != M.group.p or h > k:
-        raise ValueError(f"{M.group} is not a subgroup of {group}")
-
-    def classes(m: int) -> int:
-        return p ** (k - max(m, h))
-
-    def coeff_level(m: int) -> int:
-        return min(m, h)
-
-    levels = tuple(M.levels[coeff_level(m)] * classes(m) for m in range(k + 1))
-
-    res = []
-    tr = []
-    for m in range(k):
-        g_lo = M.gens(coeff_level(m))
-        g_hi = M.gens(coeff_level(m + 1))
-        s_lo, s_hi = classes(m), classes(m + 1)
-        R = Mat(s_lo * g_lo, s_hi * g_hi)
-        T = Mat(s_hi * g_hi, s_lo * g_lo)
-        if m + 1 <= h:
-            # below the induction level both sides have the same classes
-            for c in range(s_lo):
-                block_r, block_t = M.res[m], M.tr[m]
-                for t2 in range(g_lo):
-                    for t1 in range(g_hi):
-                        R.a[c * g_lo + t2][c * g_hi + t1] = block_r.a[t2][t1]
-                for t2 in range(g_hi):
-                    for t1 in range(g_lo):
-                        T.a[c * g_hi + t2][c * g_lo + t1] = block_t.a[t2][t1]
-        else:
-            # index classes split (res) or merge (tr); coefficients carry over
-            for d in range(s_lo):
-                c = d % s_hi
-                for t in range(g_lo):
-                    R.a[d * g_lo + t][c * g_hi + t] = 1
-            for c in range(s_lo):
-                d = c % s_hi
-                for t in range(g_lo):
-                    T.a[d * g_hi + t][c * g_lo + t] = 1
-        res.append(R)
-        tr.append(T)
-
-    gamma: list[Mat | None] = []
-    for m in range(k + 1):
-        s = classes(m)
-        g = M.gens(coeff_level(m))
-        wrap = M.gamma[coeff_level(m)]
-        if s == 1:
-            gamma.append(wrap)
-            continue
-        G = Mat(s * g, s * g)
-        for c in range(s):
-            d = (c + 1) % s
-            if d == 0 and wrap is not None:
-                for t2 in range(g):
-                    for t1 in range(g):
-                        G.a[d * g + t2][c * g + t1] = wrap.a[t2][t1]
-            else:
-                for t in range(g):
-                    G.a[d * g + t][c * g + t] = 1
-        gamma.append(G)
-
-    return MackeyFunctor(group, levels, tuple(res), tuple(tr), tuple(gamma),
-                         name=f"ind({M.name})" if M.name else "")
-
-
-def ind_res(M: MackeyFunctor, h: int) -> MackeyFunctor:
-    """Induce the restriction to C_{p^h} back up to the full group."""
-    out = induce_mackey(restrict_mackey(M, h), M.group)
-    return replace(out, name=f"ind_res({M.name}, {h})" if M.name else "")
 
 
 # --- the cokernel presentation of the torsion family ------------------------
@@ -279,8 +173,7 @@ def b_as_cokernel(i: int, j: int, group: Group) -> MackeyFunctor:
         lo, hi = len(levels[m]), len(levels[m + 1])
         res.append(Mat(lo, hi, [[dst.res[m].a[0][0]]] if lo and hi else None))
         tr.append(Mat(hi, lo, [[dst.tr[m].a[0][0]]] if lo and hi else None))
-    return MackeyFunctor(group, levels, tuple(res), tuple(tr),
-                         (None,) * (group.k + 1), f"coker(Z({i + j},{j}) -> Z)")
+    return MackeyFunctor(group, levels, tuple(res), tuple(tr), f"coker(Z({i + j},{j}) -> Z)")
 
 
 def maps_equal_mod(target_orders: tuple[int, ...], A: Mat, B: Mat) -> bool:
@@ -310,32 +203,16 @@ def mackey_equal(A: MackeyFunctor, B: MackeyFunctor) -> bool:
 
 
 def validate_mackey(M: MackeyFunctor) -> None:
-    """Structural checks: the composite of restriction and transfer in
-    either order must equal the norm of the relevant generator power,
-    and the generator action must intertwine both maps."""
-    p, k = M.group.p, M.group.k
-    for m in range(k):
-        step = p ** (k - m - 1)
+    """Structural checks: with trivial Weyl action the norm is p times
+    the identity, so restriction and transfer must compose to p in
+    either order."""
+    p = M.group.p
+    for m in range(M.group.k):
         lo, hi = M.levels[m], M.levels[m + 1]
-
-        norm_lo = Mat(len(lo), len(lo))
-        g_lo = M.gamma_mat(m)
-        for i in range(p):
-            norm_lo = norm_lo.plus(g_lo.power(i * step))
-        if not maps_equal_mod(lo, M.res[m].times(M.tr[m]), norm_lo):
+        if not maps_equal_mod(lo, M.res[m].times(M.tr[m]), Mat.identity(len(lo)).scaled(p)):
             raise AssertionError(f"{M.name}: res.tr at level {m} is not the norm")
-
-        norm_hi = Mat(len(hi), len(hi))
-        g_hi = M.gamma_mat(m + 1)
-        for i in range(p):
-            norm_hi = norm_hi.plus(g_hi.power(i * step))
-        if not maps_equal_mod(hi, M.tr[m].times(M.res[m]), norm_hi):
+        if not maps_equal_mod(hi, M.tr[m].times(M.res[m]), Mat.identity(len(hi)).scaled(p)):
             raise AssertionError(f"{M.name}: tr.res at level {m + 1} is not the norm")
-
-        if not maps_equal_mod(lo, M.res[m].times(M.gamma_mat(m + 1)), g_lo.times(M.res[m])):
-            raise AssertionError(f"{M.name}: gamma does not intertwine res[{m}]")
-        if not maps_equal_mod(hi, M.tr[m].times(g_lo), M.gamma_mat(m + 1).times(M.tr[m])):
-            raise AssertionError(f"{M.name}: gamma does not intertwine tr[{m}]")
 
 
 # --- display -----------------------------------------------------------------
@@ -352,8 +229,6 @@ def render_mackey(M: MackeyFunctor) -> str:
     lines = [head]
     for m in range(M.group.k, -1, -1):
         lines.append(f"  level {m}: {M.level_group(m)}")
-        if M.gamma[m] is not None:
-            lines.append(f"    gamma: {_fmt_mat(M.gamma[m])}")
         if m > 0:
             lines.append(f"    res {m}->{m - 1}: {_fmt_mat(M.res[m - 1])}"
                          f"   tr {m - 1}->{m}: {_fmt_mat(M.tr[m - 1])}")

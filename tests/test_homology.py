@@ -2,11 +2,14 @@
 sphere and restriction-compatibility properties, and injectivity of
 restriction on torsion coefficients."""
 
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from slicetower.abelian import AbGroup, Mat
+from slicetower.abelian import AbGroup, Mat, in_diagonal_lattice
 from slicetower.group import Group
 from slicetower.homology import (
     bredon_homology,
@@ -139,6 +142,27 @@ def test_presented_injective():
     assert not presented_injective(Mat(1, 1, [[0]]), (3,), (3,))
     assert presented_injective(Mat(0, 0), (), ())
     assert presented_injective(Mat(1, 0), (), (3,))
+
+
+def small_orders():
+    return st.lists(st.integers(2, 9), min_size=1, max_size=3).filter(lambda os: math.prod(os) <= 200)
+
+
+@st.composite
+def presented_maps(draw):
+    src, dst = draw(small_orders()), draw(small_orders())
+    # well defined: src[j] * e_j lands in the dst relations, so entry
+    # (i, j) is a multiple of dst[i] / gcd(dst[i], src[j])
+    rows = [[draw(st.integers(-3, 3)) * (t // math.gcd(t, s)) for s in src] for t in dst]
+    return Mat(len(dst), len(src), rows), tuple(src), tuple(dst)
+
+
+@given(presented_maps())
+def test_presented_injective_matches_enumeration(case):
+    T, src, dst = case
+    kernel = [x for x in itertools.product(*(range(s) for s in src))
+              if in_diagonal_lattice(T.times_vec(list(x)), dst)]
+    assert presented_injective(T, src, dst) == (kernel == [(0,) * len(src)])
 
 
 def test_homres_injective_spec_instance():

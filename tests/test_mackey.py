@@ -1,5 +1,5 @@
-"""Mackey functor constructors, the norm axioms, induction and
-restriction, and the cokernel presentation of the torsion family."""
+"""Mackey functor constructors, the norm axioms, restriction, and the
+cokernel presentation of the torsion family."""
 
 import pytest
 
@@ -12,8 +12,6 @@ from slicetower.mackey import (
     b_as_cokernel,
     constant_Z,
     dual_Z,
-    ind_res,
-    induce_mackey,
     mackey_equal,
     maps_equal_mod,
     parse_coefficient,
@@ -99,25 +97,12 @@ def test_index_validation():
         B_ij(2, 1, C9)
 
 
-def test_restrict_and_induce():
+def test_restrict_mackey():
     z = constant_Z(C9)
     r = restrict_mackey(z, 1)
     assert r.group == Group(3, 1)
     assert mackey_equal(r, constant_Z(Group(3, 1)))
     validate_mackey(r)
-
-    ind = induce_mackey(constant_Z(Group(3, 0)), C9)
-    assert [ind.gens(m) for m in range(3)] == [9, 3, 1]
-    validate_mackey(ind)
-
-    # level m of ind_res holds one copy per double coset: p^(k - max(m, h))
-    expected_gens = {0: [9, 3, 1], 1: [3, 3, 1], 2: [1, 1, 1]}
-    for h in (0, 1, 2):
-        m = ind_res(constant_Z(C9), h)
-        assert [m.gens(t) for t in range(3)] == expected_gens[h]
-        validate_mackey(m)
-    for h in (1, 2):
-        validate_mackey(ind_res(B_ij(1, 0, C9), h))
 
 
 def test_validate_rejects_broken_functor():
@@ -126,7 +111,6 @@ def test_validate_rejects_broken_functor():
         levels=((0,), (0,)),
         res=(Mat(1, 1, [[1]]),),
         tr=(Mat(1, 1, [[1]]),),  # res.tr = 1, but the norm is p
-        gamma=(None, None),
     )
     with pytest.raises(AssertionError):
         validate_mackey(bad)
@@ -136,7 +120,6 @@ def test_validate_rejects_broken_functor():
             levels=((0,), (0,)),
             res=(Mat(2, 1),),
             tr=(Mat(1, 1, [[3]]),),
-            gamma=(None, None),
         )
 
 
