@@ -5,6 +5,11 @@ floating point, no modular shortcuts.  Smith normal form tracks the
 three transforms its callers read, not just the invariant factors: U
 and V (U A V = S) to solve linear systems and find kernels, and U's
 inverse to write down lattice bases and homology generators.
+
+Linear systems are solved in blocks: A is factored once, and every
+right-hand side is a column of one matrix B, so the solution is the
+two products U B and V Z around a single divisibility pass over the
+rows of U B.
 """
 
 from __future__ import annotations
@@ -51,9 +56,6 @@ class Mat:
 
     def col(self, j: int) -> list[int]:
         return [self.a[i][j] for i in range(self.r)]
-
-    def cols(self) -> list[list[int]]:
-        return [self.col(j) for j in range(self.c)]
 
     def times(self, other: "Mat") -> "Mat":
         if self.c != other.r:
@@ -232,31 +234,34 @@ def kernel_basis(A: Mat) -> list[list[int]]:
     return out
 
 
-def solve_factored(f: SmithForm, b: Sequence[int]) -> list[int] | None:
-    """One integer solution x of A x = b, given f = smith_normal_form(A).
+def solve_factored(f: SmithForm, B: Mat) -> Mat | None:
+    """Integer solutions X of A X = B, column by column, given
+    f = smith_normal_form(A); None if some column has no solution.
 
-    Lets callers factor A once and solve for many right-hand sides.
+    Lets callers factor A once and solve every right-hand side in one
+    product U B, one divisibility pass by rows and one product V Z.
     """
     r, c = f.S.r, f.S.c
-    if len(b) != r:
+    if B.r != r:
         raise ValueError("rhs length mismatch")
-    y = f.U.times_vec(list(b))
-    z = [0] * c
-    for i in range(r):
-        d = f.diag(i) if i < c else 0
+    Y = f.U.times(B)
+    Z = Mat(c, B.c)
+    for i, row in enumerate(Y.a):
+        d = f.diag(i)
         if d == 0:
-            if y[i] != 0:
+            if any(row):
                 return None
+        elif any(x % d for x in row):
+            return None
         else:
-            if y[i] % d != 0:
-                return None
-            z[i] = y[i] // d
-    return f.V.times_vec(z)
+            Z.a[i] = [x // d for x in row]
+    return f.V.times(Z)
 
 
 def solve(A: Mat, b: Sequence[int]) -> list[int] | None:
     """One integer solution x of A x = b, or None if none exists."""
-    return solve_factored(smith_normal_form(A), b)
+    X = solve_factored(smith_normal_form(A), Mat.from_cols([b], A.r))
+    return None if X is None else X.col(0)
 
 
 def lattice_basis(vectors: Iterable[Sequence[int]], dim: int) -> list[list[int]]:

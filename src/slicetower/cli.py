@@ -21,7 +21,7 @@ from .group import Group, is_odd_prime
 from .homology import bredon_homology
 from .mackey import parse_coefficient, render_mackey
 from .render import render_latex, render_text
-from .rep import RepParseError, parse_rep, render_rep
+from .rep import parse_rep, render_rep
 from .tower import build_tower, verify_tower
 
 RANGE_ENV = "SLICETOWER_VERIFY_RANGE"
@@ -243,10 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_join_leading_dash_values(list(argv)))
         return args.run(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (RepParseError, ValueError) as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any
 
 from .rep import Rep, render_rep, rho_form, strip_planes
-from .tower import Tower, VerificationReport
+from .tower import SliceDescriptor, Tower, VerificationReport
 
 FORMAT = "slicetower/1"
 VERSION = "0.1.0"
@@ -26,7 +26,7 @@ def rep_payload(v: Rep) -> dict[str, Any]:
     }
 
 
-def _printed_rep(desc_rep: Rep, kind: str, coeff_j: int | None) -> Rep:
+def _printed_rep(desc: SliceDescriptor) -> Rep:
     """What the slice's sphere is displayed as.
 
     Torsion coefficients cannot see planes at or below their vanishing
@@ -34,11 +34,11 @@ def _printed_rep(desc_rep: Rep, kind: str, coeff_j: int | None) -> Rep:
     representation is an exact regular multiple over a group with at
     least two plane levels, where that shorthand is shorter and exact.
     """
-    if kind != "torsion":
-        return desc_rep
-    if desc_rep.group.k >= 2 and rho_form(desc_rep) is not None:
-        return desc_rep
-    return strip_planes(desc_rep, coeff_j + 1)
+    if not desc.is_torsion:
+        return desc.rep
+    if desc.rep.group.k >= 2 and rho_form(desc.rep) is not None:
+        return desc.rep
+    return strip_planes(desc.rep, desc.coeff_j + 1)
 
 
 def _failure_payload(f: Any) -> dict[str, Any]:
@@ -62,7 +62,7 @@ def tower_document(tower: Tower,
                      "display": f"B({desc.coeff_i},{desc.coeff_j})"}
         else:
             coeff = {"family": "Z", "display": "Z"}
-        printed = _printed_rep(desc.rep, desc.kind, desc.coeff_j)
+        printed = _printed_rep(desc)
         entry: dict[str, Any] = {
             "index": i,
             "slice": {

@@ -3,11 +3,17 @@
 A cell structure is realized at one subgroup level at a time: a cell
 with isotropy level h contributes p^(k - max(m, h)) index classes of
 generators at level m, each class carrying the coefficient functor's
-value at level min(m, h).  Formal boundary entries become integer
-matrices by letting merges act through transfers and splits through
-restrictions.  Homology of the resulting presented chain complexes is
-computed exactly, keeping chain-level representatives so restriction
-maps between levels can be expressed on homology classes.
+value at level min(m, h).  Class counts are powers of p, so for a
+boundary entry from a cell with s_s classes to one with s_t classes,
+translated by c, one loop x = 0 .. max(s_s, s_t) - 1 pairs source
+class x mod s_s with target class (x + c) mod s_t.  The coefficients
+act through the functor's composite from level min(m, h_s) to level
+min(m, h_t): transfers where a merge raises isotropy, restrictions
+where a split lowers it.  The restriction chain map from level m+1 to
+level m pairs classes the same way.  Homology of the resulting
+presented chain complexes is computed exactly, keeping chain-level
+representatives so restriction maps between levels can be expressed
+on homology classes.
 """
 
 from __future__ import annotations
@@ -80,23 +86,15 @@ def level_complex(struct: CellStructure, M: MackeyFunctor, m: int) -> LevelCompl
             h_t, s_t, g_t = layouts[d - 1][tgt_i]
             src_off = offsets[d][src_i]
             tgt_off = offsets[d - 1][tgt_i]
-            if h_s <= h_t:
-                C = M.tr_composite(min(m, h_s), min(m, h_t))
-                for c, m_c in entry.items():
-                    for cs in range(s_s):
-                        ct = (cs + c) % s_t
-                        for t2 in range(g_t):
-                            for t1 in range(g_s):
-                                B.a[tgt_off + ct * g_t + t2][src_off + cs * g_s + t1] += m_c * C.a[t2][t1]
-            else:
-                C = M.res_composite(min(m, h_s), min(m, h_t))
-                for c, m_c in entry.items():
-                    for cs in range(s_s):
-                        base = (cs + c) % s_s
-                        for ct in range(base, s_t, s_s):
-                            for t2 in range(g_t):
-                                for t1 in range(g_s):
-                                    B.a[tgt_off + ct * g_t + t2][src_off + cs * g_s + t1] += m_c * C.a[t2][t1]
+            C = M.composite(min(m, h_s), min(m, h_t))
+            classes = range(max(s_s, s_t))
+            for c, m_c in entry.items():
+                for x in classes:
+                    col = src_off + x % s_s * g_s
+                    row = tgt_off + (x + c) % s_t * g_t
+                    for t2 in range(g_t):
+                        for t1 in range(g_s):
+                            B.a[row + t2][col + t1] += m_c * C.a[t2][t1]
         boundary[d] = B
 
     cx = LevelComplex(level=m, orders=orders, boundary=boundary, layouts=layouts)
@@ -137,69 +135,68 @@ class HomologyLevel:
     """One homology group with raw generator bookkeeping.
 
     raw_orders lists one invariant factor per generator (0 for a free
-    one, never 1); gens holds one chain representative per generator,
-    and express writes a cycle in those coordinates.
+    one, never 1); the columns of gens are one chain representative per
+    generator, and express writes each column of a matrix of cycles in
+    those coordinates.
     """
 
     ab: AbGroup
     raw_orders: tuple[int, ...]
-    gens: list[list[int]]
-    express: Callable[[Sequence[int]], list[int]]
+    gens: Mat
+    express: Callable[[Mat], Mat]
 
 
-def _trivial_level() -> HomologyLevel:
-    return HomologyLevel(AbGroup.trivial(), (), [], lambda x: [])
+def _trivial_level(n: int) -> HomologyLevel:
+    return HomologyLevel(AbGroup.trivial(), (), Mat(n, 0), lambda X: Mat(0, X.c))
+
+
+def _with_relations(T: Mat, orders: Sequence[int]) -> Mat:
+    """T next to the diagonal relation columns orders[i] * e_i, one for
+    each positive order."""
+    rel = [(r, o) for r, o in enumerate(orders) if o > 0]
+    stack = Mat(T.r, T.c + len(rel))
+    for i in range(T.r):
+        stack.a[i][: T.c] = T.a[i]
+    for j, (r, o) in enumerate(rel):
+        stack.a[r][T.c + j] = o
+    return stack
 
 
 def _preimage(T: Mat, orders: Sequence[int]) -> list[list[int]]:
     """Generators of {x : T x in the lattice spanned by orders[i] * e_i},
-    read off the kernel of T next to its diagonal relation columns."""
-    rel = [(r, o) for r, o in enumerate(orders) if o > 0]
-    stack = Mat(T.r, T.c + len(rel))
-    for i in range(T.r):
-        stack.a[i][: T.c] = list(T.a[i])
-    for j, (r, o) in enumerate(rel):
-        stack.a[r][T.c + j] = o
-    return [vec[: T.c] for vec in kernel_basis(stack)]
+    read off the kernel of T next to its relation columns."""
+    return [vec[: T.c] for vec in kernel_basis(_with_relations(T, orders))]
 
 
 def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
     n = cx.gens(d)
     if n == 0:
-        return _trivial_level()
+        return _trivial_level(0)
 
     # cycles: x whose boundary lies in the relation lattice one dimension down
     cycles = _preimage(cx.boundary_or_zero(d), cx.orders.get(d - 1, ()))
     basis = lattice_basis(cycles, n)
     if not basis:
-        return _trivial_level()
+        return _trivial_level(n)
     BMat = Mat.from_cols(basis, n)
 
     fb = smith_normal_form(BMat)
-    denoms = cx.boundary_or_zero(d + 1).cols()
-    here = cx.orders[d]
-    for i, o in enumerate(here):
-        if o > 0:
-            denoms.append([o if t == i else 0 for t in range(n)])
-    solved = []
-    for col in denoms:
-        y = solve_factored(fb, col)
-        assert y is not None, "denominator is not a cycle"
-        solved.append(y)
-    Y = Mat.from_cols(solved, len(basis))
+    Y = solve_factored(fb, _with_relations(cx.boundary_or_zero(d + 1), cx.orders[d]))
+    if Y is None:
+        raise AssertionError("a boundary or relation is not a cycle")
     fy = smith_normal_form(Y)
     all_orders = [fy.diag(i) for i in range(len(basis))]
     keep = [i for i, o in enumerate(all_orders) if o != 1]
     raw_orders = tuple(all_orders[i] for i in keep)
-    all_gens = BMat.times(fy.Uinv).cols()
-    gens = [all_gens[i] for i in keep]
+    gens = Mat(n, len(keep), [[row[i] for i in keep] for row in BMat.times(fy.Uinv).a])
 
-    def express(x: Sequence[int]) -> list[int]:
-        y = solve_factored(fb, list(x))
-        if y is None:
+    def express(X: Mat) -> Mat:
+        Z = solve_factored(fb, X)
+        if Z is None:
             raise ValueError("chain is not a cycle at this level")
-        raw = fy.U.times_vec(y)
-        return [raw[i] % o if (o := all_orders[i]) > 0 else raw[i] for i in keep]
+        raw = fy.U.times(Z).a
+        return Mat(len(keep), X.c, [[x % o for x in raw[i]] if o else raw[i]
+                                    for i, o in zip(keep, raw_orders)])
 
     return HomologyLevel(AbGroup.from_orders(raw_orders), raw_orders, gens, express)
 
@@ -207,26 +204,22 @@ def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
 def chain_restriction(M: MackeyFunctor, m: int, d: int,
                       hi: LevelComplex, lo: LevelComplex) -> Mat:
     """Chain map from the level m+1 realization to the level m one at
-    dimension d: index classes split below the cell's isotropy, the
-    coefficient restriction applies at or above it."""
+    dimension d: index classes split below the cell's isotropy, where
+    the coefficients are carried along, and the coefficient restriction
+    applies at or above it."""
     R = Mat(lo.gens(d), hi.gens(d))
     if d not in hi.layouts:
         return R
     off_hi = 0
     off_lo = 0
     for (h, s_hi, g_hi), (_, s_lo, g_lo) in zip(hi.layouts[d], lo.layouts[d]):
-        if h <= m:
-            # free-ish direction: classes refine, coefficients carried along
-            for c in range(s_hi):
-                for ct in range(c, s_lo, s_hi):
-                    for t in range(g_hi):
-                        R.a[off_lo + ct * g_lo + t][off_hi + c * g_hi + t] = 1
-        else:
-            C = M.res[m]
-            for c in range(s_hi):
-                for t2 in range(g_lo):
-                    for t1 in range(g_hi):
-                        R.a[off_lo + c * g_lo + t2][off_hi + c * g_hi + t1] = C.a[t2][t1]
+        C = M.composite(min(m + 1, h), min(m, h))
+        for x in range(max(s_hi, s_lo)):
+            row = off_lo + x % s_lo * g_lo
+            col = off_hi + x % s_hi * g_hi
+            for t2 in range(g_lo):
+                for t1 in range(g_hi):
+                    R.a[row + t2][col + t1] = C.a[t2][t1]
         off_hi += s_hi * g_hi
         off_lo += s_lo * g_lo
     return R
@@ -258,9 +251,7 @@ def bredon_homology(v: Rep | RepDiff, M: MackeyFunctor, degree: int) -> BredonHo
     for m in range(k):
         hi, lo = levels[m + 1], levels[m]
         chain = chain_restriction(M, m, degree, complexes[m + 1], complexes[m])
-        cols = [lo.express(chain.times_vec(g)) for g in hi.gens]
-        res_maps.append(Mat.from_cols(cols, len(lo.raw_orders)) if cols
-                        else Mat(len(lo.raw_orders), 0))
+        res_maps.append(lo.express(chain.times(hi.gens)))
     return BredonHomology(degree, levels, res_maps)
 
 

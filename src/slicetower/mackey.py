@@ -42,22 +42,16 @@ class MackeyFunctor:
     def level_group(self, m: int) -> AbGroup:
         return AbGroup.from_orders(self.levels[m])
 
-    def res_composite(self, src: int, dst: int) -> Mat:
-        """Composite restriction from level src down to level dst."""
-        if not 0 <= dst <= src <= self.group.k:
-            raise ValueError("bad composite levels")
-        out = Mat.identity(self.gens(src))
-        for m in range(src - 1, dst - 1, -1):
-            out = self.res[m].times(out)
-        return out
-
-    def tr_composite(self, src: int, dst: int) -> Mat:
-        """Composite transfer from level src up to level dst."""
-        if not 0 <= src <= dst <= self.group.k:
+    def composite(self, src: int, dst: int) -> Mat:
+        """Composite map from level src to level dst: transfers going
+        up, restrictions going down, the identity when src == dst."""
+        if not (0 <= src <= self.group.k and 0 <= dst <= self.group.k):
             raise ValueError("bad composite levels")
         out = Mat.identity(self.gens(src))
         for m in range(src, dst):
             out = self.tr[m].times(out)
+        for m in range(src - 1, dst - 1, -1):
+            out = self.res[m].times(out)
         return out
 
     def __str__(self) -> str:

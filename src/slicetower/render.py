@@ -18,10 +18,6 @@ def _sphere(display: str) -> str:
     return f"S^{display}"
 
 
-def _coeff_text(coeff: dict[str, Any]) -> str:
-    return coeff["display"]
-
-
 def render_text(doc: dict[str, Any]) -> str:
     group = doc["group"]["display"]
     count = doc["stage_count"]
@@ -30,7 +26,7 @@ def render_text(doc: dict[str, Any]) -> str:
     rows = []
     for stage in doc["stages"]:
         sl = stage["slice"]
-        slice_text = f"{_sphere(sl['printed']['display'])} ∧ H{_coeff_text(sl['coefficient'])}"
+        slice_text = f"{_sphere(sl['printed']['display'])} ∧ H{sl['coefficient']['display']}"
         section_text = _sphere(stage["section"]["display"])
         mark = ""
         if stage["verification"] is not None:

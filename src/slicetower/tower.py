@@ -130,8 +130,8 @@ def _exchange(section: Rep, desc: SliceDescriptor) -> Rep:
     return nxt
 
 
-def section_reps(n: int, group: Group) -> list[Rep]:
-    """Representations of the sections, one per stage, top to bottom.
+def build_tower(n: int, group: Group) -> Tower:
+    """The slices with their sections, top to bottom.
 
     The top section is S^n itself; the bottom one must agree with the
     closed form for the integral slice, which is asserted.
@@ -142,12 +142,6 @@ def section_reps(n: int, group: Group) -> list[Rep]:
         assert desc.is_torsion
         sections.append(_exchange(sections[-1], desc))
     assert sections[-1] == slices[-1].rep
-    return sections
-
-
-def build_tower(n: int, group: Group) -> Tower:
-    slices = slice_list(n, group)
-    sections = section_reps(n, group)
     return Tower(group, n, tuple(Stage(d, s) for d, s in zip(slices, sections)))
 
 

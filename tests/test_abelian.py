@@ -91,16 +91,25 @@ def test_solve_round_trip(A, data):
     y = solve(A, b)
     assert y is not None
     assert A.times_vec(y) == b
-    f = smith_normal_form(A)
-    z = solve_factored(f, b)
-    assert z is not None
-    assert A.times_vec(z) == b
+    q = data.draw(st.integers(0, 3))
+    X = Mat(A.c, q, [data.draw(st.lists(st.integers(-5, 5), min_size=q, max_size=q))
+                     for _ in range(A.c)])
+    B = A.times(X)
+    Z = solve_factored(smith_normal_form(A), B)
+    assert Z is not None
+    assert A.times(Z) == B
 
 
 def test_solve_detects_no_solution():
     assert solve(Mat(1, 1, [[2]]), [1]) is None
     assert solve(Mat(2, 1, [[1], [0]]), [0, 1]) is None
     assert solve(Mat(1, 2, [[2, 4]]), [3]) is None
+
+
+def test_solve_factored_rejects_one_bad_column():
+    f = smith_normal_form(Mat(2, 2, [[2, 0], [0, 3]]))
+    assert solve_factored(f, Mat(2, 2, [[2, -4], [3, 6]])) == Mat(2, 2, [[1, -2], [1, 2]])
+    assert solve_factored(f, Mat(2, 3, [[2, 1, 0], [3, 3, 0]])) is None
 
 
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), max_size=5))

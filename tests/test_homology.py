@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slicetower.abelian import AbGroup, Mat, in_diagonal_lattice
 from slicetower.group import Group
@@ -163,6 +163,30 @@ def test_presented_injective_matches_enumeration(case):
     kernel = [x for x in itertools.product(*(range(s) for s in src))
               if in_diagonal_lattice(T.times_vec(list(x)), dst)]
     assert presented_injective(T, src, dst) == (kernel == [(0,) * len(src)])
+
+
+@st.composite
+def torsion_cases(draw):
+    g = draw(st.sampled_from([C9, Group(5, 2)]))
+    v = Rep(g, draw(st.integers(-1, 2)), tuple(draw(st.integers(-1, 1)) for _ in range(g.k)))
+    M = draw(st.sampled_from([constant_Z(g), dual_Z(g), B_ij(1, 0, g), B_ij(2, 0, g)]))
+    return v, M, draw(st.integers(-2, 2))
+
+
+@settings(deadline=None, max_examples=40)
+@given(torsion_cases())
+@example((Rep(C9, 0, (0, 0)), B_ij(2, 0, C9), 0))     # Z/9 -> Z/3
+@example((Rep(C9, 0, (-2, 2)), constant_Z(C9), 0))    # Z/3 + Z on top
+@example((Rep(C9, -2, (-1, 2)), dual_Z(C9), 0))
+def test_res_maps_are_well_defined(case):
+    # every generator's order kills its image one level down
+    v, M, d = case
+    bh = bredon_homology(v, M, d)
+    for m, R in enumerate(bh.res_maps):
+        hi, lo = bh.levels[m + 1].raw_orders, bh.levels[m].raw_orders
+        assert (R.r, R.c) == (len(lo), len(hi))
+        for j, o in enumerate(hi):
+            assert in_diagonal_lattice([o * x for x in R.col(j)], lo), (m, j)
 
 
 def test_homres_injective_spec_instance():
