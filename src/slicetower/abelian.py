@@ -264,18 +264,14 @@ def solve(A: Mat, b: Sequence[int]) -> list[int] | None:
     return None if X is None else X.col(0)
 
 
-def lattice_basis(vectors: Iterable[Sequence[int]], dim: int) -> list[list[int]]:
-    """Basis of the sublattice of Z^dim generated by the given vectors."""
-    cols = [list(v) for v in vectors]
-    if not cols:
-        return []
-    f = smith_normal_form(Mat.from_cols(cols, dim))
-    out = []
-    for i in range(min(dim, len(cols))):
-        d = f.diag(i)
-        if d != 0:
-            out.append([d * x for x in f.Uinv.col(i)])
-    return out
+def lattice_basis(vectors: Iterable[Sequence[int]], dim: int) -> SmithForm:
+    """Basis of the sublattice of Z^dim generated by the given vectors,
+    returned factored: the basis is the columns of Uinv S, with S the
+    dim x rank diagonal and V the identity, so U (Uinv S) V = S and
+    systems over the basis solve through solve_factored directly."""
+    f = smith_normal_form(Mat.from_cols(list(vectors), dim))
+    S = Mat(dim, f.rank, [row[: f.rank] for row in f.S.a])
+    return SmithForm(S=S, U=f.U, Uinv=f.Uinv, V=Mat.identity(f.rank))
 
 
 def in_diagonal_lattice(v: Sequence[int], orders: Sequence[int]) -> bool:

@@ -16,12 +16,13 @@ import os
 import sys
 from typing import Any
 
+from .cells import cell_structure
 from .document import FORMAT, tower_document
 from .group import Group, is_odd_prime
-from .homology import bredon_homology
+from .homology import homology_at, level_complex
 from .mackey import parse_coefficient, render_mackey
 from .render import render_latex, render_text
-from .rep import parse_rep, render_rep
+from .rep import RepDiff, parse_rep, render_rep
 from .tower import build_tower, verify_tower
 
 RANGE_ENV = "SLICETOWER_VERIFY_RANGE"
@@ -141,8 +142,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
     v = parse_rep(args.rep, group)
     coeff = parse_coefficient(args.coeff, group)
     level = _level_index(args.level, group)
-    hom = bredon_homology(v, coeff, args.degree)
-    ab = hom.ab(level)
+    cx = level_complex(cell_structure(RepDiff.from_virtual(v)), coeff, level)
+    ab = homology_at(cx, args.degree).ab
     if args.format == "json":
         print(json.dumps({
             "format": FORMAT,

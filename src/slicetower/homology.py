@@ -37,7 +37,6 @@ class LevelComplex:
     generators on either side.
     """
 
-    level: int
     orders: dict[int, tuple[int, ...]]
     boundary: dict[int, Mat]
     layouts: dict[int, list[tuple[int, int, int]]]  # per cell: (iso, classes, gens per class)
@@ -97,7 +96,7 @@ def level_complex(struct: CellStructure, M: MackeyFunctor, m: int) -> LevelCompl
                             B.a[row + t2][col + t1] += m_c * C.a[t2][t1]
         boundary[d] = B
 
-    cx = LevelComplex(level=m, orders=orders, boundary=boundary, layouts=layouts)
+    cx = LevelComplex(orders=orders, boundary=boundary, layouts=layouts)
     _check_complex(cx)
     return cx
 
@@ -175,17 +174,16 @@ def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
 
     # cycles: x whose boundary lies in the relation lattice one dimension down
     cycles = _preimage(cx.boundary_or_zero(d), cx.orders.get(d - 1, ()))
-    basis = lattice_basis(cycles, n)
-    if not basis:
+    fb = lattice_basis(cycles, n)
+    if fb.rank == 0:
         return _trivial_level(n)
-    BMat = Mat.from_cols(basis, n)
+    BMat = fb.Uinv.times(fb.S)
 
-    fb = smith_normal_form(BMat)
     Y = solve_factored(fb, _with_relations(cx.boundary_or_zero(d + 1), cx.orders[d]))
     if Y is None:
         raise AssertionError("a boundary or relation is not a cycle")
     fy = smith_normal_form(Y)
-    all_orders = [fy.diag(i) for i in range(len(basis))]
+    all_orders = [fy.diag(i) for i in range(fb.rank)]
     keep = [i for i, o in enumerate(all_orders) if o != 1]
     raw_orders = tuple(all_orders[i] for i in keep)
     gens = Mat(n, len(keep), [[row[i] for i in keep] for row in BMat.times(fy.Uinv).a])
@@ -229,7 +227,6 @@ def chain_restriction(M: MackeyFunctor, m: int, d: int,
 class BredonHomology:
     """H_d at every subgroup level with the connecting restrictions."""
 
-    degree: int
     levels: list[HomologyLevel]  # index = subgroup level, 0 .. k
     res_maps: list[Mat]          # res_maps[m]: level m+1 -> level m, raw coordinates
 
@@ -252,7 +249,7 @@ def bredon_homology(v: Rep | RepDiff, M: MackeyFunctor, degree: int) -> BredonHo
         hi, lo = levels[m + 1], levels[m]
         chain = chain_restriction(M, m, degree, complexes[m + 1], complexes[m])
         res_maps.append(lo.express(chain.times(hi.gens)))
-    return BredonHomology(degree, levels, res_maps)
+    return BredonHomology(levels, res_maps)
 
 
 def presented_injective(T: Mat, src_orders: Sequence[int], dst_orders: Sequence[int]) -> bool:

@@ -214,10 +214,11 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     At every subgroup level m the restricted representation must sit
     inside m' copies of the regular representation (minus a trivial
     line for the torsion slices) with the same fixed subspace, and the
-    homology of S^(V - t rho) must vanish in degrees 0 and -1 for
-    every t past dim V / p^m.  The t loop stops once the top cell
-    dimension drops below -1, after which both groups are zero for
-    size reasons alone.
+    homology of S^(V - t rho) must vanish in degree -eps for every t
+    past (dim V + eps) / p^m.  One loop over t realizes each sphere
+    once and reads both degrees off that complex.  It stops once the
+    top cell dimension drops below -1, after which both groups are
+    zero for size reasons alone.
     """
     V = desc.rep
     M = desc.coefficient()
@@ -245,22 +246,22 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
             failures.append(Failure(m, "fixed"))
 
         D = Vm.dim
-        scale = group.p ** m
-        for eps in (0, 1):
-            t = (D + eps) // scale + 1
-            guard = 0
-            while True:
-                diff = RepDiff.from_virtual(Vm - regular_rep(sub, t))
-                if max_cell_dim(diff) <= -2:
-                    break
-                cx = level_complex(cell_structure(diff), Mm, m)
-                h = homology_at(cx, -eps)
-                checks += 1
-                if not h.ab.is_trivial:
-                    failures.append(Failure(m, "vanishing", epsilon=eps, t=t, group=h.ab))
-                t += 1
-                guard += 1
-                assert guard <= 2 * D + 8, "vanishing loop failed to stabilize"
+        first = [(D + eps) // group.p ** m + 1 for eps in (0, 1)]
+        t = first[0]
+        while True:
+            diff = RepDiff.from_virtual(Vm - regular_rep(sub, t))
+            if max_cell_dim(diff) <= -2:
+                break
+            cx = level_complex(cell_structure(diff), Mm, m)
+            for eps in (0, 1):
+                if t >= first[eps]:
+                    h = homology_at(cx, -eps)
+                    checks += 1
+                    if not h.ab.is_trivial:
+                        failures.append(Failure(m, "vanishing", epsilon=eps, t=t, group=h.ab))
+            t += 1
+            if t - first[0] > 2 * D + 8:
+                raise AssertionError("vanishing loop failed to stabilize")
 
     return VerificationReport(desc, not failures, checks, failures)
 

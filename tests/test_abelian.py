@@ -114,18 +114,18 @@ def test_solve_factored_rejects_one_bad_column():
 
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), max_size=5))
 def test_lattice_basis_spans_same_lattice(vectors):
-    basis = lattice_basis(vectors, 3)
-    assert len(basis) <= 3
-    nonzero = [v for v in vectors if any(v)]
-    if not nonzero:
-        assert basis == []
-        return
-    span_old = Mat.from_cols(nonzero, 3)
-    span_new = Mat.from_cols(basis, 3)
-    for v in basis:
-        assert solve(span_old, v) is not None
-    for v in nonzero:
-        assert solve(span_new, v) is not None
+    f = lattice_basis(vectors, 3)
+    rank = f.S.c
+    assert rank <= 3 and f.rank == rank
+    assert f.V == Mat.identity(rank)
+    basis = f.Uinv.times(f.S)
+    assert f.U.times(basis) == f.S
+    assert smith_normal_form(basis).rank == rank   # full column rank
+    inputs = Mat.from_cols(vectors, 3)
+    X = solve_factored(f, inputs)
+    assert X is not None and basis.times(X) == inputs
+    for j in range(rank):
+        assert solve(inputs, basis.col(j)) is not None
 
 
 def test_det():

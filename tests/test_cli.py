@@ -1,14 +1,24 @@
 """Command surface: output goldens, exit codes, argument handling."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from slicetower.abelian import AbGroup
 from slicetower.cli import RANGE_ENV, _join_leading_dash_values, main
+from slicetower.group import Group
+from slicetower.homology import bredon_homology
+from slicetower.mackey import parse_coefficient
+from slicetower.rep import parse_rep
 from slicetower.tower import Failure, VerificationReport
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 S7_TEXT = """\
 Slice tower of S^7 ∧ HZ over C_3^2   (5 stages)
@@ -163,6 +173,28 @@ def test_homology_json(capsys):
     assert doc["homology"] == {"display": "0", "free_rank": 0, "torsion": []}
 
 
+@pytest.mark.parametrize("p,k,reps", [(3, 1, ("L0 - 2", "2 - L0")),
+                                      (3, 2, ("L1 - L0", "1 + L0 - L1"))])
+def test_homology_matches_every_level_of_bredon_homology(capsys, p, k, reps):
+    # the CLI realizes only the level asked for; bredon_homology builds
+    # them all, and the two paths must agree on every level
+    group = Group(p, k)
+    levels = {"top": k, "e": 0, **{str(m): m for m in range(k + 1)}}
+    for rep in reps:
+        for coeff in ("Z", "Z*", "B(1,0)"):
+            M = parse_coefficient(coeff, group)
+            for d in range(-2, 3):
+                bh = bredon_homology(parse_rep(rep, group), M, d)
+                for text, m in levels.items():
+                    code, out, _ = run(capsys, "homology", "--p", str(p), "--k", str(k),
+                                       "--rep", rep, "--coeff", coeff, "--degree", str(d),
+                                       "--level", text, "--format", "json")
+                    assert code == 0
+                    doc = json.loads(out)
+                    assert doc["level"] == m
+                    assert doc["homology"]["display"] == str(bh.ab(m)), (rep, coeff, d, text)
+
+
 def test_homology_level_validation(capsys):
     code, _, err = run(capsys, "homology", "--p", "3", "--k", "1",
                        "--rep", "rho", "--level", "5")
@@ -217,3 +249,17 @@ def test_join_leading_dash_values():
     assert _join_leading_dash_values(["--rep", "rho"]) == ["--rep", "rho"]
     assert _join_leading_dash_values(["--n", "-1"]) == ["--n=-1"]
     assert _join_leading_dash_values([]) == []
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("verify", "--p", "3", "--k", "1", "--n", "3..6"), "all 7 stages pass"),
+    (("homology", "--p", "3", "--k", "2", "--rep", "L1 - L0", "--level", "top"),
+     "H_0(S^(λ_1 - λ_0); Z) at level 2 over C_3^2: Z\n"),
+], ids=["verify", "homology"])
+def test_requests_under_python_O(argv, expected):
+    # -O strips assert statements; the request path must not rely on them
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-O", "-m", "slicetower.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert expected in proc.stdout

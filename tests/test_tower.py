@@ -1,6 +1,8 @@
 """Tower assembly: slice ordering, section bookkeeping, fiber data,
 and the from-scratch slice verification."""
 
+import dataclasses
+
 import pytest
 
 from slicetower.group import Group
@@ -120,13 +122,15 @@ def test_fiber_sequence_data():
 
 
 def test_verify_slice_passes_on_real_slices():
-    tower = build_tower(7, C9)
-    for desc in (tower.slices[3], tower.slices[4]):  # the two cheap ones
-        report = verify_slice(desc)
-        assert report.passed and not report.failures
-        assert report.checks > 0
+    reports = verify_tower(build_tower(7, C9))
+    assert all(r.passed and not r.failures for r in reports)
+    assert [r.checks for r in reports] == [9, 9, 12, 9, 15]
     reports = verify_tower(build_tower(4, C3))
     assert all(r.passed for r in reports)
+
+
+def failure_list(report):
+    return [(f.level, f.epsilon, f.t, str(f.group)) for f in report.failures]
 
 
 def test_verify_slice_flags_non_slice():
@@ -137,6 +141,25 @@ def test_verify_slice_flags_non_slice():
     report = verify_slice(fake)
     assert not report.passed
     assert all(f.check == "vanishing" for f in report.failures)
-    first = report.failures[0]
-    assert (first.level, first.epsilon, first.t) == (2, 1, 1)
-    assert str(first.group) == "Z/3"
+    assert report.checks == 14
+    assert failure_list(report) == [(2, 1, 1, "Z/3"), (1, 0, 2, "Z/3"), (1, 1, 3, "Z/3")]
+
+
+def test_verify_slice_reports_both_degrees_in_t_order():
+    # the dimension-5 stage of S^4 over C_9 with B(1,1) in place of its
+    # B(1,0) fails in degree 0 at t = 1 and in degree -1 at t = 2
+    stage = next(d for d in build_tower(4, C9).slices if d.dim == 5)
+    assert stage.rep == Rep(C9, 1, (2, 0))
+    report = verify_slice(dataclasses.replace(stage, coeff_i=1, coeff_j=1))
+    assert not report.passed
+    assert report.checks == 12
+    assert failure_list(report) == [(2, 0, 1, "Z/3"), (2, 1, 2, "Z/3")]
+    # 2λ_1 is no slice of dimension 4: at t = 1 both degrees fail on one
+    # complex, degree 0 first
+    fake = SliceDescriptor(dim=4, kind=TORSION, rep=Rep(C9, 0, (0, 2)),
+                           a=1, b=1, coeff_i=1, coeff_j=0)
+    report = verify_slice(fake)
+    assert report.checks == 17
+    assert report.failures[0].check == "containment"
+    assert failure_list(report)[1:] == [(2, 0, 1, "Z/3"), (2, 1, 1, "Z/3"),
+                                        (1, 0, 4, "Z/3"), (1, 1, 5, "Z/3")]
