@@ -9,7 +9,9 @@ source cell's orbit to that combination of translated points of the
 target orbit, and extends equivariantly.
 
 Spheres of actual representations get the minimal structure with two
-cells per rotation plane; spheres of formal negatives get the dual
+cells per rotation plane, added in decreasing order of isotropy so
+that the cells fixed by C_{p^m} form the sphere of the C_{p^m}-fixed
+subspace.  Spheres of formal negatives get the mirror image of that
 structure in negative dimensions.  Products are formed cellwise, which
 is where index classes of points have to be matched up by congruences.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .group import Group
-from .rep import RepDiff
+from .rep import Rep
 
 Entry = dict[int, int]
 DiffKey = tuple[int, int]  # (target cell index, source cell index)
@@ -62,49 +64,35 @@ def shifted(struct: CellStructure, offset: int) -> CellStructure:
 def sphere_positive(group: Group, plane_levels: list[int]) -> CellStructure:
     """Sphere of an actual sum of rotation planes.
 
-    One fixed 0-cell, then per plane a free-ish pair of cells in
-    dimensions 2r-1 and 2r whose isotropy is the plane's kernel level.
-    Levels must come in ascending order so that each odd attaching map
-    is the norm over the new plane's index classes.
+    One fixed 0-cell, then per plane a pair of cells in dimensions
+    2r-1 and 2r whose isotropy is the plane's kernel level.  Levels are
+    taken in descending order, so the cells with isotropy >= m span the
+    fixed sphere of C_{p^m}; each odd attaching map then sums over the
+    index classes of the coarser cell before it.
     """
     p, k = group.p, group.k
-    levels = sorted(plane_levels)
-    if levels and not 0 <= levels[-1] < k:
+    levels = sorted(plane_levels, reverse=True)
+    if not all(0 <= j < k for j in levels):
         raise ValueError("plane levels must lie in [0, k)")
     st = point(group)
     for r, j in enumerate(levels, start=1):
         st.cells[2 * r - 1] = (j,)
         st.cells[2 * r] = (j,)
-        if r == 1:
-            st.diffs[1] = {(0, 0): {0: 1}}
-        else:
-            st.diffs[2 * r - 1] = {(0, 0): {c: 1 for c in range(p ** (k - j))}}
+        prev = levels[r - 2] if r > 1 else k
+        st.diffs[2 * r - 1] = {(0, 0): {c: 1 for c in range(p ** (k - prev))}}
         st.diffs[2 * r] = {(0, 0): {0: 1, 1: -1}}
     return st
 
 
 def sphere_negative(group: Group, plane_levels: list[int]) -> CellStructure:
-    """Dual sphere of a formal negative sum of rotation planes.
-
-    Mirrors the positive structure into negative dimensions; levels are
-    consumed in descending order, so the innermost pair (dimensions -1
-    and -2) belongs to the plane with the largest kernel.
-    """
-    p, k = group.p, group.k
-    levels = sorted(plane_levels, reverse=True)
-    if levels and not 0 <= levels[0] < k:
-        raise ValueError("plane levels must lie in [0, k)")
-    st = point(group)
-    for r, j in enumerate(levels, start=1):
-        st.cells[-(2 * r - 1)] = (j,)
-        st.cells[-2 * r] = (j,)
-        if r == 1:
-            st.diffs[0] = {(0, 0): {0: 1}}
-        else:
-            # previous block's even cell attaches down to this one
-            st.diffs[-2 * (r - 1)] = {(0, 0): {c: 1 for c in range(p ** (k - levels[r - 2]))}}
-        st.diffs[-(2 * r - 1)] = {(0, 0): {0: 1, 1: -1}}
-    return st
+    """Dual sphere of a formal negative sum of rotation planes: the
+    positive structure mirrored, cells in dimension d moved to -d and
+    the boundary out of d to the one out of 1 - d.  Every dimension
+    holds a single cell, so the entries carry over unchanged."""
+    pos = sphere_positive(group, plane_levels)
+    return CellStructure(group,
+                         cells={-d: cs for d, cs in pos.cells.items()},
+                         diffs={1 - d: dd for d, dd in pos.diffs.items()})
 
 
 # --- products ---------------------------------------------------------------
@@ -233,19 +221,18 @@ def tensor(A: CellStructure, B: CellStructure) -> CellStructure:
                          diffs=diffs)
 
 
-def cell_structure(diff: RepDiff) -> CellStructure:
-    """Cells for the sphere of plus - minus.
+def cell_structure(v: Rep) -> CellStructure:
+    """Cells for the sphere of the virtual representation v.
 
-    Trivial summands only shift dimensions; the plane parts contribute
-    a positive and a dual negative sphere, multiplied together.
+    Trivial summands only shift dimensions; planes of positive
+    multiplicity give a positive sphere and those of negative
+    multiplicity its mirror, multiplied together.
     """
-    group = diff.plus.group
-    pos = [j for j, m in enumerate(diff.plus.planes) for _ in range(m)]
-    neg = [j for j, m in enumerate(diff.minus.planes) for _ in range(m)]
-    st = tensor(sphere_positive(group, pos), sphere_negative(group, neg))
-    return shifted(st, diff.plus.trivial - diff.minus.trivial)
+    pos = [j for j, m in enumerate(v.planes) for _ in range(m)]
+    neg = [j for j, m in enumerate(v.planes) for _ in range(-m)]
+    return shifted(tensor(sphere_positive(v.group, pos), sphere_negative(v.group, neg)), v.trivial)
 
 
-def max_cell_dim(diff: RepDiff) -> int:
-    """Top cell dimension of cell_structure(diff), without building it."""
-    return diff.plus.trivial - diff.minus.trivial + 2 * sum(diff.plus.planes)
+def max_cell_dim(v: Rep) -> int:
+    """Top cell dimension of cell_structure(v), without building it."""
+    return v.trivial + 2 * sum(m for m in v.planes if m > 0)

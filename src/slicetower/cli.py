@@ -20,9 +20,9 @@ from .cells import cell_structure
 from .document import FORMAT, tower_document
 from .group import Group, is_odd_prime
 from .homology import homology_at, level_complex
-from .mackey import parse_coefficient, render_mackey
+from .mackey import parse_coefficient, render_mackey, restrict_mackey
 from .render import render_latex, render_text
-from .rep import RepDiff, parse_rep, render_rep
+from .rep import parse_rep, render_rep, restrict_rep
 from .tower import build_tower, verify_tower
 
 RANGE_ENV = "SLICETOWER_VERIFY_RANGE"
@@ -142,7 +142,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
     v = parse_rep(args.rep, group)
     coeff = parse_coefficient(args.coeff, group)
     level = _level_index(args.level, group)
-    cx = level_complex(cell_structure(RepDiff.from_virtual(v)), coeff, level)
+    # level m is the top level of the sphere restricted to C_{p^m}
+    cx = level_complex(cell_structure(restrict_rep(v, level)), restrict_mackey(coeff, level), level)
     ab = homology_at(cx, args.degree).ab
     if args.format == "json":
         print(json.dumps({

@@ -25,7 +25,7 @@ from .abelian import (AbGroup, Mat, in_diagonal_lattice, kernel_basis,
                       lattice_basis, smith_normal_form, solve_factored)
 from .cells import CellStructure, cell_structure
 from .mackey import MackeyFunctor
-from .rep import Rep, RepDiff
+from .rep import Rep
 
 
 @dataclass
@@ -76,6 +76,7 @@ def level_complex(struct: CellStructure, M: MackeyFunctor, m: int) -> LevelCompl
         offsets[d] = offs
 
     boundary: dict[int, Mat] = {}
+    composites: dict[tuple[int, int], Mat] = {}
     for d, entries in struct.diffs.items():
         rows = len(orders.get(d - 1, ()))
         cols = len(orders.get(d, ()))
@@ -85,7 +86,10 @@ def level_complex(struct: CellStructure, M: MackeyFunctor, m: int) -> LevelCompl
             h_t, s_t, g_t = layouts[d - 1][tgt_i]
             src_off = offsets[d][src_i]
             tgt_off = offsets[d - 1][tgt_i]
-            C = M.composite(min(m, h_s), min(m, h_t))
+            pair = (min(m, h_s), min(m, h_t))
+            if pair not in composites:
+                composites[pair] = M.composite(*pair)
+            C = composites[pair]
             classes = range(max(s_s, s_t))
             for c, m_c in entry.items():
                 for x in classes:
@@ -234,13 +238,8 @@ class BredonHomology:
         return self.levels[m].ab
 
 
-def _as_diff(v: Rep | RepDiff) -> RepDiff:
-    return v if isinstance(v, RepDiff) else RepDiff.from_virtual(v)
-
-
-def bredon_homology(v: Rep | RepDiff, M: MackeyFunctor, degree: int) -> BredonHomology:
-    diff = _as_diff(v)
-    struct = cell_structure(diff)
+def bredon_homology(v: Rep, M: MackeyFunctor, degree: int) -> BredonHomology:
+    struct = cell_structure(v)
     k = M.group.k
     complexes = [level_complex(struct, M, m) for m in range(k + 1)]
     levels = [homology_at(cx, degree) for cx in complexes]
@@ -264,7 +263,6 @@ def homres_injective(w: Rep, i: int, j: int, h: int) -> bool:
     B(i,j), in degrees 0 and -1.  Requires i + j <= h so the
     coefficient functor is already saturated at the target level."""
     from .mackey import B_ij
-    from .rep import trivial_rep
 
     if not i + j <= h <= w.group.k:
         raise ValueError(f"need i + j <= h <= k, got i={i}, j={j}, h={h}, k={w.group.k}")
@@ -272,9 +270,8 @@ def homres_injective(w: Rep, i: int, j: int, h: int) -> bool:
         raise ValueError("need an actual representation")
     M = B_ij(i, j, w.group)
     k = w.group.k
-    diff = RepDiff(trivial_rep(w.group, 0), w)
     for d in (0, -1):
-        bh = bredon_homology(diff, M, d)
+        bh = bredon_homology(-w, M, d)
         if bh.levels[k].ab.is_trivial:
             continue
         T = Mat.identity(len(bh.levels[k].raw_orders))

@@ -175,31 +175,6 @@ def is_subrep(small: Rep, big: Rep) -> bool:
     return d.is_actual
 
 
-@dataclass(frozen=True)
-class RepDiff:
-    """An honest difference: virtual = plus - minus with disjoint support."""
-
-    plus: Rep
-    minus: Rep
-
-    def __post_init__(self) -> None:
-        assert self.plus.is_actual and self.minus.is_actual
-        assert not (self.plus.trivial and self.minus.trivial)
-        assert all(not (a and b) for a, b in zip(self.plus.planes, self.minus.planes))
-
-    @classmethod
-    def from_virtual(cls, v: Rep) -> "RepDiff":
-        plus = Rep(v.group, max(v.trivial, 0), tuple(max(m, 0) for m in v.planes))
-        minus = Rep(v.group, max(-v.trivial, 0), tuple(max(-m, 0) for m in v.planes))
-        assert plus - minus == v
-        return cls(plus, minus)
-
-
-def sub(v: Rep, w: Rep) -> RepDiff:
-    """The formal difference v - w, split into actual parts."""
-    return RepDiff.from_virtual(v - w)
-
-
 # --- display ---------------------------------------------------------------
 
 def rho_form(v: Rep) -> tuple[int, int] | None:

@@ -18,7 +18,7 @@ from slicetower.cells import (
 from slicetower.group import Group
 from slicetower.homology import level_complex
 from slicetower.mackey import B_ij, constant_Z, dual_Z
-from slicetower.rep import Rep, RepDiff, sub, trivial_rep
+from slicetower.rep import Rep, trivial_rep
 
 C3 = Group(3, 1)
 C9 = Group(3, 2)
@@ -34,11 +34,12 @@ def test_point_and_shifted():
 
 
 def test_sphere_positive_frozen():
-    st_ = sphere_positive(C9, [1, 0])  # sorted internally
-    assert st_.cells == {0: (2,), 1: (0,), 2: (0,), 3: (1,), 4: (1,)}
+    st_ = sphere_positive(C9, [0, 1])  # sorted internally
+    assert st_.cells == {0: (2,), 1: (1,), 2: (1,), 3: (0,), 4: (0,)}
     assert st_.diffs[1] == {(0, 0): {0: 1}}
     assert st_.diffs[2] == {(0, 0): {0: 1, 1: -1}}
-    # second plane attaches by the norm over its three index classes
+    # second plane attaches by the sum over the three index classes of
+    # the coarser plane before it
     assert st_.diffs[3] == {(0, 0): {0: 1, 1: 1, 2: 1}}
     assert st_.diffs[4] == {(0, 0): {0: 1, 1: -1}}
     assert st_.max_dim() == 4 and st_.min_dim() == 0
@@ -58,12 +59,27 @@ def test_sphere_negative_frozen():
         sphere_negative(C9, [3])
 
 
+@pytest.mark.parametrize("group", [C3, C9, Group(3, 3), Group(5, 2)], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fixed_cells_span_the_fixed_sphere(group, data):
+    # the cells fixed by C_{p^m} must form the sphere of the fixed
+    # subspace, whose dimension is twice the number of planes of level >= m
+    levels = data.draw(st.lists(st.integers(0, group.k - 1), max_size=4))
+    pos = sphere_positive(group, levels)
+    neg = sphere_negative(group, levels)
+    for m in range(group.k + 1):
+        top = 2 * sum(1 for j in levels if j >= m)
+        assert {d for d, cs in pos.cells.items() if max(cs) >= m} == set(range(top + 1))
+        assert {-d for d, cs in neg.cells.items() if max(cs) >= m} == set(range(top + 1))
+
+
 def test_cell_structure_dims():
-    d = sub(Rep(C9, 2, (1, 0)), Rep(C9, 0, (0, 2)))
-    st_ = cell_structure(d)
-    assert st_.max_dim() == 4 == max_cell_dim(d)
+    v = Rep(C9, 2, (1, 0)) - Rep(C9, 0, (0, 2))
+    st_ = cell_structure(v)
+    assert st_.max_dim() == 4 == max_cell_dim(v)
     assert st_.min_dim() == 2 - 4
-    assert cell_structure(sub(trivial_rep(C9, 3), trivial_rep(C9, 0))).cells == {3: (2,)}
+    assert cell_structure(trivial_rep(C9, 3)).cells == {3: (2,)}
 
 
 def test_tensor_rejects_group_mismatch():
@@ -105,16 +121,11 @@ def test_level_complex_input_validation():
 GROUPS = [C3, C9, Group(5, 1)]
 
 
-def small_diffs(group):
-    def to_diff(plus_t, minus_t, planes):
-        plus = tuple(m if m > 0 else 0 for m in planes)
-        minus = tuple(-m if m < 0 else 0 for m in planes)
-        return RepDiff(Rep(group, plus_t, plus), Rep(group, minus_t, minus))
-
+def small_reps(group):
     return st.builds(
-        to_diff,
+        Rep,
+        st.just(group),
         st.integers(0, 2),
-        st.just(0),
         st.tuples(*[st.integers(-2, 2) for _ in range(group.k)]),
     )
 
@@ -125,8 +136,7 @@ def small_diffs(group):
 def test_realizations_are_complexes(group, data):
     # level_complex raises if any boundary fails well-definedness or
     # d^2 = 0, so building one at every level is the assertion
-    diff = data.draw(small_diffs(group))
-    struct = cell_structure(diff)
+    struct = cell_structure(data.draw(small_reps(group)))
     coeffs = [constant_Z(group), dual_Z(group), B_ij(1, 0, group)]
     M = data.draw(st.sampled_from(coeffs))
     for m in range(group.k + 1):

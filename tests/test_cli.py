@@ -174,10 +174,11 @@ def test_homology_json(capsys):
 
 
 @pytest.mark.parametrize("p,k,reps", [(3, 1, ("L0 - 2", "2 - L0")),
-                                      (3, 2, ("L1 - L0", "1 + L0 - L1"))])
+                                      (3, 2, ("L1 - L0", "1 + L0 - L1", "L0 + L1", "-L0 - L1"))])
 def test_homology_matches_every_level_of_bredon_homology(capsys, p, k, reps):
-    # the CLI realizes only the level asked for; bredon_homology builds
-    # them all, and the two paths must agree on every level
+    # the CLI realizes level m on the sphere restricted to C_{p^m};
+    # bredon_homology realizes every level of the full-group sphere, and
+    # the two models must agree
     group = Group(p, k)
     levels = {"top": k, "e": 0, **{str(m): m for m in range(k + 1)}}
     for rep in reps:
@@ -263,3 +264,15 @@ def test_requests_under_python_O(argv, expected):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+
+
+@pytest.mark.parametrize("level,index", [("e", 0), ("1", 1)])
+def test_homology_low_level_of_a_large_group_is_quick(level, index):
+    # low levels are realized on the restricted sphere, where most planes
+    # become trivial; the full-group sphere runs far past the timeout
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "slicetower.cli", "homology", "--p", "3",
+                           "--k", "4", "--rep", "L0 - L1", "--level", level],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"H_0(S^(-λ_1 + λ_0); Z) at level {index} over C_3^4: Z\n"

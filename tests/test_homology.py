@@ -26,7 +26,6 @@ from slicetower.rep import (
     restrict_rep,
     rotation_plane,
     slice_rep,
-    sub,
     trivial_rep,
 )
 
@@ -35,8 +34,8 @@ C9 = Group(3, 2)
 
 
 def top_boundary_scalars(n: int, t: int, group: Group) -> list[int]:
-    diff = sub(trivial_rep(group, n), regular_rep(group, t))
-    cx = level_complex(cell_structure(diff), constant_Z(group), group.k)
+    v = trivial_rep(group, n) - regular_rep(group, t)
+    cx = level_complex(cell_structure(v), constant_Z(group), group.k)
     top = n - t
     bottom = n - t - t * (group.order - 1)
     out = []
@@ -60,9 +59,9 @@ def test_fixed_point_complex_pattern(p, n, t):
 def test_fixed_point_complex_negative_regular():
     # S^(-rho) over C_3: pattern truncates to [1, 0], leaving a single
     # Z in the bottom dimension -3 and nothing in degree 0
-    bh0 = bredon_homology(sub(trivial_rep(C3, 0), regular_rep(C3)), constant_Z(C3), 0)
+    bh0 = bredon_homology(-regular_rep(C3), constant_Z(C3), 0)
     assert bh0.ab(1).is_trivial
-    bh3 = bredon_homology(sub(trivial_rep(C3, 0), regular_rep(C3)), constant_Z(C3), -3)
+    bh3 = bredon_homology(-regular_rep(C3), constant_Z(C3), -3)
     assert str(bh3.ab(1)) == "Z"
 
 
@@ -81,7 +80,7 @@ def test_plane_difference_realizes_integral_family(p, k):
     g = Group(p, k)
     for a in range(1, k + 1):
         for j in range(0, a):
-            v = sub(rotation_plane(g, a), rotation_plane(g, j))
+            v = rotation_plane(g, a) - rotation_plane(g, j)
             expected = Z_ij(a, j, g)
             bh = bredon_homology(v, constant_Z(g), 0)
             for m in range(k + 1):
@@ -95,18 +94,30 @@ def test_plane_difference_realizes_integral_family(p, k):
 
 def test_level_zero_is_underlying_sphere():
     cases = [
-        (C3, sub(trivial_rep(C3, 2) + rotation_plane(C3, 0), trivial_rep(C3, 0))),
-        (C3, sub(trivial_rep(C3, 0), regular_rep(C3))),
-        (C9, sub(rotation_plane(C9, 1), rotation_plane(C9, 0, 2))),
-        (C9, sub(trivial_rep(C9, 1) + rotation_plane(C9, 0), trivial_rep(C9, 0))),
+        (C3, trivial_rep(C3, 2) + rotation_plane(C3, 0)),
+        (C3, -regular_rep(C3)),
+        (C9, rotation_plane(C9, 1) - rotation_plane(C9, 0, 2)),
+        (C9, trivial_rep(C9, 1) + rotation_plane(C9, 0)),
     ]
-    for g, diff in cases:
-        dim = diff.plus.dim - diff.minus.dim
+    for g, v in cases:
         for M in (constant_Z(g), dual_Z(g), B_ij(1, 0, g)):
-            at_dim = bredon_homology(diff, M, dim)
+            at_dim = bredon_homology(v, M, v.dim)
             assert at_dim.ab(0) == M.level_group(0), (g, M.name)
-            for d in (dim - 1, dim + 1):
-                assert bredon_homology(diff, M, d).ab(0).is_trivial
+            for d in (v.dim - 1, v.dim + 1):
+                assert bredon_homology(v, M, d).ab(0).is_trivial
+
+
+def test_actual_sphere_closed_form():
+    # for an actual V with kernels K_1 >= ... >= K_r,
+    # H_2i(S^V; Z)(G/G) = Z/[G : K_(i+1)]
+    C27 = Group(3, 3)
+    v = rotation_plane(C27, 0) + rotation_plane(C27, 1) + rotation_plane(C27, 2)
+    tops = [str(bredon_homology(v, constant_Z(C27), d).ab(3)) for d in (0, 2, 4)]
+    assert tops == ["Z/3", "Z/9", "Z/27"]
+    # restricted to C_3, λ_0 + λ_1 is 2 + λ_0, which has no H_0
+    bh = bredon_homology(rotation_plane(C9, 0) + rotation_plane(C9, 1), constant_Z(C9), 0)
+    assert str(bh.ab(2)) == "Z/3"
+    assert bh.ab(1).is_trivial
 
 
 def test_restriction_compatibility():
@@ -114,10 +125,8 @@ def test_restriction_compatibility():
     v = trivial_rep(C9, 1) + rotation_plane(C9, 0) - rotation_plane(C9, 1)
     for M in (constant_Z(C9), B_ij(1, 0, C9)):
         for d in (-1, 0, 1, 2, 3):
-            big = bredon_homology(sub(v, trivial_rep(C9, 0)), M, d)
-            small = bredon_homology(
-                sub(restrict_rep(v, 1), trivial_rep(C3, 0)),
-                restrict_mackey(M, 1), d)
+            big = bredon_homology(v, M, d)
+            small = bredon_homology(restrict_rep(v, 1), restrict_mackey(M, 1), d)
             for m in (0, 1):
                 assert big.ab(m) == small.ab(m), (M.name, d, m)
 
@@ -126,12 +135,11 @@ def test_torsion_vanishing_anchors():
     # a second trivial summand kills degrees 0 and -1 entirely
     w = trivial_rep(C9, 2) + rotation_plane(C9, 0)
     for eps in (0, 1):
-        bh = bredon_homology(sub(trivial_rep(C9, 0), w), B_ij(1, 0, C9), -eps)
+        bh = bredon_homology(-w, B_ij(1, 0, C9), -eps)
         assert all(bh.ab(m).is_trivial for m in range(3))
     # the slice-membership computation behind the (1,1) stage of S^7
     v11 = slice_rep(slice_params(7, C9), 1, 1)
-    diff = sub(v11, regular_rep(C9, 2))
-    bh = bredon_homology(diff, B_ij(2, 0, C9), 0)
+    bh = bredon_homology(v11 - regular_rep(C9, 2), B_ij(2, 0, C9), 0)
     assert all(bh.ab(m).is_trivial for m in range(3))
 
 

@@ -8,7 +8,6 @@ from slicetower.group import Group
 from slicetower.params import slice_params
 from slicetower.rep import (
     Rep,
-    RepDiff,
     RepParseError,
     canonical_lambda,
     fixed_dim,
@@ -23,7 +22,6 @@ from slicetower.rep import (
     rotation_plane,
     slice_rep,
     strip_planes,
-    sub,
     trivial_rep,
 )
 
@@ -206,12 +204,3 @@ def test_parse_inverts_render(group):
 
     check()
 
-
-def test_rep_diff():
-    v = Rep(C9, 2, (-1, 3))
-    d = RepDiff.from_virtual(v)
-    assert d.plus == Rep(C9, 2, (0, 3))
-    assert d.minus == Rep(C9, 0, (1, 0))
-    s = sub(Rep(C9, 1, (2, 0)), Rep(C9, 0, (1, 1)))
-    assert s.plus == Rep(C9, 1, (1, 0))
-    assert s.minus == Rep(C9, 0, (0, 1))

@@ -124,7 +124,7 @@ def test_fiber_sequence_data():
 def test_verify_slice_passes_on_real_slices():
     reports = verify_tower(build_tower(7, C9))
     assert all(r.passed and not r.failures for r in reports)
-    assert [r.checks for r in reports] == [9, 9, 12, 9, 15]
+    assert [r.checks for r in reports] == [6, 6, 9, 6, 12]
     reports = verify_tower(build_tower(4, C3))
     assert all(r.passed for r in reports)
 
@@ -141,7 +141,7 @@ def test_verify_slice_flags_non_slice():
     report = verify_slice(fake)
     assert not report.passed
     assert all(f.check == "vanishing" for f in report.failures)
-    assert report.checks == 14
+    assert report.checks == 11
     assert failure_list(report) == [(2, 1, 1, "Z/3"), (1, 0, 2, "Z/3"), (1, 1, 3, "Z/3")]
 
 
@@ -152,14 +152,14 @@ def test_verify_slice_reports_both_degrees_in_t_order():
     assert stage.rep == Rep(C9, 1, (2, 0))
     report = verify_slice(dataclasses.replace(stage, coeff_i=1, coeff_j=1))
     assert not report.passed
-    assert report.checks == 12
+    assert report.checks == 9
     assert failure_list(report) == [(2, 0, 1, "Z/3"), (2, 1, 2, "Z/3")]
     # 2λ_1 is no slice of dimension 4: at t = 1 both degrees fail on one
     # complex, degree 0 first
     fake = SliceDescriptor(dim=4, kind=TORSION, rep=Rep(C9, 0, (0, 2)),
                            a=1, b=1, coeff_i=1, coeff_j=0)
     report = verify_slice(fake)
-    assert report.checks == 17
+    assert report.checks == 14
     assert report.failures[0].check == "containment"
     assert failure_list(report)[1:] == [(2, 0, 1, "Z/3"), (2, 1, 1, "Z/3"),
                                         (1, 0, 4, "Z/3"), (1, 1, 5, "Z/3")]
