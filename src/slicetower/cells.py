@@ -14,6 +14,12 @@ that the cells fixed by C_{p^m} form the sphere of the C_{p^m}-fixed
 subspace.  Spheres of formal negatives get the mirror image of that
 structure in negative dimensions.  Products are formed cellwise, which
 is where index classes of points have to be matched up by congruences.
+
+A product can be restricted to a dimension window (lo, hi): it then
+holds only the cells of dimensions lo..hi, in the same order as in the
+whole product, and only the boundaries out of lo+1..hi.  That is all
+the homology in degrees lo+1..hi-1 reads, and in the products the
+oracle builds most cells lie far outside the degrees it checks.
 """
 
 from __future__ import annotations
@@ -109,10 +115,12 @@ def _pair_class(group: Group, iso_x: int, iso_y: int, u: int, v: int) -> tuple[i
     w = (v - u) % p ** (k - max(iso_x, iso_y))
     if iso_x <= iso_y:
         g = u % p ** (k - iso_x)
-        assert (g + w) % p ** (k - iso_y) == v % p ** (k - iso_y)
+        if (g + w) % p ** (k - iso_y) != v % p ** (k - iso_y):
+            raise AssertionError("translation misses the second coordinate")
     else:
         g = (v - w) % p ** (k - iso_y)
-        assert g % p ** (k - iso_x) == u % p ** (k - iso_x)
+        if g % p ** (k - iso_x) != u % p ** (k - iso_x):
+            raise AssertionError("translation misses the first coordinate")
     return w, g
 
 
@@ -128,23 +136,29 @@ def _point_images(group: Group, c: int, h_src: int, h_tgt: int) -> list[int]:
     return [(c + t * step) % mod for t in range(p ** (h_src - h_tgt))]
 
 
-def tensor(A: CellStructure, B: CellStructure) -> CellStructure:
+def tensor(A: CellStructure, B: CellStructure,
+           window: tuple[int, int] | None = None) -> CellStructure:
     """Product structure on cells (a, b) -> one cell per index class.
 
     Boundary entries follow the Leibniz rule with a sign (-1)^dim(a) on
     the second factor; each formal entry is recovered from the multiset
-    of image points of the representative point (0, class).
+    of image points of the representative point (0, class).  With a
+    window (lo, hi) only the cells of dimensions lo..hi and the
+    boundaries out of lo+1..hi are built; without one, all of them.
     """
     if A.group != B.group:
         raise ValueError("group mismatch")
     group = A.group
     p, k = group.p, group.k
+    lo, hi = window or (A.min_dim() + B.min_dim(), A.max_dim() + B.max_dim())
 
     cells: dict[int, list[int]] = {}
     index: dict[tuple[int, int, int, int, int], int] = {}
     for dA in A.dims():
         for dB in B.dims():
             D = dA + dB
+            if not lo <= D <= hi:
+                continue
             for iA, a_iso in enumerate(A.cells[dA]):
                 for iB, b_iso in enumerate(B.cells[dB]):
                     for w in range(p ** (k - max(a_iso, b_iso))):
@@ -155,7 +169,7 @@ def tensor(A: CellStructure, B: CellStructure) -> CellStructure:
     diffs: dict[int, dict[DiffKey, Entry]] = {}
 
     def record(D: int, measures: dict[int, dict[int, int]],
-               src_idx: int, iso_src_prod: int, tgt_cells: tuple[int, ...]) -> None:
+               src_idx: int, iso_src_prod: int, tgt_cells: list[int]) -> None:
         # decompose accumulated point measures into formal entries
         for tgt_idx, measure in measures.items():
             iso_tgt_prod = tgt_cells[tgt_idx]
@@ -180,6 +194,8 @@ def tensor(A: CellStructure, B: CellStructure) -> CellStructure:
 
     for (dA, iA, iB, w, dB), src_idx in index.items():
         D = dA + dB
+        if D == lo:
+            continue
         a_iso = A.cells[dA][iA]
         b_iso = B.cells[dB][iB]
         iso_src_prod = min(a_iso, b_iso)
@@ -197,7 +213,7 @@ def tensor(A: CellStructure, B: CellStructure) -> CellStructure:
                     bucket = measures.setdefault(tgt_idx, {})
                     bucket[g] = bucket.get(g, 0) + m_c
         if measures:
-            record(D, measures, src_idx, iso_src_prod, tuple(cells.get(D - 1, [])))
+            record(D, measures, src_idx, iso_src_prod, cells[D - 1])
 
         b_diffs = B.diffs.get(dB, {})
         sign = -1 if dA % 2 else 1
@@ -214,23 +230,29 @@ def tensor(A: CellStructure, B: CellStructure) -> CellStructure:
                     bucket = measures.setdefault(tgt_idx, {})
                     bucket[g] = bucket.get(g, 0) + sign * m_c
         if measures:
-            record(D, measures, src_idx, iso_src_prod, tuple(cells.get(D - 1, [])))
+            record(D, measures, src_idx, iso_src_prod, cells[D - 1])
 
     return CellStructure(group,
                          cells={d: tuple(cs) for d, cs in cells.items()},
                          diffs=diffs)
 
 
-def cell_structure(v: Rep) -> CellStructure:
+def cell_structure(v: Rep, window: tuple[int, int] | None = None) -> CellStructure:
     """Cells for the sphere of the virtual representation v.
 
     Trivial summands only shift dimensions; planes of positive
     multiplicity give a positive sphere and those of negative
-    multiplicity its mirror, multiplied together.
+    multiplicity its mirror, multiplied together.  A window (lo, hi)
+    keeps the cells of dimensions lo..hi and the boundaries out of
+    lo+1..hi, enough for the homology in degrees lo+1..hi-1; the cells
+    and entries kept are exactly those of the whole structure.
     """
     pos = [j for j, m in enumerate(v.planes) for _ in range(m)]
     neg = [j for j, m in enumerate(v.planes) for _ in range(-m)]
-    return shifted(tensor(sphere_positive(v.group, pos), sphere_negative(v.group, neg)), v.trivial)
+    if window is not None:
+        window = (window[0] - v.trivial, window[1] - v.trivial)
+    return shifted(tensor(sphere_positive(v.group, pos), sphere_negative(v.group, neg), window),
+                   v.trivial)
 
 
 def max_cell_dim(v: Rep) -> int:

@@ -143,8 +143,10 @@ def cmd_homology(args: argparse.Namespace) -> int:
     coeff = parse_coefficient(args.coeff, group)
     level = _level_index(args.level, group)
     # level m is the top level of the sphere restricted to C_{p^m}
-    cx = level_complex(cell_structure(restrict_rep(v, level)), restrict_mackey(coeff, level), level)
-    ab = homology_at(cx, args.degree).ab
+    d = args.degree
+    cx = level_complex(cell_structure(restrict_rep(v, level), (d - 1, d + 1)),
+                       restrict_mackey(coeff, level), level)
+    ab = homology_at(cx, d).ab
     if args.format == "json":
         print(json.dumps({
             "format": FORMAT,

@@ -181,7 +181,9 @@ def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
     fb = lattice_basis(cycles, n)
     if fb.rank == 0:
         return _trivial_level(n)
-    BMat = fb.Uinv.times(fb.S)
+    # the basis Uinv S: S is diagonal, so scale the first rank columns of Uinv
+    scale = [fb.diag(j) for j in range(fb.rank)]
+    BMat = Mat(n, fb.rank, [[x * s for x, s in zip(row, scale)] for row in fb.Uinv.a])
 
     Y = solve_factored(fb, _with_relations(cx.boundary_or_zero(d + 1), cx.orders[d]))
     if Y is None:
@@ -239,7 +241,7 @@ class BredonHomology:
 
 
 def bredon_homology(v: Rep, M: MackeyFunctor, degree: int) -> BredonHomology:
-    struct = cell_structure(v)
+    struct = cell_structure(v, (degree - 1, degree + 1))
     k = M.group.k
     complexes = [level_complex(struct, M, m) for m in range(k + 1)]
     levels = [homology_at(cx, degree) for cx in complexes]

@@ -163,13 +163,6 @@ def restrict_rep(v: Rep, m: int) -> Rep:
     return Rep(sub, v.trivial + 2 * sum(v.planes[m:]), v.planes[:m])
 
 
-def fixed_dim(v: Rep, m: int) -> int:
-    """Dimension of the C_{p^m}-fixed subspace."""
-    if not 0 <= m <= v.group.k:
-        raise ValueError(f"no subgroup at level {m}")
-    return v.trivial + 2 * sum(v.planes[m:])
-
-
 def is_subrep(small: Rep, big: Rep) -> bool:
     d = big - small
     return d.is_actual

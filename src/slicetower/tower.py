@@ -216,7 +216,8 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     for the torsion slices), as many as make the fixed subspaces agree,
     and the homology of S^(V - t rho) must vanish in degree -eps for every t
     past (dim V + eps) / p^m.  One loop over t realizes each sphere
-    once and reads both degrees off that complex.  It stops once the
+    once, in the dimensions -2..1 that degrees 0 and -1 read, and
+    reads both degrees off that complex.  It stops once the
     top cell dimension drops below -1, after which both groups are
     zero for size reasons alone.
     """
@@ -249,7 +250,7 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
             w = Vm - regular_rep(sub, t)
             if max_cell_dim(w) <= -2:
                 break
-            cx = level_complex(cell_structure(w), Mm, m)
+            cx = level_complex(cell_structure(w, (-2, 1)), Mm, m)
             for eps in (0, 1):
                 if t >= first[eps]:
                     h = homology_at(cx, -eps)

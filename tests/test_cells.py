@@ -6,6 +6,7 @@ checks, so these tests double as boundary-map validation."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slicetower.abelian import Mat
 from slicetower.cells import (
     cell_structure,
     max_cell_dim,
@@ -16,7 +17,7 @@ from slicetower.cells import (
     tensor,
 )
 from slicetower.group import Group
-from slicetower.homology import level_complex
+from slicetower.homology import homology_at, level_complex
 from slicetower.mackey import B_ij, constant_Z, dual_Z
 from slicetower.rep import Rep, trivial_rep
 
@@ -144,3 +145,37 @@ def test_realizations_are_complexes(group, data):
         for d in cx.boundary:
             assert cx.boundary[d].r == cx.gens(d - 1)
             assert cx.boundary[d].c == cx.gens(d)
+
+
+@pytest.mark.parametrize("group", [C3, C9, Group(3, 3), Group(5, 2)], ids=str)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_window_matches_the_full_structure(group, data):
+    # a window keeps exactly the full structure's cells in lo..hi and its
+    # boundaries out of lo+1..hi, so homology strictly inside it agrees
+    v = data.draw(small_reps(group))
+    full = cell_structure(v)
+    lo = data.draw(st.integers(full.min_dim() - 2, full.max_dim()))
+    hi = lo + data.draw(st.integers(2, 4))
+    win = cell_structure(v, (lo, hi))
+    assert win.cells == {d: cs for d, cs in full.cells.items() if lo <= d <= hi}
+    assert win.diffs == {d: dd for d, dd in full.diffs.items() if lo < d <= hi}
+    p, k = group.p, group.k
+    # realizing the whole structure is the slow side of the comparison,
+    # so levels whose full realization is large are left out
+    levels = [m for m in range(k + 1)
+              if sum(p ** (k - max(m, h)) for cs in full.cells.values() for h in cs) <= 400]
+    for M in (constant_Z(group), dual_Z(group), B_ij(1, 0, group)):
+        for m in levels:
+            cx_full = level_complex(full, M, m)
+            cx_win = level_complex(win, M, m)
+            for d in range(lo + 1, hi):
+                h_full = homology_at(cx_full, d)
+                h_win = homology_at(cx_win, d)
+                assert h_win.raw_orders == h_full.raw_orders
+                assert h_win.gens == h_full.gens
+                # express agrees on the generators and on the boundaries
+                bd = cx_full.boundary_or_zero(d + 1)
+                X = Mat(bd.r, h_full.gens.c + bd.c,
+                        [g + b for g, b in zip(h_full.gens.a, bd.a)])
+                assert h_win.express(X) == h_full.express(X)

@@ -254,9 +254,10 @@ def test_join_leading_dash_values():
 
 @pytest.mark.parametrize("argv,expected", [
     (("verify", "--p", "3", "--k", "1", "--n", "3..6"), "all 7 stages pass"),
+    (("verify", "--p", "3", "--k", "6", "--n", "3..3"), "all 6 stages pass"),
     (("homology", "--p", "3", "--k", "2", "--rep", "L1 - L0", "--level", "top"),
      "H_0(S^(λ_1 - λ_0); Z) at level 2 over C_3^2: Z\n"),
-], ids=["verify", "homology"])
+], ids=["verify", "verify-windowed", "homology"])
 def test_requests_under_python_O(argv, expected):
     # -O strips assert statements; the request path must not rely on them
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -276,3 +277,14 @@ def test_homology_low_level_of_a_large_group_is_quick(level, index):
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"H_0(S^(-λ_1 + λ_0); Z) at level {index} over C_3^4: Z\n"
+
+
+def test_verify_of_a_large_group_is_quick():
+    # verify realizes only dimensions -2..1 of each sphere, the ones its
+    # degrees 0 and -1 read; the whole product sphere runs past the timeout
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "slicetower.cli", "verify", "--p", "3",
+                           "--k", "6", "--n", "3..5"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "all 20 stages pass" in proc.stdout

@@ -10,7 +10,6 @@ from slicetower.rep import (
     Rep,
     RepParseError,
     canonical_lambda,
-    fixed_dim,
     is_subrep,
     lambda_block,
     n_slice_rep,
@@ -126,12 +125,11 @@ def test_identity_suite_over_grid():
             assert lambda_block(g.order, g) == regular_rep(g, 2)
 
 
-def test_restrict_and_fixed_dim():
+def test_restrict_and_is_subrep():
     v = Rep(C9, 1, (2, 3))
     assert restrict_rep(v, 2) == v
     assert restrict_rep(v, 1) == Rep(C3, 7, (2,))
     assert restrict_rep(v, 0) == Rep(Group(3, 0), 11, ())
-    assert [fixed_dim(v, m) for m in (0, 1, 2)] == [11, 7, 1]
     with pytest.raises(ValueError):
         restrict_rep(v, 3)
     assert is_subrep(Rep(C9, 1, (2, 0)), v)
