@@ -19,6 +19,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+def divides(d: int, x: int) -> bool:
+    """Whether d divides x in Z; 0 divides only 0."""
+    return x % d == 0 if d else x == 0
+
+
 class Mat:
     """Dense integer matrix.  Rows of length c, possibly r = 0 or c = 0."""
 
@@ -248,12 +253,9 @@ def solve_factored(f: SmithForm, B: Mat) -> Mat | None:
     Z = Mat(c, B.c)
     for i, row in enumerate(Y.a):
         d = f.diag(i)
-        if d == 0:
-            if any(row):
-                return None
-        elif any(x % d for x in row):
+        if not all(divides(d, x) for x in row):
             return None
-        else:
+        if d:
             Z.a[i] = [x // d for x in row]
     return f.V.times(Z)
 
@@ -282,13 +284,7 @@ def in_diagonal_lattice(v: Sequence[int], orders: Sequence[int]) -> bool:
     """
     if len(v) != len(orders):
         raise ValueError("length mismatch")
-    for x, d in zip(v, orders):
-        if d == 0:
-            if x != 0:
-                return False
-        elif x % d != 0:
-            return False
-    return True
+    return all(divides(d, x) for x, d in zip(v, orders))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ that the cells fixed by C_{p^m} form the sphere of the C_{p^m}-fixed
 subspace.  Spheres of formal negatives get the mirror image of that
 structure in negative dimensions.  Products are formed cellwise, which
 is where index classes of points have to be matched up by congruences.
+An orbit with isotropy h has Group.index(h) points, and class_images
+below is the one place that says which classes of a target orbit a
+translation reaches from a class of a source orbit; the realization in
+homology uses it too.
 
 A product can be restricted to a dimension window (lo, hi): it then
 holds only the cells of dimensions lo..hi, in the same order as in the
@@ -76,7 +80,7 @@ def sphere_positive(group: Group, plane_levels: list[int]) -> CellStructure:
     fixed sphere of C_{p^m}; each odd attaching map then sums over the
     index classes of the coarser cell before it.
     """
-    p, k = group.p, group.k
+    k = group.k
     levels = sorted(plane_levels, reverse=True)
     if not all(0 <= j < k for j in levels):
         raise ValueError("plane levels must lie in [0, k)")
@@ -85,7 +89,7 @@ def sphere_positive(group: Group, plane_levels: list[int]) -> CellStructure:
         st.cells[2 * r - 1] = (j,)
         st.cells[2 * r] = (j,)
         prev = levels[r - 2] if r > 1 else k
-        st.diffs[2 * r - 1] = {(0, 0): {c: 1 for c in range(p ** (k - prev))}}
+        st.diffs[2 * r - 1] = {(0, 0): {c: 1 for c in range(group.index(prev))}}
         st.diffs[2 * r] = {(0, 0): {0: 1, 1: -1}}
     return st
 
@@ -111,29 +115,27 @@ def _pair_class(group: Group, iso_x: int, iso_y: int, u: int, v: int) -> tuple[i
     the translation g moves the representative point (0, class) to
     (u, v) and lives modulo the finer index group.
     """
-    p, k = group.p, group.k
-    w = (v - u) % p ** (k - max(iso_x, iso_y))
+    index = group.index
+    w = (v - u) % index(max(iso_x, iso_y))
     if iso_x <= iso_y:
-        g = u % p ** (k - iso_x)
-        if (g + w) % p ** (k - iso_y) != v % p ** (k - iso_y):
+        g = u % index(iso_x)
+        if (g + w) % index(iso_y) != v % index(iso_y):
             raise AssertionError("translation misses the second coordinate")
     else:
-        g = (v - w) % p ** (k - iso_y)
-        if g % p ** (k - iso_x) != u % p ** (k - iso_x):
+        g = (v - w) % index(iso_y)
+        if g % index(iso_x) != u % index(iso_x):
             raise AssertionError("translation misses the first coordinate")
     return w, g
 
 
-def _point_images(group: Group, c: int, h_src: int, h_tgt: int) -> list[int]:
-    """Points of the target orbit hit by translation c of the boundary
-    of the source base point.  A coarser source point covers a whole
-    coset of finer target points."""
-    p, k = group.p, group.k
-    if h_src <= h_tgt:
-        return [c % p ** (k - h_tgt)]
-    step = p ** (k - h_src)
-    mod = p ** (k - h_tgt)
-    return [(c + t * step) % mod for t in range(p ** (h_src - h_tgt))]
+def class_images(x: int, c: int, s_src: int, s_tgt: int) -> list[int]:
+    """Classes of a target orbit with s_tgt index classes that
+    translation c reaches from class x of a source orbit with s_src.
+
+    Class counts are powers of p: a class lands in one coarser class,
+    and covers s_tgt // s_src finer ones, a step of s_src apart.
+    """
+    return [(x + c + t * s_src) % s_tgt for t in range(max(1, s_tgt // s_src))]
 
 
 def tensor(A: CellStructure, B: CellStructure,
@@ -149,7 +151,6 @@ def tensor(A: CellStructure, B: CellStructure,
     if A.group != B.group:
         raise ValueError("group mismatch")
     group = A.group
-    p, k = group.p, group.k
     lo, hi = window or (A.min_dim() + B.min_dim(), A.max_dim() + B.max_dim())
 
     cells: dict[int, list[int]] = {}
@@ -161,36 +162,26 @@ def tensor(A: CellStructure, B: CellStructure,
                 continue
             for iA, a_iso in enumerate(A.cells[dA]):
                 for iB, b_iso in enumerate(B.cells[dB]):
-                    for w in range(p ** (k - max(a_iso, b_iso))):
+                    for w in range(group.index(max(a_iso, b_iso))):
                         lst = cells.setdefault(D, [])
                         index[(dA, iA, iB, w, dB)] = len(lst)
                         lst.append(min(a_iso, b_iso))
 
     diffs: dict[int, dict[DiffKey, Entry]] = {}
 
-    def record(D: int, measures: dict[int, dict[int, int]],
-               src_idx: int, iso_src_prod: int, tgt_cells: list[int]) -> None:
-        # decompose accumulated point measures into formal entries
+    def record(D: int, measures: dict[int, dict[int, int]], src_idx: int, s_src: int) -> None:
+        # the formal entry is the point measure on the classes below
+        # s_src; lifting it again must give back the whole measure
         for tgt_idx, measure in measures.items():
-            iso_tgt_prod = tgt_cells[tgt_idx]
             measure = {g: m for g, m in measure.items() if m}
             if not measure:
                 continue
-            tmod = p ** (k - max(iso_src_prod, iso_tgt_prod))
-            if iso_src_prod <= iso_tgt_prod:
-                entry = dict(measure)
-            else:
-                gmod = p ** (k - iso_tgt_prod)
-                entry = {}
-                for c in range(tmod):
-                    vals = {measure.get(g, 0) for g in range(c, gmod, tmod)}
-                    if len(vals) != 1:
-                        raise AssertionError("boundary is not equivariant")
-                    (m,) = vals
-                    if m:
-                        entry[c] = m
-            if entry:
-                diffs.setdefault(D, {})[(tgt_idx, src_idx)] = entry
+            s_tgt = group.index(cells[D - 1][tgt_idx])
+            entry = {g: m for g, m in measure.items() if g < s_src}
+            lifted = {y: m for c, m in entry.items() for y in class_images(0, c, s_src, s_tgt)}
+            if lifted != measure:
+                raise AssertionError("boundary is not equivariant")
+            diffs.setdefault(D, {})[(tgt_idx, src_idx)] = entry
 
     for (dA, iA, iB, w, dB), src_idx in index.items():
         D = dA + dB
@@ -198,7 +189,7 @@ def tensor(A: CellStructure, B: CellStructure,
             continue
         a_iso = A.cells[dA][iA]
         b_iso = B.cells[dB][iB]
-        iso_src_prod = min(a_iso, b_iso)
+        s_src = group.index(min(a_iso, b_iso))
 
         a_diffs = A.diffs.get(dA, {})
         measures: dict[int, dict[int, int]] = {}
@@ -207,13 +198,13 @@ def tensor(A: CellStructure, B: CellStructure,
                 continue
             at_iso = A.cells[dA - 1][tA]
             for c, m_c in entry.items():
-                for x in _point_images(group, c, a_iso, at_iso):
+                for x in class_images(0, c, group.index(a_iso), group.index(at_iso)):
                     wt, g = _pair_class(group, at_iso, b_iso, x, w)
                     tgt_idx = index[(dA - 1, tA, iB, wt, dB)]
                     bucket = measures.setdefault(tgt_idx, {})
                     bucket[g] = bucket.get(g, 0) + m_c
         if measures:
-            record(D, measures, src_idx, iso_src_prod, cells[D - 1])
+            record(D, measures, src_idx, s_src)
 
         b_diffs = B.diffs.get(dB, {})
         sign = -1 if dA % 2 else 1
@@ -223,14 +214,13 @@ def tensor(A: CellStructure, B: CellStructure,
                 continue
             bt_iso = B.cells[dB - 1][tB]
             for c, m_c in entry.items():
-                for y0 in _point_images(group, c, b_iso, bt_iso):
-                    y = (w + y0) % p ** (k - bt_iso)
+                for y in class_images(w, c, group.index(b_iso), group.index(bt_iso)):
                     wt, g = _pair_class(group, a_iso, bt_iso, 0, y)
                     tgt_idx = index[(dA, iA, tB, wt, dB - 1)]
                     bucket = measures.setdefault(tgt_idx, {})
                     bucket[g] = bucket.get(g, 0) + sign * m_c
         if measures:
-            record(D, measures, src_idx, iso_src_prod, cells[D - 1])
+            record(D, measures, src_idx, s_src)
 
     return CellStructure(group,
                          cells={d: tuple(cs) for d, cs in cells.items()},

@@ -67,7 +67,7 @@ def tower_document(tower: Tower,
             "index": i,
             "slice": {
                 "dim": desc.dim,
-                "kind": desc.kind,
+                "kind": desc.kind.value,
                 "a": desc.a,
                 "b": desc.b,
                 "rep": rep_payload(desc.rep),

@@ -49,6 +49,10 @@ class Group:
     def order(self) -> int:
         return self.p**self.k
 
+    def index(self, h: int) -> int:
+        """p^(k - h), the number of points of the orbit G/C_{p^h}."""
+        return self.p ** (self.k - h)
+
     def subgroup(self, m: int) -> "Group":
         """The subgroup C_{p^m}, for 0 <= m <= k."""
         if not 0 <= m <= self.k:

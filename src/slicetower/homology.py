@@ -1,16 +1,15 @@
 """Bredon homology of representation spheres from their cell structures.
 
 A cell structure is realized at one subgroup level at a time: a cell
-with isotropy level h contributes p^(k - max(m, h)) index classes of
-generators at level m, each class carrying the coefficient functor's
-value at level min(m, h).  Class counts are powers of p, so for a
-boundary entry from a cell with s_s classes to one with s_t classes,
-translated by c, one loop x = 0 .. max(s_s, s_t) - 1 pairs source
-class x mod s_s with target class (x + c) mod s_t.  The coefficients
-act through the functor's composite from level min(m, h_s) to level
-min(m, h_t): transfers where a merge raises isotropy, restrictions
-where a split lowers it.  The restriction chain map from level m+1 to
-level m pairs classes the same way.  Homology of the resulting
+with isotropy level h contributes Group.index(max(m, h)) index classes
+of generators at level m, each class carrying the coefficient functor's
+value at level min(m, h).  A boundary entry translated by c joins each
+source class to the target classes that cells.class_images gives.  The
+coefficients act through the functor's composite from level min(m, h_s)
+to level min(m, h_t): transfers where a merge raises isotropy,
+restrictions where a split lowers it.  The restriction chain map from
+level m+1 to level m is the same realization, of identity entries
+between the two levels.  Homology of the resulting
 presented chain complexes is computed exactly, keeping chain-level
 representatives so restriction maps between levels can be expressed
 on homology classes.
@@ -21,11 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .abelian import (AbGroup, Mat, in_diagonal_lattice, kernel_basis,
+from .abelian import (AbGroup, Mat, divides, in_diagonal_lattice, kernel_basis,
                       lattice_basis, smith_normal_form, solve_factored)
-from .cells import CellStructure, cell_structure
+from .cells import CellStructure, DiffKey, Entry, cell_structure, class_images
 from .mackey import MackeyFunctor
 from .rep import Rep
+
+Layout = list[tuple[int, int, int, int]]  # per cell: (iso, classes, gens per class, first gen)
 
 
 @dataclass
@@ -39,7 +40,7 @@ class LevelComplex:
 
     orders: dict[int, tuple[int, ...]]
     boundary: dict[int, Mat]
-    layouts: dict[int, list[tuple[int, int, int]]]  # per cell: (iso, classes, gens per class)
+    layouts: dict[int, Layout]
 
     def gens(self, d: int) -> int:
         return len(self.orders.get(d, ()))
@@ -50,67 +51,60 @@ class LevelComplex:
         return Mat(self.gens(d - 1), self.gens(d))
 
 
+def _realize(M: MackeyFunctor, entries: dict[DiffKey, Entry],
+             src: Layout, m_src: int, tgt: Layout, m_tgt: int,
+             shape: tuple[int, int], composites: dict[tuple[int, int], Mat]) -> Mat:
+    """Matrix of the given shape of the cellular map with the given
+    formal entries, from cells laid out as src at level m_src to cells
+    laid out as tgt at level m_tgt.  composites caches the coefficient
+    maps between levels and may be shared across calls."""
+    R = Mat(*shape)
+    for (tgt_i, src_i), entry in entries.items():
+        h_s, s_s, g_s, src_off = src[src_i]
+        h_t, s_t, g_t, tgt_off = tgt[tgt_i]
+        pair = (min(m_src, h_s), min(m_tgt, h_t))
+        if pair not in composites:
+            composites[pair] = M.composite(*pair)
+        C = composites[pair]
+        for c, m_c in entry.items():
+            for x in range(s_s):
+                col = src_off + x * g_s
+                for y in class_images(x, c, s_s, s_t):
+                    row = tgt_off + y * g_t
+                    for t2 in range(g_t):
+                        for t1 in range(g_s):
+                            R.a[row + t2][col + t1] += m_c * C.a[t2][t1]
+    return R
+
+
 def level_complex(struct: CellStructure, M: MackeyFunctor, m: int) -> LevelComplex:
     """Realize the structure at subgroup level m with coefficients M."""
-    p, k = M.group.p, M.group.k
-    if not 0 <= m <= k:
+    group = M.group
+    if not 0 <= m <= group.k:
         raise ValueError(f"no subgroup at level {m}")
-    if struct.group != M.group:
+    if struct.group != group:
         raise ValueError("group mismatch")
 
-    layouts: dict[int, list[tuple[int, int, int]]] = {}
+    layouts: dict[int, Layout] = {}
     orders: dict[int, tuple[int, ...]] = {}
-    offsets: dict[int, list[int]] = {}
     for d in struct.dims():
         lay = []
         ords: list[int] = []
-        offs = []
         for h in struct.cells[d]:
-            s = p ** (k - max(m, h))
+            s = group.index(max(m, h))
             level_orders = M.levels[min(m, h)]
-            offs.append(len(ords))
-            lay.append((h, s, len(level_orders)))
+            lay.append((h, s, len(level_orders), len(ords)))
             ords.extend(level_orders * s)
         layouts[d] = lay
         orders[d] = tuple(ords)
-        offsets[d] = offs
 
-    boundary: dict[int, Mat] = {}
     composites: dict[tuple[int, int], Mat] = {}
-    for d, entries in struct.diffs.items():
-        rows = len(orders.get(d - 1, ()))
-        cols = len(orders.get(d, ()))
-        B = Mat(rows, cols)
-        for (tgt_i, src_i), entry in entries.items():
-            h_s, s_s, g_s = layouts[d][src_i]
-            h_t, s_t, g_t = layouts[d - 1][tgt_i]
-            src_off = offsets[d][src_i]
-            tgt_off = offsets[d - 1][tgt_i]
-            pair = (min(m, h_s), min(m, h_t))
-            if pair not in composites:
-                composites[pair] = M.composite(*pair)
-            C = composites[pair]
-            classes = range(max(s_s, s_t))
-            for c, m_c in entry.items():
-                for x in classes:
-                    col = src_off + x % s_s * g_s
-                    row = tgt_off + (x + c) % s_t * g_t
-                    for t2 in range(g_t):
-                        for t1 in range(g_s):
-                            B.a[row + t2][col + t1] += m_c * C.a[t2][t1]
-        boundary[d] = B
-
+    boundary = {d: _realize(M, entries, layouts.get(d, []), m, layouts.get(d - 1, []), m,
+                            (len(orders.get(d - 1, ())), len(orders.get(d, ()))), composites)
+                for d, entries in struct.diffs.items()}
     cx = LevelComplex(orders=orders, boundary=boundary, layouts=layouts)
     _check_complex(cx)
     return cx
-
-
-def _entry_kills(value: int, src_order: int, tgt_order: int) -> bool:
-    # value * src_order must vanish in Z / tgt_order
-    if src_order == 0:
-        return True
-    scaled = value * src_order
-    return scaled == 0 if tgt_order == 0 else scaled % tgt_order == 0
 
 
 def _check_complex(cx: LevelComplex) -> None:
@@ -119,7 +113,8 @@ def _check_complex(cx: LevelComplex) -> None:
         tgt = cx.orders.get(d - 1, ())
         for i in range(B.r):
             for j in range(B.c):
-                if B.a[i][j] and not _entry_kills(B.a[i][j], src[j], tgt[i]):
+                # the entry times the source order must vanish in Z / tgt[i]
+                if B.a[i][j] and not (src[j] == 0 or divides(tgt[i], B.a[i][j] * src[j])):
                     raise AssertionError(f"boundary at dim {d} not well defined")
     for d in list(cx.boundary):
         if d - 1 not in cx.boundary:
@@ -128,8 +123,7 @@ def _check_complex(cx: LevelComplex) -> None:
         tgt = cx.orders.get(d - 2, ())
         for i in range(prod.r):
             for j in range(prod.c):
-                v = prod.a[i][j]
-                if v and (tgt[i] == 0 or v % tgt[i] != 0):
+                if prod.a[i][j] and not divides(tgt[i], prod.a[i][j]):
                     raise AssertionError(f"d^2 != 0 from dim {d}")
 
 
@@ -208,25 +202,13 @@ def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
 def chain_restriction(M: MackeyFunctor, m: int, d: int,
                       hi: LevelComplex, lo: LevelComplex) -> Mat:
     """Chain map from the level m+1 realization to the level m one at
-    dimension d: index classes split below the cell's isotropy, where
-    the coefficients are carried along, and the coefficient restriction
+    dimension d: each cell maps to itself by the identity entry, so
+    index classes split below the cell's isotropy, where the
+    coefficients are carried along, and the coefficient restriction
     applies at or above it."""
-    R = Mat(lo.gens(d), hi.gens(d))
-    if d not in hi.layouts:
-        return R
-    off_hi = 0
-    off_lo = 0
-    for (h, s_hi, g_hi), (_, s_lo, g_lo) in zip(hi.layouts[d], lo.layouts[d]):
-        C = M.composite(min(m + 1, h), min(m, h))
-        for x in range(max(s_hi, s_lo)):
-            row = off_lo + x % s_lo * g_lo
-            col = off_hi + x % s_hi * g_hi
-            for t2 in range(g_lo):
-                for t1 in range(g_hi):
-                    R.a[row + t2][col + t1] = C.a[t2][t1]
-        off_hi += s_hi * g_hi
-        off_lo += s_lo * g_lo
-    return R
+    cells = hi.layouts.get(d, [])
+    return _realize(M, {(i, i): {0: 1} for i in range(len(cells))}, cells, m + 1,
+                    lo.layouts.get(d, []), m, (lo.gens(d), hi.gens(d)), {})
 
 
 @dataclass

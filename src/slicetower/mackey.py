@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .abelian import AbGroup, Mat
+from .abelian import AbGroup, Mat, divides
 from .group import Group
 
 
@@ -177,8 +177,7 @@ def maps_equal_mod(target_orders: tuple[int, ...], A: Mat, B: Mat) -> bool:
         return False
     for idx, d in enumerate(target_orders):
         for jdx in range(A.c):
-            diff = A.a[idx][jdx] - B.a[idx][jdx]
-            if (diff != 0) if d == 0 else (diff % d != 0):
+            if not divides(d, A.a[idx][jdx] - B.a[idx][jdx]):
                 return False
     return True
 

@@ -95,8 +95,7 @@ def canonical_lambda(weight: int, group: Group) -> Rep:
 
 def regular_rep(group: Group, count: int = 1) -> Rep:
     """count copies of the real regular representation."""
-    p, k = group.p, group.k
-    planes = tuple(count * (p ** (k - 1 - j) * (p - 1) // 2) for j in range(k))
+    planes = tuple(count * ((group.index(j) - group.index(j + 1)) // 2) for j in range(group.k))
     return Rep(group, count, planes)
 
 

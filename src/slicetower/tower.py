@@ -18,6 +18,7 @@ is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from .abelian import AbGroup
 from .cells import cell_structure, max_cell_dim
@@ -28,24 +29,28 @@ from .params import SliceParams, slice_params
 from .rep import (Rep, is_subrep, n_slice_rep, regular_rep, restrict_rep,
                   rotation_plane, slice_rep, trivial_rep)
 
-TORSION = "torsion"
-INTEGRAL = "integral"
-INTEGRAL_SMALL = "integral-small"
-ZERO = "zero"
+class Kind(str, Enum):
+    """What a slice is: TORSION for the B-coefficient slices, INTEGRAL
+    for the bottom slice with constant coefficients, INTEGRAL_SMALL for
+    the degenerate n = 1, 2 towers, and ZERO for n = 0.  The values are
+    the document's "kind" strings."""
+
+    TORSION = "torsion"
+    INTEGRAL = "integral"
+    INTEGRAL_SMALL = "integral-small"
+    ZERO = "zero"
 
 
 @dataclass(frozen=True)
 class SliceDescriptor:
     """One slice: S^rep smash an Eilenberg-MacLane spectrum.
 
-    kind is "torsion" for the B-coefficient slices, "integral" for the
-    bottom slice with constant coefficients, "integral-small" for the
-    degenerate n = 1, 2 towers, and "zero" for n = 0.  Torsion slices
-    carry their position (a, b) and coefficient parameters (i, j).
+    Torsion slices carry their position (a, b) and coefficient
+    parameters (i, j).
     """
 
     dim: int
-    kind: str
+    kind: Kind
     rep: Rep
     a: int | None = None
     b: int | None = None
@@ -53,13 +58,13 @@ class SliceDescriptor:
     coeff_j: int | None = None
 
     def coefficient(self) -> MackeyFunctor:
-        if self.kind == TORSION:
+        if self.kind == Kind.TORSION:
             return B_ij(self.coeff_i, self.coeff_j, self.rep.group)
         return constant_Z(self.rep.group)
 
     @property
     def is_torsion(self) -> bool:
-        return self.kind == TORSION
+        return self.kind == Kind.TORSION
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,9 @@ def slice_list(n: int, group: Group) -> list[SliceDescriptor]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return [SliceDescriptor(dim=0, kind=ZERO, rep=trivial_rep(group, 0))]
+        return [SliceDescriptor(dim=0, kind=Kind.ZERO, rep=trivial_rep(group, 0))]
     if n <= 2:
-        return [SliceDescriptor(dim=n, kind=INTEGRAL_SMALL, rep=trivial_rep(group, n))]
+        return [SliceDescriptor(dim=n, kind=Kind.INTEGRAL_SMALL, rep=trivial_rep(group, n))]
 
     params = slice_params(n, group)
     p = group.p
@@ -107,12 +112,12 @@ def slice_list(n: int, group: Group) -> list[SliceDescriptor]:
             nu = params.valuation(a, b)
             out.append(SliceDescriptor(
                 dim=params.base_dim(b) * p ** a - 1,
-                kind=TORSION,
+                kind=Kind.TORSION,
                 rep=slice_rep(params, a, b),
                 a=a, b=b,
                 coeff_i=nu + 1, coeff_j=a - 1,
             ))
-    out.append(SliceDescriptor(dim=n, kind=INTEGRAL, rep=n_slice_rep(n, group)))
+    out.append(SliceDescriptor(dim=n, kind=Kind.INTEGRAL, rep=n_slice_rep(n, group)))
 
     dims = [s.dim for s in out]
     assert dims == sorted(dims, reverse=True) and len(set(dims)) == len(dims)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from slicetower.abelian import Mat
 from slicetower.cells import (
     cell_structure,
+    class_images,
     max_cell_dim,
     point,
     shifted,
@@ -23,6 +24,20 @@ from slicetower.rep import Rep, trivial_rep
 
 C3 = Group(3, 1)
 C9 = Group(3, 2)
+
+
+@pytest.mark.parametrize("group", [Group(p, k) for p in (3, 5) for k in range(4)], ids=str)
+@settings(max_examples=25, deadline=None)
+@given(x=st.integers(-200, 200), c=st.integers(-200, 200))
+def test_class_images_match_brute_force(group, x, c):
+    # translation c carries every point X of class x to (X + c), read
+    # in the target's classes; each class reached is listed once
+    for h_s in range(group.k + 1):
+        for h_t in range(group.k + 1):
+            s_src, s_tgt = group.index(h_s), group.index(h_t)
+            got = class_images(x, c, s_src, s_tgt)
+            want = {(X + c) % s_tgt for X in range(group.order) if (X - x) % s_src == 0}
+            assert len(got) == len(set(got)) and set(got) == want, (h_s, h_t)
 
 
 def test_point_and_shifted():
@@ -160,11 +175,10 @@ def test_window_matches_the_full_structure(group, data):
     win = cell_structure(v, (lo, hi))
     assert win.cells == {d: cs for d, cs in full.cells.items() if lo <= d <= hi}
     assert win.diffs == {d: dd for d, dd in full.diffs.items() if lo < d <= hi}
-    p, k = group.p, group.k
     # realizing the whole structure is the slow side of the comparison,
     # so levels whose full realization is large are left out
-    levels = [m for m in range(k + 1)
-              if sum(p ** (k - max(m, h)) for cs in full.cells.values() for h in cs) <= 400]
+    levels = [m for m in range(group.k + 1)
+              if sum(group.index(max(m, h)) for cs in full.cells.values() for h in cs) <= 400]
     for M in (constant_Z(group), dual_Z(group), B_ij(1, 0, group)):
         for m in levels:
             cx_full = level_complex(full, M, m)

@@ -8,11 +8,8 @@ import pytest
 from slicetower.group import Group
 from slicetower.rep import Rep, rotation_plane, trivial_rep
 from slicetower.tower import (
-    INTEGRAL,
-    INTEGRAL_SMALL,
+    Kind,
     SliceDescriptor,
-    TORSION,
-    ZERO,
     build_tower,
     fiber_sequence_data,
     slice_list,
@@ -27,7 +24,7 @@ C9 = Group(3, 2)
 def test_s7_tower_frozen():
     tower = build_tower(7, C9)
     assert [s.dim for s in tower.slices] == [44, 26, 14, 8, 7]
-    assert [s.kind for s in tower.slices] == [TORSION] * 4 + [INTEGRAL]
+    assert [s.kind for s in tower.slices] == [Kind.TORSION] * 4 + [Kind.INTEGRAL]
     assert [(s.coeff_i, s.coeff_j) for s in tower.slices[:-1]] == [
         (1, 1), (1, 1), (1, 0), (2, 0)]
     assert [(s.a, s.b) for s in tower.slices[:-1]] == [(2, 2), (2, 1), (1, 2), (1, 1)]
@@ -56,7 +53,7 @@ def test_multiple_of_p_drops_last_torsion_slice():
     assert all((s.a, s.b) != (1, 1) for s in tower.slices[:-1])
     # d = 3 (base dims 3, 5, 7) and the dropped slot leaves k*d stages
     assert len(tower.stages) == 6
-    assert tower.slices[-1].kind == INTEGRAL
+    assert tower.slices[-1].kind == Kind.INTEGRAL
     assert tower.slices[-1].dim == 9
 
 
@@ -85,7 +82,7 @@ def test_small_n_single_stage(n):
         tower = build_tower(n, g)
         assert len(tower.stages) == 1
         desc = tower.slices[0]
-        assert desc.kind == (ZERO if n == 0 else INTEGRAL_SMALL)
+        assert desc.kind == (Kind.ZERO if n == 0 else Kind.INTEGRAL_SMALL)
         assert desc.dim == n
         assert desc.rep == trivial_rep(g, n)
         report = verify_slice(desc)
@@ -136,7 +133,7 @@ def failure_list(report):
 def test_verify_slice_flags_non_slice():
     # a plane with the wrong kernel level passes the cheap structural
     # checks but leaves nonvanishing homology where a slice has none
-    fake = SliceDescriptor(dim=2, kind=TORSION, rep=rotation_plane(C9, 1),
+    fake = SliceDescriptor(dim=2, kind=Kind.TORSION, rep=rotation_plane(C9, 1),
                            a=1, b=1, coeff_i=1, coeff_j=0)
     report = verify_slice(fake)
     assert not report.passed
@@ -156,7 +153,7 @@ def test_verify_slice_reports_both_degrees_in_t_order():
     assert failure_list(report) == [(2, 0, 1, "Z/3"), (2, 1, 2, "Z/3")]
     # 2λ_1 is no slice of dimension 4: at t = 1 both degrees fail on one
     # complex, degree 0 first
-    fake = SliceDescriptor(dim=4, kind=TORSION, rep=Rep(C9, 0, (0, 2)),
+    fake = SliceDescriptor(dim=4, kind=Kind.TORSION, rep=Rep(C9, 0, (0, 2)),
                            a=1, b=1, coeff_i=1, coeff_j=0)
     report = verify_slice(fake)
     assert report.checks == 14
