@@ -10,11 +10,13 @@ Linear systems are solved in blocks: A is factored once, and every
 right-hand side is a column of one matrix B, so the solution is the
 two products U B and V Z around a single divisibility pass over the
 rows of U B.
+
+The Smith form is also the only way invariant factors are computed:
+AbGroup.from_orders reads them off the Smith form of a diagonal.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -260,12 +262,6 @@ def solve_factored(f: SmithForm, B: Mat) -> Mat | None:
     return f.V.times(Z)
 
 
-def solve(A: Mat, b: Sequence[int]) -> list[int] | None:
-    """One integer solution x of A x = b, or None if none exists."""
-    X = solve_factored(smith_normal_form(A), Mat.from_cols([b], A.r))
-    return None if X is None else X.col(0)
-
-
 def lattice_basis(vectors: Iterable[Sequence[int]], dim: int) -> SmithForm:
     """Basis of the sublattice of Z^dim generated by the given vectors,
     returned factored: the basis is the columns of Uinv S, with S the
@@ -309,33 +305,21 @@ class AbGroup:
 
     @classmethod
     def from_orders(cls, orders: Iterable[int]) -> "AbGroup":
-        arr = [d for d in orders if d != 1]
+        """Invariant factors of the direct sum of cyclic groups of the
+        given orders, read off the Smith form of their diagonal."""
+        arr = list(orders)
         if any(d < 0 for d in arr):
             raise ValueError("orders must be nonnegative")
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(arr)):
-                for j in range(i + 1, len(arr)):
-                    a, b = arr[i], arr[j]
-                    g, l = math.gcd(a, b), math.lcm(a, b)
-                    if (g, l) != (a, b):
-                        arr[i], arr[j] = g, l
-                        changed = True
-        arr = [d for d in arr if d != 1]
-        return cls(tuple(arr))
+        diagonal = Mat(len(arr), len(arr))
+        for i, d in enumerate(arr):
+            diagonal.a[i][i] = d
+        f = smith_normal_form(diagonal)
+        factors = (f.diag(i) for i in range(len(arr)))
+        return cls(tuple(d for d in factors if d != 1))
 
     @classmethod
     def trivial(cls) -> "AbGroup":
         return cls(())
-
-    @classmethod
-    def free(cls, rank: int) -> "AbGroup":
-        return cls((0,) * rank)
-
-    @classmethod
-    def cyclic(cls, q: int) -> "AbGroup":
-        return cls.from_orders([q])
 
     @property
     def free_rank(self) -> int:

@@ -19,6 +19,12 @@ below is the one place that says which classes of a target orbit a
 translation reaches from a class of a source orbit; the realization in
 homology uses it too.
 
+The sphere of a virtual representation is the product of the positive
+sphere and the mirror, and its trivial summand shifts the mirror, the
+second factor.  It cannot shift the first: the product's Leibniz sign
+(-1)^dim(a) reads the first factor's dimension, so an odd shift there
+would negate every boundary entry coming from the mirror.
+
 A product can be restricted to a dimension window (lo, hi): it then
 holds only the cells of dimensions lo..hi, in the same order as in the
 whole product, and only the boundaries out of lo+1..hi.  That is all
@@ -52,24 +58,6 @@ class CellStructure:
     def min_dim(self) -> int:
         return min(d for d, cs in self.cells.items() if cs)
 
-    def cell_count(self) -> int:
-        return sum(len(cs) for cs in self.cells.values())
-
-
-def point(group: Group) -> CellStructure:
-    """S^0: a single fixed cell in dimension 0."""
-    return CellStructure(group, cells={0: (group.k,)})
-
-
-def shifted(struct: CellStructure, offset: int) -> CellStructure:
-    if offset == 0:
-        return struct
-    return CellStructure(
-        struct.group,
-        cells={d + offset: cs for d, cs in struct.cells.items()},
-        diffs={d + offset: {k: dict(e) for k, e in dd.items()} for d, dd in struct.diffs.items()},
-    )
-
 
 def sphere_positive(group: Group, plane_levels: list[int]) -> CellStructure:
     """Sphere of an actual sum of rotation planes.
@@ -84,7 +72,7 @@ def sphere_positive(group: Group, plane_levels: list[int]) -> CellStructure:
     levels = sorted(plane_levels, reverse=True)
     if not all(0 <= j < k for j in levels):
         raise ValueError("plane levels must lie in [0, k)")
-    st = point(group)
+    st = CellStructure(group, cells={0: (k,)})
     for r, j in enumerate(levels, start=1):
         st.cells[2 * r - 1] = (j,)
         st.cells[2 * r] = (j,)
@@ -94,15 +82,16 @@ def sphere_positive(group: Group, plane_levels: list[int]) -> CellStructure:
     return st
 
 
-def sphere_negative(group: Group, plane_levels: list[int]) -> CellStructure:
-    """Dual sphere of a formal negative sum of rotation planes: the
-    positive structure mirrored, cells in dimension d moved to -d and
-    the boundary out of d to the one out of 1 - d.  Every dimension
-    holds a single cell, so the entries carry over unchanged."""
+def sphere_negative(group: Group, plane_levels: list[int], trivial: int = 0) -> CellStructure:
+    """Dual sphere of a formal negative sum of rotation planes, suspended
+    by a trivial summand: the positive structure mirrored, cells in
+    dimension d moved to trivial - d and the boundary out of d to the
+    one out of trivial + 1 - d.  Every dimension holds a single cell,
+    so the entries carry over unchanged."""
     pos = sphere_positive(group, plane_levels)
     return CellStructure(group,
-                         cells={-d: cs for d, cs in pos.cells.items()},
-                         diffs={1 - d: dd for d, dd in pos.diffs.items()})
+                         cells={trivial - d: cs for d, cs in pos.cells.items()},
+                         diffs={trivial + 1 - d: dd for d, dd in pos.diffs.items()})
 
 
 # --- products ---------------------------------------------------------------
@@ -230,19 +219,17 @@ def tensor(A: CellStructure, B: CellStructure,
 def cell_structure(v: Rep, window: tuple[int, int] | None = None) -> CellStructure:
     """Cells for the sphere of the virtual representation v.
 
-    Trivial summands only shift dimensions; planes of positive
-    multiplicity give a positive sphere and those of negative
-    multiplicity its mirror, multiplied together.  A window (lo, hi)
-    keeps the cells of dimensions lo..hi and the boundaries out of
-    lo+1..hi, enough for the homology in degrees lo+1..hi-1; the cells
-    and entries kept are exactly those of the whole structure.
+    Planes of positive multiplicity give a positive sphere and those of
+    negative multiplicity its mirror, which also carries the trivial
+    summands as a dimension shift; the two are multiplied together.  A
+    window (lo, hi) keeps the cells of dimensions lo..hi and the
+    boundaries out of lo+1..hi, enough for the homology in degrees
+    lo+1..hi-1; the cells and entries kept are exactly those of the
+    whole structure.
     """
     pos = [j for j, m in enumerate(v.planes) for _ in range(m)]
     neg = [j for j, m in enumerate(v.planes) for _ in range(-m)]
-    if window is not None:
-        window = (window[0] - v.trivial, window[1] - v.trivial)
-    return shifted(tensor(sphere_positive(v.group, pos), sphere_negative(v.group, neg), window),
-                   v.trivial)
+    return tensor(sphere_positive(v.group, pos), sphere_negative(v.group, neg, v.trivial), window)
 
 
 def max_cell_dim(v: Rep) -> int:

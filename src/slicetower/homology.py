@@ -196,7 +196,7 @@ def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
         return Mat(len(keep), X.c, [[x % o for x in raw[i]] if o else raw[i]
                                     for i, o in zip(keep, raw_orders)])
 
-    return HomologyLevel(AbGroup.from_orders(raw_orders), raw_orders, gens, express)
+    return HomologyLevel(AbGroup(raw_orders), raw_orders, gens, express)
 
 
 def chain_restriction(M: MackeyFunctor, m: int, d: int,

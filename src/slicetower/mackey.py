@@ -7,6 +7,11 @@ is the value at the orbit G/C_{p^m}, so level 0 is the underlying
 abelian group and level k the fixed points.  Values are presented by
 generator orders (0 meaning an infinite cyclic summand), maps by
 integer matrices acting on those generators.
+
+Every named functor (Z, Z*, Z(i,j), B(i,j) and the cokernel
+presentation of B(i,j)) has at most one generator per level, so they
+all come from one builder, _cyclic_functor, which takes the order at
+each level and the restriction and transfer scalars.
 """
 
 from __future__ import annotations
@@ -58,20 +63,23 @@ class MackeyFunctor:
         return render_mackey(self)
 
 
-def _scalar_functor(group: Group, res_scalars: list[int], tr_scalars: list[int], name: str) -> MackeyFunctor:
-    k = group.k
-    return MackeyFunctor(
-        group=group,
-        levels=((0,),) * (k + 1),
-        res=tuple(Mat(1, 1, [[r]]) for r in res_scalars),
-        tr=tuple(Mat(1, 1, [[t]]) for t in tr_scalars),
-        name=name,
-    )
+def _cyclic_functor(group: Group, orders: list[int], res_scalars: list[int],
+                    tr_scalars: list[int], name: str) -> MackeyFunctor:
+    """One generator of orders[m] at each level m, none where the order
+    is 1; restriction and transfer are the given scalars between levels
+    that both have a generator, empty maps elsewhere."""
+    levels = tuple(() if q == 1 else (q,) for q in orders)
+    res, tr = [], []
+    for m in range(group.k):
+        lo, hi = len(levels[m]), len(levels[m + 1])
+        res.append(Mat(lo, hi, [[res_scalars[m]]] if lo and hi else None))
+        tr.append(Mat(hi, lo, [[tr_scalars[m]]] if lo and hi else None))
+    return MackeyFunctor(group, levels, tuple(res), tuple(tr), name)
 
 
 def constant_Z(group: Group) -> MackeyFunctor:
     """Z at every level, restriction the identity, transfer by p."""
-    return _scalar_functor(group, [1] * group.k, [group.p] * group.k, "Z")
+    return _cyclic_functor(group, [0] * (group.k + 1), [1] * group.k, [group.p] * group.k, "Z")
 
 
 def Z_ij(i: int, j: int, group: Group) -> MackeyFunctor:
@@ -83,7 +91,7 @@ def Z_ij(i: int, j: int, group: Group) -> MackeyFunctor:
     p = group.p
     res_scalars = [1 if m < j else p if m < i else 1 for m in range(group.k)]
     tr_scalars = [p if m < j else 1 if m < i else p for m in range(group.k)]
-    return _scalar_functor(group, res_scalars, tr_scalars, f"Z({i},{j})")
+    return _cyclic_functor(group, [0] * (group.k + 1), res_scalars, tr_scalars, f"Z({i},{j})")
 
 
 def dual_Z(group: Group) -> MackeyFunctor:
@@ -97,20 +105,8 @@ def B_ij(i: int, j: int, group: Group) -> MackeyFunctor:
     if not (i >= 1 and j >= 0 and i + j <= group.k):
         raise ValueError(f"need i >= 1, j >= 0, i + j <= k, got i={i}, j={j}, k={group.k}")
     p, k = group.p, group.k
-
-    def order(m: int) -> int:
-        if m <= j:
-            return 1
-        return p ** min(m - j, i)
-
-    levels = tuple(() if order(m) == 1 else (order(m),) for m in range(k + 1))
-    res = []
-    tr = []
-    for m in range(k):
-        lo, hi = len(levels[m]), len(levels[m + 1])
-        res.append(Mat(lo, hi, [[1]] if lo and hi else None))
-        tr.append(Mat(hi, lo, [[p]] if lo and hi else None))
-    return MackeyFunctor(group, levels, tuple(res), tuple(tr), f"B({i},{j})")
+    orders = [1 if m <= j else p ** min(m - j, i) for m in range(k + 1)]
+    return _cyclic_functor(group, orders, [1] * k, [p] * k, f"B({i},{j})")
 
 
 def parse_coefficient(text: str, group: Group) -> MackeyFunctor:
@@ -159,15 +155,8 @@ def b_as_cokernel(i: int, j: int, group: Group) -> MackeyFunctor:
         phi.append(lifted // r_dst)
         # the same scalar must intertwine the transfers
         assert phi[m + 1] * src.tr[m].a[0][0] == dst.tr[m].a[0][0] * phi[m]
-
-    levels = tuple(() if q == 1 else (q,) for q in phi)
-    res = []
-    tr = []
-    for m in range(group.k):
-        lo, hi = len(levels[m]), len(levels[m + 1])
-        res.append(Mat(lo, hi, [[dst.res[m].a[0][0]]] if lo and hi else None))
-        tr.append(Mat(hi, lo, [[dst.tr[m].a[0][0]]] if lo and hi else None))
-    return MackeyFunctor(group, levels, tuple(res), tuple(tr), f"coker(Z({i + j},{j}) -> Z)")
+    return _cyclic_functor(group, phi, [r.a[0][0] for r in dst.res], [t.a[0][0] for t in dst.tr],
+                           f"coker(Z({i + j},{j}) -> Z)")
 
 
 def maps_equal_mod(target_orders: tuple[int, ...], A: Mat, B: Mat) -> bool:

@@ -11,6 +11,7 @@ representation check is_actual first.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -35,10 +36,6 @@ class Rep:
     @property
     def is_actual(self) -> bool:
         return self.trivial >= 0 and all(m >= 0 for m in self.planes)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.trivial == 0 and not any(self.planes)
 
     def __add__(self, other: "Rep") -> "Rep":
         self._same_group(other)
@@ -93,6 +90,7 @@ def canonical_lambda(weight: int, group: Group) -> Rep:
     return rotation_plane(group, min(p_adic_val(weight, group.p), group.k))
 
 
+@functools.cache
 def regular_rep(group: Group, count: int = 1) -> Rep:
     """count copies of the real regular representation."""
     planes = tuple(count * ((group.index(j) - group.index(j + 1)) // 2) for j in range(group.k))

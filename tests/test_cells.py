@@ -11,8 +11,6 @@ from slicetower.cells import (
     cell_structure,
     class_images,
     max_cell_dim,
-    point,
-    shifted,
     sphere_negative,
     sphere_positive,
     tensor,
@@ -40,15 +38,6 @@ def test_class_images_match_brute_force(group, x, c):
             assert len(got) == len(set(got)) and set(got) == want, (h_s, h_t)
 
 
-def test_point_and_shifted():
-    pt = point(C9)
-    assert pt.cells == {0: (2,)}
-    assert pt.cell_count() == 1
-    sh = shifted(pt, -3)
-    assert sh.cells == {-3: (2,)}
-    assert shifted(pt, 0) is pt
-
-
 def test_sphere_positive_frozen():
     st_ = sphere_positive(C9, [0, 1])  # sorted internally
     assert st_.cells == {0: (2,), 1: (1,), 2: (1,), 3: (0,), 4: (0,)}
@@ -71,6 +60,11 @@ def test_sphere_negative_frozen():
     assert st_.diffs[-2] == {(0, 0): {0: 1, 1: 1, 2: 1}}
     assert st_.diffs[-3] == {(0, 0): {0: 1, 1: -1}}
     assert st_.min_dim() == -4
+    # a trivial summand shifts cells and boundaries alike
+    up = sphere_negative(C9, [0, 1], 3)
+    assert up.cells == {d + 3: cs for d, cs in st_.cells.items()}
+    assert up.diffs == {d + 3: dd for d, dd in st_.diffs.items()}
+    assert sphere_negative(C9, [], -1).cells == {-1: (2,)}
     with pytest.raises(ValueError):
         sphere_negative(C9, [3])
 
@@ -98,9 +92,30 @@ def test_cell_structure_dims():
     assert cell_structure(trivial_rep(C9, 3)).cells == {3: (2,)}
 
 
+def test_cell_structure_frozen_odd_trivial_mixed_signs():
+    # 1 + λ_0 - λ_1: the trivial summand rides on the negative factor,
+    # the second in the product; on the first, the Leibniz sign would
+    # flip the entries coming from -λ_1
+    st_ = cell_structure(Rep(C9, 1, (1, -1)))
+    assert list(st_.cells.items()) == [
+        (-1, (1,)), (0, (1, 0, 0, 0)), (1, (2, 0, 0, 0, 0, 0, 0)), (2, (0, 0, 0, 0)), (3, (0,))]
+    assert [(d, list(dd.items())) for d, dd in st_.diffs.items()] == [
+        (0, [((0, 0), {0: 1, 1: -1}), ((0, 1), {0: 1}), ((0, 2), {1: 1}), ((0, 3), {2: 1})]),
+        (1, [((0, 0), {0: 1}), ((0, 1), {0: 1}), ((1, 1), {0: -1}), ((2, 1), {0: 1}),
+             ((0, 2), {1: 1}), ((2, 2), {0: -1}), ((3, 2), {0: 1}), ((0, 3), {2: 1}),
+             ((3, 3), {0: -1}), ((1, 3), {0: 1}), ((1, 4), {0: 1}), ((3, 4), {1: -1}),
+             ((2, 5), {0: 1}), ((1, 5), {1: -1}), ((3, 6), {0: 1}), ((2, 6), {1: -1})]),
+        (2, [((0, 0), {0: 1}), ((1, 0), {0: -1}), ((2, 0), {0: -1}), ((3, 0), {0: -1}),
+             ((1, 1), {0: 1}), ((3, 1), {1: -1}), ((4, 1), {0: 1}), ((5, 1), {0: -1}),
+             ((2, 2), {0: 1}), ((1, 2), {1: -1}), ((5, 2), {0: 1}), ((6, 2), {0: -1}),
+             ((3, 3), {0: 1}), ((2, 3), {1: -1}), ((6, 3), {0: 1}), ((4, 3), {0: -1})]),
+        (3, [((0, 0), {0: 1, 1: -1}), ((1, 0), {0: 1}), ((2, 0), {0: 1}), ((3, 0), {0: 1})]),
+    ]
+
+
 def test_tensor_rejects_group_mismatch():
     with pytest.raises(ValueError):
-        tensor(point(C9), point(C3))
+        tensor(sphere_positive(C9, []), sphere_positive(C3, []))
 
 
 def test_tensor_cell_classes():

@@ -95,7 +95,7 @@ def test_failure_payload():
         passed=False,
         checks=3,
         failures=[Failure(level=1, check="vanishing", epsilon=1, t=2,
-                          group=AbGroup.cyclic(3))],
+                          group=AbGroup((3,)))],
     )
     doc = tower_document(tower, [bad])
     v = doc["stages"][0]["verification"]

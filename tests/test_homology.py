@@ -69,7 +69,7 @@ def test_sphere_s0_gives_constant():
     for g in (C3, C9):
         bh = bredon_homology(trivial_rep(g, 0), constant_Z(g), 0)
         for m in range(g.k + 1):
-            assert bh.ab(m) == AbGroup.free(1)
+            assert bh.ab(m) == AbGroup((0,))
         for m in range(g.k):
             assert abs(bh.res_maps[m].a[0][0]) == 1
 
@@ -84,7 +84,7 @@ def test_plane_difference_realizes_integral_family(p, k):
             expected = Z_ij(a, j, g)
             bh = bredon_homology(v, constant_Z(g), 0)
             for m in range(k + 1):
-                assert bh.ab(m) == AbGroup.free(1), (a, j, m)
+                assert bh.ab(m) == AbGroup((0,)), (a, j, m)
             for m in range(k):
                 assert abs(bh.res_maps[m].a[0][0]) == expected.res[m].a[0][0]
             for d in (-2, -1, 1, 2):

@@ -1,6 +1,7 @@
 """The runtime uses the standard library only: every absolute import in
-the package names a standard-library module or the package itself.  And
-the orbit size p^(k - h) has one home, Group.index."""
+the package names a standard-library module or the package itself.  The
+orbit size p^(k - h) has one home, Group.index.  And the runtime ships
+no code that only tests read."""
 
 import ast
 import sys
@@ -48,3 +49,49 @@ def test_index_powers_only_in_group():
                     and subtracts_from_k(node.right)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"write p ** (k - h) as Group.index(h): {found}"
+
+
+# Runtime names no other runtime code reads, each with the reader it
+# has or is waiting for.
+NO_RUNTIME_READER = {
+    "Mat.times_vec": "the benchmark tracer wraps it",
+    "homres_injective": "criterion 6d",
+    "b_as_cokernel": "the tower-level identity check (ROADMAP item 5)",
+    "mackey_equal": "the tower-level identity check (ROADMAP item 5)",
+    "validate_mackey": "the tower-level identity check (ROADMAP item 5)",
+    "fiber_sequence_data": "the tower-level identity check (ROADMAP item 5)",
+    "canonical_lambda": "the paper's λ(w), the reference tests hold lambda_block to",
+}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, bare name, node) of each module-level function
+    and class, and of each non-dunder method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def references(node: ast.AST) -> list[str]:
+    """Names read under node, as variables or as attributes."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+
+
+def test_runtime_names_have_runtime_readers():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    everywhere: dict[str, int] = {}
+    for tree in trees.values():
+        for name in references(tree):
+            everywhere[name] = everywhere.get(name, 0) + 1
+    unread = [f"{file}:{qual}" for file, tree in trees.items()
+              for qual, name, node in definitions(tree)
+              if qual not in NO_RUNTIME_READER
+              and everywhere.get(name, 0) == references(node).count(name)]
+    assert not unread, f"only tests read these; delete them or give them a reader: {unread}"
+    defined = {qual for tree in trees.values() for qual, _, _ in definitions(tree)}
+    assert set(NO_RUNTIME_READER) <= defined, set(NO_RUNTIME_READER) - defined

@@ -48,7 +48,7 @@ def test_rep_algebra():
     assert 3 * v == Rep(C9, 3, (6, 0))
     assert v.dim == 5 and w.dim == 8
     assert v.is_actual and not (v - w).is_actual
-    assert Rep(C9, 0, (0, 0)).is_zero
+    assert v - v == Rep(C9, 0, (0, 0))
     with pytest.raises(ValueError):
         v + Rep(C3, 0, (1,))
     with pytest.raises(ValueError):
@@ -75,7 +75,7 @@ def test_regular_rep_and_lambda_block():
     assert regular_rep(C3) == Rep(C3, 1, (1,))
     assert regular_rep(Group(5, 2)) == Rep(Group(5, 2), 1, (10, 2))
     assert regular_rep(C9).dim == 9
-    assert lambda_block(0, C9).is_zero
+    assert lambda_block(0, C9) == Rep(C9, 0, (0, 0))
     assert lambda_block(4, C9) == Rep(C9, 0, (3, 1))
     # a full period of planes is two regular representations
     assert lambda_block(9, C9) == regular_rep(C9, 2)
