@@ -11,13 +11,12 @@ fails, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Any
 
 from .cells import cell_structure
-from .document import FORMAT, tower_document
+from .document import FORMAT, dumps_indented, tower_document
 from .group import Group, is_odd_prime
 from .homology import homology_at, level_complex
 from .mackey import parse_coefficient, render_mackey, restrict_mackey
@@ -63,7 +62,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _emit(doc: Any, args: argparse.Namespace) -> None:
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(dumps_indented(doc))
     elif args.format == "latex":
         print(render_latex(doc), end="")
     else:
@@ -99,7 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         documents.append(tower_document(tower, reports))
 
     if args.format == "json":
-        print(json.dumps({
+        print(dumps_indented({
             "format": FORMAT,
             "kind": "verify-report",
             "group": documents[0]["group"],
@@ -108,7 +107,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "failed_stages": failed,
             "all_passed": failed == 0,
             "towers": documents,
-        }, indent=2))
+        }))
     else:
         print(f"verify over {group}, n = {lo}..{hi}")
         for doc in documents:
@@ -148,7 +147,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
                        restrict_mackey(coeff, level), level)
     ab = homology_at(cx, d).ab
     if args.format == "json":
-        print(json.dumps({
+        print(dumps_indented({
             "format": FORMAT,
             "kind": "homology",
             "group": {"p": group.p, "k": group.k, "display": str(group)},
@@ -159,7 +158,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
             "homology": {"display": str(ab),
                          "free_rank": ab.free_rank,
                          "torsion": list(ab.torsion)},
-        }, indent=2))
+        }))
     else:
         print(f"H_{args.degree}(S^({render_rep(v)}); {args.coeff}) at level {level} over {group}: {ab}")
     return 0
@@ -169,7 +168,7 @@ def cmd_mackey(args: argparse.Namespace) -> int:
     group = _group_from(args)
     M = parse_coefficient(args.show, group)
     if args.format == "json":
-        print(json.dumps({
+        print(dumps_indented({
             "format": FORMAT,
             "kind": "mackey",
             "group": {"p": group.p, "k": group.k, "display": str(group)},
@@ -177,7 +176,7 @@ def cmd_mackey(args: argparse.Namespace) -> int:
             "levels": [list(level) for level in M.levels],
             "res": [m.a for m in M.res],
             "tr": [m.a for m in M.tr],
-        }, indent=2))
+        }))
     else:
         print(render_mackey(M), end="")
     return 0

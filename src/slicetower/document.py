@@ -2,27 +2,59 @@
 
 The renderers in render.py consume nothing but these documents, so
 every display decision (including which form of a slice representation
-gets printed) is made here, once.
+gets printed) is made here, once.  dumps_indented writes every
+--format json document, byte for byte as json.dumps(doc, indent=2)
+would, in one pass that skips the stdlib's pure-Python encoder.
 """
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .rep import Rep, render_rep, rho_form, strip_planes
+from .rep import Rep, render_forms, rho_form, strip_planes
 from .tower import SliceDescriptor, Tower, VerificationReport
 
 FORMAT = "slicetower/1"
 VERSION = "0.1.0"
 
 
+def dumps_indented(obj: Any) -> str:
+    """json.dumps(obj, indent=2) for trees of dicts with str keys, lists,
+    str, int, bool and None; anything else raises TypeError."""
+    out: list[str] = []
+    _write(obj, out, "\n")
+    return "".join(out)
+
+
+def _write(obj: Any, out: list[str], nl: str) -> None:
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or isinstance(obj, int):
+        out.append("null" if obj is None else "true" if obj is True
+                   else "false" if obj is False else int.__repr__(obj))
+    elif isinstance(obj, (dict, list)):
+        is_dict = isinstance(obj, dict)
+        sep = inner = nl + "  "
+        out.append("{" if is_dict else "[")
+        for item in obj:
+            # _quote raises TypeError on a key that is not a str
+            out.append(sep + _quote(item) + ": " if is_dict else sep)
+            _write(obj[item] if is_dict else item, out, inner)
+            sep = "," + inner
+        out.append((nl if obj else "") + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def rep_payload(v: Rep) -> dict[str, Any]:
+    display, latex = render_forms(v)
     return {
         "trivial": v.trivial,
         "planes": list(v.planes),
         "dim": v.dim,
-        "display": render_rep(v),
-        "latex": render_rep(v, latex=True),
+        "display": display,
+        "latex": latex,
     }
 
 
@@ -62,7 +94,7 @@ def tower_document(tower: Tower,
                      "display": f"B({desc.coeff_i},{desc.coeff_j})"}
         else:
             coeff = {"family": "Z", "display": "Z"}
-        printed = _printed_rep(desc)
+        display, latex = render_forms(_printed_rep(desc))
         entry: dict[str, Any] = {
             "index": i,
             "slice": {
@@ -71,8 +103,7 @@ def tower_document(tower: Tower,
                 "a": desc.a,
                 "b": desc.b,
                 "rep": rep_payload(desc.rep),
-                "printed": {"display": render_rep(printed),
-                            "latex": render_rep(printed, latex=True)},
+                "printed": {"display": display, "latex": latex},
                 "coefficient": coeff,
             },
             "section": rep_payload(stage.section),

@@ -12,6 +12,7 @@ representation check is_actual first.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -40,10 +41,12 @@ class Rep:
     def __add__(self, other: "Rep") -> "Rep":
         self._same_group(other)
         return Rep(self.group, self.trivial + other.trivial,
-                   tuple(a + b for a, b in zip(self.planes, other.planes)))
+                   tuple(map(operator.add, self.planes, other.planes)))
 
     def __sub__(self, other: "Rep") -> "Rep":
-        return self + (-other)
+        self._same_group(other)
+        return Rep(self.group, self.trivial - other.trivial,
+                   tuple(map(operator.sub, self.planes, other.planes)))
 
     def __neg__(self) -> "Rep":
         return Rep(self.group, -self.trivial, tuple(-m for m in self.planes))
@@ -114,8 +117,10 @@ def slice_rep(params: SliceParams, a: int, b: int) -> Rep:
     group = params.group
     ell = params.ell(a, b)
     v = regular_rep(group, params.n - 2) - trivial_rep(group) - lambda_block(ell, group)
-    assert v.is_actual and v.dim == params.base_dim(b) * group.p ** a - 1
-    assert v.trivial == params.n - 3 - 2 * (ell // group.order)
+    if not (v.is_actual and v.dim == params.base_dim(b) * group.p ** a - 1):
+        raise AssertionError(f"V({a},{b}) is not an actual representation of the slice dimension")
+    if v.trivial != params.n - 3 - 2 * (ell // group.order):
+        raise AssertionError(f"V({a},{b}) has the wrong trivial multiplicity")
     return v
 
 
@@ -144,7 +149,8 @@ def n_slice_rep(n: int, group: Group) -> Rep:
         ell = ((n - 2) * group.order - third * p) // 2
         w = (regular_rep(group, n - 2) - lambda_block(ell, group)
              - lambda_block(p - 1, group) - rotation_plane(group, 0))
-    assert w.is_actual and w.dim == n
+    if not (w.is_actual and w.dim == n):
+        raise AssertionError(f"the bottom slice representation for n = {n} is not actual of dimension n")
     return w
 
 
@@ -190,34 +196,31 @@ def strip_planes(v: Rep, below: int) -> Rep:
                tuple(0 if j < below else m for j, m in enumerate(v.planes)))
 
 
-def render_rep(v: Rep, latex: bool = False) -> str:
-    """Canonical display; uses the s*rho - t shorthand when it is exact."""
-    rho_sym = r"\rho" if latex else "ρ"
-    lam = (lambda j: rf"\lambda_{{{j}}}") if latex else (lambda j: f"λ_{j}")
-
+def render_forms(v: Rep) -> tuple[str, str]:
+    """The display and LaTeX forms of v, from one reading of its terms;
+    the s*rho - t shorthand is used when it is exact."""
     form = rho_form(v)
     if form is not None:
         s, t = form
-        head = rho_sym if s == 1 else f"{s}{rho_sym}"
-        return head if t == 0 else f"{head} - {t}"
+        head = "" if s == 1 else str(s)
+        tail = "" if t == 0 else f" - {t}"
+        return f"{head}ρ{tail}", rf"{head}\rho{tail}"
 
-    terms: list[tuple[int, str]] = []
-    if v.trivial:
-        terms.append((v.trivial, ""))
-    for j in range(v.group.k - 1, -1, -1):
-        if v.planes[j]:
-            terms.append((v.planes[j], lam(j)))
-    if not terms:
-        return "0"
-    out = ""
-    for i, (m, sym) in enumerate(terms):
-        mag = abs(m)
-        body = sym if (mag == 1 and sym) else (f"{mag}{sym}" if sym else f"{mag}")
-        if i == 0:
-            out = body if m > 0 else f"-{body}"
-        else:
-            out += f" + {body}" if m > 0 else f" - {body}"
-    return out
+    terms = [(v.trivial, "", "")] if v.trivial else []
+    terms += [(v.planes[j], f"λ_{j}", rf"\lambda_{{{j}}}")
+              for j in range(v.group.k - 1, -1, -1) if v.planes[j]]
+    text, tex = [], []
+    for i, (m, sym, tex_sym) in enumerate(terms):
+        sign = ("" if m > 0 else "-") if i == 0 else (" + " if m > 0 else " - ")
+        mag = "" if abs(m) == 1 and sym else str(abs(m))
+        text.append(f"{sign}{mag}{sym}")
+        tex.append(f"{sign}{mag}{tex_sym}")
+    return "".join(text) or "0", "".join(tex) or "0"
+
+
+def render_rep(v: Rep, latex: bool = False) -> str:
+    """Canonical display (or its LaTeX form when latex is set)."""
+    return render_forms(v)[latex]
 
 
 # --- parsing ---------------------------------------------------------------

@@ -120,8 +120,10 @@ def slice_list(n: int, group: Group) -> list[SliceDescriptor]:
     out.append(SliceDescriptor(dim=n, kind=Kind.INTEGRAL, rep=n_slice_rep(n, group)))
 
     dims = [s.dim for s in out]
-    assert dims == sorted(dims, reverse=True) and len(set(dims)) == len(dims)
-    assert len(out) == group.k * params.count + (0 if n % p == 0 else 1)
+    if dims != sorted(dims, reverse=True) or len(set(dims)) != len(dims):
+        raise AssertionError(f"slice dimensions are not strictly decreasing: {dims}")
+    if len(out) != group.k * params.count + (0 if n % p == 0 else 1):
+        raise AssertionError(f"{len(out)} slices, not the closed-form count")
     return out
 
 
@@ -131,7 +133,8 @@ def _exchange(section: Rep, desc: SliceDescriptor) -> Rep:
     nu = desc.coeff_i - 1
     out_level = min(nu + desc.a, section.group.k)
     nxt = section - rotation_plane(section.group, out_level) + rotation_plane(section.group, desc.a - 1)
-    assert nxt.is_actual and nxt.dim == section.dim
+    if not (nxt.is_actual and nxt.dim == section.dim):
+        raise AssertionError(f"exchanging planes across V({desc.a},{desc.b}) leaves no section of dimension n")
     return nxt
 
 
@@ -144,9 +147,11 @@ def build_tower(n: int, group: Group) -> Tower:
     slices = slice_list(n, group)
     sections = [trivial_rep(group, n)]
     for desc in slices[:-1]:
-        assert desc.is_torsion
+        if not desc.is_torsion:
+            raise AssertionError(f"a {desc.kind.value} slice above the bottom of the tower")
         sections.append(_exchange(sections[-1], desc))
-    assert sections[-1] == slices[-1].rep
+    if sections[-1] != slices[-1].rep:
+        raise AssertionError("the bottom section differs from the closed form of the integral slice")
     return Tower(group, n, tuple(Stage(d, s) for d, s in zip(slices, sections)))
 
 

@@ -222,6 +222,19 @@ def test_mackey_json(capsys):
     assert doc["tr"] == [[[]], [[3]]]
 
 
+@pytest.mark.parametrize("argv", [
+    ("tower", "--p", "3", "--k", "2", "--n", "7"),
+    ("tower", "--p", "3", "--k", "2", "--n", "7", "--verify"),
+    ("verify", "--p", "3", "--k", "1", "--n", "3..5"),
+    ("homology", "--p", "3", "--k", "2", "--rep", "3 + L1 - 2L0", "--level", "1"),
+    ("mackey", "--p", "3", "--k", "2", "--show", "B(2,0)"),
+], ids=["tower", "tower-verify", "verify", "homology", "mackey"])
+def test_json_layout_is_stdlib_indent_two(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "tower", "--p", "2", "--k", "1", "--n", "5")
     assert code == 2
@@ -257,7 +270,8 @@ def test_join_leading_dash_values():
     (("verify", "--p", "3", "--k", "6", "--n", "3..3"), "all 6 stages pass"),
     (("homology", "--p", "3", "--k", "2", "--rep", "L1 - L0", "--level", "top"),
      "H_0(S^(λ_1 - λ_0); Z) at level 2 over C_3^2: Z\n"),
-], ids=["verify", "verify-windowed", "homology"])
+    (("tower", "--p", "3", "--k", "2", "--n", "7", "--format", "json"), '"stage_count": 5,'),
+], ids=["verify", "verify-windowed", "homology", "tower-json"])
 def test_requests_under_python_O(argv, expected):
     # -O strips assert statements; the request path must not rely on them
     env = {**os.environ, "PYTHONPATH": str(SRC)}

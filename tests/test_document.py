@@ -1,14 +1,16 @@
 """The JSON-able tower document: field layout, the printed-form rule
-for slice spheres, and validity against the shipped schema."""
+for slice spheres, validity against the shipped schema, and the
+indented writer that prints it."""
 
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, strategies as st
 
 from slicetower.abelian import AbGroup
-from slicetower.document import FORMAT, VERSION, rep_payload, tower_document
+from slicetower.document import FORMAT, VERSION, dumps_indented, rep_payload, tower_document
 from slicetower.group import Group
 from slicetower.rep import Rep
 from slicetower.tower import Failure, VerificationReport, build_tower, verify_tower
@@ -118,3 +120,31 @@ def test_documents_validate_against_schema(n, group):
 def test_document_round_trips_through_json():
     doc = tower_document(build_tower(7, C9))
     assert json.loads(json.dumps(doc)) == doc
+
+
+# strings mixing arbitrary characters with the ones JSON must escape
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7f\ud800é€😀')))
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2 ** 100, 2 ** 100), TEXT)
+
+
+def json_trees(depth: int):
+    """Trees of JSON values nested at most depth containers deep."""
+    if depth == 0:
+        return LEAVES
+    inner = json_trees(depth - 1)
+    return st.one_of(LEAVES, st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4))
+
+
+@given(json_trees(4))
+@example({"a": [], "b": {}, "c": [[], {}, [[{}]]], "": {"d": []}})
+@example([])
+@example({})
+def test_writer_matches_stdlib_indent(tree):
+    assert dumps_indented(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {"a": [0.0]}, [{"b": (3,)}], {1: 2}, {"c": {1, 2}}],
+                         ids=["float", "tuple", "nested-float", "nested-tuple", "int-key", "set"])
+def test_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        dumps_indented(value)

@@ -1,7 +1,8 @@
 """The runtime uses the standard library only: every absolute import in
 the package names a standard-library module or the package itself.  The
-orbit size p^(k - h) has one home, Group.index.  And the runtime ships
-no code that only tests read."""
+orbit size p^(k - h) has one home, Group.index.  Indented JSON has one
+writer, document.dumps_indented.  And the runtime ships no code that
+only tests read."""
 
 import ast
 import sys
@@ -49,6 +50,17 @@ def test_index_powers_only_in_group():
                     and subtracts_from_k(node.right)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"write p ** (k - h) as Group.index(h): {found}"
+
+
+def test_no_indented_json_dumps():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+                    and any(kw.arg == "indent" for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"print indented JSON through document.dumps_indented: {found}"
 
 
 # Runtime names no other runtime code reads, each with the reader it

@@ -15,6 +15,7 @@ from slicetower.rep import (
     n_slice_rep,
     parse_rep,
     regular_rep,
+    render_forms,
     render_rep,
     restrict_rep,
     rho_form,
@@ -164,6 +165,48 @@ def test_render_rep():
     assert render_rep(Rep(C9, 1, (-1, 1))) == "1 + λ_1 - λ_0"
     assert render_rep(Rep(C9, 4, (15, 5)), latex=True) == r"5\rho - 1"
     assert render_rep(Rep(C9, 3, (1, 2)), latex=True) == r"3 + 2\lambda_{1} + \lambda_{0}"
+    assert render_rep(Rep(C9, 0, (0, 0)), latex=True) == "0"
+    assert render_rep(Rep(C9, 1, (2, 1))) == "1 + λ_1 + 2λ_0"
+    assert render_rep(Rep(C9, 0, (0, 1)), latex=True) == r"\lambda_{1}"
+
+
+def reference_render(v, latex=False):
+    """One form at a time, term by term: the rendering render_forms
+    replaced, kept as the reference it must agree with."""
+    rho_sym = r"\rho" if latex else "ρ"
+    lam = (lambda j: rf"\lambda_{{{j}}}") if latex else (lambda j: f"λ_{j}")
+    form = rho_form(v)
+    if form is not None:
+        s, t = form
+        head = rho_sym if s == 1 else f"{s}{rho_sym}"
+        return head if t == 0 else f"{head} - {t}"
+    terms = [(v.trivial, "")] if v.trivial else []
+    terms += [(v.planes[j], lam(j)) for j in range(v.group.k - 1, -1, -1) if v.planes[j]]
+    if not terms:
+        return "0"
+    out = ""
+    for i, (m, sym) in enumerate(terms):
+        mag = abs(m)
+        body = sym if (mag == 1 and sym) else (f"{mag}{sym}" if sym else f"{mag}")
+        if i == 0:
+            out = body if m > 0 else f"-{body}"
+        else:
+            out += f" + {body}" if m > 0 else f" - {body}"
+    return out
+
+
+@pytest.mark.parametrize("group", [C3, C9, Group(3, 3), Group(5, 2)], ids=str)
+def test_render_forms_match_the_reference(group):
+    exact = st.builds(lambda s, t: regular_rep(group, s) - trivial_rep(group, t),
+                      st.integers(1, 8), st.integers(0, 2))
+
+    @given(st.one_of(reps(group), exact))
+    def check(v):
+        display, latex = render_forms(v)
+        assert (display, latex) == (reference_render(v), reference_render(v, latex=True))
+        assert (render_rep(v), render_rep(v, latex=True)) == (display, latex)
+
+    check()
 
 
 def test_parse_grammar():
