@@ -94,7 +94,10 @@ def tower_document(tower: Tower,
                      "display": f"B({desc.coeff_i},{desc.coeff_j})"}
         else:
             coeff = {"family": "Z", "display": "Z"}
-        display, latex = render_forms(_printed_rep(desc))
+        rep = rep_payload(desc.rep)
+        printed = _printed_rep(desc)
+        display, latex = ((rep["display"], rep["latex"]) if printed is desc.rep
+                          else render_forms(printed))
         entry: dict[str, Any] = {
             "index": i,
             "slice": {
@@ -102,7 +105,7 @@ def tower_document(tower: Tower,
                 "kind": desc.kind.value,
                 "a": desc.a,
                 "b": desc.b,
-                "rep": rep_payload(desc.rep),
+                "rep": rep,
                 "printed": {"display": display, "latex": latex},
                 "coefficient": coeff,
             },

@@ -131,20 +131,19 @@ def _check_complex(cx: LevelComplex) -> None:
 class HomologyLevel:
     """One homology group with raw generator bookkeeping.
 
-    raw_orders lists one invariant factor per generator (0 for a free
+    ab.factors lists one invariant factor per generator (0 for a free
     one, never 1); the columns of gens are one chain representative per
     generator, and express writes each column of a matrix of cycles in
     those coordinates.
     """
 
     ab: AbGroup
-    raw_orders: tuple[int, ...]
     gens: Mat
     express: Callable[[Mat], Mat]
 
 
 def _trivial_level(n: int) -> HomologyLevel:
-    return HomologyLevel(AbGroup.trivial(), (), Mat(n, 0), lambda X: Mat(0, X.c))
+    return HomologyLevel(AbGroup.trivial(), Mat(n, 0), lambda X: Mat(0, X.c))
 
 
 def _with_relations(T: Mat, orders: Sequence[int]) -> Mat:
@@ -196,7 +195,7 @@ def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
         return Mat(len(keep), X.c, [[x % o for x in raw[i]] if o else raw[i]
                                     for i, o in zip(keep, raw_orders)])
 
-    return HomologyLevel(AbGroup(raw_orders), raw_orders, gens, express)
+    return HomologyLevel(AbGroup(raw_orders), gens, express)
 
 
 def chain_restriction(M: MackeyFunctor, m: int, d: int,
@@ -258,9 +257,10 @@ def homres_injective(w: Rep, i: int, j: int, h: int) -> bool:
         bh = bredon_homology(-w, M, d)
         if bh.levels[k].ab.is_trivial:
             continue
-        T = Mat.identity(len(bh.levels[k].raw_orders))
+        top = bh.levels[k].ab.factors
+        T = Mat.identity(len(top))
         for m in range(k - 1, h - 1, -1):
             T = bh.res_maps[m].times(T)
-        if not presented_injective(T, bh.levels[k].raw_orders, bh.levels[h].raw_orders):
+        if not presented_injective(T, top, bh.levels[h].ab.factors):
             return False
     return True

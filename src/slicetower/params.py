@@ -62,7 +62,8 @@ class SliceParams:
         self._check_indices(a, b)
         p, k = self.group.p, self.group.k
         num = (self.n - 2) * p**k - self.base_dim(b) * p**a
-        assert num % 2 == 0 and num >= 0
+        if num % 2 or num < 0:
+            raise AssertionError(f"ell({a}, {b}) is not a nonnegative integer: {num}/2")
         return num // 2
 
     def valuation(self, a: int, b: int) -> int:
@@ -117,9 +118,12 @@ def slice_params(n: int, group: Group) -> SliceParams:
     # Independent count: same parity as n, n/p <= m <= n-2 (lower bound
     # attainable only when p | n).
     direct = [m for m in range(1, n - 1) if (n - m) % 2 == 0 and m * p >= n]
-    assert len(direct) == d, (n, group, d, direct)
+    if len(direct) != d:
+        raise AssertionError(f"closed-form count d = {d} for n = {n} over {group}, "
+                             f"direct count {len(direct)}")
     dims = tuple(n - 2 * d + 2 * i for i in range(d))
-    assert list(dims) == direct
-    if d:
-        assert dims[-1] == n - 2
+    if list(dims) != direct:
+        raise AssertionError(f"base dimensions {dims} for n = {n}, direct {tuple(direct)}")
+    if d and dims[-1] != n - 2:
+        raise AssertionError(f"top base dimension {dims[-1]} for n = {n}, not n - 2")
     return SliceParams(group=group, n=n, residue=n0, offset=delta, base_dims=dims)

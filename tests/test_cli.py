@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -302,3 +303,14 @@ def test_verify_of_a_large_group_is_quick():
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert "all 20 stages pass" in proc.stdout
+
+
+def test_verify_of_a_large_k_is_quick(capsys):
+    # the window bounds the factor spheres too: the mirror of t*rho over
+    # C_3^8 has thousands of planes, but only the cells of the few
+    # dimensions the window reaches are built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--p", "3", "--k", "8", "--n", "3")
+    assert code == 0 and err == ""
+    assert out.endswith("all 8 stages pass\n")
+    assert time.perf_counter() - start < 5

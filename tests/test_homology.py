@@ -191,7 +191,7 @@ def test_res_maps_are_well_defined(case):
     v, M, d = case
     bh = bredon_homology(v, M, d)
     for m, R in enumerate(bh.res_maps):
-        hi, lo = bh.levels[m + 1].raw_orders, bh.levels[m].raw_orders
+        hi, lo = bh.levels[m + 1].ab.factors, bh.levels[m].ab.factors
         assert (R.r, R.c) == (len(lo), len(hi))
         for j, o in enumerate(hi):
             assert in_diagonal_lattice([o * x for x in R.col(j)], lo), (m, j)

@@ -1,11 +1,19 @@
 """Tower combinatorics: the count d, the base dimensions m_b, and the
 parity and junction identities everything downstream leans on."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from slicetower.group import Group, is_odd_prime, p_adic_val
 from slicetower.params import parity_offset, slice_params
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 GROUPS = [Group(3, 1), Group(3, 2), Group(5, 1), Group(5, 2), Group(7, 1), Group(3, 3)]
 
@@ -111,3 +119,29 @@ def test_index_validation():
         params.base_dim(3)
     with pytest.raises(ValueError):
         slice_params(2, Group(3, 2))
+
+
+def test_invariants_hold_under_python_O():
+    # -O strips assert statements; a wrong parity offset would then give
+    # slice_params(8, C_3) the base dimensions (2, 4, 6) without a word
+    script = textwrap.dedent("""
+        from slicetower import params
+        from slicetower.group import Group
+        params.parity_offset = lambda n, p: 0
+        try:
+            params.slice_params(8, Group(3, 1))
+        except AssertionError as e:
+            print("count:", e)
+        try:
+            params.SliceParams(Group(3, 1), 8, 2, 2, (3,)).ell(1, 1)
+        except AssertionError as e:
+            print("ell:", e)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "count: closed-form count d = 3 for n = 8 over C_3, direct count 2",
+        "ell: ell(1, 1) is not a nonnegative integer: 9/2",
+    ]
