@@ -4,7 +4,11 @@ Everything here runs over Python's arbitrary-precision integers; no
 floating point, no modular shortcuts.  Smith normal form tracks the
 three transforms its callers read, not just the invariant factors: U
 and V (U A V = S) to solve linear systems and find kernels, and U's
-inverse to write down lattice bases and homology generators.
+inverse, which only homology reads, to write down its generators.
+
+Lattice bases are preimage lattices {x : T x in the span of the
+orders[i] * e_i}, read off the kernel of T next to those relation
+columns, which with_relations alone stacks.
 
 Linear systems are solved in blocks: A is factored once, and every
 right-hand side is a column of one matrix B, so the solution is the
@@ -48,21 +52,8 @@ class Mat:
             m.a[i][i] = 1
         return m
 
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[int]], r: int) -> "Mat":
-        m = cls(r, len(cols))
-        for j, col in enumerate(cols):
-            if len(col) != r:
-                raise ValueError("column length mismatch")
-            for i in range(r):
-                m.a[i][j] = col[i]
-        return m
-
     def copy(self) -> "Mat":
         return Mat(self.r, self.c, self.a)
-
-    def col(self, j: int) -> list[int]:
-        return [self.a[i][j] for i in range(self.r)]
 
     def times(self, other: "Mat") -> "Mat":
         if self.c != other.r:
@@ -102,11 +93,6 @@ class SmithForm:
     U: Mat
     Uinv: Mat
     V: Mat
-
-    @property
-    def rank(self) -> int:
-        n = min(self.S.r, self.S.c)
-        return sum(1 for i in range(n) if self.S.a[i][i] != 0)
 
     def diag(self, i: int) -> int:
         if i < min(self.S.r, self.S.c):
@@ -231,14 +217,12 @@ def smith_normal_form(A: Mat) -> SmithForm:
     return SmithForm(S=S, U=U, Uinv=Uinv, V=V)
 
 
-def kernel_basis(A: Mat) -> list[list[int]]:
-    """Basis of the integer kernel {x : A x = 0}, as column vectors."""
+def kernel_basis(A: Mat) -> Mat:
+    """Basis of the integer kernel {x : A x = 0}, as the columns of a
+    matrix: the columns of V at the zero diagonal entries of S."""
     f = smith_normal_form(A)
-    out = []
-    for i in range(A.c):
-        if f.diag(i) == 0:
-            out.append(f.V.col(i))
-    return out
+    zero = [i for i in range(A.c) if f.diag(i) == 0]
+    return Mat(A.c, len(zero), [[row[i] for i in zero] for row in f.V.a])
 
 
 def solve_factored(f: SmithForm, B: Mat) -> Mat | None:
@@ -262,14 +246,26 @@ def solve_factored(f: SmithForm, B: Mat) -> Mat | None:
     return f.V.times(Z)
 
 
-def lattice_basis(vectors: Iterable[Sequence[int]], dim: int) -> SmithForm:
-    """Basis of the sublattice of Z^dim generated by the given vectors,
-    returned factored: the basis is the columns of Uinv S, with S the
-    dim x rank diagonal and V the identity, so U (Uinv S) V = S and
-    systems over the basis solve through solve_factored directly."""
-    f = smith_normal_form(Mat.from_cols(list(vectors), dim))
-    S = Mat(dim, f.rank, [row[: f.rank] for row in f.S.a])
-    return SmithForm(S=S, U=f.U, Uinv=f.Uinv, V=Mat.identity(f.rank))
+def with_relations(T: Mat, orders: Sequence[int]) -> Mat:
+    """T next to the diagonal relation columns orders[i] * e_i, one for
+    each positive order."""
+    rel = [(r, o) for r, o in enumerate(orders) if o > 0]
+    stack = Mat(T.r, T.c + len(rel))
+    for i in range(T.r):
+        stack.a[i][: T.c] = T.a[i]
+    for j, (r, o) in enumerate(rel):
+        stack.a[r][T.c + j] = o
+    return stack
+
+
+def lattice_basis(T: Mat, orders: Sequence[int]) -> Mat:
+    """Basis, as matrix columns, of {x : T x in the span of the
+    orders[i] * e_i}: the top T.c rows of a kernel basis of
+    with_relations(T, orders).  Cutting to those rows maps the kernel
+    onto the lattice, and injectively, since the relation columns
+    orders[r] * e_r are nonzero and sit in distinct rows r."""
+    K = kernel_basis(with_relations(T, orders))
+    return Mat(T.c, K.c, K.a[: T.c])
 
 
 def in_diagonal_lattice(v: Sequence[int], orders: Sequence[int]) -> bool:

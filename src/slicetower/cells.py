@@ -32,12 +32,17 @@ whole product, and only the boundaries out of lo+1..hi.  That is all
 the homology in degrees lo+1..hi-1 reads.  The factors' cells are read
 one dimension at a time, so only those the window pairs are built: a
 mirror of thousands of planes, as in S^(V - t rho) over a large group,
-costs only the few dimensions the window reaches.
+costs only the few dimensions the window reaches.  The factors are
+given by their plane counts per level, and a plane's level is found by
+bisecting the running counts, so a multiplicity costs no memory.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Sequence
 
 from .group import Group
 from .rep import Rep
@@ -56,22 +61,23 @@ class CellStructure:
         return sorted(self.cells)
 
 
-def _sphere_cell(group: Group, levels: list[int], d: int) -> tuple[int, Entry]:
-    """Isotropy of the cell in dimension d of the sphere of planes at the
-    given levels, taken in descending order, and the boundary entry out
-    of it ({} out of the fixed 0-cell).
+def _sphere_cell(group: Group, cum: list[int], d: int) -> tuple[int, Entry]:
+    """Isotropy of the cell in dimension d of the sphere of planes whose
+    counts, from the top level down, have running sums cum = [0, ...],
+    and the boundary entry out of it ({} out of the fixed 0-cell).
 
-    Plane r gives the cells in dimensions 2r-1 and 2r, with the plane's
-    kernel level as isotropy; the odd one attaches by the sum over the
+    Plane r lies at level k - bisect_left(cum, r), which is k for r = 0,
+    the fixed 0-cell.  It gives the cells in dimensions 2r-1 and 2r with
+    that level as isotropy; the odd one attaches by the sum over the
     index classes of the coarser cell before it.
     """
-    if d == 0:
-        return group.k, {}
     r = (d + 1) // 2
+    level = group.k - bisect_left(cum, r)
+    if d == 0:
+        return level, {}
     if d % 2 == 0:
-        return levels[r - 1], {0: 1, 1: -1}
-    prev = levels[r - 2] if r > 1 else group.k
-    return levels[r - 1], dict.fromkeys(range(group.index(prev)), 1)
+        return level, {0: 1, 1: -1}
+    return level, dict.fromkeys(range(group.index(group.k - bisect_left(cum, r - 1))), 1)
 
 
 def _pair_class(group: Group, iso_x: int, iso_y: int, u: int, v: int) -> tuple[int, int]:
@@ -105,10 +111,11 @@ def class_images(x: int, c: int, s_src: int, s_tgt: int) -> list[int]:
     return [(x + c + t * s_src) % s_tgt for t in range(max(1, s_tgt // s_src))]
 
 
-def tensor(group: Group, pos: list[int], neg: list[int], trivial: int,
+def tensor(group: Group, pos: Sequence[int], neg: Sequence[int], trivial: int,
            window: tuple[int, int] | None = None) -> CellStructure:
-    """Cells of the sphere of the planes at levels pos times the mirror,
-    shifted by trivial, of the sphere of the planes at levels neg.
+    """Cells of the sphere of the planes counted by pos (pos[j] planes at
+    level j) times the mirror, shifted by trivial, of the sphere of the
+    planes counted by neg.
 
     A pair (a, b) of factor cells gives one cell per index class.
     Boundary entries follow the Leibniz rule with a sign (-1)^dim(a) on
@@ -118,8 +125,8 @@ def tensor(group: Group, pos: list[int], neg: list[int], trivial: int,
     boundaries out of lo+1..hi are built, and only the factor cells they
     pair; without one, all of them.
     """
-    pos, neg = sorted(pos, reverse=True), sorted(neg, reverse=True)
-    top, bottom = 2 * len(pos), trivial - 2 * len(neg)
+    pos, neg = ([0, *accumulate(reversed(counts))] for counts in (pos, neg))
+    top, bottom = 2 * pos[-1], trivial - 2 * neg[-1]
     lo, hi = window or (bottom, top + trivial)
     index = group.index
     # factor cells by dimension; B[dB] also holds the mirror's boundary
@@ -190,8 +197,8 @@ def cell_structure(v: Rep, window: tuple[int, int] | None = None) -> CellStructu
     lo+1..hi-1; the cells and entries kept are exactly those of the
     whole structure.
     """
-    pos = [j for j, m in enumerate(v.planes) for _ in range(m)]
-    neg = [j for j, m in enumerate(v.planes) for _ in range(-m)]
+    pos = [max(m, 0) for m in v.planes]
+    neg = [max(-m, 0) for m in v.planes]
     return tensor(v.group, pos, neg, v.trivial, window)
 
 

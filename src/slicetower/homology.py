@@ -12,7 +12,10 @@ level m+1 to level m is the same realization, of identity entries
 between the two levels.  Homology of the resulting
 presented chain complexes is computed exactly, keeping chain-level
 representatives so restriction maps between levels can be expressed
-on homology classes.
+on homology classes.  The cycles are abelian.lattice_basis's basis of
+the preimage of the relations one dimension down; the boundaries and
+relations are solved against it, and the Smith form of that solution
+turns the basis into the generators.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .abelian import (AbGroup, Mat, divides, in_diagonal_lattice, kernel_basis,
-                      lattice_basis, smith_normal_form, solve_factored)
+from .abelian import (AbGroup, Mat, divides, in_diagonal_lattice, lattice_basis,
+                      smith_normal_form, solve_factored, with_relations)
 from .cells import CellStructure, DiffKey, Entry, cell_structure, class_images
 from .mackey import MackeyFunctor
 from .rep import Rep
@@ -142,53 +145,24 @@ class HomologyLevel:
     express: Callable[[Mat], Mat]
 
 
-def _trivial_level(n: int) -> HomologyLevel:
-    return HomologyLevel(AbGroup.trivial(), Mat(n, 0), lambda X: Mat(0, X.c))
-
-
-def _with_relations(T: Mat, orders: Sequence[int]) -> Mat:
-    """T next to the diagonal relation columns orders[i] * e_i, one for
-    each positive order."""
-    rel = [(r, o) for r, o in enumerate(orders) if o > 0]
-    stack = Mat(T.r, T.c + len(rel))
-    for i in range(T.r):
-        stack.a[i][: T.c] = T.a[i]
-    for j, (r, o) in enumerate(rel):
-        stack.a[r][T.c + j] = o
-    return stack
-
-
-def _preimage(T: Mat, orders: Sequence[int]) -> list[list[int]]:
-    """Generators of {x : T x in the lattice spanned by orders[i] * e_i},
-    read off the kernel of T next to its relation columns."""
-    return [vec[: T.c] for vec in kernel_basis(_with_relations(T, orders))]
-
-
 def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
     n = cx.gens(d)
-    if n == 0:
-        return _trivial_level(0)
-
-    # cycles: x whose boundary lies in the relation lattice one dimension down
-    cycles = _preimage(cx.boundary_or_zero(d), cx.orders.get(d - 1, ()))
-    fb = lattice_basis(cycles, n)
-    if fb.rank == 0:
-        return _trivial_level(n)
-    # the basis Uinv S: S is diagonal, so scale the first rank columns of Uinv
-    scale = [fb.diag(j) for j in range(fb.rank)]
-    BMat = Mat(n, fb.rank, [[x * s for x, s in zip(row, scale)] for row in fb.Uinv.a])
-
-    Y = solve_factored(fb, _with_relations(cx.boundary_or_zero(d + 1), cx.orders[d]))
+    # cycles: x whose boundary lies in the relation lattice one dimension
+    # down; without generators there is nothing to factor
+    cycles = lattice_basis(cx.boundary_or_zero(d), cx.orders.get(d - 1, ())) if n else Mat(0, 0)
+    if cycles.c == 0:
+        return HomologyLevel(AbGroup.trivial(), Mat(n, 0), lambda X: Mat(0, X.c))
+    fc = smith_normal_form(cycles)
+    Y = solve_factored(fc, with_relations(cx.boundary_or_zero(d + 1), cx.orders[d]))
     if Y is None:
         raise AssertionError("a boundary or relation is not a cycle")
     fy = smith_normal_form(Y)
-    all_orders = [fy.diag(i) for i in range(fb.rank)]
-    keep = [i for i, o in enumerate(all_orders) if o != 1]
-    raw_orders = tuple(all_orders[i] for i in keep)
-    gens = Mat(n, len(keep), [[row[i] for i in keep] for row in BMat.times(fy.Uinv).a])
+    keep = [i for i in range(cycles.c) if fy.diag(i) != 1]
+    raw_orders = tuple(fy.diag(i) for i in keep)
+    gens = Mat(n, len(keep), [[row[i] for i in keep] for row in cycles.times(fy.Uinv).a])
 
     def express(X: Mat) -> Mat:
-        Z = solve_factored(fb, X)
+        Z = solve_factored(fc, X)
         if Z is None:
             raise ValueError("chain is not a cycle at this level")
         raw = fy.U.times(Z).a
@@ -237,7 +211,7 @@ def bredon_homology(v: Rep, M: MackeyFunctor, degree: int) -> BredonHomology:
 def presented_injective(T: Mat, src_orders: Sequence[int], dst_orders: Sequence[int]) -> bool:
     """Injectivity of the induced map (Z^s / src) -> (Z^t / dst): every
     generator of the preimage of the dst relations must be a src relation."""
-    return all(in_diagonal_lattice(v, src_orders) for v in _preimage(T, dst_orders))
+    return all(in_diagonal_lattice(v, src_orders) for v in zip(*lattice_basis(T, dst_orders).a))
 
 
 def homres_injective(w: Rep, i: int, j: int, h: int) -> bool:

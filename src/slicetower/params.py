@@ -31,7 +31,7 @@ def parity_offset(n: int, p: int) -> int:
 class SliceParams:
     """Value object carrying the tower combinatorics of one (n, group).
 
-    base_dims is the tuple (m_1, ..., m_d) in increasing order.  The
+    base_dims is the range m_1, m_1 + 2, ..., m_d = n - 2.  The
     stage (a, b) of the tower lives in dimension base_dims[b-1] * p^a - 1.
     """
 
@@ -39,7 +39,7 @@ class SliceParams:
     n: int
     residue: int
     offset: int
-    base_dims: tuple[int, ...]
+    base_dims: range
 
     @property
     def count(self) -> int:
@@ -116,14 +116,15 @@ def slice_params(n: int, group: Group) -> SliceParams:
     delta = parity_offset(n, p)
     d = (n - (n - n0) // p - delta) // 2
     # Independent count: same parity as n, n/p <= m <= n-2 (lower bound
-    # attainable only when p | n).
-    direct = [m for m in range(1, n - 1) if (n - m) % 2 == 0 and m * p >= n]
+    # attainable only when p | n), as a range from the least such m.
+    least = -(-n // p)
+    direct = range(least + (n - least) % 2, n - 1, 2)
     if len(direct) != d:
         raise AssertionError(f"closed-form count d = {d} for n = {n} over {group}, "
                              f"direct count {len(direct)}")
-    dims = tuple(n - 2 * d + 2 * i for i in range(d))
-    if list(dims) != direct:
-        raise AssertionError(f"base dimensions {dims} for n = {n}, direct {tuple(direct)}")
+    dims = range(n - 2 * d, n - 1, 2)
+    if dims != direct:
+        raise AssertionError(f"base dimensions {dims} for n = {n}, direct {direct}")
     if d and dims[-1] != n - 2:
         raise AssertionError(f"top base dimension {dims[-1]} for n = {n}, not n - 2")
     return SliceParams(group=group, n=n, residue=n0, offset=delta, base_dims=dims)

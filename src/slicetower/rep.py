@@ -218,9 +218,9 @@ def render_forms(v: Rep) -> tuple[str, str]:
     return "".join(text) or "0", "".join(tex) or "0"
 
 
-def render_rep(v: Rep, latex: bool = False) -> str:
-    """Canonical display (or its LaTeX form when latex is set)."""
-    return render_forms(v)[latex]
+def render_rep(v: Rep) -> str:
+    """Canonical display."""
+    return render_forms(v)[0]
 
 
 # --- parsing ---------------------------------------------------------------
@@ -349,4 +349,8 @@ class _RepParser:
 
 def parse_rep(text: str, group: Group) -> Rep:
     """Parse the ASCII grammar; also accepts the unicode display form."""
-    return _RepParser(text, group).parse()
+    parser = _RepParser(text, group)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise RepParseError(text, parser.pos(), "expression nested too deeply") from None

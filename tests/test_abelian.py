@@ -1,6 +1,7 @@
 """Integer linear algebra: Smith normal form invariants, kernel and
 lattice computations, and invariant-factor bookkeeping."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -31,6 +32,10 @@ def matrices(max_dim: int = 5, max_entry: int = 9):
             max_size=rc[0] * rc[1],
         ).map(lambda flat: build(rc[0], rc[1], flat))
     )
+
+
+def column(v: list[int]) -> Mat:
+    return Mat(len(v), 1, [[x] for x in v])
 
 
 def is_identity(m: Mat) -> bool:
@@ -79,18 +84,19 @@ def test_smith_form_invariants(A):
 def test_kernel_basis_spans_kernel(A):
     basis = kernel_basis(A)
     f = smith_normal_form(A)
-    assert len(basis) == A.c - f.rank
-    for v in basis:
-        assert A.times_vec(v) == [0] * A.r
+    rank = sum(1 for i in range(min(A.r, A.c)) if f.diag(i))
+    assert (basis.r, basis.c) == (A.c, A.c - rank)
+    for v in zip(*basis.a):
+        assert A.times_vec(list(v)) == [0] * A.r
 
 
 @given(matrices(max_dim=4, max_entry=6), st.data())
 def test_solve_round_trip(A, data):
     x = data.draw(st.lists(st.integers(-5, 5), min_size=A.c, max_size=A.c))
     b = A.times_vec(x)
-    y = solve_factored(smith_normal_form(A), Mat.from_cols([b], A.r))
+    y = solve_factored(smith_normal_form(A), column(b))
     assert y is not None
-    assert A.times_vec(y.col(0)) == b
+    assert A.times_vec([row[0] for row in y.a]) == b
     q = data.draw(st.integers(0, 3))
     X = Mat(A.c, q, [data.draw(st.lists(st.integers(-5, 5), min_size=q, max_size=q))
                      for _ in range(A.c)])
@@ -103,7 +109,7 @@ def test_solve_round_trip(A, data):
 def test_solve_detects_no_solution():
     for A, b in ((Mat(1, 1, [[2]]), [1]), (Mat(2, 1, [[1], [0]]), [0, 1]),
                  (Mat(1, 2, [[2, 4]]), [3])):
-        assert solve_factored(smith_normal_form(A), Mat.from_cols([b], A.r)) is None
+        assert solve_factored(smith_normal_form(A), column(b)) is None
 
 
 def test_solve_factored_rejects_one_bad_column():
@@ -112,20 +118,29 @@ def test_solve_factored_rejects_one_bad_column():
     assert solve_factored(f, Mat(2, 3, [[2, 1, 0], [3, 3, 0]])) is None
 
 
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), max_size=5))
-def test_lattice_basis_spans_same_lattice(vectors):
-    f = lattice_basis(vectors, 3)
-    rank = f.S.c
-    assert rank <= 3 and f.rank == rank
-    assert f.V == Mat.identity(rank)
-    basis = f.Uinv.times(f.S)
-    assert f.U.times(basis) == f.S
-    assert smith_normal_form(basis).rank == rank   # full column rank
-    inputs = Mat.from_cols(vectors, 3)
-    X = solve_factored(f, inputs)
-    assert X is not None and basis.times(X) == inputs
-    # and every basis vector is a combination of the inputs
-    assert solve_factored(smith_normal_form(inputs), basis) is not None
+@st.composite
+def preimage_cases(draw):
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    T = Mat(r, c, [draw(st.lists(st.integers(-3, 3), min_size=c, max_size=c)) for _ in range(r)])
+    return T, draw(st.lists(st.integers(0, 4), min_size=r, max_size=r))
+
+
+@given(preimage_cases())
+def test_lattice_basis_is_the_preimage_lattice(case):
+    T, orders = case
+    B = lattice_basis(T, orders)
+    assert B.r == T.c
+    cols = [list(v) for v in zip(*B.a)]
+    assert len(cols) == B.c
+    for x in cols:
+        assert in_diagonal_lattice(T.times_vec(x), orders)
+    f = smith_normal_form(B)
+    assert all(f.diag(j) != 0 for j in range(B.c))      # independent columns
+    inside = [list(x) for x in itertools.product(range(-3, 4), repeat=T.c)
+              if in_diagonal_lattice(T.times_vec(list(x)), orders)]
+    X = Mat(T.c, len(inside), [list(row) for row in zip(*inside)])
+    Z = solve_factored(f, X)
+    assert Z is not None and B.times(Z) == X
 
 
 def test_det():
@@ -149,7 +164,6 @@ def test_mat_arithmetic():
     assert a.times(b) == Mat(2, 2, [[2, 1], [4, 3]])
     assert a.scaled(2) == Mat(2, 2, [[2, 4], [6, 8]])
     assert a.times_vec([1, 1]) == [3, 7]
-    assert Mat.from_cols([[1, 3], [2, 4]], 2) == a
 
 
 def test_abgroup_normalization():

@@ -110,7 +110,7 @@ def test_tensor_cell_classes():
     assert st_.cells == {-2: (1,), -1: (1, 0, 0, 0), 0: (2, 0, 0, 0, 0, 0, 0),
                          1: (0, 0, 0, 0), 2: (0,)}
     assert max(st_.cells) == 2 and min(st_.cells) == -2
-    assert tensor(C9, [0], [1], 0).cells == st_.cells
+    assert tensor(C9, (1, 0), (0, 1), 0).cells == st_.cells
 
 
 def test_level_complex_frozen_faithful_plane():

@@ -266,6 +266,12 @@ def test_join_leading_dash_values():
     assert _join_leading_dash_values([]) == []
 
 
+def run_subprocess(*argv, timeout, flags=()):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *flags, "-m", "slicetower.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 @pytest.mark.parametrize("argv,expected", [
     (("verify", "--p", "3", "--k", "1", "--n", "3..6"), "all 7 stages pass"),
     (("verify", "--p", "3", "--k", "6", "--n", "3..3"), "all 6 stages pass"),
@@ -275,9 +281,7 @@ def test_join_leading_dash_values():
 ], ids=["verify", "verify-windowed", "homology", "tower-json"])
 def test_requests_under_python_O(argv, expected):
     # -O strips assert statements; the request path must not rely on them
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-O", "-m", "slicetower.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_subprocess(*argv, timeout=60, flags=("-O",))
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
 
@@ -286,10 +290,8 @@ def test_requests_under_python_O(argv, expected):
 def test_homology_low_level_of_a_large_group_is_quick(level, index):
     # low levels are realized on the restricted sphere, where most planes
     # become trivial; the full-group sphere runs far past the timeout
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-m", "slicetower.cli", "homology", "--p", "3",
-                           "--k", "4", "--rep", "L0 - L1", "--level", level],
-                          capture_output=True, text=True, env=env, timeout=10)
+    proc = run_subprocess("homology", "--p", "3", "--k", "4", "--rep", "L0 - L1",
+                          "--level", level, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"H_0(S^(-λ_1 + λ_0); Z) at level {index} over C_3^4: Z\n"
 
@@ -297,12 +299,35 @@ def test_homology_low_level_of_a_large_group_is_quick(level, index):
 def test_verify_of_a_large_group_is_quick():
     # verify realizes only dimensions -2..1 of each sphere, the ones its
     # degrees 0 and -1 read; the whole product sphere runs past the timeout
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-m", "slicetower.cli", "verify", "--p", "3",
-                           "--k", "6", "--n", "3..5"],
-                          capture_output=True, text=True, env=env, timeout=10)
+    proc = run_subprocess("verify", "--p", "3", "--k", "6", "--n", "3..5", timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert "all 20 stages pass" in proc.stdout
+
+
+def test_homology_of_a_large_multiplicity_is_quick():
+    # the sphere is read from plane counts, never from a list of planes
+    proc = run_subprocess("homology", "--p", "3", "--k", "1", "--rep", "100000000L0",
+                          "--degree", "0", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "H_0(S^(100000000λ_0); Z) at level 1 over C_3: Z/3\n"
+
+
+def test_homology_of_a_large_n_slice_rep_is_quick():
+    # the base dimensions are a range, never a list of the n / 2 of them
+    proc = run_subprocess("homology", "--p", "3", "--k", "2", "--rep", "W@n=100000000",
+                          "--degree", "0", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("H_0(S^(11111112 + 11111111λ_1 + 33333333λ_0); Z) "
+                           "at level 2 over C_3^2: 0\n")
+
+
+@pytest.mark.parametrize("depth", [500, 5000])
+def test_deeply_nested_rep_exits_two(depth):
+    proc = run_subprocess("homology", "--p", "3", "--k", "1",
+                          "--rep", "(" * depth + "1" + ")" * depth, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: expression nested too deeply")
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_of_a_large_k_is_quick(capsys):

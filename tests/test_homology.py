@@ -194,7 +194,7 @@ def test_res_maps_are_well_defined(case):
         hi, lo = bh.levels[m + 1].ab.factors, bh.levels[m].ab.factors
         assert (R.r, R.c) == (len(lo), len(hi))
         for j, o in enumerate(hi):
-            assert in_diagonal_lattice([o * x for x in R.col(j)], lo), (m, j)
+            assert in_diagonal_lattice([o * row[j] for row in R.a], lo), (m, j)
 
 
 def test_homres_injective_spec_instance():

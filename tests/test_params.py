@@ -67,7 +67,7 @@ def test_count_matches_direct_enumeration(n, pk):
 
 def test_frozen_examples():
     p7 = slice_params(7, Group(3, 2))
-    assert p7.base_dims == (3, 5)
+    assert tuple(p7.base_dims) == (3, 5)
     assert p7.ell(1, 2) == 15         # ((7-2)*9 - 5*3) / 2
     assert p7.ell(1, 1) == 18
     assert p7.ell(2, 1) == 9
@@ -77,7 +77,7 @@ def test_frozen_examples():
     assert p7.valuation(1, 2) == 0
 
     p16 = slice_params(16, Group(3, 2))
-    assert p16.base_dims == (6, 8, 10, 12, 14)
+    assert tuple(p16.base_dims) == (6, 8, 10, 12, 14)
     assert p16.count == 5
     assert p16.ell(2, 5) == 0
     assert p16.ell(1, 5) == 42
