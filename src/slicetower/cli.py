@@ -11,6 +11,7 @@ fails, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Any
@@ -187,7 +188,11 @@ def _add_group_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, required=True, help="the group is cyclic of order p^k")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args leaves it unchanged
+    and gives every call a fresh namespace of defaults, so main reuses
+    it across requests."""
     parser = argparse.ArgumentParser(
         prog="slicetower",
         description="slice towers of suspended Eilenberg-MacLane spectra over cyclic p-groups")

@@ -151,10 +151,12 @@ def b_as_cokernel(i: int, j: int, group: Group) -> MackeyFunctor:
         r_src = src.res[m].a[0][0]
         r_dst = dst.res[m].a[0][0]
         lifted = phi[m] * r_src
-        assert lifted % r_dst == 0, "map does not commute with restriction"
+        if lifted % r_dst:
+            raise AssertionError(f"the map does not commute with restriction {m + 1} -> {m}")
         phi.append(lifted // r_dst)
         # the same scalar must intertwine the transfers
-        assert phi[m + 1] * src.tr[m].a[0][0] == dst.tr[m].a[0][0] * phi[m]
+        if phi[m + 1] * src.tr[m].a[0][0] != dst.tr[m].a[0][0] * phi[m]:
+            raise AssertionError(f"the map does not commute with transfer {m} -> {m + 1}")
     return _cyclic_functor(group, phi, [r.a[0][0] for r in dst.res], [t.a[0][0] for t in dst.tr],
                            f"coker(Z({i + j},{j}) -> Z)")
 

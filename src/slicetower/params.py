@@ -87,9 +87,14 @@ class SliceParams:
             raise ValueError(f"a must be in 1..{self.group.k - 1}, got {a}")
         p = self.group.p
         gap = (p**a * (self.offset * p - self.residue + 2)) // 2
-        assert gap == self.ell(a, self.count) - self.ell(a + 1, 1)
-        assert gap <= p ** (a + 1)
-        assert (gap == p ** (a + 1)) == (self.residue == 2)
+        if gap != self.ell(a, self.count) - self.ell(a + 1, 1):
+            raise AssertionError(f"connection_gap({a}) = {gap} is not "
+                                 f"ell({a}, {self.count}) - ell({a + 1}, 1)")
+        if gap > p ** (a + 1):
+            raise AssertionError(f"connection_gap({a}) = {gap} exceeds p^{a + 1}")
+        if (gap == p ** (a + 1)) != (self.residue == 2):
+            raise AssertionError(f"connection_gap({a}) = {gap} against p^{a + 1} with residue "
+                                 f"{self.residue}: they are equal exactly when the residue is 2")
         return gap
 
     def _check_indices(self, a: int, b: int) -> None:

@@ -225,13 +225,6 @@ def render_rep(v: Rep) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
-class RepParseError(ValueError):
-    def __init__(self, text: str, pos: int, message: str):
-        self.text = text
-        self.pos = pos
-        super().__init__(f"{message} at position {pos} in {text!r}")
-
-
 _TOKEN = re.compile(r"\d+|rho|L\d+|[()+\-,]|V|W|@n=")
 
 
@@ -240,6 +233,34 @@ def _normalize(text: str) -> str:
     text = text.replace("λ_", "L").replace("λ", "L")
     text = text.replace("lambda_", "L").replace("lambda", "L")
     return text.replace(" ", "").replace("*", "")
+
+
+_QUOTE_MAX = 60  # characters of the input, or of a message, that a parse error shows
+
+
+def _quote(text: str, pos: int) -> str:
+    """repr of the text when it is short, else of the _QUOTE_MAX
+    characters around pos of the normalized text, which pos indexes,
+    with "..." where it is cut."""
+    if len(text) <= _QUOTE_MAX:
+        return repr(text)
+    src = _normalize(text)
+    lo = max(min(pos - _QUOTE_MAX // 2, len(src) - _QUOTE_MAX), 0)
+    hi = lo + _QUOTE_MAX
+    return ("..." if lo else "") + repr(src[lo:hi]) + ("..." if hi < len(src) else "")
+
+
+class RepParseError(ValueError):
+    """pos indexes the text after normalization.  The message shows a
+    bounded part of the text and clips a long message, such as one
+    naming a long token, so a huge input gives a short error line."""
+
+    def __init__(self, text: str, pos: int, message: str):
+        self.text = text
+        self.pos = pos
+        if len(message) > _QUOTE_MAX:
+            message = message[:_QUOTE_MAX] + "..."
+        super().__init__(f"{message} at position {pos} in {_quote(text, pos)}")
 
 
 class _RepParser:

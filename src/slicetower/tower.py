@@ -13,6 +13,14 @@ and tests the containment and connectivity conditions by computing
 Bredon homology of the relevant virtual spheres from their cell
 structures.  Nothing in that path reuses the closed forms above, which
 is the point.
+
+Towers for nearby n share most of their slices, so verify_slice meets
+the same spheres again and again.  One memo per process holds, for each
+sphere S^w and coefficient system it has realized, the homology in
+degrees 0 and -1 at w's top level.  Its key is w together with the
+coefficient's generator orders and the entries of its restriction and
+transfer matrices: equal functors built separately must share an entry,
+and Mat has no value equality.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .cells import cell_structure, max_cell_dim
 from .group import Group
 from .homology import homology_at, level_complex
 from .mackey import B_ij, MackeyFunctor, constant_Z, restrict_mackey
-from .params import SliceParams, slice_params
+from .params import slice_params
 from .rep import (Rep, is_subrep, n_slice_rep, regular_rep, restrict_rep,
                   rotation_plane, slice_rep, trivial_rep)
 
@@ -172,13 +180,12 @@ def fiber_sequence_data(tower: Tower) -> list[FiberData]:
     internal consistency checks the construction relies on."""
     group = tower.group
     out: list[FiberData] = []
-    params: SliceParams | None = None
     if tower.n >= 3:
+        # scale junctions between consecutive columns line up exactly:
+        # connection_gap raises unless ell(a, d) - ell(a + 1, 1) is the gap
         params = slice_params(tower.n, group)
-        # scale junctions between consecutive columns line up exactly
         for a in range(1, group.k):
-            gap = params.connection_gap(a)
-            assert params.ell(a, params.count) == params.ell(a + 1, 1) + gap
+            params.connection_gap(a)
 
     for i in range(len(tower.stages) - 1):
         desc = tower.slices[i]
@@ -186,14 +193,20 @@ def fiber_sequence_data(tower: Tower) -> list[FiberData]:
         nu = desc.coeff_i - 1
         out_level = min(nu + desc.a, group.k)
         in_level = desc.a - 1
-        assert src - rotation_plane(group, out_level) == tgt - rotation_plane(group, in_level)
+        if src - rotation_plane(group, out_level) != tgt - rotation_plane(group, in_level):
+            raise AssertionError(f"sections {src} and {tgt} differ by more than a plane at "
+                                 f"level {out_level} traded for one at level {in_level}")
 
         # the slice representation exceeds the common part by planes
         # at levels below a only
         common = src - rotation_plane(group, out_level)
         excess = desc.rep - (common - trivial_rep(group))
-        assert excess.is_actual and excess.trivial == 0
-        assert all(m == 0 for m in excess.planes[desc.a:])
+        if not (excess.is_actual and excess.trivial == 0):
+            raise AssertionError(f"the slice {desc.rep} exceeds the common part by {excess}, "
+                                 f"not by planes alone")
+        if any(excess.planes[desc.a:]):
+            raise AssertionError(f"the slice {desc.rep} exceeds the common part by planes "
+                                 f"at levels {desc.a} or above")
 
         out.append(FiberData(src, tgt, desc, out_level, in_level))
     return out
@@ -218,6 +231,35 @@ class VerificationReport:
     failures: list[Failure]
 
 
+# (w, _coefficient_key(M)) -> (H_0, H_-1) of S^w with coefficients M at
+# the top level of w's group.  An entry takes about 1 KB; the cap bounds
+# a long-lived process, and the oldest entry goes first beyond it.  A
+# whole verify-sweep pass of the benchmark meets 368 distinct keys.
+_LOW_HOMOLOGY: dict[tuple[Rep, tuple], tuple[AbGroup, AbGroup]] = {}
+_LOW_HOMOLOGY_CAP = 1 << 12
+
+
+def _coefficient_key(M: MackeyFunctor) -> tuple:
+    """M by value: its generator orders fix every map's shape, and the
+    entries stand in for the maps."""
+    return M.levels, tuple(tuple(map(tuple, f.a)) for f in M.res + M.tr)
+
+
+def _low_homology(w: Rep, M: MackeyFunctor, coeff_key: tuple) -> tuple[AbGroup, AbGroup]:
+    """H_0 and H_-1 of S^w at the top level, both read off one
+    realization of the dimensions -2..1; coeff_key is
+    _coefficient_key(M)."""
+    key = (w, coeff_key)
+    pair = _LOW_HOMOLOGY.get(key)
+    if pair is None:
+        cx = level_complex(cell_structure(w, (-2, 1)), M, w.group.k)
+        pair = (homology_at(cx, 0).ab, homology_at(cx, -1).ab)
+        if len(_LOW_HOMOLOGY) >= _LOW_HOMOLOGY_CAP:
+            del _LOW_HOMOLOGY[next(iter(_LOW_HOMOLOGY))]
+        _LOW_HOMOLOGY[key] = pair
+    return pair
+
+
 def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     """Check the slice condition for the descriptor, from scratch.
 
@@ -225,11 +267,14 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     inside copies of the regular representation (minus a trivial line
     for the torsion slices), as many as make the fixed subspaces agree,
     and the homology of S^(V - t rho) must vanish in degree -eps for every t
-    past (dim V + eps) / p^m.  One loop over t realizes each sphere
-    once, in the dimensions -2..1 that degrees 0 and -1 read, and
-    reads both degrees off that complex.  It stops once the
-    top cell dimension drops below -1, after which both groups are
-    zero for size reasons alone.
+    past (dim V + eps) / p^m.  One loop over t reads both degrees of
+    each sphere from the module's memo, keyed by the sphere and the
+    restricted coefficient's value, so a sphere met before in this
+    process, under an equal functor however it was built, is not
+    realized again; a new one is realized once, in the dimensions -2..1
+    that degrees 0 and -1 read.  The loop stops once the top cell
+    dimension drops below -1, after which both groups are zero for
+    size reasons alone.
     """
     V = desc.rep
     M = desc.coefficient()
@@ -242,7 +287,9 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
         sub = group.subgroup(m)
         Vm = restrict_rep(V, m)
         Mm = restrict_mackey(M, m)
-        assert Vm.dim == V.dim
+        coeff_key = _coefficient_key(Mm)
+        if Vm.dim != V.dim:
+            raise AssertionError(f"restriction to level {m} changed the dimension of {V}")
 
         wit = Vm.trivial + eps0
         eps_wit = eps0
@@ -260,13 +307,12 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
             w = Vm - regular_rep(sub, t)
             if max_cell_dim(w) <= -2:
                 break
-            cx = level_complex(cell_structure(w, (-2, 1)), Mm, m)
+            low = _low_homology(w, Mm, coeff_key)
             for eps in (0, 1):
                 if t >= first[eps]:
-                    h = homology_at(cx, -eps)
                     checks += 1
-                    if not h.ab.is_trivial:
-                        failures.append(Failure(m, "vanishing", epsilon=eps, t=t, group=h.ab))
+                    if not low[eps].is_trivial:
+                        failures.append(Failure(m, "vanishing", epsilon=eps, t=t, group=low[eps]))
             t += 1
             if t - first[0] > 2 * D + 8:
                 raise AssertionError("vanishing loop failed to stabilize")

@@ -12,7 +12,8 @@ import jsonschema
 import pytest
 
 from slicetower.abelian import AbGroup
-from slicetower.cli import RANGE_ENV, _join_leading_dash_values, main
+from slicetower import cli
+from slicetower.cli import RANGE_ENV, _join_leading_dash_values, build_parser, main
 from slicetower.group import Group
 from slicetower.homology import bredon_homology
 from slicetower.mackey import parse_coefficient
@@ -328,6 +329,47 @@ def test_deeply_nested_rep_exits_two(depth):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: expression nested too deeply")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("rep", ["L0+" * 3000 + "?", "(" * 5000 + "1" + ")" * 5000],
+                         ids=["long", "nested"])
+def test_parse_error_of_a_long_rep_is_one_short_line(rep):
+    # the message quotes the input around the error, not all of it
+    proc = run_subprocess("homology", "--p", "3", "--k", "1", "--rep", rep, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr.encode()) <= 200
+
+
+MIXED_REQUESTS = [
+    ("tower", "--p", "3", "--k", "2", "--n", "7", "--format", "json"),
+    ("homology", "--p", "3", "--k", "2", "--rep", "L1 - L0", "--coeff", "B(1,0)"),
+    ("homology", "--p", "3", "--k", "2", "--rep", "L1 - L0"),
+    ("verify", "--p", "3", "--k", "1", "--n", "3..5", "--format", "json"),
+    ("verify", "--p", "3", "--k", "1"),
+    ("homology", "--p", "3", "--k", "1", "--rep", "2?"),
+    ("mackey", "--p", "3", "--k", "2", "--show", "B(2,0)"),
+    ("tower", "--p", "3", "--k", "2", "--n", "7", "--verify"),
+    ("verify", "--p", "5", "--k", "1", "--n", "4"),
+    ("verify", "--p", "3", "--k", "1"),
+]
+
+
+@pytest.mark.parametrize("env_range", [None, "3..4"], ids=["no-env", "env"])
+def test_cached_parser_answers_like_a_fresh_one(capsys, monkeypatch, env_range):
+    # parse_args leaves the one parser unchanged: no value of one request
+    # leaks into the defaults of the next
+    if env_range is None:
+        monkeypatch.delenv(RANGE_ENV, raising=False)
+    else:
+        monkeypatch.setenv(RANGE_ENV, env_range)
+    assert build_parser() is build_parser()
+    cached = [run(capsys, *argv) for argv in MIXED_REQUESTS]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in MIXED_REQUESTS]
+    assert cached == fresh
+    assert cached[2][1] == "H_0(S^(λ_1 - λ_0); Z) at level 2 over C_3^2: Z\n"
+    assert cached[4][0] == cached[9][0] == (2 if env_range is None else 0)
 
 
 def test_verify_of_a_large_k_is_quick(capsys):

@@ -127,15 +127,32 @@ def test_invariants_hold_under_python_O():
     script = textwrap.dedent("""
         from slicetower import params
         from slicetower.group import Group
+        parity_offset = params.parity_offset
         params.parity_offset = lambda n, p: 0
         try:
             params.slice_params(8, Group(3, 1))
         except AssertionError as e:
             print("count:", e)
+        params.parity_offset = parity_offset
         try:
             params.SliceParams(Group(3, 1), 8, 2, 2, (3,)).ell(1, 1)
         except AssertionError as e:
             print("ell:", e)
+        # S^7 over C_9 has residue 1 and offset 1; offset 2 breaks the gap
+        try:
+            params.SliceParams(Group(3, 2), 7, 1, 2, range(3, 6, 2)).connection_gap(1)
+        except AssertionError as e:
+            print("gap:", e)
+        from dataclasses import replace
+        from slicetower.rep import trivial_rep
+        from slicetower.tower import build_tower, fiber_sequence_data
+        tower = build_tower(7, Group(3, 2))
+        stages = list(tower.stages)
+        stages[1] = replace(stages[1], section=stages[1].section + trivial_rep(tower.group, 2))
+        try:
+            fiber_sequence_data(replace(tower, stages=tuple(stages)))
+        except AssertionError as e:
+            print("fiber:", e)
     """)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -144,4 +161,7 @@ def test_invariants_hold_under_python_O():
     assert proc.stdout.splitlines() == [
         "count: closed-form count d = 3 for n = 8 over C_3, direct count 2",
         "ell: ell(1, 1) is not a nonnegative integer: 9/2",
+        "gap: connection_gap(1) = 10 is not ell(1, 2) - ell(2, 1)",
+        "fiber: sections 7 and 7 + λ_1 differ by more than a plane at level 2 "
+        "traded for one at level 1",
     ]

@@ -5,8 +5,10 @@ import dataclasses
 
 import pytest
 
+from slicetower import tower as tower_module
 from slicetower.group import Group
-from slicetower.rep import Rep, rotation_plane, trivial_rep
+from slicetower.mackey import B_ij, constant_Z, dual_Z, restrict_mackey
+from slicetower.rep import Rep, regular_rep, rotation_plane, trivial_rep
 from slicetower.tower import (
     Kind,
     SliceDescriptor,
@@ -160,3 +162,56 @@ def test_verify_slice_reports_both_degrees_in_t_order():
     assert report.failures[0].check == "containment"
     assert failure_list(report)[1:] == [(2, 0, 1, "Z/3"), (2, 1, 1, "Z/3"),
                                         (1, 0, 4, "Z/3"), (1, 1, 5, "Z/3")]
+
+
+def outcome(report):
+    return report.passed, report.checks, report.failures
+
+
+@pytest.mark.parametrize("group,top", [(C9, 12), (Group(5, 3), 8)], ids=str)
+def test_warm_memo_gives_the_cold_reports(group, top):
+    # one verify_slice call never meets a sphere twice, so emptying the
+    # memo before each call gives the reports of the plain realization
+    slices = [d for n in range(3, top + 1) for d in build_tower(n, group).slices]
+    cold = []
+    for desc in slices:
+        tower_module._LOW_HOMOLOGY.clear()
+        cold.append(outcome(verify_slice(desc)))
+    tower_module._LOW_HOMOLOGY.clear()
+    first = [outcome(verify_slice(desc)) for desc in slices]
+    filled = len(tower_module._LOW_HOMOLOGY)
+    warm = [outcome(verify_slice(desc)) for desc in slices]
+    assert first == cold and warm == cold
+    assert len(tower_module._LOW_HOMOLOGY) == filled  # every sphere came from the memo
+
+
+def test_memo_tells_coefficients_apart():
+    # the dimension-5 stage of S^4 over C_9 passes with its B(1,0); its
+    # B(1,1) mutant meets the same spheres and must still fail
+    stage = next(d for d in build_tower(4, C9).slices if d.dim == 5)
+    assert verify_slice(stage).passed
+    report = verify_slice(dataclasses.replace(stage, coeff_i=1, coeff_j=1))
+    assert report.checks == 9
+    assert failure_list(report) == [(2, 0, 1, "Z/3"), (2, 1, 2, "Z/3")]
+
+
+def test_memo_is_keyed_by_value():
+    w = Rep(C9, 1, (2, 0)) - regular_rep(C9, 1)
+
+    def low(M):
+        return tower_module._low_homology(w, M, tower_module._coefficient_key(M))
+
+    def entries(M):
+        low(M)
+        return len(tower_module._LOW_HOMOLOGY)
+
+    # equal functors built apart share an entry, also under another name
+    assert entries(B_ij(1, 0, C9)) == 1
+    assert entries(B_ij(1, 0, C9)) == 1
+    assert entries(restrict_mackey(B_ij(1, 0, Group(3, 3)), 2)) == 1
+    # other functors do not, also where only the maps differ
+    assert entries(B_ij(1, 1, C9)) == 2
+    assert entries(constant_Z(C9)) == 3
+    assert entries(dual_Z(C9)) == 4
+    assert [str(h) for h in low(B_ij(1, 0, C9))] == ["0", "0"]
+    assert [str(h) for h in low(B_ij(1, 1, C9))] == ["Z/3", "0"]
