@@ -16,10 +16,9 @@ import os
 import sys
 from typing import Any
 
-from .cells import cell_structure
 from .document import FORMAT, dumps_indented, tower_document
 from .group import Group, is_odd_prime
-from .homology import homology_at, level_complex
+from .homology import sphere_homology
 from .mackey import parse_coefficient, render_mackey, restrict_mackey
 from .render import render_latex, render_text
 from .rep import parse_rep, render_rep, restrict_rep
@@ -144,9 +143,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
     level = _level_index(args.level, group)
     # level m is the top level of the sphere restricted to C_{p^m}
     d = args.degree
-    cx = level_complex(cell_structure(restrict_rep(v, level), (d - 1, d + 1)),
-                       restrict_mackey(coeff, level), level)
-    ab = homology_at(cx, d).ab
+    ab, = sphere_homology(restrict_rep(v, level), restrict_mackey(coeff, level), d, d)
     if args.format == "json":
         print(dumps_indented({
             "format": FORMAT,

@@ -20,6 +20,7 @@ turns the basis into the generators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -182,6 +183,22 @@ def chain_restriction(M: MackeyFunctor, m: int, d: int,
     cells = hi.layouts.get(d, [])
     return _realize(M, {(i, i): {0: 1} for i in range(len(cells))}, cells, m + 1,
                     lo.layouts.get(d, []), m, (lo.gens(d), hi.gens(d)), {})
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def sphere_homology(v: Rep, M: MackeyFunctor, lo: int, hi: int) -> tuple[AbGroup, ...]:
+    """H_lo, ..., H_hi of S^v with coefficients M at the top level of
+    v's group, all read off one realization of the dimensions
+    lo-1..hi+1.
+
+    One cache per process serves every caller.  Its key is the
+    arguments by value: Rep and MackeyFunctor compare by value, so a
+    sphere met before under an equal functor, however it was built or
+    named, is not realized again.  An entry of two degrees takes about
+    1.4 KB; the cap of 4,096 entries bounds a long-lived process, and
+    the least recently used entry goes first beyond it."""
+    cx = level_complex(cell_structure(v, (lo - 1, hi + 1)), M, v.group.k)
+    return tuple(homology_at(cx, d).ab for d in range(lo, hi + 1))
 
 
 @dataclass

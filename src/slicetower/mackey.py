@@ -12,6 +12,11 @@ Every named functor (Z, Z*, Z(i,j), B(i,j) and the cokernel
 presentation of B(i,j)) has at most one generator per level, so they
 all come from one builder, _cyclic_functor, which takes the order at
 each level and the restriction and transfer scalars.
+
+Functors compare and hash by value, not by name: two are equal when
+they have the same group, generator orders and restriction and
+transfer entries.  So B(1,0) over C_27 restricted to C_9 equals B(1,0)
+over C_9, while Z and Z* differ.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .abelian import AbGroup, Mat, divides
 from .group import Group
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MackeyFunctor:
     group: Group
     levels: tuple[tuple[int, ...], ...]  # generator orders; levels[m] for G/C_{p^m}
@@ -40,6 +45,19 @@ class MackeyFunctor:
                 raise ValueError(f"res[{m}] has shape {self.res[m].r}x{self.res[m].c}, expected {lo}x{hi}")
             if (self.tr[m].r, self.tr[m].c) != (hi, lo):
                 raise ValueError(f"tr[{m}] has shape {self.tr[m].r}x{self.tr[m].c}, expected {hi}x{lo}")
+        # the value equality and hashing read, built once: Mat is mutable
+        # and has no hash, so the entries are copied, in one flat tuple
+        # that the levels, which fix every shape, make unambiguous
+        object.__setattr__(self, "_value", (self.group, self.levels, tuple(
+            x for f in self.res + self.tr for row in f.a for x in row)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MackeyFunctor):
+            return NotImplemented
+        return self._value == other._value
+
+    def __hash__(self) -> int:
+        return hash(self._value)
 
     def gens(self, m: int) -> int:
         return len(self.levels[m])

@@ -235,15 +235,13 @@ def _normalize(text: str) -> str:
     return text.replace(" ", "").replace("*", "")
 
 
-_QUOTE_MAX = 60  # characters of the input, or of a message, that a parse error shows
+_QUOTE_MAX = 60  # characters of the normalized input, or of a message, that a parse error shows
 
 
 def _quote(text: str, pos: int) -> str:
-    """repr of the text when it is short, else of the _QUOTE_MAX
-    characters around pos of the normalized text, which pos indexes,
-    with "..." where it is cut."""
-    if len(text) <= _QUOTE_MAX:
-        return repr(text)
+    """repr of the normalized text, which pos indexes, cut to the
+    _QUOTE_MAX characters around pos when longer, with "..." where it
+    is cut."""
     src = _normalize(text)
     lo = max(min(pos - _QUOTE_MAX // 2, len(src) - _QUOTE_MAX), 0)
     hi = lo + _QUOTE_MAX
@@ -252,8 +250,9 @@ def _quote(text: str, pos: int) -> str:
 
 class RepParseError(ValueError):
     """pos indexes the text after normalization.  The message shows a
-    bounded part of the text and clips a long message, such as one
-    naming a long token, so a huge input gives a short error line."""
+    bounded part of that normalized text, so pos points into what it
+    shows, and clips a long message, such as one naming a long token,
+    so a huge input gives a short error line."""
 
     def __init__(self, text: str, pos: int, message: str):
         self.text = text

@@ -15,12 +15,9 @@ structures.  Nothing in that path reuses the closed forms above, which
 is the point.
 
 Towers for nearby n share most of their slices, so verify_slice meets
-the same spheres again and again.  One memo per process holds, for each
-sphere S^w and coefficient system it has realized, the homology in
-degrees 0 and -1 at w's top level.  Its key is w together with the
-coefficient's generator orders and the entries of its restriction and
-transfer matrices: equal functors built separately must share an entry,
-and Mat has no value equality.
+the same spheres again and again.  It reads their homology through
+homology.sphere_homology, whose cache, keyed by the sphere and the
+coefficient system by value, realizes each one once per process.
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .abelian import AbGroup
-from .cells import cell_structure, max_cell_dim
+from .cells import max_cell_dim
 from .group import Group
-from .homology import homology_at, level_complex
+from .homology import sphere_homology
 from .mackey import B_ij, MackeyFunctor, constant_Z, restrict_mackey
 from .params import slice_params
 from .rep import (Rep, is_subrep, n_slice_rep, regular_rep, restrict_rep,
@@ -231,35 +228,6 @@ class VerificationReport:
     failures: list[Failure]
 
 
-# (w, _coefficient_key(M)) -> (H_0, H_-1) of S^w with coefficients M at
-# the top level of w's group.  An entry takes about 1 KB; the cap bounds
-# a long-lived process, and the oldest entry goes first beyond it.  A
-# whole verify-sweep pass of the benchmark meets 368 distinct keys.
-_LOW_HOMOLOGY: dict[tuple[Rep, tuple], tuple[AbGroup, AbGroup]] = {}
-_LOW_HOMOLOGY_CAP = 1 << 12
-
-
-def _coefficient_key(M: MackeyFunctor) -> tuple:
-    """M by value: its generator orders fix every map's shape, and the
-    entries stand in for the maps."""
-    return M.levels, tuple(tuple(map(tuple, f.a)) for f in M.res + M.tr)
-
-
-def _low_homology(w: Rep, M: MackeyFunctor, coeff_key: tuple) -> tuple[AbGroup, AbGroup]:
-    """H_0 and H_-1 of S^w at the top level, both read off one
-    realization of the dimensions -2..1; coeff_key is
-    _coefficient_key(M)."""
-    key = (w, coeff_key)
-    pair = _LOW_HOMOLOGY.get(key)
-    if pair is None:
-        cx = level_complex(cell_structure(w, (-2, 1)), M, w.group.k)
-        pair = (homology_at(cx, 0).ab, homology_at(cx, -1).ab)
-        if len(_LOW_HOMOLOGY) >= _LOW_HOMOLOGY_CAP:
-            del _LOW_HOMOLOGY[next(iter(_LOW_HOMOLOGY))]
-        _LOW_HOMOLOGY[key] = pair
-    return pair
-
-
 def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     """Check the slice condition for the descriptor, from scratch.
 
@@ -268,13 +236,10 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     for the torsion slices), as many as make the fixed subspaces agree,
     and the homology of S^(V - t rho) must vanish in degree -eps for every t
     past (dim V + eps) / p^m.  One loop over t reads both degrees of
-    each sphere from the module's memo, keyed by the sphere and the
-    restricted coefficient's value, so a sphere met before in this
-    process, under an equal functor however it was built, is not
-    realized again; a new one is realized once, in the dimensions -2..1
-    that degrees 0 and -1 read.  The loop stops once the top cell
-    dimension drops below -1, after which both groups are zero for
-    size reasons alone.
+    each sphere from homology.sphere_homology, so a sphere met before in
+    this process, under an equal functor however it was built, is not
+    realized again.  The loop stops once the top cell dimension drops
+    below -1, after which both groups are zero for size reasons alone.
     """
     V = desc.rep
     M = desc.coefficient()
@@ -287,7 +252,6 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
         sub = group.subgroup(m)
         Vm = restrict_rep(V, m)
         Mm = restrict_mackey(M, m)
-        coeff_key = _coefficient_key(Mm)
         if Vm.dim != V.dim:
             raise AssertionError(f"restriction to level {m} changed the dimension of {V}")
 
@@ -307,12 +271,12 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
             w = Vm - regular_rep(sub, t)
             if max_cell_dim(w) <= -2:
                 break
-            low = _low_homology(w, Mm, coeff_key)
-            for eps in (0, 1):
+            h_minus1, h_0 = sphere_homology(w, Mm, -1, 0)
+            for eps, h in ((0, h_0), (1, h_minus1)):
                 if t >= first[eps]:
                     checks += 1
-                    if not low[eps].is_trivial:
-                        failures.append(Failure(m, "vanishing", epsilon=eps, t=t, group=low[eps]))
+                    if not h.is_trivial:
+                        failures.append(Failure(m, "vanishing", epsilon=eps, t=t, group=h))
             t += 1
             if t - first[0] > 2 * D + 8:
                 raise AssertionError("vanishing loop failed to stabilize")

@@ -1,12 +1,12 @@
-"""Every test starts with an empty low-degree homology memo, so check
-counts and memo sizes never depend on the order tests run in.  Tests of
-the memo warm it themselves."""
+"""Every test starts with an empty sphere homology cache, so check
+counts and cache sizes never depend on the order tests run in.  Tests of
+the cache warm it themselves."""
 
 import pytest
 
-from slicetower import tower
+from slicetower.homology import sphere_homology
 
 
 @pytest.fixture(autouse=True)
-def empty_low_homology_memo():
-    tower._LOW_HOMOLOGY.clear()
+def empty_sphere_homology_cache():
+    sphere_homology.cache_clear()

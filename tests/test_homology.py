@@ -16,6 +16,7 @@ from slicetower.homology import (
     homres_injective,
     level_complex,
     presented_injective,
+    sphere_homology,
 )
 from slicetower.cells import cell_structure
 from slicetower.mackey import B_ij, Z_ij, constant_Z, dual_Z, restrict_mackey
@@ -105,6 +106,22 @@ def test_level_zero_is_underlying_sphere():
             assert at_dim.ab(0) == M.level_group(0), (g, M.name)
             for d in (v.dim - 1, v.dim + 1):
                 assert bredon_homology(v, M, d).ab(0).is_trivial
+
+
+@pytest.mark.parametrize("group", [C3, C9, Group(3, 3)], ids=str)
+def test_sphere_homology_reads_bredon_homology_at_the_top(group):
+    # one realization of a two- or three-degree window gives the groups
+    # that bredon_homology computes one degree at a time
+    k = group.k
+    reps = [rotation_plane(group, 0) - trivial_rep(group, 1),
+            trivial_rep(group, 1) - rotation_plane(group, 0),
+            rotation_plane(group, k - 1) - rotation_plane(group, 0)]
+    for v in reps:
+        for M in (constant_Z(group), dual_Z(group), B_ij(1, 0, group)):
+            for lo, hi in ((-1, 0), (0, 1), (-1, 1)):
+                got = sphere_homology(v, M, lo, hi)
+                want = [bredon_homology(v, M, d).ab(k) for d in range(lo, hi + 1)]
+                assert list(got) == want, (str(v), M.name, lo, hi)
 
 
 def test_actual_sphere_closed_form():

@@ -1,8 +1,8 @@
 """The runtime uses the standard library only: every absolute import in
 the package names a standard-library module or the package itself.  The
 orbit size p^(k - h) has one home, Group.index.  Indented JSON has one
-writer, document.dumps_indented.  And the runtime ships no code that
-only tests read."""
+writer, document.dumps_indented.  Spheres are realized in one module,
+homology.  And the runtime ships no code that only tests read."""
 
 import ast
 import sys
@@ -107,3 +107,24 @@ def test_runtime_names_have_runtime_readers():
     assert not unread, f"only tests read these; delete them or give them a reader: {unread}"
     defined = {qual for tree in trees.values() for qual, _, _ in definitions(tree)}
     assert set(NO_RUNTIME_READER) <= defined, set(NO_RUNTIME_READER) - defined
+
+
+# Realization names, with the only modules that may read or import them:
+# everyone else asks homology.sphere_homology or bredon_homology.
+REALIZATION_READERS = {
+    "level_complex": {"homology.py"},
+    "homology_at": {"homology.py"},
+    "cell_structure": {"homology.py", "cells.py"},
+}
+
+
+def test_only_homology_realizes_spheres():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = set(references(tree)) | {alias.name for node in ast.walk(tree)
+                                         if isinstance(node, ast.ImportFrom)
+                                         for alias in node.names}
+        found.extend(f"{path.name} reads {name}" for name, readers in REALIZATION_READERS.items()
+                     if name in names and path.name not in readers)
+    assert not found, f"ask homology.sphere_homology instead: {found}"

@@ -1,6 +1,8 @@
 """Mackey functor constructors, the norm axioms, restriction, and the
 cokernel presentation of the torsion family."""
 
+import dataclasses
+
 import pytest
 
 from slicetower.abelian import Mat
@@ -103,6 +105,25 @@ def test_restrict_mackey():
     assert r.group == Group(3, 1)
     assert mackey_equal(r, constant_Z(Group(3, 1)))
     validate_mackey(r)
+
+
+def test_functors_compare_by_value():
+    # equal presentations, built apart, renamed or restricted from a
+    # larger group, are equal and hash alike
+    b = B_ij(1, 0, C9)
+    same = [B_ij(1, 0, C9), dataclasses.replace(b, name="renamed"),
+            restrict_mackey(B_ij(1, 0, Group(3, 3)), 2)]
+    for other in same:
+        assert other == b and hash(other) == hash(b)
+    assert len({b, *same}) == 1
+    # the name is a label only: Z and Z* share their levels, not their maps
+    assert constant_Z(C9) != dual_Z(C9)
+    assert dual_Z(C9) == Z_ij(2, 0, C9)
+    # the group counts too, also where the levels and maps agree
+    z3 = constant_Z(Group(3, 1))
+    assert z3 != dataclasses.replace(z3, group=Group(5, 1))
+    assert z3 != constant_Z(Group(5, 1))
+    assert b != "B(1,0)"
 
 
 def test_validate_rejects_broken_functor():

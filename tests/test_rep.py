@@ -1,6 +1,8 @@
 """Virtual representations: constructors, the slice and bottom-stage
 representations, display forms, and the parser."""
 
+import ast
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -235,6 +237,13 @@ def test_parse_errors():
         parse_rep("2?", C9)
     err = pytest.raises(RepParseError, parse_rep, "rho + !", C9).value
     assert err.pos == 4  # after normalization strips spaces
+
+
+@pytest.mark.parametrize("text,bad", [("rho + !", "!"), ("ρ + λ_0 + ?", "?")])
+def test_parse_error_position_points_into_the_quoted_text(text, bad):
+    err = pytest.raises(RepParseError, parse_rep, text, C9).value
+    shown = ast.literal_eval(str(err).rsplit(" in ", 1)[1])
+    assert shown[err.pos] == bad
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)

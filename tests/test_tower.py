@@ -5,8 +5,8 @@ import dataclasses
 
 import pytest
 
-from slicetower import tower as tower_module
 from slicetower.group import Group
+from slicetower.homology import sphere_homology
 from slicetower.mackey import B_ij, constant_Z, dual_Z, restrict_mackey
 from slicetower.rep import Rep, regular_rep, rotation_plane, trivial_rep
 from slicetower.tower import (
@@ -171,18 +171,18 @@ def outcome(report):
 @pytest.mark.parametrize("group,top", [(C9, 12), (Group(5, 3), 8)], ids=str)
 def test_warm_memo_gives_the_cold_reports(group, top):
     # one verify_slice call never meets a sphere twice, so emptying the
-    # memo before each call gives the reports of the plain realization
+    # cache before each call gives the reports of the plain realization
     slices = [d for n in range(3, top + 1) for d in build_tower(n, group).slices]
     cold = []
     for desc in slices:
-        tower_module._LOW_HOMOLOGY.clear()
+        sphere_homology.cache_clear()
         cold.append(outcome(verify_slice(desc)))
-    tower_module._LOW_HOMOLOGY.clear()
+    sphere_homology.cache_clear()
     first = [outcome(verify_slice(desc)) for desc in slices]
-    filled = len(tower_module._LOW_HOMOLOGY)
+    filled = sphere_homology.cache_info().currsize
     warm = [outcome(verify_slice(desc)) for desc in slices]
     assert first == cold and warm == cold
-    assert len(tower_module._LOW_HOMOLOGY) == filled  # every sphere came from the memo
+    assert sphere_homology.cache_info().currsize == filled  # every sphere came from the cache
 
 
 def test_memo_tells_coefficients_apart():
@@ -199,11 +199,11 @@ def test_memo_is_keyed_by_value():
     w = Rep(C9, 1, (2, 0)) - regular_rep(C9, 1)
 
     def low(M):
-        return tower_module._low_homology(w, M, tower_module._coefficient_key(M))
+        return sphere_homology(w, M, -1, 0)[::-1]  # H_0, H_-1
 
     def entries(M):
         low(M)
-        return len(tower_module._LOW_HOMOLOGY)
+        return sphere_homology.cache_info().currsize
 
     # equal functors built apart share an entry, also under another name
     assert entries(B_ij(1, 0, C9)) == 1
