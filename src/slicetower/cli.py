@@ -5,7 +5,8 @@ Four subcommands: tower (build and render a slice tower), verify
 (one Bredon homology group of a virtual representation sphere), and
 mackey (display a coefficient system).  Exit status is 0 on success
 and when every requested verification passes, 1 when a verification
-fails, 2 for usage errors.
+fails or an invariant of the construction breaks (one error line, no
+traceback), 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -251,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        print(f"error: invariant violated: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
@@ -54,10 +55,16 @@ class Group:
         return self.p ** (self.k - h)
 
     def subgroup(self, m: int) -> "Group":
-        """The subgroup C_{p^m}, for 0 <= m <= k."""
+        """The subgroup C_{p^m}, for 0 <= m <= k: one object for each
+        C_{p^m} in this process, whichever group it is asked of."""
         if not 0 <= m <= self.k:
             raise ValueError(f"no subgroup level {m} in C_{self.p}^{self.k}")
-        return Group(self.p, m)
+        return _subgroup(self.p, m)
 
     def __repr__(self) -> str:
         return f"C_{self.p}^{self.k}" if self.k != 1 else f"C_{self.p}"
+
+
+@functools.lru_cache(maxsize=1 << 8)
+def _subgroup(p: int, m: int) -> Group:
+    return Group(p, m)

@@ -14,15 +14,19 @@ Bredon homology of the relevant virtual spheres from their cell
 structures.  Nothing in that path reuses the closed forms above, which
 is the point.
 
-Towers for nearby n share most of their slices, so verify_slice meets
-the same spheres again and again.  It reads their homology through
+Towers for nearby n share most of their slices, and slices share
+spheres, so each slice and each sphere is checked once per process.
+verify_slice answers a slice from slice_check, whose cache is keyed by
+the spectrum alone, without the slice's place in the tower.
+slice_check reads the homology of its spheres through
 homology.sphere_homology, whose cache, keyed by the sphere and the
-coefficient system by value, realizes each one once per process.
+coefficient system by value, realizes each one once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .abelian import AbGroup
@@ -229,7 +233,22 @@ class VerificationReport:
 
 
 def verify_slice(desc: SliceDescriptor) -> VerificationReport:
-    """Check the slice condition for the descriptor, from scratch.
+    """Check the slice condition for the descriptor.
+
+    The answer depends on the spectrum only, so the check runs on the
+    descriptor with its place (a, b) in the tower erased, and a slice
+    met before in this process, in any tower, is not checked again.
+    The report is new on every call: it carries the caller's descriptor
+    and its own list of failures.
+    """
+    checks, failures = slice_check(replace(desc, a=None, b=None))
+    return VerificationReport(desc, not failures, checks, list(failures))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def slice_check(desc: SliceDescriptor) -> tuple[int, tuple[Failure, ...]]:
+    """The checks made and the failures found for the descriptor, from
+    scratch.
 
     At every subgroup level m the restricted representation must sit
     inside copies of the regular representation (minus a trivial line
@@ -281,7 +300,7 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
             if t - first[0] > 2 * D + 8:
                 raise AssertionError("vanishing loop failed to stabilize")
 
-    return VerificationReport(desc, not failures, checks, failures)
+    return checks, tuple(failures)
 
 
 def verify_tower(tower: Tower) -> list[VerificationReport]:

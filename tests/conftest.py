@@ -1,12 +1,14 @@
-"""Every test starts with an empty sphere homology cache, so check
-counts and cache sizes never depend on the order tests run in.  Tests of
-the cache warm it themselves."""
+"""Every test starts with empty slice and sphere homology caches, so
+check counts and cache sizes never depend on the order tests run in.
+Tests of the caches warm them themselves."""
 
 import pytest
 
 from slicetower.homology import sphere_homology
+from slicetower.tower import slice_check
 
 
 @pytest.fixture(autouse=True)
-def empty_sphere_homology_cache():
+def empty_caches():
+    slice_check.cache_clear()
     sphere_homology.cache_clear()

@@ -151,6 +151,19 @@ def test_exit_one_on_failed_verification(capsys, monkeypatch):
     assert "1 of 1 stages FAIL" in out
 
 
+def test_broken_invariant_exits_one_without_traceback(capsys, monkeypatch):
+    def broken(n, group):
+        raise AssertionError("the bottom section differs from the closed form")
+
+    monkeypatch.setattr(cli, "build_tower", broken)
+    for argv in (("tower", "--p", "3", "--k", "1", "--n", "3"),
+                 ("verify", "--p", "3", "--k", "1", "--n", "3..4")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: invariant violated: the bottom section differs from the closed form\n"
+        assert "Traceback" not in err
+
+
 def test_homology_text_golden(capsys):
     code, out, _ = run(capsys, "homology", "--p", "3", "--k", "1",
                        "--rep", "-(rho)", "--coeff", "Z",

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slicetower.group import Group, is_odd_prime, p_adic_val
+from slicetower.mackey import constant_Z, restrict_mackey
 from slicetower.params import parity_offset, slice_params
+from slicetower.rep import restrict_rep, trivial_rep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,6 +42,16 @@ def test_group_basics():
     assert g.subgroup(0).order == 1
     assert str(g) == "C_3^2"
     assert str(Group(5, 1)) == "C_5"
+
+
+def test_equal_subgroups_are_one_object():
+    g = Group(3, 3)
+    assert g.subgroup(1) is g.subgroup(1)
+    assert Group(3, 3).subgroup(2) is Group(3, 4).subgroup(2)
+    assert restrict_rep(trivial_rep(g, 1), 1).group is restrict_mackey(constant_Z(g), 1).group
+    for m in (-1, 4):
+        with pytest.raises(ValueError):
+            g.subgroup(m)
 
 
 def test_parity_offset_cases():

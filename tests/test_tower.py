@@ -10,10 +10,12 @@ from slicetower.homology import sphere_homology
 from slicetower.mackey import B_ij, constant_Z, dual_Z, restrict_mackey
 from slicetower.rep import Rep, regular_rep, rotation_plane, trivial_rep
 from slicetower.tower import (
+    Failure,
     Kind,
     SliceDescriptor,
     build_tower,
     fiber_sequence_data,
+    slice_check,
     slice_list,
     verify_slice,
     verify_tower,
@@ -168,21 +170,65 @@ def outcome(report):
     return report.passed, report.checks, report.failures
 
 
+def empty_caches():
+    slice_check.cache_clear()
+    sphere_homology.cache_clear()
+
+
 @pytest.mark.parametrize("group,top", [(C9, 12), (Group(5, 3), 8)], ids=str)
 def test_warm_memo_gives_the_cold_reports(group, top):
-    # one verify_slice call never meets a sphere twice, so emptying the
-    # cache before each call gives the reports of the plain realization
+    # one verify_slice call never meets a sphere twice, so emptying both
+    # caches before each call gives the reports of the plain realization
     slices = [d for n in range(3, top + 1) for d in build_tower(n, group).slices]
     cold = []
     for desc in slices:
-        sphere_homology.cache_clear()
+        empty_caches()
         cold.append(outcome(verify_slice(desc)))
-    sphere_homology.cache_clear()
+    empty_caches()
     first = [outcome(verify_slice(desc)) for desc in slices]
     filled = sphere_homology.cache_info().currsize
+    checked = slice_check.cache_info().currsize
+    # with the slices forgotten, every sphere comes from the sphere cache
+    slice_check.cache_clear()
+    warm_spheres = [outcome(verify_slice(desc)) for desc in slices]
+    assert sphere_homology.cache_info().currsize == filled > 0
+    # and with both warm, every slice comes from the slice cache
+    misses = slice_check.cache_info().misses
     warm = [outcome(verify_slice(desc)) for desc in slices]
-    assert first == cold and warm == cold
+    assert first == cold and warm_spheres == cold and warm == cold
     assert sphere_homology.cache_info().currsize == filled  # every sphere came from the cache
+    assert slice_check.cache_info().currsize == checked < len(slices)
+    assert slice_check.cache_info().misses == misses
+
+
+def test_slice_check_ignores_the_place_in_the_tower():
+    for n in range(3, 13):
+        for desc in build_tower(n, C9).slices:
+            empty_caches()
+            report = verify_slice(desc)
+            assert report.descriptor is desc
+            empty_caches()
+            unplaced = verify_slice(dataclasses.replace(desc, a=None, b=None))
+            assert outcome(unplaced) == outcome(report)
+            # the placed descriptor is answered by the unplaced one's entry
+            assert outcome(verify_slice(desc)) == outcome(report)
+            assert slice_check.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def test_reports_share_no_state_with_the_cache():
+    stage = next(d for d in build_tower(4, C9).slices if d.dim == 5)
+    mutant = dataclasses.replace(stage, coeff_i=1, coeff_j=1)
+    report = verify_slice(mutant)
+    report.failures.append(Failure(0, "containment"))
+    again = verify_slice(mutant)
+    assert again is not report and again.failures is not report.failures
+    assert again.checks == 9
+    assert failure_list(again) == [(2, 0, 1, "Z/3"), (2, 1, 2, "Z/3")]
+    assert slice_check.cache_info().hits == 1
+
+
+def test_slice_cache_is_bounded():
+    assert slice_check.cache_info().maxsize is not None
 
 
 def test_memo_tells_coefficients_apart():
