@@ -1,0 +1,13 @@
+"""Every recorded CLI request gives the recorded exit code, stdout and
+stderr, byte for byte.  make_cli_digests.py writes the record."""
+
+import json
+
+from make_cli_digests import DIGESTS, digest
+
+
+def test_outputs_match_the_recorded_digests():
+    recorded = json.loads(DIGESTS.read_text())
+    assert len(recorded) > 512
+    changed = [want["argv"] for want in recorded if digest(want["argv"]) != want]
+    assert not changed, f"{len(changed)} requests changed, first {changed[:5]}"
