@@ -89,16 +89,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"provide --n N or --n A..B, or set {RANGE_ENV}")
     lo, hi = _parse_range(spec)
 
-    documents = []
-    total = failed = 0
-    for n in range(lo, hi + 1):
-        tower = build_tower(n, group)
-        reports = verify_tower(tower)
-        total += len(reports)
-        failed += sum(1 for r in reports if not r.passed)
-        documents.append(tower_document(tower, reports))
+    towers = [build_tower(n, group) for n in range(lo, hi + 1)]
+    runs = [(tower, verify_tower(tower)) for tower in towers]
+    total = sum(len(reports) for _, reports in runs)
+    failed = sum(not r.passed for _, reports in runs for r in reports)
 
     if args.format == "json":
+        documents = [tower_document(tower, reports) for tower, reports in runs]
         print(dumps_indented({
             "format": FORMAT,
             "kind": "verify-report",
@@ -111,11 +108,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }))
     else:
         print(f"verify over {group}, n = {lo}..{hi}")
-        for doc in documents:
-            bad = sum(1 for s in doc["stages"] if not s["verification"]["passed"])
+        for tower, reports in runs:
+            bad = sum(not r.passed for r in reports)
             status = "all pass" if bad == 0 else f"{bad} FAIL"
-            noun = "stage" if doc["stage_count"] == 1 else "stages"
-            print(f"  n={doc['n']}: {doc['stage_count']} {noun}, {status}")
+            noun = "stage" if len(reports) == 1 else "stages"
+            print(f"  n={tower.n}: {len(reports)} {noun}, {status}")
         if failed == 0:
             print(f"all {total} stages pass")
         else:

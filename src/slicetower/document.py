@@ -103,8 +103,8 @@ def tower_document(tower: Tower,
             "slice": {
                 "dim": desc.dim,
                 "kind": desc.kind.value,
-                "a": desc.a,
-                "b": desc.b,
+                "a": stage.a,
+                "b": stage.b,
                 "rep": rep,
                 "printed": {"display": display, "latex": latex},
                 "coefficient": coeff,

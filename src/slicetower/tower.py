@@ -14,19 +14,19 @@ Bredon homology of the relevant virtual spheres from their cell
 structures.  Nothing in that path reuses the closed forms above, which
 is the point.
 
-Towers for nearby n share most of their slices, and slices share
-spheres, so each slice and each sphere is checked once per process.
-verify_slice answers a slice from slice_check, whose cache is keyed by
-the spectrum alone, without the slice's place in the tower.
-slice_check reads the homology of its spheres through
-homology.sphere_homology, whose cache, keyed by the sphere and the
-coefficient system by value, realizes each one once.
+A descriptor is the spectrum alone; where it sits in a tower is its
+Stage's business.  Towers for nearby n share most of their slices, and
+slices share spheres, so each slice and each sphere is checked once per
+process: verify_slice is cached by the descriptor, and it reads the
+homology of its spheres through homology.sphere_homology, whose cache,
+keyed by the sphere and the coefficient system by value, realizes each
+one once.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .abelian import AbGroup
@@ -52,19 +52,17 @@ class Kind(str, Enum):
 
 @dataclass(frozen=True)
 class SliceDescriptor:
-    """One slice: S^rep smash an Eilenberg-MacLane spectrum.
+    """One slice: S^rep smash an Eilenberg-MacLane spectrum, with
+    coefficient B(coeff_i, coeff_j) for the torsion slices."""
 
-    Torsion slices carry their position (a, b) and coefficient
-    parameters (i, j).
-    """
-
-    dim: int
     kind: Kind
     rep: Rep
-    a: int | None = None
-    b: int | None = None
     coeff_i: int | None = None
     coeff_j: int | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.rep.dim
 
     def coefficient(self) -> MackeyFunctor:
         if self.kind == Kind.TORSION:
@@ -80,6 +78,8 @@ class SliceDescriptor:
 class Stage:
     descriptor: SliceDescriptor
     section: Rep  # the section this slice maps into; always of dimension n
+    a: int | None = None  # a torsion slice's column and row in the tower
+    b: int | None = None
 
 
 @dataclass(frozen=True)
@@ -92,76 +92,59 @@ class Tower:
     def slices(self) -> list[SliceDescriptor]:
         return [s.descriptor for s in self.stages]
 
-    @property
-    def sections(self) -> list[Rep]:
-        return [s.section for s in self.stages]
 
-
-def slice_list(n: int, group: Group) -> list[SliceDescriptor]:
-    """All slices, ordered by decreasing dimension.
-
-    For n >= 3 there are d torsion slices per column a = k..1, except
-    that the column a = 1 loses its b = 1 entry when p divides n, and
-    one integral slice of dimension n at the bottom.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return [SliceDescriptor(dim=0, kind=Kind.ZERO, rep=trivial_rep(group, 0))]
-    if n <= 2:
-        return [SliceDescriptor(dim=n, kind=Kind.INTEGRAL_SMALL, rep=trivial_rep(group, n))]
-
-    params = slice_params(n, group)
-    p = group.p
-    out: list[SliceDescriptor] = []
-    for a in range(group.k, 0, -1):
-        for b in range(params.count, 0, -1):
-            if a == 1 and b == 1 and n % p == 0:
-                continue
-            nu = params.valuation(a, b)
-            out.append(SliceDescriptor(
-                dim=params.base_dim(b) * p ** a - 1,
-                kind=Kind.TORSION,
-                rep=slice_rep(params, a, b),
-                a=a, b=b,
-                coeff_i=nu + 1, coeff_j=a - 1,
-            ))
-    out.append(SliceDescriptor(dim=n, kind=Kind.INTEGRAL, rep=n_slice_rep(n, group)))
-
-    dims = [s.dim for s in out]
-    if dims != sorted(dims, reverse=True) or len(set(dims)) != len(dims):
-        raise AssertionError(f"slice dimensions are not strictly decreasing: {dims}")
-    if len(out) != group.k * params.count + (0 if n % p == 0 else 1):
-        raise AssertionError(f"{len(out)} slices, not the closed-form count")
-    return out
-
-
-def _exchange(section: Rep, desc: SliceDescriptor) -> Rep:
-    """Crossing a torsion slice trades the plane at level nu + a for
-    one at level a - 1 (two trivial summands when nu + a reaches k)."""
-    nu = desc.coeff_i - 1
-    out_level = min(nu + desc.a, section.group.k)
-    nxt = section - rotation_plane(section.group, out_level) + rotation_plane(section.group, desc.a - 1)
+def _exchange(stage: Stage) -> Rep:
+    """The section below a torsion stage: crossing a slice with
+    coefficient B(i, j) trades the plane at level i + j for one at
+    level j (two trivial summands when i + j is k)."""
+    desc, section = stage.descriptor, stage.section
+    group = section.group
+    nxt = (section - rotation_plane(group, desc.coeff_i + desc.coeff_j)
+           + rotation_plane(group, desc.coeff_j))
     if not (nxt.is_actual and nxt.dim == section.dim):
-        raise AssertionError(f"exchanging planes across V({desc.a},{desc.b}) leaves no section of dimension n")
+        raise AssertionError(f"exchanging planes across V({stage.a},{stage.b}) leaves no section of dimension n")
     return nxt
 
 
 def build_tower(n: int, group: Group) -> Tower:
-    """The slices with their sections, top to bottom.
+    """The slices with their sections, top to bottom by decreasing dimension.
 
-    The top section is S^n itself; the bottom one must agree with the
-    closed form for the integral slice, which is asserted.
+    For n >= 3 there are d torsion slices per column a = k..1, except
+    that the column a = 1 loses its b = 1 entry when p divides n, and
+    one integral slice of dimension n at the bottom.  The top section is
+    S^n itself; the bottom one must agree with the closed form for the
+    integral slice, which is asserted.
     """
-    slices = slice_list(n, group)
-    sections = [trivial_rep(group, n)]
-    for desc in slices[:-1]:
-        if not desc.is_torsion:
-            raise AssertionError(f"a {desc.kind.value} slice above the bottom of the tower")
-        sections.append(_exchange(sections[-1], desc))
-    if sections[-1] != slices[-1].rep:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n <= 2:
+        rep = trivial_rep(group, n)
+        desc = SliceDescriptor(Kind.ZERO if n == 0 else Kind.INTEGRAL_SMALL, rep)
+        return Tower(group, n, (Stage(desc, rep),))
+
+    params = slice_params(n, group)
+    p = group.p
+    section = trivial_rep(group, n)
+    stages: list[Stage] = []
+    for a in range(group.k, 0, -1):
+        for b in range(params.count, 0, -1):
+            if a == 1 and b == 1 and n % p == 0:
+                continue
+            desc = SliceDescriptor(Kind.TORSION, slice_rep(params, a, b),
+                                   coeff_i=params.valuation(a, b) + 1, coeff_j=a - 1)
+            stages.append(Stage(desc, section, a, b))
+            section = _exchange(stages[-1])
+    bottom = SliceDescriptor(Kind.INTEGRAL, n_slice_rep(n, group))
+    stages.append(Stage(bottom, section))
+
+    dims = [s.descriptor.dim for s in stages]
+    if any(upper <= lower for upper, lower in zip(dims, dims[1:])):
+        raise AssertionError(f"slice dimensions are not strictly decreasing: {dims}")
+    if len(stages) != group.k * params.count + (0 if n % p == 0 else 1):
+        raise AssertionError(f"{len(stages)} slices, not the closed-form count")
+    if section != bottom.rep:
         raise AssertionError("the bottom section differs from the closed form of the integral slice")
-    return Tower(group, n, tuple(Stage(d, s) for d, s in zip(slices, sections)))
+    return Tower(group, n, tuple(stages))
 
 
 @dataclass(frozen=True)
@@ -188,12 +171,9 @@ def fiber_sequence_data(tower: Tower) -> list[FiberData]:
         for a in range(1, group.k):
             params.connection_gap(a)
 
-    for i in range(len(tower.stages) - 1):
-        desc = tower.slices[i]
-        src, tgt = tower.sections[i], tower.sections[i + 1]
-        nu = desc.coeff_i - 1
-        out_level = min(nu + desc.a, group.k)
-        in_level = desc.a - 1
+    for stage, below in zip(tower.stages, tower.stages[1:]):
+        desc, src, tgt = stage.descriptor, stage.section, below.section
+        out_level, in_level = desc.coeff_i + desc.coeff_j, desc.coeff_j
         if src - rotation_plane(group, out_level) != tgt - rotation_plane(group, in_level):
             raise AssertionError(f"sections {src} and {tgt} differ by more than a plane at "
                                  f"level {out_level} traded for one at level {in_level}")
@@ -205,9 +185,9 @@ def fiber_sequence_data(tower: Tower) -> list[FiberData]:
         if not (excess.is_actual and excess.trivial == 0):
             raise AssertionError(f"the slice {desc.rep} exceeds the common part by {excess}, "
                                  f"not by planes alone")
-        if any(excess.planes[desc.a:]):
+        if any(excess.planes[stage.a:]):
             raise AssertionError(f"the slice {desc.rep} exceeds the common part by planes "
-                                 f"at levels {desc.a} or above")
+                                 f"at levels {stage.a} or above")
 
         out.append(FiberData(src, tgt, desc, out_level, in_level))
     return out
@@ -224,31 +204,16 @@ class Failure:
     group: AbGroup | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
-    descriptor: SliceDescriptor
     passed: bool
     checks: int
-    failures: list[Failure]
-
-
-def verify_slice(desc: SliceDescriptor) -> VerificationReport:
-    """Check the slice condition for the descriptor.
-
-    The answer depends on the spectrum only, so the check runs on the
-    descriptor with its place (a, b) in the tower erased, and a slice
-    met before in this process, in any tower, is not checked again.
-    The report is new on every call: it carries the caller's descriptor
-    and its own list of failures.
-    """
-    checks, failures = slice_check(replace(desc, a=None, b=None))
-    return VerificationReport(desc, not failures, checks, list(failures))
+    failures: tuple[Failure, ...]
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def slice_check(desc: SliceDescriptor) -> tuple[int, tuple[Failure, ...]]:
-    """The checks made and the failures found for the descriptor, from
-    scratch.
+def verify_slice(desc: SliceDescriptor) -> VerificationReport:
+    """Check the slice condition for the descriptor.
 
     At every subgroup level m the restricted representation must sit
     inside copies of the regular representation (minus a trivial line
@@ -259,6 +224,8 @@ def slice_check(desc: SliceDescriptor) -> tuple[int, tuple[Failure, ...]]:
     this process, under an equal functor however it was built, is not
     realized again.  The loop stops once the top cell dimension drops
     below -1, after which both groups are zero for size reasons alone.
+    The report is immutable and cached: a slice met before in this
+    process, in any tower, is not checked again.
     """
     V = desc.rep
     M = desc.coefficient()
@@ -300,7 +267,7 @@ def slice_check(desc: SliceDescriptor) -> tuple[int, tuple[Failure, ...]]:
             if t - first[0] > 2 * D + 8:
                 raise AssertionError("vanishing loop failed to stabilize")
 
-    return checks, tuple(failures)
+    return VerificationReport(not failures, checks, tuple(failures))
 
 
 def verify_tower(tower: Tower) -> list[VerificationReport]:

@@ -5,10 +5,10 @@ Tests of the caches warm them themselves."""
 import pytest
 
 from slicetower.homology import sphere_homology
-from slicetower.tower import slice_check
+from slicetower.tower import verify_slice
 
 
 @pytest.fixture(autouse=True)
 def empty_caches():
-    slice_check.cache_clear()
+    verify_slice.cache_clear()
     sphere_homology.cache_clear()

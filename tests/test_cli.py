@@ -137,9 +137,8 @@ def test_verify_bad_range(capsys):
 
 def test_exit_one_on_failed_verification(capsys, monkeypatch):
     def doomed(tower):
-        return [VerificationReport(d, False, 1,
-                                   [Failure(0, "vanishing", 0, 1, AbGroup((3,)))])
-                for d in tower.slices]
+        return [VerificationReport(False, 1, (Failure(0, "vanishing", 0, 1, AbGroup((3,))),))
+                for _ in tower.slices]
 
     monkeypatch.setattr("slicetower.cli.verify_tower", doomed)
     code, out, _ = run(capsys, "tower", "--p", "3", "--k", "1", "--n", "3",

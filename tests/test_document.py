@@ -93,11 +93,10 @@ def test_verification_payload():
 def test_failure_payload():
     tower = build_tower(1, C3)
     bad = VerificationReport(
-        descriptor=tower.slices[0],
         passed=False,
         checks=3,
-        failures=[Failure(level=1, check="vanishing", epsilon=1, t=2,
-                          group=AbGroup((3,)))],
+        failures=(Failure(level=1, check="vanishing", epsilon=1, t=2,
+                          group=AbGroup((3,))),),
     )
     doc = tower_document(tower, [bad])
     v = doc["stages"][0]["verification"]
