@@ -24,7 +24,7 @@ def matrices(max_dim: int = 5, max_entry: int = 9):
         rows = [flat[i * c:(i + 1) * c] for i in range(r)]
         return Mat(r, c, rows)
 
-    dims = st.tuples(st.integers(1, max_dim), st.integers(1, max_dim))
+    dims = st.tuples(st.integers(0, max_dim), st.integers(0, max_dim))
     return dims.flatmap(
         lambda rc: st.lists(
             st.integers(-max_entry, max_entry),
