@@ -5,6 +5,11 @@ floating point, no modular shortcuts.  Smith normal form tracks the
 three transforms its callers read, not just the invariant factors: U
 and V (U A V = S) to solve linear systems and find kernels, and U's
 inverse, which only homology reads, to write down its generators.
+One list of rows carries all four: [S | U | Uinv^T] for each row of A,
+then the rows of V.  Row operations act on S | U, column operations on
+the first A.c entries of every row, so S and V change in one loop.  The
+transposed U^-1 swaps and negates with its row; row_i += q * row_j is
+row_j -= q * row_i on it.
 
 Lattice bases are preimage lattices {x : T x in the span of the
 orders[i] * e_i}, read off the kernel of T next to those relation
@@ -51,9 +56,6 @@ class Mat:
         for i in range(n):
             m.a[i][i] = 1
         return m
-
-    def copy(self) -> "Mat":
-        return Mat(self.r, self.c, self.a)
 
     def times(self, other: "Mat") -> "Mat":
         if self.c != other.r:
@@ -105,66 +107,36 @@ def smith_normal_form(A: Mat) -> SmithForm:
 
     Pivot choice is deterministic (smallest absolute value, then lowest
     row, then lowest column) so downstream generator choices reproduce
-    bit for bit.
+    bit for bit.  m holds r rows [S | U | Uinv^T], then the rows of V.
     """
-    S = A.copy()
-    r, c = S.r, S.c
-    U, Uinv = Mat.identity(r), Mat.identity(r)
-    V = Mat.identity(c)
-    s = S.a
+    r, c = A.r, A.c
+    m = [list(row) + e + e for row, e in zip(A.a, Mat.identity(r).a)] + Mat.identity(c).a
 
     def row_add(i: int, j: int, q: int) -> None:
-        # row_i += q * row_j
-        si, sj = s[i], s[j]
-        for t in range(c):
-            x = sj[t]
+        # row_i += q * row_j on S | U, so row_j -= q * row_i on Uinv^T
+        mi, mj = m[i], m[j]
+        for t in range(c + r):
+            x = mj[t]
             if x:
-                si[t] += q * x
-        ui, uj = U.a[i], U.a[j]
-        for t in range(U.c):
-            x = uj[t]
+                mi[t] += q * x
+        for t in range(c + r, c + 2 * r):
+            x = mi[t]
             if x:
-                ui[t] += q * x
-        for t in range(Uinv.r):
-            x = Uinv.a[t][i]
-            if x:
-                Uinv.a[t][j] -= q * x
-
-    def row_swap(i: int, j: int) -> None:
-        s[i], s[j] = s[j], s[i]
-        U.a[i], U.a[j] = U.a[j], U.a[i]
-        for t in range(Uinv.r):
-            Uinv.a[t][i], Uinv.a[t][j] = Uinv.a[t][j], Uinv.a[t][i]
-
-    def row_neg(i: int) -> None:
-        s[i] = [-x for x in s[i]]
-        U.a[i] = [-x for x in U.a[i]]
-        for t in range(Uinv.r):
-            Uinv.a[t][i] = -Uinv.a[t][i]
+                mj[t] -= q * x
 
     def col_add(i: int, j: int, q: int) -> None:
         # col_i += q * col_j
-        for t in range(r):
-            x = s[t][j]
+        for row in m:
+            x = row[j]
             if x:
-                s[t][i] += q * x
-        for t in range(V.r):
-            x = V.a[t][j]
-            if x:
-                V.a[t][i] += q * x
-
-    def col_swap(i: int, j: int) -> None:
-        for t in range(r):
-            s[t][i], s[t][j] = s[t][j], s[t][i]
-        for t in range(V.r):
-            V.a[t][i], V.a[t][j] = V.a[t][j], V.a[t][i]
+                row[i] += q * x
 
     for t in range(min(r, c)):
         while True:
             # a unit entry is always an optimal pivot, so stop scanning at one
             pivot = None
             for i in range(t, r):
-                row = s[i]
+                row = m[i]
                 for j in range(t, c):
                     v = row[j]
                     if v:
@@ -180,41 +152,42 @@ def smith_normal_form(A: Mat) -> SmithForm:
                 break
             _, pi, pj = pivot
             if pi != t:
-                row_swap(t, pi)
+                m[t], m[pi] = m[pi], m[t]
             if pj != t:
-                col_swap(t, pj)
-            if s[t][t] < 0:
-                row_neg(t)
-            p = s[t][t]
+                for row in m:
+                    row[t], row[pj] = row[pj], row[t]
+            if m[t][t] < 0:
+                m[t] = [-x for x in m[t]]
+            p = m[t][t]
             dirty = False
             for i in range(t + 1, r):
-                if s[i][t]:
-                    row_add(i, t, -(s[i][t] // p))
-                    if s[i][t]:
+                if m[i][t]:
+                    row_add(i, t, -(m[i][t] // p))
+                    if m[i][t]:
                         dirty = True
             for j in range(t + 1, c):
-                if s[t][j]:
-                    col_add(j, t, -(s[t][j] // p))
-                    if s[t][j]:
+                if m[t][j]:
+                    col_add(j, t, -(m[t][j] // p))
+                    if m[t][j]:
                         dirty = True
             if dirty:
                 continue
             if p == 1:
                 break
-            bad = None
+            # the first row with an entry p does not divide joins row t
             for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if s[i][j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
+                if any(x % p for x in m[i][t + 1:c]):
+                    row_add(t, i, 1)
                     break
-            if bad is None:
+            else:
                 break
-            row_add(t, bad, 1)
-        if t < min(r, c) and s[t][t] == 0:
+        if m[t][t] == 0:
             break
-    return SmithForm(S=S, U=U, Uinv=Uinv, V=V)
+    rows = m[:r]
+    return SmithForm(S=Mat(r, c, [row[:c] for row in rows]),
+                     U=Mat(r, r, [row[c:c + r] for row in rows]),
+                     Uinv=Mat(r, r, list(zip(*rows))[c + r:]),
+                     V=Mat(c, c, m[r:]))
 
 
 def kernel_basis(A: Mat) -> Mat:

@@ -40,6 +40,8 @@ def _group_from(args: argparse.Namespace) -> Group:
     p, k = args.p, args.k
     if p == 2:
         raise UsageError("p = 2 is not supported; the construction needs an odd prime")
+    if p >= 2**31:  # trial division up to sqrt(p) must stay quick
+        raise UsageError("--p must be below 2^31")
     if not is_odd_prime(p):
         raise UsageError(f"--p must be an odd prime, got {p}")
     if k < 1:

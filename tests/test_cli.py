@@ -334,6 +334,13 @@ def test_homology_of_a_large_n_slice_rep_is_quick():
                            "at level 2 over C_3^2: 0\n")
 
 
+def test_huge_p_exits_two():
+    # the primality test is trial division, which 2^61 - 1 would keep running
+    proc = run_subprocess("tower", "--p", str(2**61 - 1), "--k", "1", "--n", "5", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --p must be below 2^31\n"
+
+
 @pytest.mark.parametrize("depth", [500, 5000])
 def test_deeply_nested_rep_exits_two(depth):
     proc = run_subprocess("homology", "--p", "3", "--k", "1",

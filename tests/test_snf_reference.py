@@ -26,7 +26,7 @@ def assert_matches_reference(A: Mat) -> None:
 
 
 @st.composite
-def sparse_matrices(draw, max_dim=8, max_entry=50):
+def varied_density_matrices(draw, max_dim=8, max_entry=50):
     r, c = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
     density = draw(st.integers(1, 10))  # in tenths: the share of entries drawn at random
     entry = st.integers(-max_entry, max_entry)
@@ -36,7 +36,7 @@ def sparse_matrices(draw, max_dim=8, max_entry=50):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_matrices())
+@given(varied_density_matrices())
 def test_smith_form_matches_dense_reference(A):
     assert_matches_reference(A)
 
