@@ -241,17 +241,6 @@ def lattice_basis(T: Mat, orders: Sequence[int]) -> Mat:
     return Mat(T.c, K.c, K.a[: T.c])
 
 
-def in_diagonal_lattice(v: Sequence[int], orders: Sequence[int]) -> bool:
-    """Membership of v in the lattice spanned by orders[i] * e_i.
-
-    An order of 0 contributes nothing to the lattice (free direction),
-    so the corresponding coordinate must vanish.
-    """
-    if len(v) != len(orders):
-        raise ValueError("length mismatch")
-    return all(divides(d, x) for x, d in zip(v, orders))
-
-
 @dataclass(frozen=True)
 class AbGroup:
     """Finitely generated abelian group in invariant factor form.

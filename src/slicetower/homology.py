@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from .abelian import (AbGroup, Mat, divides, in_diagonal_lattice, lattice_basis,
-                      smith_normal_form, solve_factored, with_relations)
+from .abelian import (AbGroup, Mat, divides, lattice_basis, smith_normal_form, solve_factored,
+                      with_relations)
 from .cells import CellStructure, DiffKey, Entry, cell_structure, class_images
 from .mackey import MackeyFunctor
 from .rep import Rep
@@ -223,35 +223,3 @@ def bredon_homology(v: Rep, M: MackeyFunctor, degree: int) -> BredonHomology:
         chain = chain_restriction(M, m, degree, complexes[m + 1], complexes[m])
         res_maps.append(lo.express(chain.times(hi.gens)))
     return BredonHomology(levels, res_maps)
-
-
-def presented_injective(T: Mat, src_orders: Sequence[int], dst_orders: Sequence[int]) -> bool:
-    """Injectivity of the induced map (Z^s / src) -> (Z^t / dst): every
-    generator of the preimage of the dst relations must be a src relation."""
-    return all(in_diagonal_lattice(v, src_orders) for v in zip(*lattice_basis(T, dst_orders).a))
-
-
-def homres_injective(w: Rep, i: int, j: int, h: int) -> bool:
-    """Whether restriction from the top level down to level h is
-    injective on the homology of S^(-w) with torsion coefficients
-    B(i,j), in degrees 0 and -1.  Requires i + j <= h so the
-    coefficient functor is already saturated at the target level."""
-    from .mackey import B_ij
-
-    if not i + j <= h <= w.group.k:
-        raise ValueError(f"need i + j <= h <= k, got i={i}, j={j}, h={h}, k={w.group.k}")
-    if not w.is_actual:
-        raise ValueError("need an actual representation")
-    M = B_ij(i, j, w.group)
-    k = w.group.k
-    for d in (0, -1):
-        bh = bredon_homology(-w, M, d)
-        if bh.levels[k].ab.is_trivial:
-            continue
-        top = bh.levels[k].ab.factors
-        T = Mat.identity(len(top))
-        for m in range(k - 1, h - 1, -1):
-            T = bh.res_maps[m].times(T)
-        if not presented_injective(T, top, bh.levels[h].ab.factors):
-            return False
-    return True

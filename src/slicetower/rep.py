@@ -16,7 +16,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .group import Group, p_adic_val
+from .group import Group
 from .params import SliceParams, slice_params
 
 
@@ -79,18 +79,6 @@ def rotation_plane(group: Group, level: int, count: int = 1) -> Rep:
     planes = [0] * group.k
     planes[level] = count
     return Rep(group, 0, tuple(planes))
-
-
-def canonical_lambda(weight: int, group: Group) -> Rep:
-    """The plane where the generator rotates by weight/p^k of a turn.
-
-    Only the p-adic valuation of the weight matters up to isomorphism
-    of the underlying real representation, which is how the planes are
-    recorded here.
-    """
-    if weight < 1:
-        raise ValueError("weight must be positive")
-    return rotation_plane(group, min(p_adic_val(weight, group.p), group.k))
 
 
 @functools.cache

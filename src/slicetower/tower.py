@@ -113,7 +113,8 @@ def build_tower(n: int, group: Group) -> Tower:
     that the column a = 1 loses its b = 1 entry when p divides n, and
     one integral slice of dimension n at the bottom.  The top section is
     S^n itself; the bottom one must agree with the closed form for the
-    integral slice, which is asserted.
+    integral slice, which is asserted, and so are the gaps where
+    consecutive columns join.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -142,55 +143,13 @@ def build_tower(n: int, group: Group) -> Tower:
         raise AssertionError(f"slice dimensions are not strictly decreasing: {dims}")
     if len(stages) != group.k * params.count + (0 if n % p == 0 else 1):
         raise AssertionError(f"{len(stages)} slices, not the closed-form count")
+    # the columns' scales join exactly: connection_gap raises unless
+    # ell(a, d) - ell(a + 1, 1) is the closed-form gap
+    for a in range(1, group.k):
+        params.connection_gap(a)
     if section != bottom.rep:
         raise AssertionError("the bottom section differs from the closed form of the integral slice")
     return Tower(group, n, tuple(stages))
-
-
-@dataclass(frozen=True)
-class FiberData:
-    """One fiber sequence of the tower: the descriptor's slice is the
-    fiber of the map from the source section's sphere to the target's."""
-
-    source: Rep
-    target: Rep
-    descriptor: SliceDescriptor
-    out_level: int  # plane removed from source (k encodes two trivials)
-    in_level: int   # plane added to target
-
-
-def fiber_sequence_data(tower: Tower) -> list[FiberData]:
-    """The connecting data between consecutive sections, with the
-    internal consistency checks the construction relies on."""
-    group = tower.group
-    out: list[FiberData] = []
-    if tower.n >= 3:
-        # scale junctions between consecutive columns line up exactly:
-        # connection_gap raises unless ell(a, d) - ell(a + 1, 1) is the gap
-        params = slice_params(tower.n, group)
-        for a in range(1, group.k):
-            params.connection_gap(a)
-
-    for stage, below in zip(tower.stages, tower.stages[1:]):
-        desc, src, tgt = stage.descriptor, stage.section, below.section
-        out_level, in_level = desc.coeff_i + desc.coeff_j, desc.coeff_j
-        if src - rotation_plane(group, out_level) != tgt - rotation_plane(group, in_level):
-            raise AssertionError(f"sections {src} and {tgt} differ by more than a plane at "
-                                 f"level {out_level} traded for one at level {in_level}")
-
-        # the slice representation exceeds the common part by planes
-        # at levels below a only
-        common = src - rotation_plane(group, out_level)
-        excess = desc.rep - (common - trivial_rep(group))
-        if not (excess.is_actual and excess.trivial == 0):
-            raise AssertionError(f"the slice {desc.rep} exceeds the common part by {excess}, "
-                                 f"not by planes alone")
-        if any(excess.planes[stage.a:]):
-            raise AssertionError(f"the slice {desc.rep} exceeds the common part by planes "
-                                 f"at levels {stage.a} or above")
-
-        out.append(FiberData(src, tgt, desc, out_level, in_level))
-    return out
 
 
 # --- verification ------------------------------------------------------------

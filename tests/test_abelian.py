@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from criteria import in_diagonal_lattice
 from slicetower.abelian import (
     AbGroup,
     Mat,
-    in_diagonal_lattice,
     kernel_basis,
     lattice_basis,
     smith_normal_form,

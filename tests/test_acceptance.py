@@ -10,12 +10,13 @@ import random
 import time
 from contextlib import contextmanager
 
+from criteria import canonical_lambda, homres_injective
 from slicetower.abelian import AbGroup
 from slicetower.cells import cell_structure
 from slicetower.cli import main
 from slicetower.document import tower_document
 from slicetower.group import Group
-from slicetower.homology import bredon_homology, homres_injective, level_complex
+from slicetower.homology import bredon_homology, level_complex
 from slicetower.mackey import (
     B_ij,
     Z_ij,
@@ -27,7 +28,6 @@ from slicetower.mackey import (
 from slicetower.params import slice_params
 from slicetower.rep import (
     Rep,
-    canonical_lambda,
     lambda_block,
     n_slice_rep,
     regular_rep,

@@ -9,15 +9,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from slicetower.abelian import AbGroup, Mat, in_diagonal_lattice
+from criteria import homres_injective, in_diagonal_lattice, presented_injective
+from slicetower.abelian import AbGroup, Mat
 from slicetower.group import Group
-from slicetower.homology import (
-    bredon_homology,
-    homres_injective,
-    level_complex,
-    presented_injective,
-    sphere_homology,
-)
+from slicetower.homology import bredon_homology, level_complex, sphere_homology
 from slicetower.cells import cell_structure
 from slicetower.mackey import B_ij, Z_ij, constant_Z, dual_Z, restrict_mackey
 from slicetower.params import slice_params

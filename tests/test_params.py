@@ -157,14 +157,14 @@ def test_invariants_hold_under_python_O():
             print("gap:", e)
         from dataclasses import replace
         from slicetower.rep import trivial_rep
-        from slicetower.tower import build_tower, fiber_sequence_data
-        tower = build_tower(7, Group(3, 2))
-        stages = list(tower.stages)
-        stages[1] = replace(stages[1], section=stages[1].section + trivial_rep(tower.group, 2))
+        from slicetower.tower import _exchange, build_tower
+        group = Group(3, 2)
+        tower = build_tower(7, group)
+        # the (2, 1) slice trades two trivial summands for a plane at level 1
         try:
-            fiber_sequence_data(replace(tower, stages=tuple(stages)))
+            _exchange(replace(tower.stages[1], section=trivial_rep(group, 1)))
         except AssertionError as e:
-            print("fiber:", e)
+            print("exchange:", e)
     """)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -174,6 +174,5 @@ def test_invariants_hold_under_python_O():
         "count: closed-form count d = 3 for n = 8 over C_3, direct count 2",
         "ell: ell(1, 1) is not a nonnegative integer: 9/2",
         "gap: connection_gap(1) = 10 is not ell(1, 2) - ell(2, 1)",
-        "fiber: sections 7 and 7 + λ_1 differ by more than a plane at level 2 "
-        "traded for one at level 1",
+        "exchange: exchanging planes across V(2,1) leaves no section of dimension n",
     ]

@@ -6,12 +6,12 @@ import ast
 import pytest
 from hypothesis import given, strategies as st
 
+from criteria import canonical_lambda
 from slicetower.group import Group
 from slicetower.params import slice_params
 from slicetower.rep import (
     Rep,
     RepParseError,
-    canonical_lambda,
     is_subrep,
     lambda_block,
     n_slice_rep,

@@ -1,8 +1,8 @@
-"""Tower assembly: slice ordering, section bookkeeping, fiber data,
+"""Tower assembly: slice ordering, section bookkeeping, fiber sequences,
 and the from-scratch slice verification."""
 
 import dataclasses
-import time
+import itertools
 
 import pytest
 
@@ -15,7 +15,6 @@ from slicetower.tower import (
     Kind,
     SliceDescriptor,
     build_tower,
-    fiber_sequence_data,
     verify_slice,
     verify_tower,
 )
@@ -108,27 +107,24 @@ def test_counts_and_monotone_dims():
         build_tower(-1, C9)
 
 
-def test_fiber_sequence_data():
-    for n, g in ((7, C9), (16, C9), (9, C9), (12, C9), (5, C3), (8, Group(3, 3))):
+def test_fiber_sequences():
+    # each torsion slice is the fiber of the map from its section's
+    # sphere to the next one's: the two sections differ by one plane at
+    # level i + j traded for one at level j, and the slice exceeds their
+    # common part by planes at levels below its column a only
+    for p, k, n in itertools.product((3, 5, 7), (1, 2, 3), range(3, 31)):
+        g = Group(p, k)
         tower = build_tower(n, g)
-        data = fiber_sequence_data(tower)
-        assert len(data) == len(tower.stages) - 1
-        for i, fd in enumerate(data):
-            assert fd.source == tower.stages[i].section
-            assert fd.target == tower.stages[i + 1].section
-            assert fd.descriptor == tower.slices[i]
-            assert fd.in_level == tower.stages[i].a - 1
-            assert 0 <= fd.out_level <= g.k
-
-
-def test_fiber_sequence_data_of_a_long_tower_is_quick():
-    # one pass over consecutive stages; re-listing the slices and
-    # sections at every step made 10,000 stages take seconds
-    tower = build_tower(30000, C3)
-    assert len(tower.stages) == 10000
-    start = time.perf_counter()
-    assert len(fiber_sequence_data(tower)) == 9999
-    assert time.perf_counter() - start < 2
+        for stage, below in zip(tower.stages, tower.stages[1:]):
+            desc, a = stage.descriptor, stage.a
+            i, j = desc.coeff_i, desc.coeff_j
+            assert desc.is_torsion
+            assert j == a - 1 and 1 <= i and i + j <= g.k, (n, g, a, stage.b)
+            common = stage.section - rotation_plane(g, i + j)
+            assert common == below.section - rotation_plane(g, j), (n, g, a, stage.b)
+            excess = desc.rep - (common - trivial_rep(g))
+            assert excess.is_actual and excess.trivial == 0, (n, g, a, stage.b, excess)
+            assert not any(excess.planes[a:]), (n, g, a, stage.b, excess)
 
 
 def test_verify_slice_passes_on_real_slices():
