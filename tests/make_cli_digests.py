@@ -37,6 +37,21 @@ EXTRA = (
     ("mackey", "--p", "3", "--k", "2", "--show", "B(2,0)", "--format", "json"),
 )
 
+# Every coefficient family over C_3, C_9 and C_27 (k, name): Z, Z*, a few
+# Z(i,j) and every B(i,j), 19 in all.  Each is shown in text and JSON,
+# and the homology of three spheres with it is read at the top and the
+# bottom level, where the torsion family is zero, in degrees -1..1.
+COEFFS = tuple((k, name) for k in (1, 2, 3) for name in (
+    "Z", "Z*", *{1: (), 2: ("Z(2,1)",), 3: ("Z(2,1)", "Z(3,1)")}[k],
+    *(f"B({i},{j})" for i in range(1, k + 1) for j in range(k - i + 1))))
+EXTRA += tuple(("mackey", "--p", "3", "--k", str(k), "--show", name, "--format", fmt)
+               for k, name in COEFFS for fmt in ("text", "json"))
+EXTRA += tuple(("homology", "--p", "3", "--k", str(k), "--rep", rep, "--coeff", name,
+                "--degree", str(d), "--level", level)
+               for k, name in COEFFS
+               for rep in ("L0 - 2" if k == 1 else "L0 - L1", "2L0 - 3", "rho - 1 - L0")
+               for level in ("top", "e") for d in (-1, 0, 1))
+
 
 def requests() -> list[list[str]]:
     sys.path.insert(0, str(ROOT / "bench"))

@@ -3,7 +3,7 @@ stderr, byte for byte.  make_cli_digests.py writes the record."""
 
 import json
 
-from make_cli_digests import DIGESTS, digest
+from make_cli_digests import DIGESTS, digest, requests
 
 
 def test_outputs_match_the_recorded_digests():
@@ -11,3 +11,10 @@ def test_outputs_match_the_recorded_digests():
     assert len(recorded) > 512
     changed = [want["argv"] for want in recorded if digest(want["argv"]) != want]
     assert not changed, f"{len(changed)} requests changed, first {changed[:5]}"
+
+
+def test_the_record_holds_exactly_the_listed_requests():
+    # a request added to make_cli_digests.py without regenerating, or a
+    # hand-edited record, shows up here
+    recorded = json.loads(DIGESTS.read_text())
+    assert [r["argv"] for r in recorded] == requests()
