@@ -19,15 +19,12 @@ Linear systems are solved in blocks: A is factored once, and every
 right-hand side is a column of one matrix B, so the solution is the
 two products U B and V Z around a single divisibility pass over the
 rows of U B.
-
-The Smith form is also the only way invariant factors are computed:
-AbGroup.from_orders reads them off the Smith form of a diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def divides(d: int, x: int) -> bool:
@@ -76,9 +73,6 @@ class Mat:
         if len(v) != self.c:
             raise ValueError("vector length mismatch")
         return [sum(self.a[i][j] * v[j] for j in range(self.c)) for i in range(self.r)]
-
-    def scaled(self, s: int) -> "Mat":
-        return Mat(self.r, self.c, [[s * x for x in row] for row in self.a])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Mat) and self.r == other.r and self.c == other.c and self.a == other.a
@@ -260,20 +254,6 @@ class AbGroup:
                 nxt = fs[i + 1]
                 if nxt != 0 and (d == 0 or nxt % d != 0):
                     raise ValueError(f"factors not a divisibility chain: {fs}")
-
-    @classmethod
-    def from_orders(cls, orders: Iterable[int]) -> "AbGroup":
-        """Invariant factors of the direct sum of cyclic groups of the
-        given orders, read off the Smith form of their diagonal."""
-        arr = list(orders)
-        if any(d < 0 for d in arr):
-            raise ValueError("orders must be nonnegative")
-        diagonal = Mat(len(arr), len(arr))
-        for i, d in enumerate(arr):
-            diagonal.a[i][i] = d
-        f = smith_normal_form(diagonal)
-        factors = (f.diag(i) for i in range(len(arr)))
-        return cls(tuple(d for d in factors if d != 1))
 
     @classmethod
     def trivial(cls) -> "AbGroup":

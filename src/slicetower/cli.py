@@ -172,8 +172,9 @@ def cmd_mackey(args: argparse.Namespace) -> int:
             "group": {"p": group.p, "k": group.k, "display": str(group)},
             "name": M.name,
             "levels": [list(level) for level in M.levels],
-            "res": [m.a for m in M.res],
-            "tr": [m.a for m in M.tr],
+            # each map as the matrix the levels shape: 1x1, or empty
+            "res": [[[x] * len(M.levels[m + 1]) for _ in M.levels[m]] for m, x in enumerate(M.res)],
+            "tr": [[[x] * len(M.levels[m]) for _ in M.levels[m + 1]] for m, x in enumerate(M.tr)],
         }))
     else:
         print(render_mackey(M), end="")

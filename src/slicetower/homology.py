@@ -30,7 +30,7 @@ from .cells import CellStructure, DiffKey, Entry, cell_structure, class_images
 from .mackey import MackeyFunctor
 from .rep import Rep
 
-Layout = list[tuple[int, int, int, int]]  # per cell: (iso, classes, gens per class, first gen)
+Layout = list[tuple[int, int, int]]  # per cell: (iso, classes, first gen); one gen per class or none
 
 
 @dataclass
@@ -57,27 +57,25 @@ class LevelComplex:
 
 def _realize(M: MackeyFunctor, entries: dict[DiffKey, Entry],
              src: Layout, m_src: int, tgt: Layout, m_tgt: int,
-             shape: tuple[int, int], composites: dict[tuple[int, int], Mat]) -> Mat:
+             shape: tuple[int, int], composites: dict[tuple[int, int], int]) -> Mat:
     """Matrix of the given shape of the cellular map with the given
     formal entries, from cells laid out as src at level m_src to cells
     laid out as tgt at level m_tgt.  composites caches the coefficient
     maps between levels and may be shared across calls."""
     R = Mat(*shape)
     for (tgt_i, src_i), entry in entries.items():
-        h_s, s_s, g_s, src_off = src[src_i]
-        h_t, s_t, g_t, tgt_off = tgt[tgt_i]
+        h_s, s_s, src_off = src[src_i]
+        h_t, s_t, tgt_off = tgt[tgt_i]
         pair = (min(m_src, h_s), min(m_tgt, h_t))
         if pair not in composites:
             composites[pair] = M.composite(*pair)
         C = composites[pair]
+        if not C:
+            continue
         for c, m_c in entry.items():
             for x in range(s_s):
-                col = src_off + x * g_s
                 for y in class_images(x, c, s_s, s_t):
-                    row = tgt_off + y * g_t
-                    for t2 in range(g_t):
-                        for t1 in range(g_s):
-                            R.a[row + t2][col + t1] += m_c * C.a[t2][t1]
+                    R.a[tgt_off + y][src_off + x] += m_c * C
     return R
 
 
@@ -97,12 +95,12 @@ def level_complex(struct: CellStructure, M: MackeyFunctor, m: int) -> LevelCompl
         for h in struct.cells[d]:
             s = group.index(max(m, h))
             level_orders = M.levels[min(m, h)]
-            lay.append((h, s, len(level_orders), len(ords)))
+            lay.append((h, s, len(ords)))
             ords.extend(level_orders * s)
         layouts[d] = lay
         orders[d] = tuple(ords)
 
-    composites: dict[tuple[int, int], Mat] = {}
+    composites: dict[tuple[int, int], int] = {}
     boundary = {d: _realize(M, entries, layouts.get(d, []), m, layouts.get(d - 1, []), m,
                             (len(orders.get(d - 1, ())), len(orders.get(d, ()))), composites)
                 for d, entries in struct.diffs.items()}

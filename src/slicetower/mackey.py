@@ -1,80 +1,63 @@
-"""Mackey functors for C_{p^k} with explicit integer matrices.
+"""Mackey functors for C_{p^k} with at most one generator per level.
 
 A functor is stored by its value at each subgroup level together with
 restriction and transfer.  Every coefficient the verifier uses (Z, Z*,
 Z(i,j), B(i,j)) has trivial Weyl action, so none is recorded.  Level m
 is the value at the orbit G/C_{p^m}, so level 0 is the underlying
-abelian group and level k the fixed points.  Values are presented by
-generator orders (0 meaning an infinite cyclic summand), maps by
-integer matrices acting on those generators.
-
-Every named functor (Z, Z*, Z(i,j), B(i,j) and the cokernel
-presentation of B(i,j)) has at most one generator per level, so they
-all come from one builder, _cyclic_functor, which takes the order at
-each level and the restriction and transfer scalars.
+abelian group and level k the fixed points.  Every named functor (Z,
+Z*, Z(i,j), B(i,j) and the cokernel presentation of B(i,j)) is cyclic
+at each level, so a level is () for zero or (order,) for one generator
+of that order (0 meaning infinite cyclic), and restriction and
+transfer are integers, 0 next to a zero level.  They all come from one
+builder, _cyclic_functor, which takes the order at each level and the
+restriction and transfer scalars.  The CLI still prints each map as a
+1x1 matrix, or as an empty one next to a zero level.
 
 Functors compare and hash by value, not by name: two are equal when
 they have the same group, generator orders and restriction and
-transfer entries.  So B(1,0) over C_27 restricted to C_9 equals B(1,0)
+transfer scalars.  So B(1,0) over C_27 restricted to C_9 equals B(1,0)
 over C_9, while Z and Z* differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .abelian import AbGroup, Mat, divides
+from .abelian import AbGroup, divides
 from .group import Group
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MackeyFunctor:
     group: Group
-    levels: tuple[tuple[int, ...], ...]  # generator orders; levels[m] for G/C_{p^m}
-    res: tuple[Mat, ...]                 # res[m]: level m+1 -> level m
-    tr: tuple[Mat, ...]                  # tr[m]: level m -> level m+1
-    name: str = ""
+    levels: tuple[tuple[int, ...], ...]  # () or (order,); levels[m] for G/C_{p^m}
+    res: tuple[int, ...]                 # res[m]: level m+1 -> level m
+    tr: tuple[int, ...]                  # tr[m]: level m -> level m+1
+    name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         k = self.group.k
-        if len(self.levels) != k + 1 or len(self.res) != k or len(self.tr) != k:
-            raise ValueError("level or map count mismatch")
+        if (len(self.levels) != k + 1 or len(self.res) != k or len(self.tr) != k
+                or any(len(level) > 1 for level in self.levels)):
+            raise ValueError("level, generator or map count mismatch")
         for m in range(k):
-            lo, hi = len(self.levels[m]), len(self.levels[m + 1])
-            if (self.res[m].r, self.res[m].c) != (lo, hi):
-                raise ValueError(f"res[{m}] has shape {self.res[m].r}x{self.res[m].c}, expected {lo}x{hi}")
-            if (self.tr[m].r, self.tr[m].c) != (hi, lo):
-                raise ValueError(f"tr[{m}] has shape {self.tr[m].r}x{self.tr[m].c}, expected {hi}x{lo}")
-        # the value equality and hashing read, built once: Mat is mutable
-        # and has no hash, so the entries are copied, in one flat tuple
-        # that the levels, which fix every shape, make unambiguous
-        object.__setattr__(self, "_value", (self.group, self.levels, tuple(
-            x for f in self.res + self.tr for row in f.a for x in row)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MackeyFunctor):
-            return NotImplemented
-        return self._value == other._value
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def gens(self, m: int) -> int:
-        return len(self.levels[m])
+            if not (self.levels[m] and self.levels[m + 1]) and (self.res[m] or self.tr[m]):
+                raise ValueError(f"res[{m}] and tr[{m}] must be 0 next to a zero level")
 
     def level_group(self, m: int) -> AbGroup:
-        return AbGroup.from_orders(self.levels[m])
+        return AbGroup(self.levels[m])
 
-    def composite(self, src: int, dst: int) -> Mat:
+    def composite(self, src: int, dst: int) -> int:
         """Composite map from level src to level dst: transfers going
-        up, restrictions going down, the identity when src == dst."""
+        up, restrictions going down, 1 when src == dst, and 0 from or
+        to a zero level."""
         if not (0 <= src <= self.group.k and 0 <= dst <= self.group.k):
             raise ValueError("bad composite levels")
-        out = Mat.identity(self.gens(src))
+        out = 1 if self.levels[src] else 0
         for m in range(src, dst):
-            out = self.tr[m].times(out)
+            out *= self.tr[m]
         for m in range(src - 1, dst - 1, -1):
-            out = self.res[m].times(out)
+            out *= self.res[m]
         return out
 
     def __str__(self) -> str:
@@ -85,14 +68,13 @@ def _cyclic_functor(group: Group, orders: list[int], res_scalars: list[int],
                     tr_scalars: list[int], name: str) -> MackeyFunctor:
     """One generator of orders[m] at each level m, none where the order
     is 1; restriction and transfer are the given scalars between levels
-    that both have a generator, empty maps elsewhere."""
+    that both have a generator, 0 elsewhere."""
     levels = tuple(() if q == 1 else (q,) for q in orders)
-    res, tr = [], []
-    for m in range(group.k):
-        lo, hi = len(levels[m]), len(levels[m + 1])
-        res.append(Mat(lo, hi, [[res_scalars[m]]] if lo and hi else None))
-        tr.append(Mat(hi, lo, [[tr_scalars[m]]] if lo and hi else None))
-    return MackeyFunctor(group, levels, tuple(res), tuple(tr), name)
+
+    def maps(scalars: list[int]) -> tuple[int, ...]:
+        return tuple(x if levels[m] and levels[m + 1] else 0 for m, x in enumerate(scalars))
+
+    return MackeyFunctor(group, levels, maps(res_scalars), maps(tr_scalars), name)
 
 
 def constant_Z(group: Group) -> MackeyFunctor:
@@ -166,42 +148,29 @@ def b_as_cokernel(i: int, j: int, group: Group) -> MackeyFunctor:
     dst = constant_Z(group)
     phi = [1]
     for m in range(group.k):
-        r_src = src.res[m].a[0][0]
-        r_dst = dst.res[m].a[0][0]
-        lifted = phi[m] * r_src
-        if lifted % r_dst:
+        lifted = phi[m] * src.res[m]
+        if lifted % dst.res[m]:
             raise AssertionError(f"the map does not commute with restriction {m + 1} -> {m}")
-        phi.append(lifted // r_dst)
+        phi.append(lifted // dst.res[m])
         # the same scalar must intertwine the transfers
-        if phi[m + 1] * src.tr[m].a[0][0] != dst.tr[m].a[0][0] * phi[m]:
+        if phi[m + 1] * src.tr[m] != dst.tr[m] * phi[m]:
             raise AssertionError(f"the map does not commute with transfer {m} -> {m + 1}")
-    return _cyclic_functor(group, phi, [r.a[0][0] for r in dst.res], [t.a[0][0] for t in dst.tr],
-                           f"coker(Z({i + j},{j}) -> Z)")
+    return _cyclic_functor(group, phi, list(dst.res), list(dst.tr), f"coker(Z({i + j},{j}) -> Z)")
 
 
-def maps_equal_mod(target_orders: tuple[int, ...], A: Mat, B: Mat) -> bool:
-    """Equality of matrices as maps into a group with the given
-    generator orders: rows are compared modulo the order (0 = exact)."""
-    if (A.r, A.c) != (B.r, B.c) or A.r != len(target_orders):
-        return False
-    for idx, d in enumerate(target_orders):
-        for jdx in range(A.c):
-            if not divides(d, A.a[idx][jdx] - B.a[idx][jdx]):
-                return False
-    return True
+def congruent(level: tuple[int, ...], x: int, y: int) -> bool:
+    """Whether x and y are the same map into a level: congruent modulo
+    its order (0 = exactly equal), and always so into a zero level."""
+    return not level or divides(level[0], x - y)
 
 
 def mackey_equal(A: MackeyFunctor, B: MackeyFunctor) -> bool:
-    """Same presentation up to congruence of map entries; generator
+    """Same presentation up to congruence of the maps; generator
     counts must agree levelwise."""
     if A.group != B.group or A.levels != B.levels:
         return False
-    for m in range(A.group.k):
-        if not maps_equal_mod(A.levels[m], A.res[m], B.res[m]):
-            return False
-        if not maps_equal_mod(A.levels[m + 1], A.tr[m], B.tr[m]):
-            return False
-    return True
+    return all(congruent(A.levels[m], A.res[m], B.res[m])
+               and congruent(A.levels[m + 1], A.tr[m], B.tr[m]) for m in range(A.group.k))
 
 
 def validate_mackey(M: MackeyFunctor) -> None:
@@ -211,18 +180,18 @@ def validate_mackey(M: MackeyFunctor) -> None:
     p = M.group.p
     for m in range(M.group.k):
         lo, hi = M.levels[m], M.levels[m + 1]
-        if not maps_equal_mod(lo, M.res[m].times(M.tr[m]), Mat.identity(len(lo)).scaled(p)):
+        if not congruent(lo, M.res[m] * M.tr[m], p):
             raise AssertionError(f"{M.name}: res.tr at level {m} is not the norm")
-        if not maps_equal_mod(hi, M.tr[m].times(M.res[m]), Mat.identity(len(hi)).scaled(p)):
+        if not congruent(hi, M.tr[m] * M.res[m], p):
             raise AssertionError(f"{M.name}: tr.res at level {m + 1} is not the norm")
 
 
 # --- display -----------------------------------------------------------------
 
-def _fmt_mat(mat: Mat) -> str:
-    if mat.r == 0 or mat.c == 0:
-        return f"({mat.r}x{mat.c})"
-    return "[" + "; ".join(" ".join(str(x) for x in row) for row in mat.a) + "]"
+def _fmt_map(x: int, src: tuple[int, ...], dst: tuple[int, ...]) -> str:
+    """A map between two levels as the CLI prints it: a 1x1 matrix, or
+    the shape of an empty one."""
+    return f"[{x}]" if src and dst else f"({len(dst)}x{len(src)})"
 
 
 def render_mackey(M: MackeyFunctor) -> str:
@@ -232,6 +201,7 @@ def render_mackey(M: MackeyFunctor) -> str:
     for m in range(M.group.k, -1, -1):
         lines.append(f"  level {m}: {M.level_group(m)}")
         if m > 0:
-            lines.append(f"    res {m}->{m - 1}: {_fmt_mat(M.res[m - 1])}"
-                         f"   tr {m - 1}->{m}: {_fmt_mat(M.tr[m - 1])}")
+            hi, lo = M.levels[m], M.levels[m - 1]
+            lines.append(f"    res {m}->{m - 1}: {_fmt_map(M.res[m - 1], hi, lo)}"
+                         f"   tr {m - 1}->{m}: {_fmt_map(M.tr[m - 1], lo, hi)}")
     return "\n".join(lines) + "\n"

@@ -132,13 +132,13 @@ def test_criterion_5_mackey_tables():
             }.items():
                 m = Z_ij(i, j, g)
                 assert m.levels == ((0,), (0,), (0,))
-                assert [r.a[0][0] for r in m.res] == res_s
-                assert [t.a[0][0] for t in m.tr] == tr_s
+                assert list(m.res) == res_s
+                assert list(m.tr) == tr_s
             assert B_ij(2, 0, g).levels == ((), (p,), (p * p,))
             assert B_ij(1, 0, g).levels == ((), (p,), (p,))
             assert B_ij(1, 1, g).levels == ((), (), (p,))
             for b in (B_ij(2, 0, g), B_ij(1, 0, g)):
-                assert b.res[1].a == [[1]] and b.tr[1].a == [[p]]
+                assert b.res[1] == 1 and b.tr[1] == p
             for k in (1, 2, 3):
                 gk = Group(p, k)
                 for i in range(1, k + 1):
@@ -174,7 +174,7 @@ def test_criterion_6b_integral_family_spheres():
                     for m in range(k + 1):
                         assert bh.ab(m) == AbGroup((0,)), (k, a, j, m)
                     for m in range(k):
-                        assert abs(bh.res_maps[m].a[0][0]) == expected.res[m].a[0][0]
+                        assert abs(bh.res_maps[m].a[0][0]) == expected.res[m]
                     for d in (-2, -1, 1, 2):
                         off = bredon_homology(v, constant_Z(g), d)
                         assert all(off.ab(m).is_trivial for m in range(k + 1))

@@ -5,17 +5,16 @@ import dataclasses
 
 import pytest
 
-from slicetower.abelian import Mat
 from slicetower.group import Group
 from slicetower.mackey import (
     B_ij,
     MackeyFunctor,
     Z_ij,
     b_as_cokernel,
+    congruent,
     constant_Z,
     dual_Z,
     mackey_equal,
-    maps_equal_mod,
     parse_coefficient,
     render_mackey,
     restrict_mackey,
@@ -25,16 +24,11 @@ from slicetower.mackey import (
 C9 = Group(3, 2)
 
 
-def scalar(many_mat: Mat) -> int:
-    assert (many_mat.r, many_mat.c) == (1, 1)
-    return many_mat.a[0][0]
-
-
 def test_constant_and_dual():
     z = constant_Z(C9)
     assert z.levels == ((0,), (0,), (0,))
-    assert [scalar(r) for r in z.res] == [1, 1]
-    assert [scalar(t) for t in z.tr] == [3, 3]
+    assert z.res == (1, 1)
+    assert z.tr == (3, 3)
     assert mackey_equal(dual_Z(C9), Z_ij(2, 0, C9))
     # the family degenerates to the constant functor on the diagonal
     for i in range(3):
@@ -53,16 +47,16 @@ def test_six_frozen_diagrams(p):
     for (i, j), (res_scalars, tr_scalars) in expected_z.items():
         m = Z_ij(i, j, g)
         assert m.levels == ((0,), (0,), (0,))
-        assert [scalar(r) for r in m.res] == res_scalars
-        assert [scalar(t) for t in m.tr] == tr_scalars
+        assert list(m.res) == res_scalars
+        assert list(m.tr) == tr_scalars
     # torsion family: generator orders bottom-up
     assert B_ij(2, 0, g).levels == ((), (p,), (p * p,))
     assert B_ij(1, 0, g).levels == ((), (p,), (p,))
     assert B_ij(1, 1, g).levels == ((), (), (p,))
     b20 = B_ij(2, 0, g)
-    assert scalar(b20.res[1]) == 1 and scalar(b20.tr[1]) == p
+    assert b20.res[1] == 1 and b20.tr[1] == p
     b10 = B_ij(1, 0, g)
-    assert scalar(b10.res[1]) == 1 and scalar(b10.tr[1]) == p
+    assert b10.res[1] == 1 and b10.tr[1] == p
 
 
 def test_b_matches_cokernel():
@@ -130,24 +124,64 @@ def test_validate_rejects_broken_functor():
     bad = MackeyFunctor(
         group=Group(3, 1),
         levels=((0,), (0,)),
-        res=(Mat(1, 1, [[1]]),),
-        tr=(Mat(1, 1, [[1]]),),  # res.tr = 1, but the norm is p
+        res=(1,),
+        tr=(1,),  # res.tr = 1, but the norm is p
     )
     with pytest.raises(AssertionError):
         validate_mackey(bad)
+
+
+@pytest.mark.parametrize("res, tr", [(1, 0), (0, 3), (1, 3)])
+def test_nonzero_map_next_to_a_zero_level_is_rejected(res, tr):
     with pytest.raises(ValueError):
-        MackeyFunctor(
-            group=Group(3, 1),
-            levels=((0,), (0,)),
-            res=(Mat(2, 1),),
-            tr=(Mat(1, 1, [[3]]),),
-        )
+        MackeyFunctor(group=Group(3, 1), levels=((), (3,)), res=(res,), tr=(tr,))
+    with pytest.raises(ValueError):
+        MackeyFunctor(group=Group(3, 1), levels=((3,), ()), res=(res,), tr=(tr,))
+    # zero maps there are fine
+    MackeyFunctor(group=Group(3, 1), levels=((), (3,)), res=(0,), tr=(0,))
 
 
-def test_maps_equal_mod():
-    assert maps_equal_mod((3,), Mat(1, 1, [[4]]), Mat(1, 1, [[1]]))
-    assert not maps_equal_mod((0,), Mat(1, 1, [[4]]), Mat(1, 1, [[1]]))
-    assert not maps_equal_mod((3,), Mat(1, 1, [[4]]), Mat(1, 2, [[1, 0]]))
+def test_more_than_one_generator_at_a_level_is_rejected():
+    with pytest.raises(ValueError):
+        MackeyFunctor(group=Group(3, 1), levels=((0,), (0, 0)), res=(1,), tr=(3,))
+
+
+def all_families(g: Group) -> list[MackeyFunctor]:
+    k = g.k
+    return [constant_Z(g), dual_Z(g),
+            *(Z_ij(i, j, g) for i in range(k + 1) for j in range(i + 1)),
+            *(B_ij(i, j, g) for i in range(1, k + 1) for j in range(k - i + 1)),
+            *(b_as_cokernel(i, j, g) for i in range(1, k + 1) for j in range(k - i + 1))]
+
+
+@pytest.mark.parametrize("M", all_families(Group(3, 3)), ids=lambda M: M.name)
+def test_composite(M):
+    k = M.group.k
+    for m in range(k + 1):
+        assert M.composite(m, m) == (1 if M.levels[m] else 0)
+    for a in range(k + 1):
+        for c in range(k + 1):
+            if not (M.levels[a] and M.levels[c]):
+                assert M.composite(a, c) == 0
+            # through any level between them, in either direction
+            for b in range(min(a, c), max(a, c) + 1):
+                assert M.composite(a, c) == M.composite(b, c) * M.composite(a, b)
+    # one step is the stored map, where both levels are nonzero
+    for m in range(k):
+        if M.levels[m] and M.levels[m + 1]:
+            assert M.composite(m + 1, m) == M.res[m]
+            assert M.composite(m, m + 1) == M.tr[m]
+    with pytest.raises(ValueError):
+        M.composite(0, k + 1)
+
+
+def test_congruent():
+    assert congruent((3,), 4, 1)
+    assert not congruent((0,), 4, 1)
+    assert congruent((0,), 4, 4)
+    assert not congruent((9,), 4, 1)
+    # every map into a zero level is the zero map
+    assert congruent((), 4, 1)
 
 
 def test_parse_coefficient():
