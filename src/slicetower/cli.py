@@ -21,11 +21,13 @@ from .document import FORMAT, dumps_indented, tower_document
 from .group import Group, is_odd_prime
 from .homology import sphere_homology
 from .mackey import parse_coefficient, render_mackey, restrict_mackey
+from .params import stage_count
 from .render import render_latex, render_text
 from .rep import parse_rep, render_rep, restrict_rep
 from .tower import build_tower, verify_tower
 
 RANGE_ENV = "SLICETOWER_VERIFY_RANGE"
+MAX_STAGES = 500_000  # per request; the tower of S^1000000 over C_3 has 333,334
 
 # flags whose values may begin with "-" (e.g. --rep "-(rho)"); they are
 # rewritten to the = form so argparse does not mistake them for options
@@ -63,6 +65,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_stages(group: Group, lo: int, hi: int, spec: str) -> None:
+    """Refuse towers for n = lo..hi of more than MAX_STAGES stages in all, before
+    building any.  Each n has one stage or more, so a longer range is not summed."""
+    total = hi - lo + 1
+    if total <= MAX_STAGES:
+        total = sum(stage_count(n, group) for n in range(lo, hi + 1))
+    if total > MAX_STAGES:
+        raise UsageError(f"--n {spec} builds at least {total} stages, over the cap of {MAX_STAGES}")
+
+
 def _emit(doc: Any, args: argparse.Namespace) -> None:
     if args.format == "json":
         print(dumps_indented(doc))
@@ -76,6 +88,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
     group = _group_from(args)
     if args.n < 0:
         raise UsageError(f"--n must be nonnegative, got {args.n}")
+    _check_stages(group, args.n, args.n, str(args.n))
     tower = build_tower(args.n, group)
     reports = verify_tower(tower) if args.verify else None
     _emit(tower_document(tower, reports), args)
@@ -90,6 +103,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if spec is None:
         raise UsageError(f"provide --n N or --n A..B, or set {RANGE_ENV}")
     lo, hi = _parse_range(spec)
+    _check_stages(group, lo, hi, spec)
 
     towers = [build_tower(n, group) for n in range(lo, hi + 1)]
     runs = [(tower, verify_tower(tower)) for tower in towers]

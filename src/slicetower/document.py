@@ -12,7 +12,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .rep import Rep, render_forms, rho_form, strip_planes
+from .rep import Rep, render_forms, rho_form, spell_forms, strip_planes
 from .tower import SliceDescriptor, Tower, VerificationReport
 
 FORMAT = "slicetower/1"
@@ -38,17 +38,26 @@ def _write(obj: Any, out: list[str], nl: str) -> None:
         sep = inner = nl + "  "
         out.append("{" if is_dict else "[")
         for item in obj:
+            value = obj[item] if is_dict else item
             # _quote raises TypeError on a key that is not a str
             out.append(sep + _quote(item) + ": " if is_dict else sep)
-            _write(obj[item] if is_dict else item, out, inner)
+            # plain str, int and None leaves inline, the rest as above
+            if type(value) is str:
+                out.append(_quote(value))
+            elif type(value) is int:
+                out.append(int.__repr__(value))
+            elif value is None:
+                out.append("null")
+            else:
+                _write(value, out, inner)
             sep = "," + inner
         out.append((nl if obj else "") + ("}" if is_dict else "]"))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def rep_payload(v: Rep) -> dict[str, Any]:
-    display, latex = render_forms(v)
+def rep_payload(v: Rep, forms: tuple[str, str] | None = None) -> dict[str, Any]:
+    display, latex = forms or render_forms(v)  # forms, if given, is render_forms(v)
     return {
         "trivial": v.trivial,
         "planes": list(v.planes),
@@ -58,17 +67,18 @@ def rep_payload(v: Rep) -> dict[str, Any]:
     }
 
 
-def _printed_rep(desc: SliceDescriptor) -> Rep:
+def _printed_rep(desc: SliceDescriptor, form: tuple[int, int] | None) -> Rep:
     """What the slice's sphere is displayed as.
 
     Torsion coefficients cannot see planes at or below their vanishing
     range, so those summands are stripped from the display unless the
     representation is an exact regular multiple over a group with at
     least two plane levels, where that shorthand is shorter and exact.
+    form is rho_form(desc.rep).
     """
     if not desc.is_torsion:
         return desc.rep
-    if desc.rep.group.k >= 2 and rho_form(desc.rep) is not None:
+    if desc.rep.group.k >= 2 and form is not None:
         return desc.rep
     return strip_planes(desc.rep, desc.coeff_j + 1)
 
@@ -94,10 +104,11 @@ def tower_document(tower: Tower,
                      "display": f"B({desc.coeff_i},{desc.coeff_j})"}
         else:
             coeff = {"family": "Z", "display": "Z"}
-        rep = rep_payload(desc.rep)
-        printed = _printed_rep(desc)
-        display, latex = ((rep["display"], rep["latex"]) if printed is desc.rep
-                          else render_forms(printed))
+        form = rho_form(desc.rep)
+        forms = spell_forms(desc.rep, form)
+        printed = _printed_rep(desc, form)
+        # a stripped sphere has no level-0 planes, so no rho form
+        display, latex = forms if printed is desc.rep else spell_forms(printed, None)
         entry: dict[str, Any] = {
             "index": i,
             "slice": {
@@ -105,7 +116,7 @@ def tower_document(tower: Tower,
                 "kind": desc.kind.value,
                 "a": stage.a,
                 "b": stage.b,
-                "rep": rep,
+                "rep": rep_payload(desc.rep, forms),
                 "printed": {"display": display, "latex": latex},
                 "coefficient": coeff,
             },

@@ -27,6 +27,17 @@ def parity_offset(n: int, p: int) -> int:
     return 2 if n0 % 2 == 0 else 1
 
 
+def base_count(n: int, p: int) -> int:
+    """d for n >= 3 by the closed formula (n - (n - n0)/p - offset)/2."""
+    return (n - n // p - parity_offset(n, p)) // 2
+
+
+def stage_count(n: int, group: Group) -> int:
+    """The stages of the tower of S^n in closed form, for any n: k*d, less
+    one when p divides n, and the integral slice at the bottom."""
+    return 1 if n <= 2 else group.k * base_count(n, group.p) + (n % group.p != 0)
+
+
 @dataclass(frozen=True)
 class SliceParams:
     """Value object carrying the tower combinatorics of one (n, group).
@@ -61,7 +72,7 @@ class SliceParams:
         """
         self._check_indices(a, b)
         p, k = self.group.p, self.group.k
-        num = (self.n - 2) * p**k - self.base_dim(b) * p**a
+        num = (self.n - 2) * p**k - self.base_dims[b - 1] * p**a
         if num % 2 or num < 0:
             raise AssertionError(f"ell({a}, {b}) is not a nonnegative integer: {num}/2")
         return num // 2
@@ -74,7 +85,7 @@ class SliceParams:
         level valuation + a for one at level a - 1.
         """
         self._check_indices(a, b)
-        return min(p_adic_val(self.base_dim(b), self.group.p), self.group.k - a)
+        return min(p_adic_val(self.base_dims[b - 1], self.group.p), self.group.k - a)
 
     def connection_gap(self, a: int) -> int:
         """ell(a, d) - ell(a+1, 1): the jump between consecutive a-blocks.
@@ -119,7 +130,7 @@ def slice_params(n: int, group: Group) -> SliceParams:
     p = group.p
     n0 = n % p
     delta = parity_offset(n, p)
-    d = (n - (n - n0) // p - delta) // 2
+    d = base_count(n, p)
     # Independent count: same parity as n, n/p <= m <= n-2 (lower bound
     # attainable only when p | n), as a range from the least such m.
     least = -(-n // p)

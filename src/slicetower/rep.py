@@ -36,7 +36,7 @@ class Rep:
 
     @property
     def is_actual(self) -> bool:
-        return self.trivial >= 0 and all(m >= 0 for m in self.planes)
+        return self.trivial >= 0 and (not self.planes or min(self.planes) >= 0)
 
     def __add__(self, other: "Rep") -> "Rep":
         self._same_group(other)
@@ -55,7 +55,7 @@ class Rep:
         return Rep(self.group, s * self.trivial, tuple(s * m for m in self.planes))
 
     def _same_group(self, other: "Rep") -> None:
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise ValueError(f"group mismatch: {self.group} vs {other.group}")
 
     def __str__(self) -> str:
@@ -95,17 +95,20 @@ def lambda_block(count: int, group: Group) -> Rep:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    p, k = group.p, group.k
-    planes = tuple(count // p ** j - count // p ** (j + 1) for j in range(k))
-    return Rep(group, 2 * (count // p ** k), planes)
+    p, planes = group.p, []
+    for _ in range(group.k):  # count is the original count // p^j at step j
+        planes.append(count - count // p)
+        count //= p
+    return Rep(group, 2 * count, tuple(planes))
 
 
 def slice_rep(params: SliceParams, a: int, b: int) -> Rep:
     """The representation carrying the torsion slice at position (a, b)."""
     group = params.group
-    ell = params.ell(a, b)
-    v = regular_rep(group, params.n - 2) - trivial_rep(group) - lambda_block(ell, group)
-    if not (v.is_actual and v.dim == params.base_dim(b) * group.p ** a - 1):
+    ell = params.ell(a, b)  # checks a and b
+    rho, lam = regular_rep(group, params.n - 2), lambda_block(ell, group)
+    v = Rep(group, rho.trivial - 1 - lam.trivial, tuple(map(operator.sub, rho.planes, lam.planes)))
+    if not (v.is_actual and v.dim == params.base_dims[b - 1] * group.p ** a - 1):
         raise AssertionError(f"V({a},{b}) is not an actual representation of the slice dimension")
     if v.trivial != params.n - 3 - 2 * (ell // group.order):
         raise AssertionError(f"V({a},{b}) has the wrong trivial multiplicity")
@@ -162,18 +165,14 @@ def is_subrep(small: Rep, big: Rep) -> bool:
 # --- display ---------------------------------------------------------------
 
 def rho_form(v: Rep) -> tuple[int, int] | None:
-    """(s, t) with v == s*rho - t*trivial, s >= 1 and 0 <= t <= 2, if
-    the plane multiplicities are an exact regular multiple."""
-    rho = regular_rep(v.group)
-    if v.group.k == 0 or rho.planes[0] == 0:
-        return None
-    s, r = divmod(v.planes[0], rho.planes[0])
-    if r != 0 or s <= 0:
-        return None
-    if v.planes != tuple(s * m for m in rho.planes):
-        return None
+    """(s, t) with v == s*rho - t*trivial, s >= 1 and 0 <= t <= 2, if the planes
+    are s*rho's: s(p - 1)/2 at level k - 1, and p times level j + 1's at level j."""
+    planes, p = v.planes, v.group.p
+    s, r = divmod(planes[-1], (p - 1) // 2) if planes else (0, 0)
     t = s - v.trivial
-    return (s, t) if 0 <= t <= 2 else None
+    if r or s <= 0 or not 0 <= t <= 2 or any(x != p * y for x, y in zip(planes, planes[1:])):
+        return None
+    return s, t
 
 
 def strip_planes(v: Rep, below: int) -> Rep:
@@ -187,23 +186,27 @@ def strip_planes(v: Rep, below: int) -> Rep:
 def render_forms(v: Rep) -> tuple[str, str]:
     """The display and LaTeX forms of v, from one reading of its terms;
     the s*rho - t shorthand is used when it is exact."""
-    form = rho_form(v)
+    return spell_forms(v, rho_form(v))
+
+
+def spell_forms(v: Rep, form: tuple[int, int] | None) -> tuple[str, str]:
+    """render_forms(v) for form = rho_form(v), read once by the caller."""
     if form is not None:
         s, t = form
         head = "" if s == 1 else str(s)
         tail = "" if t == 0 else f" - {t}"
         return f"{head}ρ{tail}", rf"{head}\rho{tail}"
 
-    terms = [(v.trivial, "", "")] if v.trivial else []
-    terms += [(v.planes[j], f"λ_{j}", rf"\lambda_{{{j}}}")
-              for j in range(v.group.k - 1, -1, -1) if v.planes[j]]
-    text, tex = [], []
-    for i, (m, sym, tex_sym) in enumerate(terms):
-        sign = ("" if m > 0 else "-") if i == 0 else (" + " if m > 0 else " - ")
-        mag = "" if abs(m) == 1 and sym else str(abs(m))
-        text.append(f"{sign}{mag}{sym}")
-        tex.append(f"{sign}{mag}{tex_sym}")
-    return "".join(text) or "0", "".join(tex) or "0"
+    # the trivial term first, then the planes from level k - 1 down
+    text = tex = str(v.trivial) if v.trivial else ""
+    for j in range(v.group.k - 1, -1, -1):
+        m = v.planes[j]
+        if m:
+            sign = (" + " if m > 0 else " - ") if text else ("" if m > 0 else "-")
+            head = sign if m == 1 or m == -1 else sign + str(abs(m))
+            text += f"{head}λ_{j}"
+            tex += rf"{head}\lambda_{{{j}}}"
+    return text or "0", tex or "0"
 
 
 def render_rep(v: Rep) -> str:

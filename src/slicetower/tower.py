@@ -34,9 +34,8 @@ from .cells import max_cell_dim
 from .group import Group
 from .homology import sphere_homology
 from .mackey import B_ij, MackeyFunctor, constant_Z, restrict_mackey
-from .params import slice_params
-from .rep import (Rep, is_subrep, n_slice_rep, regular_rep, restrict_rep,
-                  rotation_plane, slice_rep, trivial_rep)
+from .params import slice_params, stage_count
+from .rep import Rep, is_subrep, n_slice_rep, regular_rep, restrict_rep, slice_rep, trivial_rep
 
 class Kind(str, Enum):
     """What a slice is: TORSION for the B-coefficient slices, INTEGRAL
@@ -98,9 +97,11 @@ def _exchange(stage: Stage) -> Rep:
     coefficient B(i, j) trades the plane at level i + j for one at
     level j (two trivial summands when i + j is k)."""
     desc, section = stage.descriptor, stage.section
-    group = section.group
-    nxt = (section - rotation_plane(group, desc.coeff_i + desc.coeff_j)
-           + rotation_plane(group, desc.coeff_j))
+    # one slot per level 0..k; a level-k plane is two trivial summands (see rotation_plane)
+    planes = [*section.planes, 0]
+    planes[desc.coeff_i + desc.coeff_j] -= 1
+    planes[desc.coeff_j] += 1
+    nxt = Rep(section.group, section.trivial + 2 * planes.pop(), tuple(planes))
     if not (nxt.is_actual and nxt.dim == section.dim):
         raise AssertionError(f"exchanging planes across V({stage.a},{stage.b}) leaves no section of dimension n")
     return nxt
@@ -141,7 +142,7 @@ def build_tower(n: int, group: Group) -> Tower:
     dims = [s.descriptor.dim for s in stages]
     if any(upper <= lower for upper, lower in zip(dims, dims[1:])):
         raise AssertionError(f"slice dimensions are not strictly decreasing: {dims}")
-    if len(stages) != group.k * params.count + (0 if n % p == 0 else 1):
+    if len(stages) != stage_count(n, group):
         raise AssertionError(f"{len(stages)} slices, not the closed-form count")
     # the columns' scales join exactly: connection_gap raises unless
     # ell(a, d) - ell(a + 1, 1) is the closed-form gap

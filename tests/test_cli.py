@@ -13,10 +13,11 @@ import pytest
 
 from slicetower.abelian import AbGroup
 from slicetower import cli
-from slicetower.cli import RANGE_ENV, _join_leading_dash_values, build_parser, main
+from slicetower.cli import MAX_STAGES, RANGE_ENV, _join_leading_dash_values, build_parser, main
 from slicetower.group import Group
 from slicetower.homology import bredon_homology
 from slicetower.mackey import parse_coefficient
+from slicetower.params import stage_count
 from slicetower.rep import parse_rep
 from slicetower.tower import Failure, VerificationReport
 
@@ -339,6 +340,30 @@ def test_huge_p_exits_two():
     proc = run_subprocess("tower", "--p", str(2**61 - 1), "--k", "1", "--n", "5", timeout=10)
     assert proc.returncode == 2
     assert proc.stderr == "error: --p must be below 2^31\n"
+
+
+@pytest.mark.parametrize("argv,count", [
+    (("tower", "--p", "3", "--k", "1", "--n", str(10**12)), 333_333_333_334),
+    (("verify", "--p", "3", "--k", "1", "--n", f"0..{10**12}"), 10**12 + 1),
+], ids=["tower", "verify"])
+def test_huge_request_exits_two_before_building(argv, count):
+    # without the cap both would build towers until memory ran out
+    proc = run_subprocess(*argv, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: --n {argv[-1]} builds at least {count} stages, "
+                           f"over the cap of {MAX_STAGES}\n")
+
+
+def test_stage_cap(capsys):
+    # the README's largest tower fits; a range whose towers together pass
+    # the cap is refused with their exact total, before any is built
+    g = Group(3, 1)
+    assert stage_count(10**6, g) == 333_334 <= MAX_STAGES
+    total = sum(stage_count(n, g) for n in range(3001))
+    assert total > MAX_STAGES > 3001
+    code, out, err = run(capsys, "verify", "--p", "3", "--k", "1", "--n", "0..3000")
+    assert (code, out) == (2, "")
+    assert err == f"error: --n 0..3000 builds at least {total} stages, over the cap of {MAX_STAGES}\n"
 
 
 @pytest.mark.parametrize("depth", [500, 5000])

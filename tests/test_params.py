@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from slicetower.group import Group, is_odd_prime, p_adic_val
 from slicetower.mackey import constant_Z, restrict_mackey
-from slicetower.params import parity_offset, slice_params
+from slicetower.params import parity_offset, slice_params, stage_count
 from slicetower.rep import restrict_rep, trivial_rep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -119,6 +119,18 @@ def test_ell_is_monotone_in_stage_order(n, pk):
             for b in range(params.count, 0, -1)]
     assert ells == sorted(ells)
     assert len(set(ells)) == len(ells)
+
+
+def test_stage_count_is_the_tower_length():
+    from slicetower.tower import build_tower
+    for p, k in ((3, 1), (3, 2), (5, 3), (7, 2)):
+        g = Group(p, k)
+        assert [stage_count(n, g) for n in range(60)] == [len(build_tower(n, g).stages)
+                                                         for n in range(60)]
+    # closed form, so it answers at once far past any tower one could build:
+    # 10^30 is 1 mod 3, so the offset is 1 and the bottom slice is kept
+    n = 10**30
+    assert stage_count(n, Group(3, 2)) == 2 * ((n - n // 3 - 1) // 2) + 1
 
 
 def test_index_validation():

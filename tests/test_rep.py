@@ -2,6 +2,11 @@
 representations, display forms, and the parser."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +34,8 @@ from slicetower.rep import (
 
 C9 = Group(3, 2)
 C3 = Group(3, 1)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 GROUPS = [C3, C9, Group(5, 1), Group(5, 2), Group(7, 1), Group(3, 3)]
 
@@ -96,6 +103,39 @@ def test_slice_rep_frozen():
     assert slice_rep(p16, 2, 5) == Rep(C9, 13, (42, 14))  # 14*rho - 1
     assert slice_rep(p16, 1, 1) == Rep(C9, 1, (6, 2))     # 2*rho - 1
     assert slice_rep(p16, 1, 1).dim == 17
+
+
+def test_slice_rep_checks_hold_under_python_O():
+    # both checks raise, so -O keeps them: with lambda_block mutated,
+    # V(2,2) of S^7 over C_9 (5 rho - 1) is refused either way
+    script = textwrap.dedent("""
+        from slicetower import rep
+        from slicetower.group import Group
+        from slicetower.params import slice_params
+        params = slice_params(7, Group(3, 2))
+        lambda_block = rep.lambda_block
+        mutants = {
+            # one level-0 plane too many takes two dimensions off V
+            "dim": lambda c, g: lambda_block(c, g) + rep.rotation_plane(g, 0),
+            # a level-0 plane for two trivial summands keeps the dimension
+            "trivial": lambda c, g: (lambda_block(c, g) - rep.trivial_rep(g, 2)
+                                     + rep.rotation_plane(g, 0)),
+        }
+        for name, mutant in mutants.items():
+            rep.lambda_block = mutant
+            try:
+                print(name, "passed:", rep.slice_rep(params, 2, 2))
+            except AssertionError as e:
+                print(f"{name}: {e}")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "dim: V(2,2) is not an actual representation of the slice dimension",
+        "trivial: V(2,2) has the wrong trivial multiplicity",
+    ]
 
 
 def test_n_slice_rep_frozen():

@@ -14,6 +14,7 @@ from slicetower.tower import (
     Failure,
     Kind,
     SliceDescriptor,
+    _exchange,
     build_tower,
     verify_slice,
     verify_tower,
@@ -125,6 +126,34 @@ def test_fiber_sequences():
             excess = desc.rep - (common - trivial_rep(g))
             assert excess.is_actual and excess.trivial == 0, (n, g, a, stage.b, excess)
             assert not any(excess.planes[a:]), (n, g, a, stage.b, excess)
+
+
+def test_exchange_at_level_k_trades_two_trivial_summands():
+    # S^7 over C_9: B(1,1) at (2, 2) and B(2,0) at (1, 1) have i + j = k,
+    # so crossing them gives up two trivial summands for a level-j plane
+    tower = build_tower(7, C9)
+    assert _exchange(tower.stages[0]) == Rep(C9, 5, (0, 1))
+    assert _exchange(tower.stages[3]) == Rep(C9, 1, (2, 1))
+    for p, k, n in itertools.product((3, 5), (1, 2, 3), range(3, 25)):
+        g = Group(p, k)
+        for stage in build_tower(n, g).stages[:-1]:
+            i, j = stage.descriptor.coeff_i, stage.descriptor.coeff_j
+            if i + j != k:
+                continue
+            nxt = _exchange(stage)
+            assert nxt.trivial == stage.section.trivial - 2, (n, g, stage.a, stage.b)
+            assert nxt.planes == tuple(m + (level == j) for level, m in enumerate(stage.section.planes))
+
+
+def test_exchange_needs_the_plane_it_gives_up():
+    tower = build_tower(7, C9)
+    # the (2, 1) slice's B(1,1) gives up two trivial summands, and S^1 has one
+    with pytest.raises(AssertionError, match=r"exchanging planes across V\(2,1\) leaves no section"):
+        _exchange(dataclasses.replace(tower.stages[1], section=trivial_rep(C9, 1)))
+    # the (1, 2) slice's B(1,0) gives up a level-1 plane, and S^7 has none
+    assert tower.stages[2].descriptor.coeff_i + tower.stages[2].descriptor.coeff_j == 1
+    with pytest.raises(AssertionError, match=r"exchanging planes across V\(1,2\) leaves no section"):
+        _exchange(dataclasses.replace(tower.stages[2], section=trivial_rep(C9, 7)))
 
 
 def test_verify_slice_passes_on_real_slices():
