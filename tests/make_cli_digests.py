@@ -52,6 +52,21 @@ EXTRA += tuple(("homology", "--p", "3", "--k", str(k), "--rep", rep, "--coeff", 
                for rep in ("L0 - 2" if k == 1 else "L0 - L1", "2L0 - 3", "rho - 1 - L0")
                for level in ("top", "e") for d in (-1, 0, 1))
 
+# The slice terms of the representation grammar over C_3, C_9 and C_27
+# (k, n, d): W@n= and every V(a,b)@n= of the tower, in text and JSON,
+# with n prime to p, divisible by p, and p^k itself; then the indices
+# and the n that are refused.
+SLICE_TERMS = ((1, 7, 2), (1, 9, 3), (2, 8, 2), (2, 9, 3), (3, 10, 3), (3, 12, 4), (3, 27, 0))
+EXTRA += tuple(("homology", "--p", "3", "--k", str(k), "--rep", rep, "--format", fmt)
+               for k, n, d in SLICE_TERMS
+               for rep in (f"W@n={n}", *(f"V({a},{b})@n={n}" for a in range(1, k + 1)
+                                          for b in range(1, d + 1)))
+               for fmt in ("text", "json"))
+EXTRA += tuple(("homology", "--p", "3", "--k", str(k), "--rep", rep)
+               for k, rep in ((1, "V(0,1)@n=7"), (1, "V(2,1)@n=7"), (1, "V(1,0)@n=7"),
+                              (1, "V(1,3)@n=7"), (2, "V(1,1)@n=2"), (2, "W@n=2"),
+                              (2, "2(W@n=8) - V(1,2)@n=8 - 3rho")))
+
 
 def requests() -> list[list[str]]:
     sys.path.insert(0, str(ROOT / "bench"))
