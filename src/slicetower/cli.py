@@ -34,20 +34,16 @@ MAX_STAGES = 500_000  # per request; the tower of S^1000000 over C_3 has 333,334
 _VALUE_FLAGS = {"--rep", "--coeff", "--show", "--n"}
 
 
-class UsageError(Exception):
-    pass
-
-
 def _group_from(args: argparse.Namespace) -> Group:
     p, k = args.p, args.k
     if p == 2:
-        raise UsageError("p = 2 is not supported; the construction needs an odd prime")
+        raise ValueError("p = 2 is not supported; the construction needs an odd prime")
     if p >= 2**31:  # trial division up to sqrt(p) must stay quick
-        raise UsageError("--p must be below 2^31")
+        raise ValueError("--p must be below 2^31")
     if not is_odd_prime(p):
-        raise UsageError(f"--p must be an odd prime, got {p}")
+        raise ValueError(f"--p must be an odd prime, got {p}")
     if k < 1:
-        raise UsageError(f"--k must be at least 1, got {k}")
+        raise ValueError(f"--k must be at least 1, got {k}")
     return Group(p, k)
 
 
@@ -59,9 +55,9 @@ def _parse_range(text: str) -> tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise UsageError(f"expected N or A..B, got {text!r}") from None
+        raise ValueError(f"expected N or A..B, got {text!r}") from None
     if lo < 0 or hi < lo:
-        raise UsageError(f"bad range {text!r}")
+        raise ValueError(f"bad range {text!r}")
     return lo, hi
 
 
@@ -72,7 +68,7 @@ def _check_stages(group: Group, lo: int, hi: int, spec: str) -> None:
     if total <= MAX_STAGES:
         total = sum(stage_count(n, group) for n in range(lo, hi + 1))
     if total > MAX_STAGES:
-        raise UsageError(f"--n {spec} builds at least {total} stages, over the cap of {MAX_STAGES}")
+        raise ValueError(f"--n {spec} builds at least {total} stages, over the cap of {MAX_STAGES}")
 
 
 def _emit(doc: Any, args: argparse.Namespace) -> None:
@@ -87,7 +83,7 @@ def _emit(doc: Any, args: argparse.Namespace) -> None:
 def cmd_tower(args: argparse.Namespace) -> int:
     group = _group_from(args)
     if args.n < 0:
-        raise UsageError(f"--n must be nonnegative, got {args.n}")
+        raise ValueError(f"--n must be nonnegative, got {args.n}")
     _check_stages(group, args.n, args.n, str(args.n))
     tower = build_tower(args.n, group)
     reports = verify_tower(tower) if args.verify else None
@@ -101,7 +97,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     group = _group_from(args)
     spec = args.n if args.n is not None else os.environ.get(RANGE_ENV)
     if spec is None:
-        raise UsageError(f"provide --n N or --n A..B, or set {RANGE_ENV}")
+        raise ValueError(f"provide --n N or --n A..B, or set {RANGE_ENV}")
     lo, hi = _parse_range(spec)
     _check_stages(group, lo, hi, spec)
 
@@ -144,9 +140,9 @@ def _level_index(text: str, group: Group) -> int:
     try:
         m = int(text)
     except ValueError:
-        raise UsageError(f"--level must be top, e, or an integer, got {text!r}") from None
+        raise ValueError(f"--level must be top, e, or an integer, got {text!r}") from None
     if not 0 <= m <= group.k:
-        raise UsageError(f"--level {m} out of range 0..{group.k}")
+        raise ValueError(f"--level {m} out of range 0..{group.k}")
     return m
 
 
@@ -263,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_join_leading_dash_values(list(argv)))
         return args.run(args)
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

@@ -57,19 +57,15 @@ class LevelComplex:
 
 def _realize(M: MackeyFunctor, entries: dict[DiffKey, Entry],
              src: Layout, m_src: int, tgt: Layout, m_tgt: int,
-             shape: tuple[int, int], composites: dict[tuple[int, int], int]) -> Mat:
+             shape: tuple[int, int]) -> Mat:
     """Matrix of the given shape of the cellular map with the given
     formal entries, from cells laid out as src at level m_src to cells
-    laid out as tgt at level m_tgt.  composites caches the coefficient
-    maps between levels and may be shared across calls."""
+    laid out as tgt at level m_tgt."""
     R = Mat(*shape)
     for (tgt_i, src_i), entry in entries.items():
         h_s, s_s, src_off = src[src_i]
         h_t, s_t, tgt_off = tgt[tgt_i]
-        pair = (min(m_src, h_s), min(m_tgt, h_t))
-        if pair not in composites:
-            composites[pair] = M.composite(*pair)
-        C = composites[pair]
+        C = M.composite(min(m_src, h_s), min(m_tgt, h_t))
         if not C:
             continue
         for c, m_c in entry.items():
@@ -100,9 +96,8 @@ def level_complex(struct: CellStructure, M: MackeyFunctor, m: int) -> LevelCompl
         layouts[d] = lay
         orders[d] = tuple(ords)
 
-    composites: dict[tuple[int, int], int] = {}
     boundary = {d: _realize(M, entries, layouts.get(d, []), m, layouts.get(d - 1, []), m,
-                            (len(orders.get(d - 1, ())), len(orders.get(d, ()))), composites)
+                            (len(orders.get(d - 1, ())), len(orders.get(d, ()))))
                 for d, entries in struct.diffs.items()}
     cx = LevelComplex(orders=orders, boundary=boundary, layouts=layouts)
     _check_complex(cx)
@@ -180,7 +175,7 @@ def chain_restriction(M: MackeyFunctor, m: int, d: int,
     applies at or above it."""
     cells = hi.layouts.get(d, [])
     return _realize(M, {(i, i): {0: 1} for i in range(len(cells))}, cells, m + 1,
-                    lo.layouts.get(d, []), m, (lo.gens(d), hi.gens(d)), {})
+                    lo.layouts.get(d, []), m, (lo.gens(d), hi.gens(d)))
 
 
 @functools.lru_cache(maxsize=1 << 12)

@@ -77,11 +77,6 @@ def _cyclic_functor(group: Group, orders: list[int], res_scalars: list[int],
     return MackeyFunctor(group, levels, maps(res_scalars), maps(tr_scalars), name)
 
 
-def constant_Z(group: Group) -> MackeyFunctor:
-    """Z at every level, restriction the identity, transfer by p."""
-    return _cyclic_functor(group, [0] * (group.k + 1), [1] * group.k, [group.p] * group.k, "Z")
-
-
 def Z_ij(i: int, j: int, group: Group) -> MackeyFunctor:
     """The integral family interpolating between the constant functor
     and its dual: restriction is multiplication by p on levels j..i-1
@@ -92,6 +87,11 @@ def Z_ij(i: int, j: int, group: Group) -> MackeyFunctor:
     res_scalars = [1 if m < j else p if m < i else 1 for m in range(group.k)]
     tr_scalars = [p if m < j else 1 if m < i else p for m in range(group.k)]
     return _cyclic_functor(group, [0] * (group.k + 1), res_scalars, tr_scalars, f"Z({i},{j})")
+
+
+def constant_Z(group: Group) -> MackeyFunctor:
+    """Z at every level, restriction the identity, transfer by p."""
+    return replace(Z_ij(0, 0, group), name="Z")
 
 
 def dual_Z(group: Group) -> MackeyFunctor:

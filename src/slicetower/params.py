@@ -9,6 +9,7 @@ m_b * p^a - 1.  Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .group import Group, p_adic_val
@@ -48,20 +49,12 @@ class SliceParams:
 
     group: Group
     n: int
-    residue: int
-    offset: int
     base_dims: range
 
     @property
     def count(self) -> int:
         """d, the number of base dimensions."""
         return len(self.base_dims)
-
-    def base_dim(self, b: int) -> int:
-        """m_b, 1-indexed."""
-        if not 1 <= b <= self.count:
-            raise ValueError(f"b must be in 1..{self.count}, got {b}")
-        return self.base_dims[b - 1]
 
     def ell(self, a: int, b: int) -> int:
         """Half the gap between the top stage dimension and stage (a, b).
@@ -90,22 +83,22 @@ class SliceParams:
     def connection_gap(self, a: int) -> int:
         """ell(a, d) - ell(a+1, 1): the jump between consecutive a-blocks.
 
-        In closed form this is (p^a / 2)(offset * p - residue + 2).  It
-        is at most p^(a+1), with equality exactly when the residue is 2;
-        strict inequality elsewhere.
+        In closed form, with residue = n mod p, this is
+        (p^a / 2)(parity_offset * p - residue + 2): at most p^(a+1), with
+        equality exactly when the residue is 2.
         """
         if not 1 <= a <= self.group.k - 1:
             raise ValueError(f"a must be in 1..{self.group.k - 1}, got {a}")
-        p = self.group.p
-        gap = (p**a * (self.offset * p - self.residue + 2)) // 2
+        p, residue = self.group.p, self.n % self.group.p
+        gap = (p**a * (parity_offset(self.n, p) * p - residue + 2)) // 2
         if gap != self.ell(a, self.count) - self.ell(a + 1, 1):
             raise AssertionError(f"connection_gap({a}) = {gap} is not "
                                  f"ell({a}, {self.count}) - ell({a + 1}, 1)")
         if gap > p ** (a + 1):
             raise AssertionError(f"connection_gap({a}) = {gap} exceeds p^{a + 1}")
-        if (gap == p ** (a + 1)) != (self.residue == 2):
+        if (gap == p ** (a + 1)) != (residue == 2):
             raise AssertionError(f"connection_gap({a}) = {gap} against p^{a + 1} with residue "
-                                 f"{self.residue}: they are equal exactly when the residue is 2")
+                                 f"{residue}: they are equal exactly when the residue is 2")
         return gap
 
     def _check_indices(self, a: int, b: int) -> None:
@@ -116,7 +109,7 @@ class SliceParams:
 
 
 def slice_params(n: int, group: Group) -> SliceParams:
-    """Compute d, the residue data and the m_b list for S^n over group.
+    """Compute d and the m_b list for S^n over group.
 
     Requires n >= 3 (towers for smaller n are handled directly by the
     tower module and need none of this).  d is computed by the closed
@@ -128,9 +121,9 @@ def slice_params(n: int, group: Group) -> SliceParams:
     if n < 3:
         raise ValueError(f"slice parameters are defined for n >= 3, got {n}")
     p = group.p
-    n0 = n % p
-    delta = parity_offset(n, p)
     d = base_count(n, p)
+    if d > sys.maxsize:
+        raise ValueError(f"n = {n} is too large: its {d} base dimensions do not fit in a range")
     # Independent count: same parity as n, n/p <= m <= n-2 (lower bound
     # attainable only when p | n), as a range from the least such m.
     least = -(-n // p)
@@ -143,4 +136,4 @@ def slice_params(n: int, group: Group) -> SliceParams:
         raise AssertionError(f"base dimensions {dims} for n = {n}, direct {direct}")
     if d and dims[-1] != n - 2:
         raise AssertionError(f"top base dimension {dims[-1]} for n = {n}, not n - 2")
-    return SliceParams(group=group, n=n, residue=n0, offset=delta, base_dims=dims)
+    return SliceParams(group=group, n=n, base_dims=dims)

@@ -81,9 +81,10 @@ def rotation_plane(group: Group, level: int, count: int = 1) -> Rep:
     return Rep(group, 0, tuple(planes))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1 << 12)
 def regular_rep(group: Group, count: int = 1) -> Rep:
-    """count copies of the real regular representation."""
+    """count copies of the real regular representation.  Each tower of
+    S^n asks for its own n - 2, so the cache is capped like verify_slice's."""
     planes = tuple(count * ((group.index(j) - group.index(j + 1)) // 2) for j in range(group.k))
     return Rep(group, count, planes)
 
@@ -129,14 +130,14 @@ def n_slice_rep(n: int, group: Group) -> Rep:
     params = slice_params(n, group)
     p = group.p
     if n % p != 0:
-        gap = (params.base_dim(1) * p - n) // 2
+        gap = (params.base_dims[0] * p - n) // 2
         w = slice_rep(params, 1, 1) + trivial_rep(group) - lambda_block(gap, group)
     elif n == p ** group.k:
         # the generic formula degenerates here; one regular summand plus
         # two trivials, minus the faithful plane
         w = regular_rep(group) + trivial_rep(group, 2) - rotation_plane(group, 0)
     else:
-        third = params.base_dim(2) if params.count >= 2 else n // p + 2
+        third = params.base_dims[1] if params.count >= 2 else n // p + 2
         ell = ((n - 2) * group.order - third * p) // 2
         w = (regular_rep(group, n - 2) - lambda_block(ell, group)
              - lambda_block(p - 1, group) - rotation_plane(group, 0))

@@ -33,7 +33,7 @@ from .abelian import AbGroup
 from .cells import max_cell_dim
 from .group import Group
 from .homology import sphere_homology
-from .mackey import B_ij, MackeyFunctor, constant_Z, restrict_mackey
+from .mackey import B_ij, constant_Z, restrict_mackey
 from .params import slice_params, stage_count
 from .rep import Rep, is_subrep, n_slice_rep, regular_rep, restrict_rep, slice_rep, trivial_rep
 
@@ -62,11 +62,6 @@ class SliceDescriptor:
     @property
     def dim(self) -> int:
         return self.rep.dim
-
-    def coefficient(self) -> MackeyFunctor:
-        if self.kind == Kind.TORSION:
-            return B_ij(self.coeff_i, self.coeff_j, self.rep.group)
-        return constant_Z(self.rep.group)
 
     @property
     def is_torsion(self) -> bool:
@@ -187,9 +182,8 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     The report is immutable and cached: a slice met before in this
     process, in any tower, is not checked again.
     """
-    V = desc.rep
-    M = desc.coefficient()
-    group = V.group
+    V, group = desc.rep, desc.rep.group
+    M = B_ij(desc.coeff_i, desc.coeff_j, group) if desc.is_torsion else constant_Z(group)
     eps0 = 1 if desc.is_torsion else 0
     failures: list[Failure] = []
     checks = 0

@@ -223,7 +223,7 @@ def test_criterion_7_identity_suite():
                     for a in range(1, k + 1):
                         for b in range(1, params.count + 1):
                             v = slice_rep(params, a, b)
-                            assert v.dim == params.base_dim(b) * p ** a - 1
+                            assert v.dim == params.base_dims[b - 1] * p ** a - 1
                     w = n_slice_rep(n, g)
                     assert w.dim == n
                     assert w + rho == n_slice_rep(n + g.order, g)

@@ -342,6 +342,15 @@ def test_huge_p_exits_two():
     assert proc.stderr == "error: --p must be below 2^31\n"
 
 
+@pytest.mark.parametrize("rep", ["W@n=" + "1" + "0" * 20, "V(1,1)@n=" + "1" + "0" * 20])
+def test_huge_n_in_a_slice_term_exits_two(rep):
+    # the 3...3 base dimensions of S^(10^20) over C_3 are past what a range counts
+    proc = run_subprocess("homology", "--p", "3", "--k", "1", "--rep", rep, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: n = {10**20} is too large: its {'3' * 20} base "
+                           "dimensions do not fit in a range\n")
+
+
 @pytest.mark.parametrize("argv,count", [
     (("tower", "--p", "3", "--k", "1", "--n", str(10**12)), 333_333_333_334),
     (("verify", "--p", "3", "--k", "1", "--n", f"0..{10**12}"), 10**12 + 1),

@@ -140,7 +140,7 @@ def test_index_validation():
     with pytest.raises(ValueError):
         params.ell(3, 1)
     with pytest.raises(ValueError):
-        params.base_dim(3)
+        params.ell(1, 3)
     with pytest.raises(ValueError):
         slice_params(2, Group(3, 2))
 
@@ -159,14 +159,17 @@ def test_invariants_hold_under_python_O():
             print("count:", e)
         params.parity_offset = parity_offset
         try:
-            params.SliceParams(Group(3, 1), 8, 2, 2, (3,)).ell(1, 1)
+            params.SliceParams(Group(3, 1), 8, (3,)).ell(1, 1)
         except AssertionError as e:
             print("ell:", e)
         # S^7 over C_9 has residue 1 and offset 1; offset 2 breaks the gap
+        s7 = params.slice_params(7, Group(3, 2))
+        params.parity_offset = lambda n, p: 2
         try:
-            params.SliceParams(Group(3, 2), 7, 1, 2, range(3, 6, 2)).connection_gap(1)
+            s7.connection_gap(1)
         except AssertionError as e:
             print("gap:", e)
+        params.parity_offset = parity_offset
         from dataclasses import replace
         from slicetower.rep import trivial_rep
         from slicetower.tower import _exchange, build_tower

@@ -159,7 +159,7 @@ def test_identity_suite_over_grid():
                 params = slice_params(n, g)
                 for a in range(1, k + 1):
                     for b in range(1, params.count + 1):
-                        assert slice_rep(params, a, b).dim == params.base_dim(b) * p ** a - 1
+                        assert slice_rep(params, a, b).dim == params.base_dims[b - 1] * p ** a - 1
                 w = n_slice_rep(n, g)
                 assert w.dim == n
                 assert w.is_actual

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from slicetower.group import Group
+from slicetower.group import Group, is_odd_prime
 from slicetower.homology import sphere_homology
 from slicetower.mackey import B_ij, constant_Z, dual_Z, restrict_mackey
 from slicetower.rep import Rep, regular_rep, rotation_plane, trivial_rep
@@ -146,10 +146,11 @@ def test_exchange_at_level_k_trades_two_trivial_summands():
 
 
 def test_exchange_needs_the_plane_it_gives_up():
-    # test_params.py::test_invariants_hold_under_python_O takes S^1 for the
-    # section of the (2, 1) slice, short of the two trivial summands B(1,1)
-    # gives up; the (1, 2) slice's B(1,0) gives up a level-1 plane, and S^7 has none
     tower = build_tower(7, C9)
+    # the (2, 1) slice's B(1,1) gives up two trivial summands, and S^1 has one
+    with pytest.raises(AssertionError, match=r"exchanging planes across V\(2,1\) leaves no section"):
+        _exchange(dataclasses.replace(tower.stages[1], section=trivial_rep(C9, 1)))
+    # the (1, 2) slice's B(1,0) gives up a level-1 plane, and S^7 has none
     assert tower.stages[2].descriptor.coeff_i + tower.stages[2].descriptor.coeff_j == 1
     with pytest.raises(AssertionError, match=r"exchanging planes across V\(1,2\) leaves no section"):
         _exchange(dataclasses.replace(tower.stages[2], section=trivial_rep(C9, 7)))
@@ -265,6 +266,25 @@ def test_reports_share_no_state_with_the_cache():
 
 def test_slice_cache_is_bounded():
     assert verify_slice.cache_info().maxsize is not None
+
+
+def test_regular_rep_cache_stays_under_its_cap():
+    # each tower of S^n asks for n - 2 copies of its group's regular
+    # representation: the towers of n = 3..12 over 420 groups ask for
+    # more distinct entries than the cap holds
+    primes = [p for p in range(3, 3000) if is_odd_prime(p)][:420]
+    regular_rep.cache_clear()
+    for p in primes:
+        for n in range(3, 13):
+            build_tower(n, Group(p, 1))
+    info = regular_rep.cache_info()
+    assert info.misses > info.maxsize >= info.currsize
+
+
+def test_a_huge_n_is_refused_before_any_stage():
+    # d of S^(10^20) over C_3 is past what a range can count
+    with pytest.raises(ValueError, match=r"n = 10{20} is too large: its 3{20} base dimensions"):
+        build_tower(10**20, C3)
 
 
 def test_memo_tells_coefficients_apart():
