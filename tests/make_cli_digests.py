@@ -67,6 +67,16 @@ EXTRA += tuple(("homology", "--p", "3", "--k", str(k), "--rep", rep)
                               (1, "V(1,3)@n=7"), (2, "V(1,1)@n=2"), (2, "W@n=2"),
                               (2, "2(W@n=8) - V(1,2)@n=8 - 3rho")))
 
+# tower as text over the benchmark's four tower-render groups (C_9, C_125,
+# C_81, C_49), which it asks only for JSON and LaTeX; then tower --verify
+# in every format over C_3, C_9 and C_25.
+EXTRA += tuple(("tower", "--p", str(p), "--k", str(k), "--n", str(n))
+               for p, k in ((3, 2), (5, 3), (3, 4), (7, 2))
+               for n in (0, 1, 2, 3, 7, 16, 30, 60, 120))
+EXTRA += tuple(("tower", "--p", str(p), "--k", str(k), "--n", str(n), "--verify", "--format", fmt)
+               for p, k in ((3, 1), (3, 2), (5, 2)) for n in range(3, 11)
+               for fmt in ("text", "json", "latex"))
+
 
 def requests() -> list[list[str]]:
     sys.path.insert(0, str(ROOT / "bench"))

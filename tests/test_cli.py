@@ -151,6 +151,36 @@ def test_exit_one_on_failed_verification(capsys, monkeypatch):
     assert "1 of 1 stages FAIL" in out
 
 
+S7_FAILED_TEXT = """\
+Slice tower of S^7 ∧ HZ over C_3^2   (5 stages)
+
+  stage  dim  slice                    section
+      0   44  S^(5ρ - 1) ∧ HB(1,1)     S^7  [FAIL]
+      1   26  S^(3ρ - 1) ∧ HB(1,1)     S^(5 + λ_1)  [ok]
+      2   14  S^(2 + λ_1) ∧ HB(1,0)    S^(3 + 2λ_1)  [FAIL]
+      3    8  S^(ρ - 1) ∧ HB(2,0)      S^(3 + λ_1 + λ_0)  [ok]
+      4    7  S^(1 + λ_1 + 2λ_0) ∧ HZ  S^(1 + λ_1 + 2λ_0)  [ok]
+
+verified: 3/5 stages pass
+  stage 0: vanishing failed at level 1 (epsilon=1, t=3)
+  stage 2: containment failed at level 0
+"""
+
+
+def test_failed_verification_prints_each_failure(capsys, monkeypatch):
+    # a vanishing failure names its epsilon and t; a containment failure has neither
+    failures = {0: (Failure(1, "vanishing", 1, 3, AbGroup((3,))),),
+                2: (Failure(0, "containment"),)}
+
+    def doomed(tower):
+        return [VerificationReport(i not in failures, 4, failures.get(i, ()))
+                for i in range(len(tower.stages))]
+
+    monkeypatch.setattr(cli, "verify_tower", doomed)
+    code, out, err = run(capsys, "tower", "--p", "3", "--k", "2", "--n", "7", "--verify")
+    assert (code, out, err) == (1, S7_FAILED_TEXT, "")
+
+
 def test_broken_invariant_exits_one_without_traceback(capsys, monkeypatch):
     def broken(n, group):
         raise AssertionError("the bottom section differs from the closed form")
