@@ -15,7 +15,6 @@ import argparse
 import functools
 import os
 import sys
-from typing import Any
 
 from .document import FORMAT, dumps_indented, tower_document
 from .group import Group, is_odd_prime
@@ -71,15 +70,6 @@ def _check_stages(group: Group, lo: int, hi: int, spec: str) -> None:
         raise ValueError(f"--n {spec} builds at least {total} stages, over the cap of {MAX_STAGES}")
 
 
-def _emit(doc: Any, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        print(dumps_indented(doc))
-    elif args.format == "latex":
-        print(render_latex(doc), end="")
-    else:
-        print(render_text(doc), end="")
-
-
 def cmd_tower(args: argparse.Namespace) -> int:
     group = _group_from(args)
     if args.n < 0:
@@ -87,7 +77,12 @@ def cmd_tower(args: argparse.Namespace) -> int:
     _check_stages(group, args.n, args.n, str(args.n))
     tower = build_tower(args.n, group)
     reports = verify_tower(tower) if args.verify else None
-    _emit(tower_document(tower, reports), args)
+    if args.format == "json":
+        print(dumps_indented(tower_document(tower, reports)))
+    elif args.format == "latex":
+        print(render_latex(tower), end="")
+    else:
+        print(render_text(tower, reports), end="")
     if reports is not None and not all(r.passed for r in reports):
         return 1
     return 0

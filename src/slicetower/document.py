@@ -1,10 +1,13 @@
 """Structured output: one JSON-able document per tower.
 
-The renderers in render.py consume nothing but these documents, so
-every display decision (including which form of a slice representation
-gets printed) is made here, once.  dumps_indented writes every
---format json document, byte for byte as json.dumps(doc, indent=2)
-would, in one pass that skips the stdlib's pure-Python encoder.
+The display rules the document shares with the text and LaTeX
+renderers in render.py live here, once: sphere_forms decides which
+form of a slice's sphere gets printed, and coefficient_label names its
+coefficient.  The renderers read the tower's stages through these, so
+they show what the document says without building it.  dumps_indented
+writes every --format json document, byte for byte as
+json.dumps(doc, indent=2) would, in one pass that skips the stdlib's
+pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .rep import Rep, render_forms, rho_form, spell_forms, strip_planes
-from .tower import SliceDescriptor, Tower, VerificationReport
+from .tower import Failure, SliceDescriptor, Tower, VerificationReport
 
 FORMAT = "slicetower/1"
 VERSION = "0.1.0"
@@ -67,23 +70,28 @@ def rep_payload(v: Rep, forms: tuple[str, str] | None = None) -> dict[str, Any]:
     }
 
 
-def _printed_rep(desc: SliceDescriptor, form: tuple[int, int] | None) -> Rep:
-    """What the slice's sphere is displayed as.
+def sphere_forms(desc: SliceDescriptor) -> tuple[tuple[str, str], tuple[str, str]]:
+    """The display and LaTeX forms of the slice's sphere, and of what it is printed as.
 
     Torsion coefficients cannot see planes at or below their vanishing
     range, so those summands are stripped from the display unless the
     representation is an exact regular multiple over a group with at
     least two plane levels, where that shorthand is shorter and exact.
-    form is rho_form(desc.rep).
     """
-    if not desc.is_torsion:
-        return desc.rep
-    if desc.rep.group.k >= 2 and form is not None:
-        return desc.rep
-    return strip_planes(desc.rep, desc.coeff_j + 1)
+    form = rho_form(desc.rep)
+    forms = spell_forms(desc.rep, form)
+    if desc.is_torsion and (desc.rep.group.k < 2 or form is None):
+        # a stripped sphere has no level-0 planes, so no rho form
+        return forms, spell_forms(strip_planes(desc.rep, desc.coeff_j + 1), None)
+    return forms, forms
 
 
-def _failure_payload(f: Any) -> dict[str, Any]:
+def coefficient_label(desc: SliceDescriptor, b: str = "B") -> str:
+    """B(i,j) for a torsion slice's coefficient, with b spelling the B; else Z."""
+    return f"{b}({desc.coeff_i},{desc.coeff_j})" if desc.is_torsion else "Z"
+
+
+def _failure_payload(f: Failure) -> dict[str, Any]:
     return {
         "level": f.level,
         "check": f.check,
@@ -99,16 +107,10 @@ def tower_document(tower: Tower,
     stages = []
     for i, stage in enumerate(tower.stages):
         desc = stage.descriptor
-        if desc.is_torsion:
-            coeff = {"family": "B", "i": desc.coeff_i, "j": desc.coeff_j,
-                     "display": f"B({desc.coeff_i},{desc.coeff_j})"}
-        else:
-            coeff = {"family": "Z", "display": "Z"}
-        form = rho_form(desc.rep)
-        forms = spell_forms(desc.rep, form)
-        printed = _printed_rep(desc, form)
-        # a stripped sphere has no level-0 planes, so no rho form
-        display, latex = forms if printed is desc.rep else spell_forms(printed, None)
+        coeff: dict[str, Any] = ({"family": "B", "i": desc.coeff_i, "j": desc.coeff_j}
+                                 if desc.is_torsion else {"family": "Z"})
+        coeff["display"] = coefficient_label(desc)
+        forms, (display, latex) = sphere_forms(desc)
         entry: dict[str, Any] = {
             "index": i,
             "slice": {

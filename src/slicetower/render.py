@@ -1,13 +1,16 @@
 """Text and LaTeX renderers.
 
-Both take the JSON-able document produced by document.tower_document
-and nothing else, so anything the renderers show is also available to
-machine consumers of the JSON form.
+Both read the tower's stages directly.  How a slice's sphere is printed
+and how its coefficient is named come from document.py, the one home of
+those rules, so the text table and the xymatrix diagram show what the
+JSON document holds without building it.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from .document import coefficient_label, sphere_forms
+from .rep import render_forms, render_rep
+from .tower import Tower, VerificationReport
 
 _NEEDS_PARENS = set(" +-")
 
@@ -18,20 +21,18 @@ def _sphere(display: str) -> str:
     return f"S^{display}"
 
 
-def render_text(doc: dict[str, Any]) -> str:
-    group = doc["group"]["display"]
-    count = doc["stage_count"]
+def render_text(tower: Tower, reports: list[VerificationReport] | None = None) -> str:
+    count = len(tower.stages)
     noun = "stage" if count == 1 else "stages"
-    lines = [f"Slice tower of S^{doc['n']} ∧ HZ over {group}   ({count} {noun})", ""]
+    lines = [f"Slice tower of S^{tower.n} ∧ HZ over {tower.group}   ({count} {noun})", ""]
     rows = []
-    for stage in doc["stages"]:
-        sl = stage["slice"]
-        slice_text = f"{_sphere(sl['printed']['display'])} ∧ H{sl['coefficient']['display']}"
-        section_text = _sphere(stage["section"]["display"])
-        mark = ""
-        if stage["verification"] is not None:
-            mark = "ok" if stage["verification"]["passed"] else "FAIL"
-        rows.append((str(stage["index"]), str(sl["dim"]), slice_text, section_text, mark))
+    for i, stage in enumerate(tower.stages):
+        desc = stage.descriptor
+        _, (printed, _) = sphere_forms(desc)
+        slice_text = f"{_sphere(printed)} ∧ H{coefficient_label(desc)}"
+        section_text = _sphere(render_rep(stage.section))
+        mark = "" if reports is None else "ok" if reports[i].passed else "FAIL"
+        rows.append((str(i), str(desc.dim), slice_text, section_text, mark))
 
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     widths[0] = max(widths[0], len("stage"))
@@ -46,34 +47,27 @@ def render_text(doc: dict[str, Any]) -> str:
             line += f"  [{mark}]"
         lines.append(line.rstrip())
 
-    verifications = [s["verification"] for s in doc["stages"]]
-    if all(v is not None for v in verifications) and verifications:
-        passed = sum(1 for v in verifications if v["passed"])
+    if reports is not None:
+        passed = sum(1 for r in reports if r.passed)
         lines.append("")
-        lines.append(f"verified: {passed}/{len(verifications)} stages pass")
-        for stage in doc["stages"]:
-            for f in stage["verification"]["failures"]:
-                lines.append(f"  stage {stage['index']}: {f['check']} failed"
-                             f" at level {f['level']}"
-                             + (f" (epsilon={f['epsilon']}, t={f['t']})"
-                                if f["epsilon"] is not None else ""))
+        lines.append(f"verified: {passed}/{len(reports)} stages pass")
+        for i, r in enumerate(reports):
+            for f in r.failures:
+                lines.append(f"  stage {i}: {f.check} failed at level {f.level}"
+                             + (f" (epsilon={f.epsilon}, t={f.t})"
+                                if f.epsilon is not None else ""))
     return "\n".join(lines) + "\n"
 
 
-def _coeff_latex(coeff: dict[str, Any]) -> str:
-    if coeff["family"] == "B":
-        return rf"H\underline{{B}}({coeff['i']},{coeff['j']})"
-    return r"H\underline{\mathbb{Z}}"
-
-
-def render_latex(doc: dict[str, Any]) -> str:
+def render_latex(tower: Tower) -> str:
     rows = []
-    for stage in doc["stages"]:
-        sl = stage["slice"]
-        section = rf"S^{{{stage['section']['latex']}}} \wedge H\underline{{\mathbb{{Z}}}}"
-        if sl["kind"] == "torsion":
-            left = rf"S^{{{sl['printed']['latex']}}} \wedge {_coeff_latex(sl['coefficient'])}"
-            rows.append(rf"{left} \ar[r] & {section} \ar[d] \\")
+    for stage in tower.stages:
+        desc = stage.descriptor
+        section = rf"S^{{{render_forms(stage.section)[1]}}} \wedge H\underline{{\mathbb{{Z}}}}"
+        if desc.is_torsion:
+            _, (_, printed) = sphere_forms(desc)
+            coeff = coefficient_label(desc, r"\underline{B}")
+            rows.append(rf"S^{{{printed}}} \wedge H{coeff} \ar[r] & {section} \ar[d] \\")
         else:
             rows.append(f"& {section}")
     body = "\n".join(rows)

@@ -72,6 +72,20 @@ def test_tower_latex_golden(capsys):
     assert out == S7_LATEX
 
 
+@pytest.mark.parametrize("verify", [(), ("--verify",)], ids=["plain", "verify"])
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+def test_text_and_latex_never_build_the_document(capsys, monkeypatch, fmt, verify):
+    def refused(*args):
+        raise RuntimeError("only --format json builds the document")
+
+    monkeypatch.setattr(cli, "tower_document", refused)
+    code, out, err = run(capsys, "tower", "--p", "3", "--k", "2", "--n", "7",
+                         "--format", fmt, *verify)
+    assert (code, err) == (0, "")
+    if not verify:
+        assert out == (S7_TEXT if fmt == "text" else S7_LATEX)
+
+
 def test_tower_json_validates(capsys):
     code, out, _ = run(capsys, "tower", "--p", "3", "--k", "2", "--n", "16",
                        "--format", "json")
