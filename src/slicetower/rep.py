@@ -257,8 +257,8 @@ class RepParseError(ValueError):
 class _RepParser:
     """Recursive descent over: [-] term ((+|-) term)*
 
-    term := INT | [INT] rho | [INT] L<j> | [INT] ( expr )
-          | V ( INT , INT ) @n= INT | W @n= INT
+    term := INT | [INT] atom
+    atom := rho | L<j> | ( expr ) | V ( INT , INT ) @n= INT | W @n= INT
     """
 
     def __init__(self, text: str, group: Group):
@@ -318,18 +318,18 @@ class _RepParser:
         tok = self.peek()
         if tok is None:
             raise RepParseError(self.raw, self.pos(), "expected a term")
-        if tok == "V":
-            return self.slice_term()
-        if tok == "W":
-            self.take()
-            self.take("@n=")
-            return n_slice_rep(self.take_int(), self.group)
         count = 1
         if tok.isdigit():
             count = self.take_int()
             tok = self.peek()
             if tok is None or tok in ("+", "-", ")", ","):
                 return trivial_rep(self.group, count)
+        if tok == "V":
+            return count * self.slice_term()
+        if tok == "W":
+            self.take()
+            self.take("@n=")
+            return count * n_slice_rep(self.take_int(), self.group)
         if tok == "rho":
             self.take()
             return regular_rep(self.group, count)

@@ -264,6 +264,13 @@ def test_parse_grammar():
     assert parse_rep("7", C9) == trivial_rep(C9, 7)
 
 
+@pytest.mark.parametrize("counted,grouped", [("2W@n=8", "2(W@n=8)"),
+                                              ("3V(1,1)@n=7", "3(V(1,1)@n=7)")])
+def test_a_count_before_a_slice_term_multiplies_it(counted, grouped):
+    count, term = int(grouped[0]), grouped[2:-1]
+    assert parse_rep(counted, C9) == parse_rep(grouped, C9) == count * parse_rep(term, C9)
+
+
 def test_parse_errors():
     with pytest.raises(RepParseError):
         parse_rep("", C9)
