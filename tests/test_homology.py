@@ -209,6 +209,25 @@ def test_res_maps_are_well_defined(case):
             assert in_diagonal_lattice([o * row[j] for row in R.a], lo), (m, j)
 
 
+@st.composite
+def suspension_cases(draw):
+    g = draw(st.sampled_from([C3, C9, Group(3, 3), Group(5, 1)]))
+    v = Rep(g, draw(st.integers(-3, 3)), tuple(draw(st.integers(-2, 2)) for _ in range(g.k)))
+    M = draw(st.sampled_from([constant_Z(g), dual_Z(g), *(
+        B_ij(i, j, g) for i in range(1, g.k + 1) for j in range(g.k - i + 1))]))
+    return v, M, draw(st.integers(-4, 4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(suspension_cases())
+@example((Rep(Group(3, 3), -1, (2, -1, 1)), B_ij(1, 1, Group(3, 3)), 2))
+@example((Rep(C9, 0, (-2, 1)), dual_Z(C9), -3))
+def test_a_trivial_summand_suspends(case):
+    # cells.tensor: a trivial summand shifts the mirror, never the positive factor
+    v, M, d = case
+    assert sphere_homology(v + trivial_rep(v.group), M, d, d) == sphere_homology(v, M, d - 1, d - 1)
+
+
 def test_homres_injective_spec_instance():
     assert homres_injective(regular_rep(C9), 1, 0, 1)
 
