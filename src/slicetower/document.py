@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .rep import Rep, render_forms, rho_form, spell_forms, strip_planes
-from .tower import Failure, SliceDescriptor, Tower, VerificationReport
+from .tower import SliceDescriptor, Tower, VerificationReport
 
 FORMAT = "slicetower/1"
 VERSION = "0.1.0"
@@ -91,7 +91,7 @@ def coefficient_label(desc: SliceDescriptor, b: str = "B") -> str:
     return f"{b}({desc.coeff_i},{desc.coeff_j})" if desc.is_torsion else "Z"
 
 
-def _failure_payload(f: Failure) -> dict[str, Any]:
+def _failure_payload(f: Any) -> dict[str, Any]:
     return {
         "level": f.level,
         "check": f.check,
