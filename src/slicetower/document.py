@@ -91,16 +91,6 @@ def coefficient_label(desc: SliceDescriptor, b: str = "B") -> str:
     return f"{b}({desc.coeff_i},{desc.coeff_j})" if desc.is_torsion else "Z"
 
 
-def _failure_payload(f: Any) -> dict[str, Any]:
-    return {
-        "level": f.level,
-        "check": f.check,
-        "epsilon": f.epsilon,
-        "t": f.t,
-        "group": None if f.group is None else str(f.group),
-    }
-
-
 def tower_document(tower: Tower,
                    reports: list[VerificationReport] | None = None) -> dict[str, Any]:
     group = tower.group
@@ -125,13 +115,10 @@ def tower_document(tower: Tower,
             "section": rep_payload(stage.section),
             "verification": None,
         }
-        if reports is not None:
-            r = reports[i]
-            entry["verification"] = {
-                "passed": r.passed,
-                "checks": r.checks,
-                "failures": [_failure_payload(f) for f in r.failures],
-            }
+        if reports is not None:  # the report's own fields, each failure's group as its string
+            failures = [{**vars(f), "group": None if f.group is None else str(f.group)}
+                        for f in reports[i].failures]
+            entry["verification"] = {**vars(reports[i]), "failures": failures}
         stages.append(entry)
 
     return {

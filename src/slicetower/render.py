@@ -25,7 +25,7 @@ def render_text(tower: Tower, reports: list[VerificationReport] | None = None) -
     count = len(tower.stages)
     noun = "stage" if count == 1 else "stages"
     lines = [f"Slice tower of S^{tower.n} ∧ HZ over {tower.group}   ({count} {noun})", ""]
-    rows = []
+    rows = [("stage", "dim", "slice", "section", "")]
     for i, stage in enumerate(tower.stages):
         desc = stage.descriptor
         _, (printed, _) = sphere_forms(desc)
@@ -34,12 +34,7 @@ def render_text(tower: Tower, reports: list[VerificationReport] | None = None) -
         mark = "" if reports is None else "ok" if reports[i].passed else "FAIL"
         rows.append((str(i), str(desc.dim), slice_text, section_text, mark))
 
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
-    widths[0] = max(widths[0], len("stage"))
-    widths[1] = max(widths[1], len("dim"))
-    header = (f"  {'stage':>{widths[0]}}  {'dim':>{widths[1]}}  "
-              f"{'slice':<{widths[2]}}  section")
-    lines.append(header)
+    widths = [max(len(r[i]) for r in rows) for i in range(3)]  # rows[0] is the header
     for idx, dim, slice_text, section_text, mark in rows:
         line = (f"  {idx:>{widths[0]}}  {dim:>{widths[1]}}  "
                 f"{slice_text:<{widths[2]}}  {section_text}")

@@ -167,11 +167,10 @@ def is_subrep(small: Rep, big: Rep) -> bool:
 
 def rho_form(v: Rep) -> tuple[int, int] | None:
     """(s, t) with v == s*rho - t*trivial, s >= 1 and 0 <= t <= 2, if the planes
-    are s*rho's: s(p - 1)/2 at level k - 1, and p times level j + 1's at level j."""
-    planes, p = v.planes, v.group.p
-    s, r = divmod(planes[-1], (p - 1) // 2) if planes else (0, 0)
+    are s*rho's; s is read off level k - 1, where rho has (p - 1)/2 planes."""
+    s, r = divmod(v.planes[-1], (v.group.p - 1) // 2) if v.planes else (0, 0)
     t = s - v.trivial
-    if r or s <= 0 or not 0 <= t <= 2 or any(x != p * y for x, y in zip(planes, planes[1:])):
+    if r or s <= 0 or not 0 <= t <= 2 or v.planes != regular_rep(v.group, s).planes:
         return None
     return s, t
 
