@@ -80,7 +80,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(dumps_indented(tower_document(tower, reports)))
     elif args.format == "latex":
-        print(render_latex(tower), end="")
+        print(render_latex(tower, reports), end="")
     else:
         print(render_text(tower, reports), end="")
     if reports is not None and not all(r.passed for r in reports):

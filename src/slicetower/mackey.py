@@ -119,7 +119,7 @@ def parse_coefficient(text: str, group: Group) -> MackeyFunctor:
     for head, ctor in (("Z", Z_ij), ("B", B_ij)):
         if s.startswith(head + "(") and s.endswith(")"):
             body = s[len(head) + 1:-1].split(",")
-            if len(body) == 2 and all(x.lstrip("-").isdigit() for x in body):
+            if len(body) == 2 and all(x.removeprefix("-").isdigit() for x in body):
                 return ctor(int(body[0]), int(body[1]), group)
     raise ValueError(f"cannot parse coefficient {text!r}; expected Z, Z*, Z(i,j), or B(i,j)")
 

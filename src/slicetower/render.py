@@ -46,15 +46,12 @@ def render_text(tower: Tower, reports: list[VerificationReport] | None = None) -
         passed = sum(1 for r in reports if r.passed)
         lines.append("")
         lines.append(f"verified: {passed}/{len(reports)} stages pass")
-        for i, r in enumerate(reports):
-            for f in r.failures:
-                lines.append(f"  stage {i}: {f.check} failed at level {f.level}"
-                             + (f" (epsilon={f.epsilon}, t={f.t})"
-                                if f.epsilon is not None else ""))
+        lines.extend(f"  stage {i}: {f}" for i, r in enumerate(reports) for f in r.failures)
     return "\n".join(lines) + "\n"
 
 
-def render_latex(tower: Tower) -> str:
+def render_latex(tower: Tower, reports: list[VerificationReport] | None = None) -> str:
+    """The xymatrix diagram, then one % comment line per failed check."""
     rows = []
     for stage in tower.stages:
         desc = stage.descriptor
@@ -66,4 +63,5 @@ def render_latex(tower: Tower) -> str:
         else:
             rows.append(f"& {section}")
     body = "\n".join(rows)
-    return f"\\xymatrix{{\n{body}\n}}\n"
+    failed = "".join(f"% stage {i}: {f}\n" for i, r in enumerate(reports or ()) for f in r.failures)
+    return f"\\xymatrix{{\n{body}\n}}\n" + failed

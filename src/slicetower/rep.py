@@ -217,31 +217,33 @@ def render_rep(v: Rep) -> str:
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN = re.compile(r"\d+|rho|L\d+|[()+\-,]|V|W|@n=")
+_SPACES = re.compile(r"(?<=\d)( ) *(?=\d)| +")  # spaces; group 1 keeps one between two digits
 
 
 def _normalize(text: str) -> str:
+    """The parser's alphabet, without spaces, except that one space is
+    kept between two digits, where deleting it would join two numbers."""
     text = text.replace("−", "-").replace("ρ", "rho")
     text = text.replace("λ_", "L").replace("λ", "L")
-    text = text.replace("lambda_", "L").replace("lambda", "L")
-    return text.replace(" ", "").replace("*", "")
+    text = text.replace("lambda_", "L").replace("lambda", "L").replace("*", "")
+    return _SPACES.sub(r"\1", text)
 
 
 _QUOTE_MAX = 60  # characters of the normalized input, or of a message, that a parse error shows
 
 
-def _quote(text: str, pos: int) -> str:
-    """repr of the normalized text, which pos indexes, cut to the
+def _quote(src: str, pos: int) -> str:
+    """repr of the normalized text src, which pos indexes, cut to the
     _QUOTE_MAX characters around pos when longer, with "..." where it
     is cut."""
-    src = _normalize(text)
     lo = max(min(pos - _QUOTE_MAX // 2, len(src) - _QUOTE_MAX), 0)
     hi = lo + _QUOTE_MAX
     return ("..." if lo else "") + repr(src[lo:hi]) + ("..." if hi < len(src) else "")
 
 
 class RepParseError(ValueError):
-    """pos indexes the text after normalization.  The message shows a
-    bounded part of that normalized text, so pos points into what it
+    """text is the input after normalization, which pos indexes.  The
+    message shows a bounded part of it, so pos points into what it
     shows, and clips a long message, such as one naming a long token,
     so a huge input gives a short error line."""
 
@@ -261,15 +263,16 @@ class _RepParser:
     """
 
     def __init__(self, text: str, group: Group):
-        self.raw = text
         self.group = group
         self.src = _normalize(text)
         self.tokens: list[tuple[str, int]] = []
         pos = 0
         while pos < len(self.src):
+            if self.src[pos] == " ":  # only a space between two numbers is left
+                raise RepParseError(self.src, pos + 1, "a number cannot follow a number")
             m = _TOKEN.match(self.src, pos)
             if not m:
-                raise RepParseError(text, pos, f"unexpected character {self.src[pos]!r}")
+                raise RepParseError(self.src, pos, f"unexpected character {self.src[pos]!r}")
             self.tokens.append((m.group(), pos))
             pos = m.end()
         self.i = 0
@@ -283,22 +286,22 @@ class _RepParser:
     def take(self, expected: str | None = None) -> str:
         tok = self.peek()
         if tok is None:
-            raise RepParseError(self.raw, self.pos(), "unexpected end of input")
+            raise RepParseError(self.src, self.pos(), "unexpected end of input")
         if expected is not None and tok != expected:
-            raise RepParseError(self.raw, self.pos(), f"expected {expected!r}, found {tok!r}")
+            raise RepParseError(self.src, self.pos(), f"expected {expected!r}, found {tok!r}")
         self.i += 1
         return tok
 
     def take_int(self) -> int:
         tok = self.take()
         if not tok.isdigit():
-            raise RepParseError(self.raw, self.tokens[self.i - 1][1], f"expected integer, found {tok!r}")
+            raise RepParseError(self.src, self.tokens[self.i - 1][1], f"expected integer, found {tok!r}")
         return int(tok)
 
     def parse(self) -> Rep:
         v = self.expr()
         if self.peek() is not None:
-            raise RepParseError(self.raw, self.pos(), f"trailing input {self.peek()!r}")
+            raise RepParseError(self.src, self.pos(), f"trailing input {self.peek()!r}")
         return v
 
     def expr(self) -> Rep:
@@ -316,7 +319,7 @@ class _RepParser:
     def term(self) -> Rep:
         tok = self.peek()
         if tok is None:
-            raise RepParseError(self.raw, self.pos(), "expected a term")
+            raise RepParseError(self.src, self.pos(), "expected a term")
         count = 1
         if tok.isdigit():
             count = self.take_int()
@@ -336,7 +339,7 @@ class _RepParser:
             self.take()
             level = int(tok[1:])
             if level > self.group.k:
-                raise RepParseError(self.raw, self.tokens[self.i - 1][1],
+                raise RepParseError(self.src, self.tokens[self.i - 1][1],
                                     f"plane level {level} out of range for {self.group}")
             return rotation_plane(self.group, level, count)
         if tok == "(":
@@ -344,7 +347,7 @@ class _RepParser:
             v = self.expr()
             self.take(")")
             return count * v
-        raise RepParseError(self.raw, self.pos(), f"cannot start a term with {tok!r}")
+        raise RepParseError(self.src, self.pos(), f"cannot start a term with {tok!r}")
 
     def slice_term(self) -> Rep:
         self.take("V")
@@ -364,4 +367,4 @@ def parse_rep(text: str, group: Group) -> Rep:
     try:
         return parser.parse()
     except RecursionError:
-        raise RepParseError(text, parser.pos(), "expression nested too deeply") from None
+        raise RepParseError(parser.src, parser.pos(), "expression nested too deeply") from None

@@ -158,6 +158,11 @@ class Failure:
     t: int | None = None
     group: AbGroup | None = None
 
+    def __str__(self) -> str:
+        """What the text and LaTeX renderers print after "stage i: "."""
+        at = "" if self.epsilon is None else f" (epsilon={self.epsilon}, t={self.t})"
+        return f"{self.check} failed at level {self.level}{at}"
+
 
 @dataclass(frozen=True)
 class VerificationReport:

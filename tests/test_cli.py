@@ -181,18 +181,32 @@ verified: 3/5 stages pass
 """
 
 
+S7_FAILED_LATEX = S7_LATEX + """\
+% stage 0: vanishing failed at level 1 (epsilon=1, t=3)
+% stage 2: containment failed at level 0
+"""
+
+# a vanishing failure names its epsilon and t; a containment failure has neither
+S7_FAILURES = {0: (Failure(1, "vanishing", 1, 3, AbGroup((3,))),),
+               2: (Failure(0, "containment"),)}
+
+
+def s7_doomed(tower):
+    return [VerificationReport(i not in S7_FAILURES, 4, S7_FAILURES.get(i, ()))
+            for i in range(len(tower.stages))]
+
+
 def test_failed_verification_prints_each_failure(capsys, monkeypatch):
-    # a vanishing failure names its epsilon and t; a containment failure has neither
-    failures = {0: (Failure(1, "vanishing", 1, 3, AbGroup((3,))),),
-                2: (Failure(0, "containment"),)}
-
-    def doomed(tower):
-        return [VerificationReport(i not in failures, 4, failures.get(i, ()))
-                for i in range(len(tower.stages))]
-
-    monkeypatch.setattr(cli, "verify_tower", doomed)
+    monkeypatch.setattr(cli, "verify_tower", s7_doomed)
     code, out, err = run(capsys, "tower", "--p", "3", "--k", "2", "--n", "7", "--verify")
     assert (code, out, err) == (1, S7_FAILED_TEXT, "")
+
+
+def test_failed_verification_comments_each_failure_under_the_diagram(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_tower", s7_doomed)
+    code, out, err = run(capsys, "tower", "--p", "3", "--k", "2", "--n", "7",
+                         "--verify", "--format", "latex")
+    assert (code, out, err) == (1, S7_FAILED_LATEX, "")
 
 
 def test_broken_invariant_exits_one_without_traceback(capsys, monkeypatch):
@@ -308,6 +322,12 @@ def test_usage_errors(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "mackey", "--p", "3", "--k", "2", "--show", "B(9,9)")
     assert code == 2
+    # a space never joins two numbers, and a coefficient index takes one sign
+    code, _, err = run(capsys, "homology", "--p", "3", "--k", "2", "--rep", "1 2L0")
+    assert (code, err) == (2, "error: a number cannot follow a number at position 2 in '1 2L0'\n")
+    code, _, err = run(capsys, "mackey", "--p", "3", "--k", "2", "--show", "B(--1,0)")
+    assert code == 2
+    assert err == "error: cannot parse coefficient 'B(--1,0)'; expected Z, Z*, Z(i,j), or B(i,j)\n"
 
 
 def test_unknown_subcommand_exits_two():

@@ -106,7 +106,9 @@ def test_level_zero_is_underlying_sphere():
 @pytest.mark.parametrize("group", [C3, C9, Group(3, 3)], ids=str)
 def test_sphere_homology_reads_bredon_homology_at_the_top(group):
     # one realization of a two- or three-degree window gives the groups
-    # that bredon_homology computes one degree at a time
+    # that bredon_homology computes one degree at a time, and level m of
+    # a sphere is the top level of its restriction to C_{p^m}, which
+    # homology --level m reads
     k = group.k
     reps = [rotation_plane(group, 0) - trivial_rep(group, 1),
             trivial_rep(group, 1) - rotation_plane(group, 0),
@@ -114,9 +116,10 @@ def test_sphere_homology_reads_bredon_homology_at_the_top(group):
     for v in reps:
         for M in (constant_Z(group), dual_Z(group), B_ij(1, 0, group)):
             for lo, hi in ((-1, 0), (0, 1), (-1, 1)):
-                got = sphere_homology(v, M, lo, hi)
-                want = [bredon_homology(v, M, d).ab(k) for d in range(lo, hi + 1)]
-                assert list(got) == want, (str(v), M.name, lo, hi)
+                whole = [bredon_homology(v, M, d) for d in range(lo, hi + 1)]
+                for m in range(k + 1):
+                    got = sphere_homology(restrict_rep(v, m), restrict_mackey(M, m), lo, hi)
+                    assert list(got) == [h.ab(m) for h in whole], (str(v), M.name, lo, hi, m)
 
 
 def test_actual_sphere_closed_form():

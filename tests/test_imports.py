@@ -2,7 +2,8 @@
 the package names a standard-library module or the package itself.  The
 orbit size p^(k - h) has one home, Group.index.  Indented JSON has one
 writer, document.dumps_indented.  Spheres are realized in one module,
-homology.  And the runtime ships no code that only tests read."""
+homology.  The oracle reads none of the tower's closed forms.  And the
+runtime ships no code that only tests read."""
 
 import ast
 import sys
@@ -121,13 +122,36 @@ REALIZATION_READERS = {
 }
 
 
+def reads(node: ast.AST) -> set[str]:
+    """Names read under node, or imported by name there."""
+    return set(references(node)) | {alias.name for n in ast.walk(node)
+                                    if isinstance(n, ast.ImportFrom) for alias in n.names}
+
+
 def test_only_homology_realizes_spheres():
     found = []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        names = set(references(tree)) | {alias.name for node in ast.walk(tree)
-                                         if isinstance(node, ast.ImportFrom)
-                                         for alias in node.names}
+        names = reads(ast.parse(path.read_text(), str(path)))
         found.extend(f"{path.name} reads {name}" for name, readers in REALIZATION_READERS.items()
                      if name in names and path.name not in readers)
     assert not found, f"ask homology.sphere_homology instead: {found}"
+
+
+# The closed forms of the tower.  The oracle, which checks a slice from
+# its representation and coefficient alone, reads none of them: not in
+# its modules, and not in the two functions of tower.py that run it.
+CLOSED_FORMS = {"slice_params", "SliceParams", "slice_rep", "n_slice_rep", "lambda_block",
+                "build_tower", "_exchange"}
+ORACLE_MODULES = ("homology.py", "cells.py", "abelian.py", "mackey.py")
+ORACLE_IN_TOWER = {"verify_slice", "verify_tower"}
+
+
+def test_the_oracle_reads_no_closed_form():
+    found = [f"{name} reads {form}" for name in ORACLE_MODULES
+             for form in sorted(reads(ast.parse((SRC / name).read_text(), name)) & CLOSED_FORMS)]
+    bodies = [node for node in ast.parse((SRC / "tower.py").read_text(), "tower.py").body
+              if isinstance(node, ast.FunctionDef) and node.name in ORACLE_IN_TOWER]
+    assert {node.name for node in bodies} == ORACLE_IN_TOWER
+    found.extend(f"tower.{node.name} reads {form}" for node in bodies
+                 for form in sorted(reads(node) & CLOSED_FORMS))
+    assert not found, f"the verifier must not reuse the construction: {found}"

@@ -195,6 +195,8 @@ def test_parse_coefficient():
         parse_coefficient("B(0,1)", C9)
     with pytest.raises(ValueError):
         parse_coefficient("B(2,2)", C9)
+    with pytest.raises(ValueError, match="cannot parse coefficient"):
+        parse_coefficient("B(--1,0)", C9)
 
 
 def test_render_golden():

@@ -284,9 +284,18 @@ def test_parse_errors():
         parse_rep("2?", C9)
     err = pytest.raises(RepParseError, parse_rep, "rho + !", C9).value
     assert err.pos == 4  # after normalization strips spaces
+    # except between two numbers, which a space never joins
+    for text, pos in (("1 2L0", 2), ("2 3", 2), ("L1  2", 3)):
+        err = pytest.raises(RepParseError, parse_rep, text, C9).value
+        assert (err.text, err.pos) == (text.replace("  ", " "), pos)
+    assert parse_rep("2 L1", C9) == rotation_plane(C9, 1, 2)
+    assert parse_rep("2 rho", C9) == regular_rep(C9, 2)
+    assert parse_rep("L1 - L0", C9) == rotation_plane(C9, 1) - rotation_plane(C9, 0)
+    assert parse_rep("V(1, 1)@n = 7", C9) == parse_rep("V(1,1)@n=7", C9)
 
 
-@pytest.mark.parametrize("text,bad", [("rho + !", "!"), ("ρ + λ_0 + ?", "?")])
+@pytest.mark.parametrize("text,bad", [("rho + !", "!"), ("ρ + λ_0 + ?", "?"),
+                                      ("1 2L0", "2"), ("2 3", "3")])
 def test_parse_error_position_points_into_the_quoted_text(text, bad):
     err = pytest.raises(RepParseError, parse_rep, text, C9).value
     shown = ast.literal_eval(str(err).rsplit(" in ", 1)[1])

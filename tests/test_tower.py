@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from slicetower.abelian import AbGroup
 from slicetower.group import Group, is_odd_prime
 from slicetower.homology import sphere_homology
 from slicetower.mackey import B_ij, constant_Z, dual_Z, restrict_mackey
@@ -264,8 +265,20 @@ def test_reports_share_no_state_with_the_cache():
     assert verify_slice.cache_info().hits == 1
 
 
-def test_slice_cache_is_bounded():
-    assert verify_slice.cache_info().maxsize is not None
+def test_slice_cache_is_bounded(monkeypatch):
+    # more distinct spheres, and then slices, than either cache holds:
+    # trivial spheres over C_3, and the zero slices of 4,200 groups C_p,
+    # which read a constant answer in place of their spheres' homology
+    # (the cap does not depend on it), so filling stays quick
+    for n in range(4200):
+        sphere_homology(trivial_rep(C3, n), constant_Z(C3), 0, 0)
+    monkeypatch.setattr("slicetower.tower.sphere_homology", lambda w, M, lo, hi: (AbGroup(()),) * 2)
+    primes = [p for p in range(3, 50000, 2) if is_odd_prime(p)][:4200]
+    for p in primes:
+        verify_slice(SliceDescriptor(Kind.ZERO, trivial_rep(Group(p, 1), 0)))
+    for cache in (sphere_homology, verify_slice):
+        info = cache.cache_info()
+        assert info.misses > info.maxsize >= info.currsize
 
 
 def test_regular_rep_cache_stays_under_its_cap():
