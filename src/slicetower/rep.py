@@ -217,7 +217,7 @@ def render_rep(v: Rep) -> str:
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN = re.compile(r"\d+|rho|L\d+|[()+\-,]|V|W|@n=")
-_SPACES = re.compile(r"(?<=\d)( ) *(?=\d)| +")  # spaces; group 1 keeps one between two digits
+_JOINING_SPACES = re.compile(r"(?<=\d) +(?=\d)")
 
 
 def _normalize(text: str) -> str:
@@ -226,7 +226,7 @@ def _normalize(text: str) -> str:
     text = text.replace("−", "-").replace("ρ", "rho")
     text = text.replace("λ_", "L").replace("λ", "L")
     text = text.replace("lambda_", "L").replace("lambda", "L").replace("*", "")
-    return _SPACES.sub(r"\1", text)
+    return " ".join([part.replace(" ", "") for part in _JOINING_SPACES.split(text)])
 
 
 _QUOTE_MAX = 60  # characters of the normalized input, or of a message, that a parse error shows
