@@ -2,16 +2,17 @@
 
 The display rules the document shares with the text and LaTeX
 renderers in render.py live here, once: sphere_forms decides which
-form of a slice's sphere gets printed, and coefficient_label names its
-coefficient.  The renderers read the tower's stages through these, so
-they show what the document says without building it.  dumps_indented
-writes every --format json document, byte for byte as
-json.dumps(doc, indent=2) would, in one pass that skips the stdlib's
-pure-Python encoder.
+form of a slice's sphere gets printed, and spells it once per slice per
+process, and coefficient_label names its coefficient.  The renderers
+read the tower's stages through these, so they show what the document
+says without building it.  dumps_indented writes every --format json
+document, byte for byte as json.dumps(doc, indent=2) would, in one pass
+that skips the stdlib's pure-Python encoder.
 """
 
 from __future__ import annotations
 
+import functools
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
@@ -70,6 +71,7 @@ def rep_payload(v: Rep, forms: tuple[str, str] | None = None) -> dict[str, Any]:
     }
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def sphere_forms(desc: SliceDescriptor) -> tuple[tuple[str, str], tuple[str, str]]:
     """The display and LaTeX forms of the slice's sphere, and of what it is printed as.
 

@@ -20,7 +20,7 @@ from .group import Group
 from .params import SliceParams, slice_params
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rep:
     group: Group
     trivial: int
@@ -216,7 +216,7 @@ def render_rep(v: Rep) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN = re.compile(r"\d+|rho|L\d+|[()+\-,]|V|W|@n=")
+_TOKEN = re.compile(r"\d+|rho|L\d+|[()+\-,*]|V|W|@n=")
 _JOINING_SPACES = re.compile(r"(?<=\d) +(?=\d)")
 
 
@@ -225,7 +225,7 @@ def _normalize(text: str) -> str:
     kept between two digits, where deleting it would join two numbers."""
     text = text.replace("−", "-").replace("ρ", "rho")
     text = text.replace("λ_", "L").replace("λ", "L")
-    text = text.replace("lambda_", "L").replace("lambda", "L").replace("*", "")
+    text = text.replace("lambda_", "L").replace("lambda", "L")
     return " ".join([part.replace(" ", "") for part in _JOINING_SPACES.split(text)])
 
 
@@ -258,7 +258,7 @@ class RepParseError(ValueError):
 class _RepParser:
     """Recursive descent over: [-] term ((+|-) term)*
 
-    term := INT | [INT] atom
+    term := INT | [INT [*]] atom
     atom := rho | L<j> | ( expr ) | V ( INT , INT ) @n= INT | W @n= INT
     """
 
@@ -324,7 +324,14 @@ class _RepParser:
         if tok.isdigit():
             count = self.take_int()
             tok = self.peek()
-            if tok is None or tok in ("+", "-", ")", ","):
+            if tok == "*":  # joins the count to the term it multiplies, never to a number
+                self.take()
+                tok = self.peek()
+                if tok is None or tok.isdigit():
+                    found = "end of input" if tok is None else repr(tok)
+                    raise RepParseError(self.src, self.pos(),
+                                        f"expected a term after '*', found {found}")
+            elif tok is None or tok in ("+", "-", ")", ","):
                 return trivial_rep(self.group, count)
         if tok == "V":
             return count * self.slice_term()

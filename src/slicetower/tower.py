@@ -15,9 +15,13 @@ structures.  Nothing in that path reuses the closed forms above, which
 is the point.
 
 A descriptor is the spectrum alone; where it sits in a tower is its
-Stage's business.  Towers for nearby n share most of their slices, and
-slices share spheres, so each slice and each sphere is checked once per
-process: verify_slice is cached by the descriptor, and it reads the
+Stage's business.  The torsion slice at (a, b) of S^n depends only on a
+and m_b, not on n: lambda(ell + p^k) = lambda(ell) + 2 rho, so V(a,b)
+of S^n is V(a,d) of S^(m_b + 2), the top row of a shorter tower.
+torsion_slice builds it from there once per process, so towers share
+their slices as objects, and document.sphere_forms spells each once.
+Slices share spheres too, so each slice and each sphere is checked once
+per process: verify_slice is cached by the descriptor, and it reads the
 homology of its spheres through homology.sphere_homology, whose cache,
 keyed by the sphere and the coefficient system by value, realizes each
 one once.
@@ -49,7 +53,7 @@ class Kind(str, Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceDescriptor:
     """One slice: S^rep smash an Eilenberg-MacLane spectrum, with
     coefficient B(coeff_i, coeff_j) for the torsion slices."""
@@ -68,7 +72,7 @@ class SliceDescriptor:
         return self.kind == Kind.TORSION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stage:
     descriptor: SliceDescriptor
     section: Rep  # the section this slice maps into; always of dimension n
@@ -76,7 +80,7 @@ class Stage:
     b: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tower:
     group: Group
     n: int
@@ -100,6 +104,17 @@ def _exchange(stage: Stage) -> Rep:
     if not (nxt.is_actual and nxt.dim == section.dim):
         raise AssertionError(f"exchanging planes across V({stage.a},{stage.b}) leaves no section of dimension n")
     return nxt
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def torsion_slice(group: Group, a: int, m: int) -> SliceDescriptor:
+    """The torsion slice of dimension m p^a - 1 in column a, in every
+    tower that has the base dimension m: V(a,d) of S^(m + 2), whose top
+    base dimension is m.  Capped like verify_slice's cache."""
+    params = slice_params(m + 2, group)
+    d = params.count
+    return SliceDescriptor(Kind.TORSION, slice_rep(params, a, d),
+                           coeff_i=params.valuation(a, d) + 1, coeff_j=a - 1)
 
 
 def build_tower(n: int, group: Group) -> Tower:
@@ -127,8 +142,7 @@ def build_tower(n: int, group: Group) -> Tower:
         for b in range(params.count, 0, -1):
             if a == 1 and b == 1 and n % p == 0:
                 continue
-            desc = SliceDescriptor(Kind.TORSION, slice_rep(params, a, b),
-                                   coeff_i=params.valuation(a, b) + 1, coeff_j=a - 1)
+            desc = torsion_slice(group, a, params.base_dims[b - 1])
             stages.append(Stage(desc, section, a, b))
             section = _exchange(stages[-1])
     bottom = SliceDescriptor(Kind.INTEGRAL, n_slice_rep(n, group))

@@ -325,6 +325,12 @@ def test_usage_errors(capsys):
     # a space never joins two numbers, and a coefficient index takes one sign
     code, _, err = run(capsys, "homology", "--p", "3", "--k", "2", "--rep", "1 2L0")
     assert (code, err) == (2, "error: a number cannot follow a number at position 2 in '1 2L0'\n")
+    # '*' joins a count to a term, never two numbers, and starts nothing
+    for rep, message in (("2*3", "expected a term after '*', found '3' at position 2 in '2*3'"),
+                         ("L*1", "unexpected character 'L' at position 0 in 'L*1'"),
+                         ("*L1", "cannot start a term with '*' at position 0 in '*L1'")):
+        code, _, err = run(capsys, "homology", "--p", "3", "--k", "2", "--rep", rep, "--degree", "23")
+        assert (code, err) == (2, f"error: {message}\n")
     code, _, err = run(capsys, "mackey", "--p", "3", "--k", "2", "--show", "B(--1,0)")
     assert code == 2
     assert err == "error: cannot parse coefficient 'B(--1,0)'; expected Z, Z*, Z(i,j), or B(i,j)\n"

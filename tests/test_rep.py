@@ -288,6 +288,13 @@ def test_parse_errors():
     for text, shown, pos in (("1 2L0", "1 2L0", 2), ("2   3", "2 3", 2), ("L1 2", "L1 2", 3)):
         err = pytest.raises(RepParseError, parse_rep, text, C9).value
         assert (err.text, err.pos) == (shown, pos)
+    # '*' only joins a count to the term it multiplies
+    for text, pos in (("2*3", 2), ("L*1", 0), ("*L1", 0), ("2 * 3", 2), ("2*", 2)):
+        err = pytest.raises(RepParseError, parse_rep, text, C9).value
+        assert (err.text, err.pos) == (text.replace(" ", ""), pos)
+    assert parse_rep("2*L1", C9) == parse_rep("2L1", C9) == rotation_plane(C9, 1, 2)
+    assert parse_rep("2 * rho", C9) == regular_rep(C9, 2)
+    assert parse_rep("3*(rho - 1)", C9) == 3 * (regular_rep(C9) - trivial_rep(C9))
     assert parse_rep("2 L1", C9) == rotation_plane(C9, 1, 2)
     assert parse_rep("2 rho", C9) == regular_rep(C9, 2)
     assert parse_rep("L1 - L0", C9) == rotation_plane(C9, 1) - rotation_plane(C9, 0)

@@ -7,16 +7,19 @@ import itertools
 import pytest
 
 from slicetower.abelian import AbGroup
+from slicetower.document import sphere_forms
 from slicetower.group import Group, is_odd_prime
 from slicetower.homology import sphere_homology
 from slicetower.mackey import B_ij, constant_Z, dual_Z, restrict_mackey
-from slicetower.rep import Rep, regular_rep, rotation_plane, trivial_rep
+from slicetower.params import slice_params
+from slicetower.rep import Rep, regular_rep, rotation_plane, slice_rep, trivial_rep
 from slicetower.tower import (
     Failure,
     Kind,
     SliceDescriptor,
     _exchange,
     build_tower,
+    torsion_slice,
     verify_slice,
     verify_tower,
 )
@@ -279,6 +282,44 @@ def test_slice_cache_is_bounded(monkeypatch):
     for cache in (sphere_homology, verify_slice):
         info = cache.cache_info()
         assert info.misses > info.maxsize >= info.currsize
+
+
+def test_torsion_slice_and_form_caches_are_bounded():
+    # the column-1 slices over C_3 of 4,200 base dimensions, each spelled
+    # once, are more than either cache holds
+    for m in range(1, 4201):
+        sphere_forms(torsion_slice(C3, 1, m))
+    for cache in (torsion_slice, sphere_forms):
+        info = cache.cache_info()
+        assert info.misses > info.maxsize >= info.currsize
+
+
+def test_a_torsion_slice_depends_on_its_dimension_only():
+    # V(a,b) of S^n is V(a,d) of S^(m_b + 2): every (a, b) of the towers
+    # of n = 3..60 over C_p^k, p in {3, 5, 7, 11} and k = 1..3, against
+    # the slice built from the parameters of S^n itself
+    checked = 0
+    for p, k in itertools.product((3, 5, 7, 11), (1, 2, 3)):
+        group = Group(p, k)
+        for n in range(3, 61):
+            params = slice_params(n, group)
+            for a, b in itertools.product(range(1, k + 1), range(1, params.count + 1)):
+                own = SliceDescriptor(Kind.TORSION, slice_rep(params, a, b),
+                                      coeff_i=params.valuation(a, b) + 1, coeff_j=a - 1)
+                assert torsion_slice(group, a, params.base_dims[b - 1]) == own, (group, n, a, b)
+                checked += 1
+    assert checked == 17160
+
+
+def test_towers_share_their_torsion_slices():
+    # a slice met in several towers is one object, so the caches keyed
+    # by it hit on identity
+    for n in range(3, 31):
+        for stage in build_tower(n, C9).stages[:-1]:
+            m = slice_params(n, C9).base_dims[stage.b - 1]
+            assert stage.descriptor is torsion_slice(C9, stage.a, m)
+    info = torsion_slice.cache_info()
+    assert info.hits > info.misses == info.currsize
 
 
 def test_regular_rep_cache_stays_under_its_cap():
