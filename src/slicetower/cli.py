@@ -16,7 +16,7 @@ import functools
 import os
 import sys
 
-from .document import FORMAT, dumps_indented, tower_document
+from .document import FORMAT, Raw, dumps_indented, group_payload, tower_document
 from .group import Group, is_odd_prime
 from .homology import sphere_homology
 from .mackey import parse_coefficient, render_mackey, restrict_mackey
@@ -78,7 +78,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
     tower = build_tower(args.n, group)
     reports = verify_tower(tower) if args.verify else None
     if args.format == "json":
-        print(dumps_indented(tower_document(tower, reports)))
+        print(tower_document(tower, reports))
     elif args.format == "latex":
         print(render_latex(tower, reports), end="")
     else:
@@ -102,16 +102,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = sum(not r.passed for _, reports in runs for r in reports)
 
     if args.format == "json":
-        documents = [tower_document(tower, reports) for tower, reports in runs]
         print(dumps_indented({
             "format": FORMAT,
             "kind": "verify-report",
-            "group": documents[0]["group"],
+            "group": group_payload(group),
             "range": [lo, hi],
             "stages": total,
             "failed_stages": failed,
             "all_passed": failed == 0,
-            "towers": documents,
+            "towers": [Raw(tower_document(tower, reports)) for tower, reports in runs],
         }))
     else:
         print(f"verify over {group}, n = {lo}..{hi}")

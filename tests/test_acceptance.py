@@ -73,7 +73,7 @@ def test_criterion_2_s16_example(capsys):
         elapsed = time.perf_counter() - start
         out = capsys.readouterr().out
         assert code == 0
-        doc = tower_document(build_tower(16, Group(3, 2)))
+        doc = json.loads(tower_document(build_tower(16, Group(3, 2))))
         torsion = [s for s in doc["stages"] if s["slice"]["kind"] == "torsion"]
         assert len(torsion) == 10
         assert "S^(14ρ - 1) ∧ HB(1,1)" in out
@@ -90,7 +90,7 @@ def test_criterion_3_c_p_family():
             for n in range(3, 21):
                 if n % p == 0:
                     continue
-                doc = tower_document(build_tower(n, g))
+                doc = json.loads(tower_document(build_tower(n, g)))
                 stages = doc["stages"]
                 d = len(stages) - 1
                 for i, stage in enumerate(stages[:-1], start=1):

@@ -1,7 +1,8 @@
-"""The JSON-able tower document: field layout, the printed-form rule
-for slice spheres, validity against the shipped schema, and the
-indented writer that prints it."""
+"""The tower document: field layout, the printed-form rule for slice
+spheres, validity against the shipped schema, its text being what
+json.dumps(indent=2) writes, and the indented writer that prints it."""
 
+import itertools
 import json
 from importlib import resources
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from slicetower.abelian import AbGroup
-from slicetower.document import FORMAT, VERSION, dumps_indented, rep_payload, tower_document
+from slicetower.cli import main
+from slicetower.document import FORMAT, VERSION, Raw, dumps_indented, rep_payload, tower_document
 from slicetower.group import Group
 from slicetower.rep import Rep
 from slicetower.tower import Failure, VerificationReport, build_tower, verify_tower
@@ -25,7 +27,7 @@ def load_schema():
 
 
 def test_top_level_fields():
-    doc = tower_document(build_tower(7, C9))
+    doc = json.loads(tower_document(build_tower(7, C9)))
     assert doc["format"] == FORMAT == "slicetower/1"
     assert doc["tool"] == {"name": "slicetower", "version": VERSION}
     assert doc["group"] == {"p": 3, "k": 2, "order": 9, "display": "C_3^2"}
@@ -36,7 +38,7 @@ def test_top_level_fields():
 
 
 def test_rep_payload():
-    payload = rep_payload(Rep(C9, 2, (5, 1)))
+    payload = json.loads(rep_payload(Rep(C9, 2, (5, 1))))
     assert payload == {
         "trivial": 2,
         "planes": [5, 1],
@@ -48,7 +50,7 @@ def test_rep_payload():
 
 def test_printed_rule_regular_shorthand():
     # over a group with two plane levels the exact rho form survives
-    doc = tower_document(build_tower(7, C9))
+    doc = json.loads(tower_document(build_tower(7, C9)))
     s0 = doc["stages"][0]["slice"]
     assert s0["rep"]["display"] == "5ρ - 1"
     assert s0["printed"] == {"display": "5ρ - 1", "latex": r"5\rho - 1"}
@@ -59,19 +61,19 @@ def test_printed_rule_regular_shorthand():
 
 def test_printed_rule_strips_invisible_planes():
     # no rho shorthand: planes below the coefficient's range disappear
-    doc = tower_document(build_tower(7, C9))
+    doc = json.loads(tower_document(build_tower(7, C9)))
     s2 = doc["stages"][2]["slice"]
     assert s2["rep"]["display"] == "2 + λ_1 + 5λ_0"
     assert s2["printed"]["display"] == "2 + λ_1"
     # over C_p even an exact regular multiple is printed stripped
-    doc3 = tower_document(build_tower(7, C3))
+    doc3 = json.loads(tower_document(build_tower(7, C3)))
     s0 = doc3["stages"][0]["slice"]
     assert s0["rep"]["display"] == "5ρ - 1"
     assert s0["printed"]["display"] == "4"
 
 
 def test_integral_stage_prints_exactly():
-    doc = tower_document(build_tower(16, C9))
+    doc = json.loads(tower_document(build_tower(16, C9)))
     last = doc["stages"][-1]
     assert last["slice"]["kind"] == "integral"
     assert last["slice"]["coefficient"] == {"family": "Z", "display": "Z"}
@@ -82,7 +84,7 @@ def test_integral_stage_prints_exactly():
 def test_verification_payload():
     tower = build_tower(4, C3)
     reports = verify_tower(tower)
-    doc = tower_document(tower, reports)
+    doc = json.loads(tower_document(tower, reports))
     for stage in doc["stages"]:
         v = stage["verification"]
         assert v["passed"] is True
@@ -90,15 +92,17 @@ def test_verification_payload():
         assert v["failures"] == []
 
 
+BAD = VerificationReport(
+    passed=False,
+    checks=3,
+    failures=(Failure(level=1, check="vanishing", epsilon=1, t=2,
+                      group=AbGroup((3,))),),
+)
+
+
 def test_failure_payload():
     tower = build_tower(1, C3)
-    bad = VerificationReport(
-        passed=False,
-        checks=3,
-        failures=(Failure(level=1, check="vanishing", epsilon=1, t=2,
-                          group=AbGroup((3,))),),
-    )
-    doc = tower_document(tower, [bad])
+    doc = json.loads(tower_document(tower, [BAD]))
     v = doc["stages"][0]["verification"]
     assert v["passed"] is False
     assert v["failures"] == [
@@ -111,14 +115,31 @@ def test_failure_payload():
 def test_documents_validate_against_schema(n, group):
     schema = load_schema()
     tower = build_tower(n, group)
-    jsonschema.validate(tower_document(tower), schema)
-    jsonschema.validate(tower_document(tower, verify_tower(tower)
-                                       if n <= 5 else None), schema)
+    jsonschema.validate(json.loads(tower_document(tower)), schema)
+    jsonschema.validate(json.loads(tower_document(tower, verify_tower(tower)
+                                                  if n <= 5 else None)), schema)
+
+
+def canonical(text: str) -> bool:
+    """Whether text is what json.dumps(indent=2) writes for the value it holds."""
+    return json.dumps(json.loads(text), indent=2) == text
 
 
 def test_document_round_trips_through_json():
-    doc = tower_document(build_tower(7, C9))
-    assert json.loads(json.dumps(doc)) == doc
+    # the stages are spliced from cached fragments, with and without
+    # reports; a failing report also carries a group
+    for p, k, n in itertools.product((3, 5, 7), (1, 2, 3), range(41)):
+        tower = build_tower(n, Group(p, k))
+        for reports in (None, verify_tower(tower), [BAD] * len(tower.stages)):
+            assert canonical(tower_document(tower, reports)), (p, k, n, reports)
+
+
+@pytest.mark.parametrize("p,k,n", [("3", "2", "3..40"), ("5", "1", "0..40"), ("7", "3", "3..12")])
+def test_verify_report_is_canonical_json(capsys, p, k, n):
+    # the report splices each tower's document into its "towers" list
+    assert main(["verify", "--p", p, "--k", k, "--n", n, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and canonical(out[:-1])
 
 
 # strings mixing arbitrary characters with the ones JSON must escape
@@ -140,6 +161,12 @@ def json_trees(depth: int):
 @example({})
 def test_writer_matches_stdlib_indent(tree):
     assert dumps_indented(tree) == json.dumps(tree, indent=2)
+
+
+@given(json_trees(3))
+@example({"a": [], "b": {"c": "\n"}})
+def test_raw_text_is_spliced_reindented(tree):
+    assert dumps_indented({"x": [Raw(dumps_indented(tree))]}) == json.dumps({"x": [tree]}, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.5, (1, 2), {"a": [0.0]}, [{"b": (3,)}], {1: 2}, {"c": {1, 2}}],

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from slicetower.abelian import AbGroup
-from slicetower.document import sphere_forms
+from slicetower.document import slice_text, sphere_forms, verification_text
 from slicetower.group import Group, is_odd_prime
 from slicetower.homology import sphere_homology
 from slicetower.mackey import B_ij, constant_Z, dual_Z, restrict_mackey
@@ -17,6 +17,7 @@ from slicetower.tower import (
     Failure,
     Kind,
     SliceDescriptor,
+    VerificationReport,
     _exchange,
     build_tower,
     torsion_slice,
@@ -286,10 +287,12 @@ def test_slice_cache_is_bounded(monkeypatch):
 
 def test_torsion_slice_and_form_caches_are_bounded():
     # the column-1 slices over C_3 of 4,200 base dimensions, each spelled
-    # once, are more than either cache holds
+    # and encoded once, and as many distinct reports, are more than any
+    # of these caches holds
     for m in range(1, 4201):
-        sphere_forms(torsion_slice(C3, 1, m))
-    for cache in (torsion_slice, sphere_forms):
+        slice_text(torsion_slice(C3, 1, m))
+        verification_text(VerificationReport(True, m, ()))
+    for cache in (torsion_slice, sphere_forms, slice_text, verification_text):
         info = cache.cache_info()
         assert info.misses > info.maxsize >= info.currsize
 
