@@ -16,7 +16,7 @@ import functools
 import os
 import sys
 
-from .document import FORMAT, Raw, dumps_indented, group_payload, tower_document
+from .document import FORMAT, dumps_indented, group_text, tower_document
 from .group import Group, is_odd_prime
 from .homology import sphere_homology
 from .mackey import parse_coefficient, render_mackey, restrict_mackey
@@ -102,16 +102,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = sum(not r.passed for _, reports in runs for r in reports)
 
     if args.format == "json":
-        print(dumps_indented({
-            "format": FORMAT,
-            "kind": "verify-report",
-            "group": group_payload(group),
-            "range": [lo, hi],
-            "stages": total,
-            "failed_stages": failed,
-            "all_passed": failed == 0,
-            "towers": [Raw(tower_document(tower, reports)) for tower, reports in runs],
-        }))
+        print(f'{{\n  "format": "{FORMAT}",\n  "kind": "verify-report",\n  "group": {group_text(group)},\n'
+              f'  "range": [\n    {lo},\n    {hi}\n  ],\n  "stages": {total},\n  "failed_stages": {failed},\n'
+              f'  "all_passed": {"true" if failed == 0 else "false"},\n  "towers": [', end="")
+        # each tower's document as it comes, at the depth "towers" holds it
+        for i, (tower, reports) in enumerate(runs):
+            print(",\n    " if i else "\n    ", tower_document(tower, reports).replace("\n", "\n    "),
+                  sep="", end="")
+        print("\n  ]\n}")
     else:
         print(f"verify over {group}, n = {lo}..{hi}")
         for tower, reports in runs:

@@ -1,20 +1,31 @@
-"""Every test starts with empty caches of torsion slices, of their
-display forms and JSON text, of slice reports and their JSON text, and
-of sphere homology, so check counts and cache sizes never depend on the
-order tests run in.  Tests of the caches warm them themselves."""
+"""Every test starts with every cache of the package empty: torsion
+slices, their display forms and JSON text, slice reports and their JSON
+text, sphere homology, regular representations and the rest, found by
+scanning the package's modules.  So check counts and cache sizes never
+depend on the order tests run in.  Tests of the caches warm them
+themselves."""
+
+import importlib
+import pkgutil
 
 import pytest
 
-from slicetower.document import slice_text, sphere_forms, verification_text
-from slicetower.homology import sphere_homology
-from slicetower.tower import torsion_slice, verify_slice
+import slicetower
+
+# every module-level functools cache, once, though some modules import others' caches
+CACHES = list(dict.fromkeys(
+    value
+    for info in pkgutil.iter_modules(slicetower.__path__)
+    for value in vars(importlib.import_module(f"slicetower.{info.name}")).values()
+    if hasattr(value, "cache_clear")))
+
+
+@pytest.fixture
+def package_caches():
+    return CACHES
 
 
 @pytest.fixture(autouse=True)
 def empty_caches():
-    torsion_slice.cache_clear()
-    sphere_forms.cache_clear()
-    slice_text.cache_clear()
-    verify_slice.cache_clear()
-    verification_text.cache_clear()
-    sphere_homology.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()

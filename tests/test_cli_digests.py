@@ -1,11 +1,8 @@
 """Every recorded CLI request gives the recorded exit code, stdout and
 stderr, byte for byte.  make_cli_digests.py writes the record."""
 
-import importlib
 import json
-import pkgutil
 
-import slicetower
 from make_cli_digests import DIGESTS, digest, requests
 
 
@@ -25,13 +22,9 @@ def test_the_record_holds_exactly_the_listed_requests():
 
 def test_tower_and_verify_outputs_do_not_depend_on_request_order():
     # slices and their forms are cached by value across towers: with
-    # every cache of the package empty, the tower and verify requests
-    # sent last to first give the recorded digests too
-    for info in pkgutil.iter_modules(slicetower.__path__):
-        module = importlib.import_module(f"slicetower.{info.name}")
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    # every cache of the package empty (conftest.py empties them before
+    # each test), the tower and verify requests sent last to first give
+    # the recorded digests too
     recorded = [r for r in json.loads(DIGESTS.read_text()) if r["argv"][0] in ("tower", "verify")]
     assert len(recorded) > 400
     changed = [want["argv"] for want in reversed(recorded) if digest(want["argv"]) != want]

@@ -1,6 +1,8 @@
 """The tower document: field layout, the printed-form rule for slice
-spheres, validity against the shipped schema, its text being what
-json.dumps(indent=2) writes, and the indented writer that prints it."""
+spheres, validity against the shipped schema, and its text, written
+stage by stage, being what json.dumps(indent=2) writes, alone and in a
+verify report, passing or failing.  Also the indented writer that
+prints the smaller documents."""
 
 import itertools
 import json
@@ -10,9 +12,10 @@ import jsonschema
 import pytest
 from hypothesis import example, given, strategies as st
 
+from slicetower import cli
 from slicetower.abelian import AbGroup
 from slicetower.cli import main
-from slicetower.document import FORMAT, VERSION, Raw, dumps_indented, rep_payload, tower_document
+from slicetower.document import FORMAT, VERSION, dumps_indented, rep_payload, tower_document
 from slicetower.group import Group
 from slicetower.rep import Rep
 from slicetower.tower import Failure, VerificationReport, build_tower, verify_tower
@@ -126,7 +129,7 @@ def canonical(text: str) -> bool:
 
 
 def test_document_round_trips_through_json():
-    # the stages are spliced from cached fragments, with and without
+    # the stages are written around cached fragments, with and without
     # reports; a failing report also carries a group
     for p, k, n in itertools.product((3, 5, 7), (1, 2, 3), range(41)):
         tower = build_tower(n, Group(p, k))
@@ -136,10 +139,25 @@ def test_document_round_trips_through_json():
 
 @pytest.mark.parametrize("p,k,n", [("3", "2", "3..40"), ("5", "1", "0..40"), ("7", "3", "3..12")])
 def test_verify_report_is_canonical_json(capsys, p, k, n):
-    # the report splices each tower's document into its "towers" list
+    # the report holds each tower's document in its "towers" list
     assert main(["verify", "--p", p, "--k", k, "--n", n, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert out.endswith("\n") and canonical(out[:-1])
+
+
+def test_failing_verify_report_is_canonical_json(capsys, monkeypatch):
+    # real towers pass, so no digest holds the report's failing branch:
+    # here the first stage of each tower fails
+    monkeypatch.setattr(cli, "verify_tower", lambda tower: [BAD, *verify_tower(tower)[1:]])
+    assert main(["verify", "--p", "3", "--k", "2", "--n", "6..7", "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and canonical(out[:-1])
+    doc = json.loads(out)
+    assert doc["all_passed"] is False
+    assert doc["failed_stages"] == 2
+    assert doc["stages"] == sum(t["stage_count"] for t in doc["towers"]) > 2
+    passed = [[s["verification"]["passed"] for s in t["stages"]] for t in doc["towers"]]
+    assert passed == [[False] + [True] * (len(row) - 1) for row in passed]
 
 
 # strings mixing arbitrary characters with the ones JSON must escape
@@ -161,12 +179,6 @@ def json_trees(depth: int):
 @example({})
 def test_writer_matches_stdlib_indent(tree):
     assert dumps_indented(tree) == json.dumps(tree, indent=2)
-
-
-@given(json_trees(3))
-@example({"a": [], "b": {"c": "\n"}})
-def test_raw_text_is_spliced_reindented(tree):
-    assert dumps_indented({"x": [Raw(dumps_indented(tree))]}) == json.dumps({"x": [tree]}, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.5, (1, 2), {"a": [0.0]}, [{"b": (3,)}], {1: 2}, {"c": {1, 2}}],

@@ -1,11 +1,14 @@
 """The runtime uses the standard library only: every absolute import in
 the package names a standard-library module or the package itself.  The
-orbit size p^(k - h) has one home, Group.index.  Indented JSON has one
-writer, document.dumps_indented.  Spheres are realized in one module,
-homology.  The oracle reads none of the tower's closed forms.  And the
-runtime ships no code that only tests read."""
+orbit size p^(k - h) has one home, Group.index.  No indented JSON goes
+through json.dumps: document.dumps_indented writes the small documents,
+and the tower and verify documents are spelled as text.  Spheres are
+realized in one module, homology.  The oracle reads none of the tower's
+closed forms.  The runtime ships no code that only tests read.  And
+every cache is bounded."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -155,3 +158,14 @@ def test_the_oracle_reads_no_closed_form():
     found.extend(f"tower.{node.name} reads {form}" for node in bodies
                  for form in sorted(reads(node) & CLOSED_FORMS))
     assert not found, f"the verifier must not reuse the construction: {found}"
+
+
+def test_caches_are_bounded(package_caches):
+    # a cache keyed by its arguments gains an entry per distinct request,
+    # so a long-lived process would grow without end; only a function of
+    # no arguments (cli.build_parser) holds one value and may go uncapped
+    assert len(package_caches) >= 9
+    unbounded = [f"{cache.__module__}.{cache.__qualname__}" for cache in package_caches
+                 if cache.cache_parameters()["maxsize"] is None
+                 and inspect.signature(cache.__wrapped__).parameters]
+    assert not unbounded, f"give these caches a maxsize: {unbounded}"
