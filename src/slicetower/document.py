@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .group import Group
-from .rep import Rep, render_forms, rho_form, spell_forms, strip_planes
+from .rep import Rep, render_forms, rho_form, strip_planes
 from .tower import SliceDescriptor, Tower, VerificationReport
 
 FORMAT = "slicetower/1"
@@ -74,11 +74,10 @@ def sphere_forms(desc: SliceDescriptor) -> tuple[tuple[str, str], tuple[str, str
     representation is an exact regular multiple over a group with at
     least two plane levels, where that shorthand is shorter and exact.
     """
-    form = rho_form(desc.rep)
-    forms = spell_forms(desc.rep, form)
-    if desc.is_torsion and (desc.rep.group.k < 2 or form is None):
+    forms = render_forms(desc.rep)
+    if desc.is_torsion and (desc.rep.group.k < 2 or rho_form(desc.rep) is None):
         # a stripped sphere has no level-0 planes, so no rho form
-        return forms, spell_forms(strip_planes(desc.rep, desc.coeff_j + 1), None)
+        return forms, render_forms(strip_planes(desc.rep, desc.coeff_j + 1))
     return forms, forms
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .group import Group, p_adic_val
+from .group import Group
 
 
 def parity_offset(n: int, p: int) -> int:
@@ -57,28 +57,13 @@ class SliceParams:
         return len(self.base_dims)
 
     def ell(self, a: int, b: int) -> int:
-        """Half the gap between the top stage dimension and stage (a, b).
-
-        Equals ((n-2)p^k - m_b p^a) / 2; always a nonnegative integer.
-        It is the number of rotation planes removed from (n-2) copies
-        of the regular representation to cut the stage rep down.
-        """
-        self._check_indices(a, b)
+        """Half the gap between the top stage dimension and stage (a, b):
+        ((n-2)p^k - m_b p^a) / 2, always a nonnegative integer."""
         p, k = self.group.p, self.group.k
-        num = (self.n - 2) * p**k - self.base_dims[b - 1] * p**a
+        num = (self.n - 2) * p**k - self.base_dim(a, b) * p**a
         if num % 2 or num < 0:
             raise AssertionError(f"ell({a}, {b}) is not a nonnegative integer: {num}/2")
         return num // 2
-
-    def valuation(self, a: int, b: int) -> int:
-        """min(v_p(m_b), k - a): the twist level of stage (a, b).
-
-        Stage (a, b) carries the torsion coefficient with parameters
-        (valuation + 1, a - 1), and stepping past it trades a plane at
-        level valuation + a for one at level a - 1.
-        """
-        self._check_indices(a, b)
-        return min(p_adic_val(self.base_dims[b - 1], self.group.p), self.group.k - a)
 
     def connection_gap(self, a: int) -> int:
         """ell(a, d) - ell(a+1, 1): the jump between consecutive a-blocks.
@@ -101,11 +86,14 @@ class SliceParams:
                                  f"{residue}: they are equal exactly when the residue is 2")
         return gap
 
-    def _check_indices(self, a: int, b: int) -> None:
+    def base_dim(self, a: int, b: int) -> int:
+        """m_b, the base dimension of stage (a, b), once a and then b are
+        checked."""
         if not 1 <= a <= self.group.k:
             raise ValueError(f"a must be in 1..{self.group.k}, got {a}")
         if not 1 <= b <= self.count:
             raise ValueError(f"b must be in 1..{self.count}, got {b}")
+        return self.base_dims[b - 1]
 
 
 def slice_params(n: int, group: Group) -> SliceParams:

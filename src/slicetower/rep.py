@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .group import Group
-from .params import SliceParams, slice_params
+from .params import slice_params
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,16 +103,21 @@ def lambda_block(count: int, group: Group) -> Rep:
     return Rep(group, 2 * count, tuple(planes))
 
 
-def slice_rep(params: SliceParams, a: int, b: int) -> Rep:
-    """The representation carrying the torsion slice at position (a, b)."""
-    group = params.group
-    ell = params.ell(a, b)  # checks a and b
-    rho, lam = regular_rep(group, params.n - 2), lambda_block(ell, group)
+def slice_rep(group: Group, a: int, m: int) -> Rep:
+    """The representation m rho - 1 - lambda(m (p^k - p^a) / 2) carrying
+    the torsion slice of dimension m p^a - 1 in column a: V(a,b) of
+    every S^n whose base dimension m_b is m (see tower.py)."""
+    if not 1 <= a <= group.k:
+        raise ValueError(f"a must be in 1..{group.k}, got {a}")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    ell = m * (group.order - group.p ** a) // 2
+    rho, lam = regular_rep(group, m), lambda_block(ell, group)
     v = Rep(group, rho.trivial - 1 - lam.trivial, tuple(map(operator.sub, rho.planes, lam.planes)))
-    if not (v.is_actual and v.dim == params.base_dims[b - 1] * group.p ** a - 1):
-        raise AssertionError(f"V({a},{b}) is not an actual representation of the slice dimension")
-    if v.trivial != params.n - 3 - 2 * (ell // group.order):
-        raise AssertionError(f"V({a},{b}) has the wrong trivial multiplicity")
+    if not (v.is_actual and v.dim == m * group.p ** a - 1):
+        raise AssertionError(f"V at (a, m) = ({a}, {m}) is not an actual representation of the slice dimension")
+    if v.trivial != m - 1 - 2 * (ell // group.order):
+        raise AssertionError(f"V at (a, m) = ({a}, {m}) has the wrong trivial multiplicity")
     return v
 
 
@@ -130,16 +135,13 @@ def n_slice_rep(n: int, group: Group) -> Rep:
     params = slice_params(n, group)
     p = group.p
     if n % p != 0:
-        gap = (params.base_dims[0] * p - n) // 2
-        w = slice_rep(params, 1, 1) + trivial_rep(group) - lambda_block(gap, group)
-    elif n == p ** group.k:
-        # the generic formula degenerates here; one regular summand plus
-        # two trivials, minus the faithful plane
-        w = regular_rep(group) + trivial_rep(group, 2) - rotation_plane(group, 0)
+        m = params.base_dims[0]
+        w = slice_rep(group, 1, m) + trivial_rep(group) - lambda_block((m * p - n) // 2, group)
     else:
+        # (n - 2) rho - lambda(((n - 2) p^k - third p) / 2) where that is
+        # defined, as n - 2 - third is even; at n = p^k it is rho + 2 - L0
         third = params.base_dims[1] if params.count >= 2 else n // p + 2
-        ell = ((n - 2) * group.order - third * p) // 2
-        w = (regular_rep(group, n - 2) - lambda_block(ell, group)
+        w = (slice_rep(group, 1, third) + trivial_rep(group)
              - lambda_block(p - 1, group) - rotation_plane(group, 0))
     if not (w.is_actual and w.dim == n):
         raise AssertionError(f"the bottom slice representation for n = {n} is not actual of dimension n")
@@ -186,11 +188,7 @@ def strip_planes(v: Rep, below: int) -> Rep:
 def render_forms(v: Rep) -> tuple[str, str]:
     """The display and LaTeX forms of v, from one reading of its terms;
     the s*rho - t shorthand is used when it is exact."""
-    return spell_forms(v, rho_form(v))
-
-
-def spell_forms(v: Rep, form: tuple[int, int] | None) -> tuple[str, str]:
-    """render_forms(v) for form = rho_form(v), read once by the caller."""
+    form = rho_form(v)
     if form is not None:
         s, t = form
         head = "" if s == 1 else str(s)
@@ -365,7 +363,7 @@ class _RepParser:
         self.take(")")
         self.take("@n=")
         n = self.take_int()
-        return slice_rep(slice_params(n, self.group), a, b)
+        return slice_rep(self.group, a, slice_params(n, self.group).base_dim(a, b))
 
 
 def parse_rep(text: str, group: Group) -> Rep:

@@ -16,10 +16,16 @@ is the point.
 
 A descriptor is the spectrum alone; where it sits in a tower is its
 Stage's business.  The torsion slice at (a, b) of S^n depends only on a
-and m_b, not on n: lambda(ell + p^k) = lambda(ell) + 2 rho, so V(a,b)
-of S^n is V(a,d) of S^(m_b + 2), the top row of a shorter tower.
-torsion_slice builds it from there once per process, so towers share
-their slices as objects, and document.sphere_forms spells each once.
+and m = m_b: as lambda(ell + p^k) = lambda(ell) + 2 rho and n - 2 - m is
+even, (n - 2) rho - 1 - lambda(((n - 2) p^k - m p^a) / 2) is slice_rep's
+m rho - 1 - lambda(m (p^k - p^a) / 2), with coefficient
+B(min(v_p(m), k - a) + 1, a - 1).  So the slices are 2 rho-periodic:
+m + 2p^(k-a) adds 2p^(k-a) rho to m rho and (p^(k-a) - 1) p^k to lambda's
+argument, so 2 (p^(k-a) - 1) rho to lambda; torsion_slice(G, a, m +
+2p^(k-a)) is torsion_slice(G, a, m) + 2 rho, with the same B(i, j) as
+v_p(m + 2p^(k-a)) and v_p(m) agree when capped at k - a.  torsion_slice
+builds each slice once per process, so towers share their slices as
+objects, and document.sphere_forms spells each once.
 Slices share spheres too, so each slice and each sphere is checked once
 per process: verify_slice is cached by the descriptor, and it reads the
 homology of its spheres through homology.sphere_homology, whose cache,
@@ -35,7 +41,7 @@ from enum import Enum
 
 from .abelian import AbGroup
 from .cells import max_cell_dim
-from .group import Group
+from .group import Group, p_adic_val
 from .homology import sphere_homology
 from .mackey import B_ij, constant_Z, restrict_mackey
 from .params import slice_params, stage_count
@@ -108,13 +114,10 @@ def _exchange(stage: Stage) -> Rep:
 
 @functools.lru_cache(maxsize=1 << 12)
 def torsion_slice(group: Group, a: int, m: int) -> SliceDescriptor:
-    """The torsion slice of dimension m p^a - 1 in column a, in every
-    tower that has the base dimension m: V(a,d) of S^(m + 2), whose top
-    base dimension is m.  Capped like verify_slice's cache."""
-    params = slice_params(m + 2, group)
-    d = params.count
-    return SliceDescriptor(Kind.TORSION, slice_rep(params, a, d),
-                           coeff_i=params.valuation(a, d) + 1, coeff_j=a - 1)
+    """The torsion slice of dimension m p^a - 1 in column a of every
+    tower with the base dimension m.  Capped like verify_slice's cache."""
+    return SliceDescriptor(Kind.TORSION, slice_rep(group, a, m),  # checks a and m
+                           coeff_i=min(p_adic_val(m, group.p), group.k - a) + 1, coeff_j=a - 1)
 
 
 def build_tower(n: int, group: Group) -> Tower:

@@ -222,7 +222,7 @@ def test_criterion_7_identity_suite():
                     params = slice_params(n, g)
                     for a in range(1, k + 1):
                         for b in range(1, params.count + 1):
-                            v = slice_rep(params, a, b)
+                            v = slice_rep(g, a, params.base_dim(a, b))
                             assert v.dim == params.base_dims[b - 1] * p ** a - 1
                     w = n_slice_rep(n, g)
                     assert w.dim == n

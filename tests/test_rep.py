@@ -94,15 +94,18 @@ def test_regular_rep_and_lambda_block():
 
 def test_slice_rep_frozen():
     p7 = slice_params(7, C9)
-    assert slice_rep(p7, 2, 2) == Rep(C9, 4, (15, 5))     # 5*rho - 1
-    assert slice_rep(p7, 2, 2).dim == 44
-    assert slice_rep(p7, 2, 1).dim == 26
-    assert slice_rep(p7, 1, 2) == Rep(C9, 2, (5, 1))
-    assert slice_rep(p7, 1, 1) == Rep(C9, 0, (3, 1))      # rho - 1
+    assert slice_rep(C9, 2, p7.base_dim(2, 2)) == Rep(C9, 4, (15, 5))      # 5*rho - 1
+    assert slice_rep(C9, 2, p7.base_dim(2, 2)).dim == 44
+    assert slice_rep(C9, 2, p7.base_dim(2, 1)).dim == 26
+    assert slice_rep(C9, 1, p7.base_dim(1, 2)) == Rep(C9, 2, (5, 1))
+    assert slice_rep(C9, 1, p7.base_dim(1, 1)) == Rep(C9, 0, (3, 1))       # rho - 1
     p16 = slice_params(16, C9)
-    assert slice_rep(p16, 2, 5) == Rep(C9, 13, (42, 14))  # 14*rho - 1
-    assert slice_rep(p16, 1, 1) == Rep(C9, 1, (6, 2))     # 2*rho - 1
-    assert slice_rep(p16, 1, 1).dim == 17
+    assert slice_rep(C9, 2, p16.base_dim(2, 5)) == Rep(C9, 13, (42, 14))  # 14*rho - 1
+    assert slice_rep(C9, 1, p16.base_dim(1, 1)) == Rep(C9, 1, (6, 2))     # 2*rho - 1
+    assert slice_rep(C9, 1, p16.base_dim(1, 1)).dim == 17
+    for a, m in ((0, 5), (3, 5), (1, 0)):  # a in 1..k and m >= 1
+        with pytest.raises(ValueError):
+            slice_rep(C9, a, m)
 
 
 def test_slice_rep_checks_hold_under_python_O():
@@ -124,7 +127,7 @@ def test_slice_rep_checks_hold_under_python_O():
         for name, mutant in mutants.items():
             rep.lambda_block = mutant
             try:
-                print(name, "passed:", rep.slice_rep(params, 2, 2))
+                print(name, "passed:", rep.slice_rep(params.group, 2, params.base_dim(2, 2)))
             except AssertionError as e:
                 print(f"{name}: {e}")
     """)
@@ -133,8 +136,8 @@ def test_slice_rep_checks_hold_under_python_O():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "dim: V(2,2) is not an actual representation of the slice dimension",
-        "trivial: V(2,2) has the wrong trivial multiplicity",
+        "dim: V at (a, m) = (2, 5) is not an actual representation of the slice dimension",
+        "trivial: V at (a, m) = (2, 5) has the wrong trivial multiplicity",
     ]
 
 
@@ -159,7 +162,7 @@ def test_identity_suite_over_grid():
                 params = slice_params(n, g)
                 for a in range(1, k + 1):
                     for b in range(1, params.count + 1):
-                        assert slice_rep(params, a, b).dim == params.base_dims[b - 1] * p ** a - 1
+                        assert slice_rep(g, a, params.base_dim(a, b)).dim == params.base_dims[b - 1] * p ** a - 1
                 w = n_slice_rep(n, g)
                 assert w.dim == n
                 assert w.is_actual
@@ -258,7 +261,7 @@ def test_parse_grammar():
     assert parse_rep("3 + 2λ_1 + λ_0", C9) == Rep(C9, 3, (1, 2))
     assert parse_rep("14ρ−1", C9) == Rep(C9, 13, (42, 14))
     assert parse_rep("-(rho)", C9) == -regular_rep(C9)
-    assert parse_rep("V(1,1)@n=7", C9) == slice_rep(slice_params(7, C9), 1, 1)
+    assert parse_rep("V(1,1)@n=7", C9) == slice_rep(C9, 1, slice_params(7, C9).base_dim(1, 1))
     assert parse_rep("W@n=16", C9) == n_slice_rep(16, C9)
     assert parse_rep("L2", C9) == trivial_rep(C9, 2)
     assert parse_rep("7", C9) == trivial_rep(C9, 7)

@@ -6,13 +6,14 @@ import itertools
 
 import pytest
 
+import reference_tower as reference
 from slicetower.abelian import AbGroup
 from slicetower.document import slice_text, sphere_forms, verification_text
-from slicetower.group import Group, is_odd_prime
+from slicetower.group import Group, is_odd_prime, p_adic_val
 from slicetower.homology import sphere_homology
 from slicetower.mackey import B_ij, constant_Z, dual_Z, restrict_mackey
 from slicetower.params import slice_params
-from slicetower.rep import Rep, regular_rep, rotation_plane, slice_rep, trivial_rep
+from slicetower.rep import Rep, regular_rep, rotation_plane, trivial_rep
 from slicetower.tower import (
     Failure,
     Kind,
@@ -298,20 +299,42 @@ def test_torsion_slice_and_form_caches_are_bounded():
 
 
 def test_a_torsion_slice_depends_on_its_dimension_only():
-    # V(a,b) of S^n is V(a,d) of S^(m_b + 2): every (a, b) of the towers
+    # V(a,b) of S^n is the slice at (a, m_b): every (a, b) of the towers
     # of n = 3..60 over C_p^k, p in {3, 5, 7, 11} and k = 1..3, against
-    # the slice built from the parameters of S^n itself
+    # the slice built from the numbers of S^n itself with the reference
+    # constructors, (n - 2) rho - 1 - lambda(ell) with coefficient
+    # B(min(v_p(m_b), k - a) + 1, a - 1)
     checked = 0
     for p, k in itertools.product((3, 5, 7, 11), (1, 2, 3)):
         group = Group(p, k)
         for n in range(3, 61):
             params = slice_params(n, group)
             for a, b in itertools.product(range(1, k + 1), range(1, params.count + 1)):
-                own = SliceDescriptor(Kind.TORSION, slice_rep(params, a, b),
-                                      coeff_i=params.valuation(a, b) + 1, coeff_j=a - 1)
-                assert torsion_slice(group, a, params.base_dims[b - 1]) == own, (group, n, a, b)
+                m = params.base_dims[b - 1]
+                ell = ((n - 2) * p ** k - m * p ** a) // 2
+                rep = (reference.regular_rep(group, n - 2) - reference.trivial_rep(group)
+                       - reference.lambda_block(ell, group))
+                own = SliceDescriptor(Kind.TORSION, rep, coeff_i=min(p_adic_val(m, p), k - a) + 1,
+                                      coeff_j=a - 1)
+                assert torsion_slice(group, a, m) == own, (group, n, a, b)
                 checked += 1
     assert checked == 17160
+
+
+def test_torsion_slices_are_2rho_periodic():
+    # tower.py derives torsion_slice(G, a, m + 2p^(k-a)) =
+    # torsion_slice(G, a, m) + 2 rho, with the same B(i, j), from
+    # slice_rep's formula: every a and m = 1..80 over C_p^k, p in
+    # {3, 5, 7, 11} and k = 1..3
+    checked = 0
+    for p, k in itertools.product((3, 5, 7, 11), (1, 2, 3)):
+        group = Group(p, k)
+        two_rho = regular_rep(group, 2)
+        for a, m in itertools.product(range(1, k + 1), range(1, 81)):
+            low, high = torsion_slice(group, a, m), torsion_slice(group, a, m + 2 * p ** (k - a))
+            assert high == dataclasses.replace(low, rep=low.rep + two_rho), (group, a, m)
+            checked += 1
+    assert checked == 1920
 
 
 def test_towers_share_their_torsion_slices():
