@@ -6,7 +6,8 @@ Four subcommands: tower (build and render a slice tower), verify
 mackey (display a coefficient system).  Exit status is 0 on success
 and when every requested verification passes, 1 when a verification
 fails or an invariant of the construction breaks (one error line, no
-traceback), 2 for usage errors.
+traceback) or when the reader closes stdout early (nothing on stderr),
+2 for usage errors.
 """
 
 from __future__ import annotations
@@ -250,7 +251,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_join_leading_dash_values(list(argv)))
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left mid-print or mid-flush; fd 1 on devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

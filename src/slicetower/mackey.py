@@ -5,13 +5,13 @@ restriction and transfer.  Every coefficient the verifier uses (Z, Z*,
 Z(i,j), B(i,j)) has trivial Weyl action, so none is recorded.  Level m
 is the value at the orbit G/C_{p^m}, so level 0 is the underlying
 abelian group and level k the fixed points.  Every named functor (Z,
-Z*, Z(i,j), B(i,j) and the cokernel presentation of B(i,j)) is cyclic
-at each level, so a level is () for zero or (order,) for one generator
-of that order (0 meaning infinite cyclic), and restriction and
-transfer are integers, 0 next to a zero level.  They all come from one
-builder, _cyclic_functor, which takes the order at each level and the
-restriction and transfer scalars.  The CLI still prints each map as a
-1x1 matrix, or as an empty one next to a zero level.
+Z*, Z(i,j), B(i,j)) is cyclic at each level, so a level is () for
+zero or (order,) for one generator of that order (0 meaning infinite
+cyclic), and restriction and transfer are integers, 0 next to a zero
+level.  They all come from one builder, _cyclic_functor, which takes
+the order at each level and the restriction and transfer scalars.  The
+CLI still prints each map as a 1x1 matrix, or as an empty one next to
+a zero level.
 
 Functors compare and hash by value, not by name: two are equal when
 they have the same group, generator orders and restriction and
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .abelian import AbGroup, divides
+from .abelian import AbGroup
 from .group import Group
 
 
@@ -137,53 +137,6 @@ def restrict_mackey(M: MackeyFunctor, h: int) -> MackeyFunctor:
         tr=M.tr[:h],
         name=f"res({M.name}, {h})" if M.name else "",
     )
-
-
-# --- the cokernel presentation of the torsion family ------------------------
-
-def b_as_cokernel(i: int, j: int, group: Group) -> MackeyFunctor:
-    """Levelwise cokernel of the map Z(i+j, j) -> Z sending 1 to 1 at
-    level 0, extended upward by commuting with restriction."""
-    src = Z_ij(i + j, j, group)
-    dst = constant_Z(group)
-    phi = [1]
-    for m in range(group.k):
-        lifted = phi[m] * src.res[m]
-        if lifted % dst.res[m]:
-            raise AssertionError(f"the map does not commute with restriction {m + 1} -> {m}")
-        phi.append(lifted // dst.res[m])
-        # the same scalar must intertwine the transfers
-        if phi[m + 1] * src.tr[m] != dst.tr[m] * phi[m]:
-            raise AssertionError(f"the map does not commute with transfer {m} -> {m + 1}")
-    return _cyclic_functor(group, phi, list(dst.res), list(dst.tr), f"coker(Z({i + j},{j}) -> Z)")
-
-
-def congruent(level: tuple[int, ...], x: int, y: int) -> bool:
-    """Whether x and y are the same map into a level: congruent modulo
-    its order (0 = exactly equal), and always so into a zero level."""
-    return not level or divides(level[0], x - y)
-
-
-def mackey_equal(A: MackeyFunctor, B: MackeyFunctor) -> bool:
-    """Same presentation up to congruence of the maps; generator
-    counts must agree levelwise."""
-    if A.group != B.group or A.levels != B.levels:
-        return False
-    return all(congruent(A.levels[m], A.res[m], B.res[m])
-               and congruent(A.levels[m + 1], A.tr[m], B.tr[m]) for m in range(A.group.k))
-
-
-def validate_mackey(M: MackeyFunctor) -> None:
-    """Structural checks: with trivial Weyl action the norm is p times
-    the identity, so restriction and transfer must compose to p in
-    either order."""
-    p = M.group.p
-    for m in range(M.group.k):
-        lo, hi = M.levels[m], M.levels[m + 1]
-        if not congruent(lo, M.res[m] * M.tr[m], p):
-            raise AssertionError(f"{M.name}: res.tr at level {m} is not the norm")
-        if not congruent(hi, M.tr[m] * M.res[m], p):
-            raise AssertionError(f"{M.name}: tr.res at level {m + 1} is not the norm")
 
 
 # --- display -----------------------------------------------------------------

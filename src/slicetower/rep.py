@@ -83,8 +83,8 @@ def rotation_plane(group: Group, level: int, count: int = 1) -> Rep:
 
 @functools.lru_cache(maxsize=1 << 12)
 def regular_rep(group: Group, count: int = 1) -> Rep:
-    """count copies of the real regular representation.  Each tower of
-    S^n asks for its own n - 2, so the cache is capped like verify_slice's."""
+    """count copies of the real regular representation, for slice_rep, rho_form,
+    verify_slice and the parser's rho; the cache is capped like verify_slice's."""
     planes = tuple(count * ((group.index(j) - group.index(j + 1)) // 2) for j in range(group.k))
     return Rep(group, count, planes)
 
@@ -138,9 +138,10 @@ def n_slice_rep(n: int, group: Group) -> Rep:
         m = params.base_dims[0]
         w = slice_rep(group, 1, m) + trivial_rep(group) - lambda_block((m * p - n) // 2, group)
     else:
-        # (n - 2) rho - lambda(((n - 2) p^k - third p) / 2) where that is
-        # defined, as n - 2 - third is even; at n = p^k it is rho + 2 - L0
-        third = params.base_dims[1] if params.count >= 2 else n // p + 2
+        # third = m_1 + 2 = n/p + 2, the second base dimension if there is one;
+        # slice_rep(1, third) + 1 is (n - 2) rho - lambda(((n - 2) p^k - third p) / 2)
+        # where that is defined, as n - 2 - third is even; at n = p^k, w is rho + 2 - L0
+        third = params.base_dims[0] + 2
         w = (slice_rep(group, 1, third) + trivial_rep(group)
              - lambda_block(p - 1, group) - rotation_plane(group, 0))
     if not (w.is_actual and w.dim == n):

@@ -1,7 +1,9 @@
 """Checks that only tests read: criterion 6d, injectivity of restriction
-on torsion coefficients, with the lattice tests it is built from, and
-the paper's plane λ(w), the reference lambda_block is held to.  No
-command reaches them, so they live here rather than in the package.
+on torsion coefficients, with the lattice tests it is built from; the
+paper's plane λ(w), the reference lambda_block is held to; and the
+Mackey checks, B(i,j) as the cokernel of Z(i+j,j) -> Z and the norm
+axiom tr.res = p.  No command reaches them, so they live here rather
+than in the package.
 
 This is a helper module, not a test module: pytest does not rewrite its
 asserts and python -O would strip them, so it raises instead."""
@@ -11,7 +13,7 @@ from typing import Sequence
 from slicetower.abelian import Mat, divides, lattice_basis
 from slicetower.group import Group, p_adic_val
 from slicetower.homology import bredon_homology
-from slicetower.mackey import B_ij
+from slicetower.mackey import B_ij, MackeyFunctor, Z_ij, _cyclic_functor, constant_Z
 from slicetower.rep import Rep, rotation_plane
 
 
@@ -66,3 +68,39 @@ def canonical_lambda(weight: int, group: Group) -> Rep:
     if weight < 1:
         raise ValueError("weight must be positive")
     return rotation_plane(group, min(p_adic_val(weight, group.p), group.k))
+
+
+def b_as_cokernel(i: int, j: int, group: Group) -> MackeyFunctor:
+    """Levelwise cokernel of the map Z(i+j, j) -> Z sending 1 to 1 at
+    level 0, extended upward by commuting with restriction."""
+    src = Z_ij(i + j, j, group)
+    dst = constant_Z(group)
+    phi = [1]
+    for m in range(group.k):
+        lifted = phi[m] * src.res[m]
+        if lifted % dst.res[m]:
+            raise AssertionError(f"the map does not commute with restriction {m + 1} -> {m}")
+        phi.append(lifted // dst.res[m])
+        # the same scalar must intertwine the transfers
+        if phi[m + 1] * src.tr[m] != dst.tr[m] * phi[m]:
+            raise AssertionError(f"the map does not commute with transfer {m} -> {m + 1}")
+    return _cyclic_functor(group, phi, list(dst.res), list(dst.tr), f"coker(Z({i + j},{j}) -> Z)")
+
+
+def congruent(level: tuple[int, ...], x: int, y: int) -> bool:
+    """Whether x and y are the same map into a level: congruent modulo
+    its order (0 = exactly equal), and always so into a zero level."""
+    return not level or divides(level[0], x - y)
+
+
+def validate_mackey(M: MackeyFunctor) -> None:
+    """Structural checks: with trivial Weyl action the norm is p times
+    the identity, so restriction and transfer must compose to p in
+    either order."""
+    p = M.group.p
+    for m in range(M.group.k):
+        lo, hi = M.levels[m], M.levels[m + 1]
+        if not congruent(lo, M.res[m] * M.tr[m], p):
+            raise AssertionError(f"{M.name}: res.tr at level {m} is not the norm")
+        if not congruent(hi, M.tr[m] * M.res[m], p):
+            raise AssertionError(f"{M.name}: tr.res at level {m + 1} is not the norm")

@@ -370,6 +370,22 @@ def test_requests_under_python_O(argv, expected):
     assert expected in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--p", "3", "--k", "2", "--n", "3..60", "--format", "json"),
+    ("tower", "--p", "3", "--k", "1", "--n", "3000", "--format", "json"),
+], ids=["verify", "tower"])
+def test_a_reader_that_closes_stdout_early_gets_exit_one_and_no_traceback(argv):
+    # as under `| head -1`: each output is far more than a pipe holds, so
+    # the request is still writing when the reader goes
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen([sys.executable, "-m", "slicetower.cli", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, "")
+
+
 @pytest.mark.parametrize("level,index", [("e", 0), ("1", 1)])
 def test_homology_low_level_of_a_large_group_is_quick(level, index):
     # low levels are realized on the restricted sphere, where most planes

@@ -71,9 +71,6 @@ def test_no_indented_json_dumps():
 # has or is waiting for.  A name that gains a runtime reader leaves.
 NO_RUNTIME_READER = {
     "Mat.times_vec": "the benchmark tracer wraps it",
-    "b_as_cokernel": "the tower-level identity check (ROADMAP item 5)",
-    "mackey_equal": "the tower-level identity check (ROADMAP item 5)",
-    "validate_mackey": "the tower-level identity check (ROADMAP item 5)",
     "bredon_homology": "the benchmark tracer wraps it; the tower-level identity check (ROADMAP item 5)",
 }
 
