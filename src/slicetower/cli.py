@@ -17,7 +17,7 @@ import functools
 import os
 import sys
 
-from .document import FORMAT, dumps_indented, group_text, tower_document
+from .document import homology_document, mackey_document, tower_document, verify_document
 from .group import Group, is_odd_prime
 from .homology import sphere_homology
 from .mackey import parse_coefficient, render_mackey, restrict_mackey
@@ -103,14 +103,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = sum(not r.passed for _, reports in runs for r in reports)
 
     if args.format == "json":
-        print(f'{{\n  "format": "{FORMAT}",\n  "kind": "verify-report",\n  "group": {group_text(group)},\n'
-              f'  "range": [\n    {lo},\n    {hi}\n  ],\n  "stages": {total},\n  "failed_stages": {failed},\n'
-              f'  "all_passed": {"true" if failed == 0 else "false"},\n  "towers": [', end="")
-        # each tower's document as it comes, at the depth "towers" holds it
-        for i, (tower, reports) in enumerate(runs):
-            print(",\n    " if i else "\n    ", tower_document(tower, reports).replace("\n", "\n    "),
-                  sep="", end="")
-        print("\n  ]\n}")
+        sys.stdout.writelines(verify_document(group, lo, hi, total, failed, runs))
     else:
         print(f"verify over {group}, n = {lo}..{hi}")
         for tower, reports in runs:
@@ -148,18 +141,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
     d = args.degree
     ab, = sphere_homology(restrict_rep(v, level), restrict_mackey(coeff, level), d, d)
     if args.format == "json":
-        print(dumps_indented({
-            "format": FORMAT,
-            "kind": "homology",
-            "group": {"p": group.p, "k": group.k, "display": str(group)},
-            "rep": render_rep(v),
-            "coefficient": args.coeff,
-            "degree": args.degree,
-            "level": level,
-            "homology": {"display": str(ab),
-                         "free_rank": ab.free_rank,
-                         "torsion": list(ab.torsion)},
-        }))
+        print(homology_document(group, v, args.coeff, d, level, ab))
     else:
         print(f"H_{args.degree}(S^({render_rep(v)}); {args.coeff}) at level {level} over {group}: {ab}")
     return 0
@@ -169,16 +151,7 @@ def cmd_mackey(args: argparse.Namespace) -> int:
     group = _group_from(args)
     M = parse_coefficient(args.show, group)
     if args.format == "json":
-        print(dumps_indented({
-            "format": FORMAT,
-            "kind": "mackey",
-            "group": {"p": group.p, "k": group.k, "display": str(group)},
-            "name": M.name,
-            "levels": [list(level) for level in M.levels],
-            # each map as the matrix the levels shape: 1x1, or empty
-            "res": [[[x] * len(M.levels[m + 1]) for _ in M.levels[m]] for m, x in enumerate(M.res)],
-            "tr": [[[x] * len(M.levels[m]) for _ in M.levels[m + 1]] for m, x in enumerate(M.tr)],
-        }))
+        print(mackey_document(M))
     else:
         print(render_mackey(M), end="")
     return 0

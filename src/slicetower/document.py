@@ -1,68 +1,48 @@
-"""Structured output: one JSON document per tower.
+"""Structured output: every --format json document, spelled here.
 
 The display rules the document shares with the text and LaTeX
 renderers in render.py live here, once: sphere_forms decides which
 form of a slice's sphere gets printed, and spells it once per slice per
 process, and coefficient_label names its coefficient.  The renderers
 read the tower's stages through these, so they show what the document
-says without building it.  Every --format json document is what
-json.dumps(doc, indent=2) writes, byte for byte, without the stdlib's
-pure-Python encoder.  tower_document spells a tower's document at its
-final depth and joins it once, each stage one f-string around its slice
-and its report encoded once per process (slice_text, verification_text),
-as a stage's "slice" depends on the slice alone and its "verification"
-on the report alone.  cli.cmd_verify prints its header (group_text too)
-and then each tower's text; dumps_indented writes the other documents.
+says without building it.  Each document is one mechanism: f-strings at
+its final depth, strings through _quote and arrays through _array, byte
+for byte what json.dumps(doc, indent=2) writes, with no tree.
+tower_document joins a tower's stages once, each one f-string around
+its slice and its report encoded once per process (slice_text,
+verification_text).  verify_document yields its report one tower at a
+time, so the report streams.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator, Sequence
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
 
+from .abelian import AbGroup
 from .group import Group
-from .rep import Rep, render_forms, rho_form, strip_planes
+from .mackey import MackeyFunctor
+from .rep import Rep, render_forms, render_rep, rho_form, strip_planes
 from .tower import SliceDescriptor, Tower, VerificationReport
 
 FORMAT = "slicetower/1"
 VERSION = "0.1.0"
 
 
-def dumps_indented(obj: Any) -> str:
-    """json.dumps(obj, indent=2) for trees of dicts with str keys, lists,
-    str, int, bool and None; anything else raises TypeError."""
-    out: list[str] = []
-    _write(obj, out, "\n")
-    return "".join(out)
+def _array(items: Sequence[str], nl: str) -> str:
+    """The JSON array of the already spelled items, for an array whose
+    line begins with nl (a newline and the array's indentation)."""
+    inner = nl + "  "
+    return f"[{inner}{(',' + inner).join(items)}{nl}]" if items else "[]"
 
 
-def _write(obj: Any, out: list[str], nl: str) -> None:
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif obj is None or isinstance(obj, int):
-        out.append("null" if obj is None else "true" if obj is True
-                   else "false" if obj is False else int.__repr__(obj))
-    elif isinstance(obj, (dict, list)):
-        is_dict = isinstance(obj, dict)
-        sep = inner = nl + "  "
-        out.append("{" if is_dict else "[")
-        for item in obj:
-            # _quote raises TypeError on a key that is not a str
-            out.append(sep + _quote(item) + ": " if is_dict else sep)
-            _write(obj[item] if is_dict else item, out, inner)
-            sep = "," + inner
-        out.append((nl if obj else "") + ("}" if is_dict else "]"))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def rep_payload(v: Rep, forms: tuple[str, str] | None = None) -> str:
-    """The representation's JSON object, as text at depth 0."""
+def rep_payload(v: Rep, forms: tuple[str, str] | None = None, nl: str = "\n") -> str:
+    """The representation's JSON object, as text at the depth nl gives."""
     display, latex = forms or render_forms(v)  # forms, if given, is render_forms(v)
-    planes = "[" + ",".join(f"\n    {x}" for x in v.planes) + ("\n  ]" if v.planes else "]")
-    return (f'{{\n  "trivial": {v.trivial},\n  "planes": {planes},\n  "dim": {v.dim},\n'
-            f'  "display": {_quote(display)},\n  "latex": {_quote(latex)}\n}}')
+    i = nl + "  "  # where each field begins
+    return (f'{{{i}"trivial": {v.trivial},{i}"planes": {_array([str(x) for x in v.planes], i)},'
+            f'{i}"dim": {v.dim},{i}"display": {_quote(display)},{i}"latex": {_quote(latex)}{nl}}}')
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -86,10 +66,11 @@ def coefficient_label(desc: SliceDescriptor, b: str = "B") -> str:
     return f"{b}({desc.coeff_i},{desc.coeff_j})" if desc.is_torsion else "Z"
 
 
-def group_text(group: Group) -> str:
-    """The "group" object of a tower document and of a verify report, as
-    JSON text at the depth both hold it."""
-    return (f'{{\n    "p": {group.p},\n    "k": {group.k},\n    "order": {group.order},\n'
+def group_text(group: Group, order: bool = True) -> str:
+    """The "group" object of a document, as JSON text at the depth every
+    document holds it; the homology and mackey documents leave out the order."""
+    order_field = f'\n    "order": {group.order},' if order else ""
+    return (f'{{\n    "p": {group.p},\n    "k": {group.k},{order_field}\n'
             f'    "display": {_quote(str(group))}\n  }}')
 
 
@@ -99,7 +80,7 @@ def slice_text(desc: SliceDescriptor) -> tuple[str, str]:
     the depth a tower document holds it, before and after its "a" and
     "b" values."""
     forms, (display, latex) = sphere_forms(desc)
-    rep = rep_payload(desc.rep, forms).replace("\n", "\n        ")
+    rep = rep_payload(desc.rep, forms, "\n        ")
     coeff = (f'"family": "B",\n          "i": {desc.coeff_i},\n          "j": {desc.coeff_j}'
              if desc.is_torsion else '"family": "Z"')
     return (f'{{\n        "dim": {desc.dim},\n        "kind": "{desc.kind.value}",\n        "a": ',
@@ -111,11 +92,16 @@ def slice_text(desc: SliceDescriptor) -> tuple[str, str]:
 
 @functools.lru_cache(maxsize=1 << 12)
 def verification_text(report: VerificationReport) -> str:
-    """The report's own fields, each failure's group as its string, as
-    JSON text at the depth a tower document holds it."""
-    failures = [{**vars(f), "group": None if f.group is None else str(f.group)}
-                for f in report.failures]
-    return dumps_indented({**vars(report), "failures": failures}).replace("\n", "\n      ")
+    """The report's fields, each failure's group as its string, as JSON
+    text at the depth a tower document holds it."""
+    i = "\n            "  # where each field of a failure begins
+    failures = _array([f'{{{i}"level": {f.level},{i}"check": {_quote(f.check)},'
+                        f'{i}"epsilon": {"null" if f.epsilon is None else f.epsilon},'
+                        f'{i}"t": {"null" if f.t is None else f.t},'
+                        f'{i}"group": {"null" if f.group is None else _quote(str(f.group))}\n          }}'
+                        for f in report.failures], "\n        ")
+    return (f'{{\n        "passed": {"true" if report.passed else "false"},\n'
+            f'        "checks": {report.checks},\n        "failures": {failures}\n      }}')
 
 
 def tower_document(tower: Tower, reports: list[VerificationReport] | None = None) -> str:
@@ -127,10 +113,51 @@ def tower_document(tower: Tower, reports: list[VerificationReport] | None = None
     for i, stage in enumerate(tower.stages):
         head, tail = slice_text(stage.descriptor)
         a, b = ("null", "null") if stage.a is None else (stage.a, stage.b)
-        section = rep_payload(stage.section).replace("\n", "\n      ")
+        section = rep_payload(stage.section, None, "\n      ")
         verification = "null" if reports is None else verification_text(reports[i])
         parts.append(f'{sep}{{\n      "index": {i},\n      "slice": {head}{a},\n        "b": {b}{tail},\n'
                      f'      "section": {section},\n      "verification": {verification}\n    }}')
         sep = ",\n    "
     parts.append("\n  ]\n}")  # a tower has at least one stage
     return "".join(parts)
+
+
+def verify_document(group: Group, lo: int, hi: int, total: int, failed: int,
+                    runs: list[tuple[Tower, list[VerificationReport]]]) -> Iterator[str]:
+    """The verify report's JSON text in parts, ending in a newline: its
+    header, then each tower's document as it is spelled, then the closing
+    brackets, so no more than one tower's text is held at a time."""
+    yield (f'{{\n  "format": "{FORMAT}",\n  "kind": "verify-report",\n  "group": {group_text(group)},\n'
+           f'  "range": [\n    {lo},\n    {hi}\n  ],\n  "stages": {total},\n  "failed_stages": {failed},\n'
+           f'  "all_passed": {"true" if failed == 0 else "false"},\n  "towers": [')
+    for i, (tower, reports) in enumerate(runs):
+        yield (",\n    " if i else "\n    ") + tower_document(tower, reports).replace("\n", "\n    ")
+    yield "\n  ]\n}\n"
+
+
+def homology_document(group: Group, rep: Rep, coefficient: str, degree: int, level: int,
+                      ab: AbGroup) -> str:
+    """The homology command's JSON document: ab is H_degree(S^rep; coefficient)
+    at the level, and coefficient is the text the user gave."""
+    torsion = _array([str(x) for x in ab.torsion], "\n    ")
+    return (f'{{\n  "format": "{FORMAT}",\n  "kind": "homology",\n  "group": {group_text(group, False)},\n'
+            f'  "rep": {_quote(render_rep(rep))},\n  "coefficient": {_quote(coefficient)},\n'
+            f'  "degree": {degree},\n  "level": {level},\n  "homology": {{\n    "display": {_quote(str(ab))},\n'
+            f'    "free_rank": {ab.free_rank},\n    "torsion": {torsion}\n  }}\n}}')
+
+
+def _matrix(x: int, rows: int, cols: int) -> str:
+    """The rows x cols matrix of x's, at the depth a mackey document holds it."""
+    return _array([_array([str(x)] * cols, "\n      ")] * rows, "\n    ")
+
+
+def mackey_document(M: MackeyFunctor) -> str:
+    """The mackey command's JSON document, each map as the matrix its
+    levels shape: 1x1, or empty."""
+    nl = "\n  "
+    size = [len(level) for level in M.levels]
+    levels = _array([_array([str(x) for x in level], "\n    ") for level in M.levels], nl)
+    res = _array([_matrix(x, size[m], size[m + 1]) for m, x in enumerate(M.res)], nl)
+    tr = _array([_matrix(x, size[m + 1], size[m]) for m, x in enumerate(M.tr)], nl)
+    return (f'{{\n  "format": "{FORMAT}",\n  "kind": "mackey",\n  "group": {group_text(M.group, False)},\n'
+            f'  "name": {_quote(M.name)},\n  "levels": {levels},\n  "res": {res},\n  "tr": {tr}\n}}')

@@ -119,9 +119,4 @@ def slice_params(n: int, group: Group) -> SliceParams:
     if len(direct) != d:
         raise AssertionError(f"closed-form count d = {d} for n = {n} over {group}, "
                              f"direct count {len(direct)}")
-    dims = range(n - 2 * d, n - 1, 2)
-    if dims != direct:
-        raise AssertionError(f"base dimensions {dims} for n = {n}, direct {direct}")
-    if d and dims[-1] != n - 2:
-        raise AssertionError(f"top base dimension {dims[-1]} for n = {n}, not n - 2")
-    return SliceParams(group=group, n=n, base_dims=dims)
+    return SliceParams(group=group, n=n, base_dims=direct)

@@ -173,7 +173,7 @@ def rho_form(v: Rep) -> tuple[int, int] | None:
     are s*rho's; s is read off level k - 1, where rho has (p - 1)/2 planes."""
     s, r = divmod(v.planes[-1], (v.group.p - 1) // 2) if v.planes else (0, 0)
     t = s - v.trivial
-    if r or s <= 0 or not 0 <= t <= 2 or v.planes != regular_rep(v.group, s).planes:
+    if r or s <= 0 or not 0 <= t <= 2 or v.planes != tuple(s * x for x in regular_rep(v.group).planes):
         return None
     return s, t
 

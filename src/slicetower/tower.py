@@ -167,7 +167,7 @@ def build_tower(n: int, group: Group) -> Tower:
 
 # --- verification ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Failure:
     level: int
     check: str  # "containment" | "vanishing"
@@ -181,7 +181,7 @@ class Failure:
         return f"{self.check} failed at level {self.level}{at}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     passed: bool
     checks: int

@@ -1,8 +1,8 @@
 """The tower document: field layout, the printed-form rule for slice
 spheres, validity against the shipped schema, and its text, written
 stage by stage, being what json.dumps(indent=2) writes, alone and in a
-verify report, passing or failing.  Also the indented writer that
-prints the smaller documents."""
+verify report, passing or failing.  The homology and mackey documents
+are what json.dumps(indent=2) writes too."""
 
 import itertools
 import json
@@ -10,12 +10,12 @@ from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import example, given, strategies as st
 
+from make_cli_digests import COEFFS
 from slicetower import cli
 from slicetower.abelian import AbGroup
 from slicetower.cli import main
-from slicetower.document import FORMAT, VERSION, dumps_indented, rep_payload, tower_document
+from slicetower.document import FORMAT, VERSION, homology_document, rep_payload, tower_document
 from slicetower.group import Group
 from slicetower.rep import Rep
 from slicetower.tower import Failure, VerificationReport, build_tower, verify_tower
@@ -101,15 +101,23 @@ BAD = VerificationReport(
     failures=(Failure(level=1, check="vanishing", epsilon=1, t=2,
                       group=AbGroup((3,))),),
 )
+# a containment failure has no epsilon, t or group: each is spelled null
+UNCONTAINED = VerificationReport(
+    passed=False,
+    checks=4,
+    failures=(Failure(level=0, check="containment"), *BAD.failures),
+)
 
 
 def test_failure_payload():
     tower = build_tower(1, C3)
-    doc = json.loads(tower_document(tower, [BAD]))
-    v = doc["stages"][0]["verification"]
-    assert v["passed"] is False
-    assert v["failures"] == [
-        {"level": 1, "check": "vanishing", "epsilon": 1, "t": 2, "group": "Z/3"}]
+    vanishing = {"level": 1, "check": "vanishing", "epsilon": 1, "t": 2, "group": "Z/3"}
+    containment = {"level": 0, "check": "containment", "epsilon": None, "t": None, "group": None}
+    for report, failures in ((BAD, [vanishing]), (UNCONTAINED, [containment, vanishing])):
+        v = json.loads(tower_document(tower, [report]))["stages"][0]["verification"]
+        assert v["passed"] is False
+        assert v["checks"] == report.checks
+        assert v["failures"] == failures
 
 
 @pytest.mark.parametrize("n,group", [
@@ -128,21 +136,28 @@ def canonical(text: str) -> bool:
     return json.dumps(json.loads(text), indent=2) == text
 
 
+def run_json(capsys, *argv: str) -> str:
+    """The JSON text a passing request prints, without its final newline."""
+    assert main([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    return out[:-1]
+
+
 def test_document_round_trips_through_json():
     # the stages are written around cached fragments, with and without
-    # reports; a failing report also carries a group
+    # reports; a failing report also carries a group, or nulls
     for p, k, n in itertools.product((3, 5, 7), (1, 2, 3), range(41)):
         tower = build_tower(n, Group(p, k))
-        for reports in (None, verify_tower(tower), [BAD] * len(tower.stages)):
+        count = len(tower.stages)
+        for reports in (None, verify_tower(tower), [BAD] * count, [UNCONTAINED] * count):
             assert canonical(tower_document(tower, reports)), (p, k, n, reports)
 
 
 @pytest.mark.parametrize("p,k,n", [("3", "2", "3..40"), ("5", "1", "0..40"), ("7", "3", "3..12")])
 def test_verify_report_is_canonical_json(capsys, p, k, n):
     # the report holds each tower's document in its "towers" list
-    assert main(["verify", "--p", p, "--k", k, "--n", n, "--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert out.endswith("\n") and canonical(out[:-1])
+    assert canonical(run_json(capsys, "verify", "--p", p, "--k", k, "--n", n))
 
 
 def test_failing_verify_report_is_canonical_json(capsys, monkeypatch):
@@ -160,29 +175,41 @@ def test_failing_verify_report_is_canonical_json(capsys, monkeypatch):
     assert passed == [[False] + [True] * (len(row) - 1) for row in passed]
 
 
-# strings mixing arbitrary characters with the ones JSON must escape
-TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\n\t\x00\x1f\x7f\ud800é€😀')))
-LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2 ** 100, 2 ** 100), TEXT)
+@pytest.mark.parametrize("k,name", COEFFS, ids=[f"C_3^{k}-{name}" for k, name in COEFFS])
+def test_mackey_document_is_canonical_json(capsys, k, name):
+    text = run_json(capsys, "mackey", "--p", "3", "--k", str(k), "--show", name)
+    assert canonical(text)
+    doc = json.loads(text)
+    assert doc["kind"] == "mackey" and doc["name"] == name
+    assert doc["group"] == {"p": 3, "k": k, "display": str(Group(3, k))}
+    assert len(doc["levels"]) == k + 1 and len(doc["res"]) == len(doc["tr"]) == k
 
 
-def json_trees(depth: int):
-    """Trees of JSON values nested at most depth containers deep."""
-    if depth == 0:
-        return LEAVES
-    inner = json_trees(depth - 1)
-    return st.one_of(LEAVES, st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4))
+@pytest.mark.parametrize("k,rep,coeff,degree,level,homology", [
+    (2, "2", "Z", 0, "top", {"display": "0", "free_rank": 0, "torsion": []}),
+    (2, "2", "Z", -6, "e", {"display": "0", "free_rank": 0, "torsion": []}),
+    (2, "2", "Z", 2, "e", {"display": "Z", "free_rank": 1, "torsion": []}),
+    (2, "2λ_0 − 2λ_1 − 1", "Z", -1, "top", {"display": "Z", "free_rank": 1, "torsion": []}),
+    (2, "L0 - 2", "Z", -2, "top", {"display": "Z/9", "free_rank": 0, "torsion": [9]}),
+    (2, "2", "B( 1,0 )", 2, "top", {"display": "Z/3", "free_rank": 0, "torsion": [3]}),
+    (2, "2λ_1 − 2λ_0", "Z", 0, "top", {"display": "Z + Z/3", "free_rank": 1, "torsion": [3]}),
+    (1, "λ_0 − 2", "Z*", 0, "e", {"display": "Z", "free_rank": 1, "torsion": []}),
+])
+def test_homology_document_is_canonical_json(capsys, k, rep, coeff, degree, level, homology):
+    # zero, free, torsion and mixed groups; the coefficient stays as given
+    text = run_json(capsys, "homology", "--p", "3", "--k", str(k), "--rep", rep, "--coeff", coeff,
+                    "--degree", str(degree), "--level", level)
+    assert canonical(text)
+    doc = json.loads(text)
+    assert doc["group"] == {"p": 3, "k": k, "display": str(Group(3, k))}
+    assert (doc["kind"], doc["coefficient"], doc["degree"]) == ("homology", coeff, degree)
+    assert doc["level"] == (k if level == "top" else 0)
+    assert doc["homology"] == homology
 
 
-@given(json_trees(4))
-@example({"a": [], "b": {}, "c": [[], {}, [[{}]]], "": {"d": []}})
-@example([])
-@example({})
-def test_writer_matches_stdlib_indent(tree):
-    assert dumps_indented(tree) == json.dumps(tree, indent=2)
-
-
-@pytest.mark.parametrize("value", [1.5, (1, 2), {"a": [0.0]}, [{"b": (3,)}], {1: 2}, {"c": {1, 2}}],
-                         ids=["float", "tuple", "nested-float", "nested-tuple", "int-key", "set"])
-def test_writer_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        dumps_indented(value)
+def test_homology_document_spells_every_factor():
+    # no small sphere has two torsion factors; the document spells any group
+    ab = AbGroup((3, 9, 0, 0))
+    text = homology_document(C9, Rep(C9, -1, (2, 1)), "Z(2,1)", -3, 1, ab)
+    assert canonical(text)
+    assert json.loads(text)["homology"] == {"display": str(ab), "free_rank": 2, "torsion": [3, 9]}

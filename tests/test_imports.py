@@ -1,9 +1,9 @@
 """The runtime uses the standard library only: every absolute import in
 the package names a standard-library module or the package itself.  The
 orbit size p^(k - h) has one home, Group.index.  No indented JSON goes
-through json.dumps: document.dumps_indented writes the small documents,
-and the tower and verify documents are spelled as text.  Spheres are
-realized in one module, homology.  The oracle reads none of the tower's
+through json.dumps: every document is spelled as text in document.py,
+the one module that imports json or reads the document's format and
+group fields.  Spheres are realized in one module, homology.  The oracle reads none of the tower's
 closed forms.  The runtime ships no code that only tests read.  And
 every cache is bounded."""
 
@@ -64,7 +64,7 @@ def test_no_indented_json_dumps():
                     and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
                     and any(kw.arg == "indent" for kw in node.keywords)):
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, f"print indented JSON through document.dumps_indented: {found}"
+    assert not found, f"spell indented JSON as text, as document.py does: {found}"
 
 
 # Runtime names no other runtime code reads, each with the reader it
@@ -135,6 +135,23 @@ def test_only_homology_realizes_spheres():
         found.extend(f"{path.name} reads {name}" for name, readers in REALIZATION_READERS.items()
                      if name in names and path.name not in readers)
     assert not found, f"ask homology.sphere_homology instead: {found}"
+
+
+# The JSON format has one home, document.py: no other module imports json
+# or reads the format tag or the documents' "group" object.
+DOCUMENT_NAMES = {"FORMAT", "group_text"}
+
+
+def test_only_document_spells_json():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "document.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found.extend(f"{path.name} imports {name}" for name in absolute_imports(tree)
+                     if name.split(".")[0] == "json")
+        found.extend(f"{path.name} reads {name}" for name in sorted(reads(tree) & DOCUMENT_NAMES))
+    assert not found, f"spell JSON documents in document.py: {found}"
 
 
 # The closed forms of the tower.  The oracle, which checks a slice from

@@ -193,6 +193,18 @@ def test_rho_form():
     assert rho_form(trivial_rep(C9, 5)) is None
 
 
+def test_rho_form_reads_one_regular_rep_per_group():
+    # each s rho - t is compared with s times the unit rho, not with a
+    # cached s rho per s
+    unit = (Rep(C9, 1, (3, 1)), Rep(Group(5, 3), 1, (50, 10, 2)))
+    for rho in unit:
+        for s in range(1, 51):
+            v = Rep(rho.group, s - 1, tuple(s * x for x in rho.planes))
+            assert rho_form(v) == (s, 1)
+    assert regular_rep.cache_info().currsize == len(unit)
+    assert [regular_rep(rho.group) for rho in unit] == list(unit)
+
+
 def test_strip_planes():
     v = Rep(C9, 2, (5, 2))
     assert strip_planes(v, 0) == v
