@@ -35,6 +35,9 @@ mirror of thousands of planes, as in S^(V - t rho) over a large group,
 costs only the few dimensions the window reaches.  The factors are
 given by their plane counts per level, and a plane's level is found by
 bisecting the running counts, so a multiplicity costs no memory.
+The factor cells a window pairs are listed by factor_cells as one
+hashable value, all that tensor, their product, reads: spheres that
+agree on it have one windowed structure, which homology realizes once.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple
 
 from .group import Group
 from .rep import Rep
@@ -61,10 +64,24 @@ class CellStructure:
         return sorted(self.cells)
 
 
-def _sphere_cell(group: Group, cum: list[int], d: int) -> tuple[int, Entry]:
+EntryItems = tuple[tuple[int, int], ...]  # an Entry's items, hashable
+
+
+class FactorCells(NamedTuple):
+    """The positive sphere's and the mirror's cells that the window pairs,
+    as (dimension, isotropy, boundary entry out of it, or into it).  A
+    tuple, as it is a cache key: it hashes and compares at C speed."""
+
+    group: Group
+    window: tuple[int, int]
+    pos: tuple[tuple[int, int, EntryItems], ...]
+    mirror: tuple[tuple[int, int, EntryItems], ...]
+
+
+def _sphere_cell(group: Group, cum: list[int], d: int) -> tuple[int, EntryItems]:
     """Isotropy of the cell in dimension d of the sphere of planes whose
     counts, from the top level down, have running sums cum = [0, ...],
-    and the boundary entry out of it ({} out of the fixed 0-cell).
+    and the items of its boundary entry (none out of the fixed 0-cell).
 
     Plane r lies at level k - bisect_left(cum, r), which is k for r = 0,
     the fixed 0-cell.  It gives the cells in dimensions 2r-1 and 2r with
@@ -74,10 +91,10 @@ def _sphere_cell(group: Group, cum: list[int], d: int) -> tuple[int, Entry]:
     r = (d + 1) // 2
     level = group.k - bisect_left(cum, r)
     if d == 0:
-        return level, {}
+        return level, ()
     if d % 2 == 0:
-        return level, {0: 1, 1: -1}
-    return level, dict.fromkeys(range(group.index(group.k - bisect_left(cum, r - 1))), 1)
+        return level, ((0, 1), (1, -1))
+    return level, tuple((c, 1) for c in range(group.index(group.k - bisect_left(cum, r - 1))))
 
 
 def _pair_class(group: Group, iso_x: int, iso_y: int, u: int, v: int) -> tuple[int, int]:
@@ -111,35 +128,44 @@ def class_images(x: int, c: int, s_src: int, s_tgt: int) -> list[int]:
     return [(x + c + t * s_src) % s_tgt for t in range(max(1, s_tgt // s_src))]
 
 
-def tensor(group: Group, pos: Sequence[int], neg: Sequence[int], trivial: int,
-           window: tuple[int, int] | None = None) -> CellStructure:
-    """Cells of the sphere of the planes counted by pos (pos[j] planes at
-    level j) times the mirror, shifted by trivial, of the sphere of the
-    planes counted by neg.
+def factor_cells(v: Rep, window: tuple[int, int] | None = None) -> FactorCells:
+    """The factor cells of the sphere of v that the window (lo, hi), by
+    default the whole product, pairs.  Planes of positive multiplicity
+    give the positive sphere, the others the mirror, which also carries
+    the trivial summands as a dimension shift."""
+    pos, neg = ([0, *accumulate(max(s * m, 0) for m in reversed(v.planes))] for s in (1, -1))
+    group, trivial = v.group, v.trivial
+    top, bottom = 2 * pos[-1], trivial - 2 * neg[-1]
+    lo, hi = window or (bottom, top + trivial)
+    return FactorCells(
+        group, (lo, hi),
+        tuple((dA, *_sphere_cell(group, pos, dA))
+              for dA in range(max(0, lo - trivial), min(top, hi - bottom) + 1)),
+        tuple((dB, *_sphere_cell(group, neg, trivial - dB))
+              for dB in range(max(bottom, lo - top), min(trivial, hi) + 1)))
+
+
+def tensor(factors: FactorCells) -> CellStructure:
+    """Cells of the product of the given factor cells in dimensions
+    lo..hi of their window, and the boundaries out of lo+1..hi.
 
     A pair (a, b) of factor cells gives one cell per index class.
     Boundary entries follow the Leibniz rule with a sign (-1)^dim(a) on
     the second factor; each formal entry is recovered from the multiset
-    of image points of the representative point (0, class).  With a
-    window (lo, hi) only the cells of dimensions lo..hi and the
-    boundaries out of lo+1..hi are built, and only the factor cells they
-    pair; without one, all of them.
+    of image points of the representative point (0, class).
     """
-    pos, neg = ([0, *accumulate(reversed(counts))] for counts in (pos, neg))
-    top, bottom = 2 * pos[-1], trivial - 2 * neg[-1]
-    lo, hi = window or (bottom, top + trivial)
+    group, (lo, hi) = factors.group, factors.window
     index = group.index
-    # factor cells by dimension; B[dB] also holds the mirror's boundary
-    # entry into dB, the positive sphere's out of trivial - dB
-    A = {dA: _sphere_cell(group, pos, dA)
-         for dA in range(max(0, lo - trivial), min(top, hi - bottom) + 1)}
-    B = {dB: _sphere_cell(group, neg, trivial - dB)
-         for dB in range(max(bottom, lo - top), min(trivial, hi) + 1)}
+    # factor cells by dimension; B[dB] holds the mirror's boundary entry
+    # into dB, A[dA] the positive sphere's out of dA
+    A = {dA: (iso, entry) for dA, iso, entry in factors.pos}
+    B = {dB: (iso, entry) for dB, iso, entry in factors.mirror}
+    b_lo, b_hi = min(B, default=0), max(B, default=-1)
 
     cells: dict[int, list[int]] = {}
     where: dict[tuple[int, int, int], int] = {}  # (dA, dB, class) -> position
     for dA, (a_iso, _) in A.items():
-        for dB in range(max(bottom, lo - dA), min(trivial, hi - dA) + 1):
+        for dB in range(max(b_lo, lo - dA), min(b_hi, hi - dA) + 1):
             b_iso = B[dB][0]
             lst = cells.setdefault(dA + dB, [])
             for w in range(index(max(a_iso, b_iso))):
@@ -156,12 +182,12 @@ def tensor(group: Group, pos: Sequence[int], neg: Sequence[int], trivial: int,
         # image points of (0, w) in the faces (dA - 1, dB) and (dA, dB - 1)
         faces = []
         if dA - 1 in A:
-            faces += [(dA - 1, dB, m_c, x, w) for c, m_c in a_entry.items()
+            faces += [(dA - 1, dB, m_c, x, w) for c, m_c in a_entry
                       for x in class_images(0, c, index(a_iso), index(A[dA - 1][0]))]
         if dB - 1 in B:
             bt_iso, b_entry = B[dB - 1]
             sign = -1 if dA % 2 else 1
-            faces += [(dA, dB - 1, sign * m_c, 0, y) for c, m_c in b_entry.items()
+            faces += [(dA, dB - 1, sign * m_c, 0, y) for c, m_c in b_entry
                       for y in class_images(w, c, index(b_iso), index(bt_iso))]
         measures: dict[int, dict[int, int]] = {}
         for tA, tB, m_c, u, v in faces:
@@ -187,19 +213,11 @@ def tensor(group: Group, pos: Sequence[int], neg: Sequence[int], trivial: int,
 
 
 def cell_structure(v: Rep, window: tuple[int, int] | None = None) -> CellStructure:
-    """Cells for the sphere of the virtual representation v.
-
-    Planes of positive multiplicity give a positive sphere and those of
-    negative multiplicity its mirror, which also carries the trivial
-    summands as a dimension shift; the two are multiplied together.  A
-    window (lo, hi) keeps the cells of dimensions lo..hi and the
-    boundaries out of lo+1..hi, enough for the homology in degrees
-    lo+1..hi-1; the cells and entries kept are exactly those of the
-    whole structure.
-    """
-    pos = [max(m, 0) for m in v.planes]
-    neg = [max(-m, 0) for m in v.planes]
-    return tensor(v.group, pos, neg, v.trivial, window)
+    """Cells for the sphere of the virtual representation v.  A window
+    (lo, hi) keeps exactly the whole structure's cells of dimensions
+    lo..hi and boundaries out of lo+1..hi, enough for the homology in
+    degrees lo+1..hi-1."""
+    return tensor(factor_cells(v, window))
 
 
 def max_cell_dim(v: Rep) -> int:

@@ -26,7 +26,7 @@ from typing import Callable
 
 from .abelian import (AbGroup, Mat, divides, lattice_basis, smith_normal_form, solve_factored,
                       with_relations)
-from .cells import CellStructure, DiffKey, Entry, cell_structure, class_images
+from .cells import CellStructure, DiffKey, Entry, FactorCells, cell_structure, class_images, factor_cells, tensor
 from .mackey import MackeyFunctor
 from .rep import Rep
 
@@ -187,11 +187,22 @@ def sphere_homology(v: Rep, M: MackeyFunctor, lo: int, hi: int) -> tuple[AbGroup
     One cache per process serves every caller.  Its key is the
     arguments by value: Rep and MackeyFunctor compare by value, so a
     sphere met before under an equal functor, however it was built or
-    named, is not realized again.  An entry of two degrees takes about
-    1.4 KB; the cap of 4,096 entries bounds a long-lived process, and
-    the least recently used entry goes first beyond it."""
-    cx = level_complex(cell_structure(v, (lo - 1, hi + 1)), M, v.group.k)
-    return tuple(homology_at(cx, d).ab for d in range(lo, hi + 1))
+    named, is not looked up again; a miss asks window_homology.  An entry
+    of two degrees takes about 0.5 KB, as it shares its groups with that
+    cache; the cap of 4,096 entries bounds a long-lived process, and the
+    least recently used entry goes first."""
+    return window_homology(factor_cells(v, (lo - 1, hi + 1)), M)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def window_homology(factors: FactorCells, M: MackeyFunctor) -> tuple[AbGroup, ...]:
+    """H_lo+1, ..., H_hi-1 at the top level with coefficients M of the
+    product of the factor cells over their window (lo, hi).  The product
+    reads nothing else, so spheres that differ only outside the window
+    share an entry, of about 1.4 KB, capped as sphere_homology's are."""
+    lo, hi = factors.window
+    cx = level_complex(tensor(factors), M, factors.group.k)
+    return tuple(homology_at(cx, d).ab for d in range(lo + 1, hi))
 
 
 @dataclass

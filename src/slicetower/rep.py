@@ -112,7 +112,7 @@ def slice_rep(group: Group, a: int, m: int) -> Rep:
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     ell = m * (group.order - group.p ** a) // 2
-    rho, lam = regular_rep(group, m), lambda_block(ell, group)
+    rho, lam = m * regular_rep(group), lambda_block(ell, group)
     v = Rep(group, rho.trivial - 1 - lam.trivial, tuple(map(operator.sub, rho.planes, lam.planes)))
     if not (v.is_actual and v.dim == m * group.p ** a - 1):
         raise AssertionError(f"V at (a, m) = ({a}, {m}) is not an actual representation of the slice dimension")

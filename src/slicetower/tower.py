@@ -28,9 +28,10 @@ builds each slice once per process, so towers share their slices as
 objects, and document.sphere_forms spells each once.
 Slices share spheres too, so each slice and each sphere is checked once
 per process: verify_slice is cached by the descriptor, and it reads the
-homology of its spheres through homology.sphere_homology, whose cache,
-keyed by the sphere and the coefficient system by value, realizes each
-one once.
+homology of its spheres through homology.sphere_homology, which keys
+its answers by the sphere and the coefficients by value, and its
+realizations by the cells the sphere's window pairs: each distinct
+window is realized once.
 """
 
 from __future__ import annotations
@@ -198,8 +199,9 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     and the homology of S^(V - t rho) must vanish in degree -eps for every t
     past (dim V + eps) / p^m.  One loop over t reads both degrees of
     each sphere from homology.sphere_homology, so a sphere met before in
-    this process, under an equal functor however it was built, is not
-    realized again.  The loop stops once the top cell dimension drops
+    this process, or one with the same cells in its window, under an
+    equal functor however it was built, is not realized again.  The
+    loop stops once the top cell dimension drops
     below -1, after which both groups are zero for size reasons alone.
     The report is immutable and cached: a slice met before in this
     process, in any tower, is not checked again.
@@ -211,7 +213,7 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     checks = 0
 
     for m in range(group.k, -1, -1):
-        sub = group.subgroup(m)
+        rho = regular_rep(group.subgroup(m))
         Vm = restrict_rep(V, m)
         Mm = restrict_mackey(M, m)
         if Vm.dim != V.dim:
@@ -221,25 +223,22 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
         eps_wit = eps0
         if wit == 0:
             wit, eps_wit = 1, 1
-        bound = regular_rep(sub, wit) - trivial_rep(sub, eps_wit)
+        bound = wit * rho - trivial_rep(rho.group, eps_wit)
         checks += 1
         if not is_subrep(Vm, bound):
             failures.append(Failure(m, "containment"))
 
         D = Vm.dim
         first = [(D + eps) // group.p ** m + 1 for eps in (0, 1)]
-        t = first[0]
-        while True:
-            w = Vm - regular_rep(sub, t)
-            if max_cell_dim(w) <= -2:
-                break
+        t, w = first[0], Vm - first[0] * rho
+        while max_cell_dim(w) > -2:
             h_minus1, h_0 = sphere_homology(w, Mm, -1, 0)
             for eps, h in ((0, h_0), (1, h_minus1)):
                 if t >= first[eps]:
                     checks += 1
                     if not h.is_trivial:
                         failures.append(Failure(m, "vanishing", epsilon=eps, t=t, group=h))
-            t += 1
+            t, w = t + 1, w - rho
             if t - first[0] > 2 * D + 8:
                 raise AssertionError("vanishing loop failed to stabilize")
 

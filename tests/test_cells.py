@@ -4,14 +4,14 @@ Realizing a structure runs the internal well-definedness and d^2 = 0
 checks, so these tests double as boundary-map validation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from slicetower.abelian import Mat
-from slicetower.cells import cell_structure, class_images, max_cell_dim, tensor
+from slicetower.cells import cell_structure, class_images, factor_cells, max_cell_dim, tensor
 from slicetower.group import Group
 from slicetower.homology import homology_at, level_complex
 from slicetower.mackey import B_ij, constant_Z, dual_Z
-from slicetower.rep import Rep, trivial_rep
+from slicetower.rep import Rep, rotation_plane, trivial_rep
 
 C3 = Group(3, 1)
 C9 = Group(3, 2)
@@ -106,11 +106,17 @@ def test_cell_structure_frozen_odd_trivial_mixed_signs():
 def test_tensor_cell_classes():
     # S^(λ_0 - λ_1): the free cells of λ_0 against the cells of the
     # mirrored λ_1, fixed by C_3, give one class per point of C_9 / C_3
-    st_ = cell_structure(Rep(C9, 0, (1, -1)))
+    # as (dimension, isotropy, boundary entry): the positive cells with
+    # the entry out of each, the mirror's with the entry into each
+    factors = factor_cells(Rep(C9, 0, (1, -1)))
+    assert factors.window == (-2, 2)
+    assert factors.pos == ((0, 2, ()), (1, 0, ((0, 1),)), (2, 0, ((0, 1), (1, -1))))
+    assert factors.mirror == ((-2, 1, ((0, 1), (1, -1))), (-1, 1, ((0, 1),)), (0, 2, ()))
+    st_ = tensor(factors)
     assert st_.cells == {-2: (1,), -1: (1, 0, 0, 0), 0: (2, 0, 0, 0, 0, 0, 0),
                          1: (0, 0, 0, 0), 2: (0,)}
     assert max(st_.cells) == 2 and min(st_.cells) == -2
-    assert tensor(C9, (1, 0), (0, 1), 0).cells == st_.cells
+    assert st_ == cell_structure(Rep(C9, 0, (1, -1)))
 
 
 def test_level_complex_frozen_faithful_plane():
@@ -192,3 +198,28 @@ def test_window_matches_the_full_structure(group, data):
                 X = Mat(bd.r, h_full.gens.c + bd.c,
                         [g + b for g, b in zip(h_full.gens.a, bd.a)])
                 assert h_win.express(X) == h_full.express(X)
+
+
+@st.composite
+def windows_and_more_faithful_planes(draw):
+    v = draw(small_reps(draw(st.sampled_from([C3, C9, Group(3, 3)]))))
+    lo = draw(st.integers(-6, 4))
+    return v, (lo, lo + draw(st.integers(2, 4))), draw(st.integers(1, 2))
+
+
+@settings(max_examples=90, deadline=None)
+@given(windows_and_more_faithful_planes())
+@example((Rep(C9, 1, (-5, -1)), (-2, 1), 1))
+def test_equal_factor_cells_give_equal_structures(case):
+    # faithful planes come last in the mirror, so more of them often
+    # leave the factor cells a window pairs as they were; the product
+    # then is the same, and it is the whole structure's cells and
+    # boundaries in the window, so the factor cells are an exact key
+    v, (lo, hi), extra = case
+    w = v - rotation_plane(v.group, 0, extra)
+    assume(factor_cells(v, (lo, hi)) == factor_cells(w, (lo, hi)))
+    full = cell_structure(w)
+    win = cell_structure(v, (lo, hi))
+    assert win == cell_structure(w, (lo, hi))
+    assert win.cells == {d: cs for d, cs in full.cells.items() if lo <= d <= hi}
+    assert win.diffs == {d: dd for d, dd in full.diffs.items() if lo < d <= hi}

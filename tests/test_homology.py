@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from criteria import homres_injective, in_diagonal_lattice, presented_injective
 from slicetower.abelian import AbGroup, Mat
 from slicetower.group import Group
-from slicetower.homology import bredon_homology, level_complex, sphere_homology
+from slicetower.homology import (bredon_homology, homology_at, level_complex, sphere_homology,
+                                 window_homology)
 from slicetower.cells import cell_structure
 from slicetower.mackey import B_ij, Z_ij, constant_Z, dual_Z, restrict_mackey
 from slicetower.params import slice_params
@@ -237,6 +238,42 @@ def test_a_trivial_summand_suspends(case):
     # cells.tensor: a trivial summand shifts the mirror, never the positive factor
     v, M, d = case
     assert sphere_homology(v + trivial_rep(v.group), M, d, d) == sphere_homology(v, M, d - 1, d - 1)
+
+
+@st.composite
+def spheres_in_one_window(draw):
+    # several small spheres of one group, drawn like test_cells.small_reps,
+    # in one window, so that some share their factor cells, under two or
+    # three coefficient systems
+    g = draw(st.sampled_from([C3, C9, Group(3, 3), Group(5, 2)]))
+    reps = draw(st.lists(st.builds(Rep, st.just(g), st.integers(0, 2),
+                                   st.tuples(*[st.integers(-2, 2)] * g.k)), min_size=2, max_size=4))
+    coeffs = draw(st.lists(st.sampled_from([constant_Z(g), dual_Z(g), *(
+        B_ij(i, j, g) for i in range(1, g.k + 1) for j in range(g.k - i + 1))]),
+        min_size=2, max_size=3, unique_by=lambda M: M.name))
+    lo = draw(st.integers(-5, 5))
+    return reps, coeffs, lo, lo + draw(st.integers(0, 2))
+
+
+@settings(deadline=None, max_examples=60)
+@given(spheres_in_one_window())
+def test_sphere_homology_is_a_fresh_realization(case):
+    # whichever sphere and coefficients filled the window cache first,
+    # every sphere gets what realizing its own cells in the window gives
+    reps, coeffs, lo, hi = case
+    for M in coeffs:
+        for v in reps:
+            cx = level_complex(cell_structure(v, (lo - 1, hi + 1)), M, v.group.k)
+            assert sphere_homology(v, M, lo, hi) == tuple(homology_at(cx, d).ab for d in range(lo, hi + 1))
+
+
+def test_window_cache_is_bounded():
+    # the trivial spheres S^n, each read in degree n, pair more distinct
+    # factor cells than the window cache holds
+    for n in range(4200):
+        sphere_homology(trivial_rep(C3, n), constant_Z(C3), n, n)
+    info = window_homology.cache_info()
+    assert info.misses > info.maxsize >= info.currsize
 
 
 def test_homres_injective_spec_instance():

@@ -31,6 +31,7 @@ from slicetower.rep import (
     strip_planes,
     trivial_rep,
 )
+from slicetower.tower import build_tower
 
 C9 = Group(3, 2)
 C3 = Group(3, 1)
@@ -203,6 +204,18 @@ def test_rho_form_reads_one_regular_rep_per_group():
             assert rho_form(v) == (s, 1)
     assert regular_rep.cache_info().currsize == len(unit)
     assert [regular_rep(rho.group) for rho in unit] == list(unit)
+
+
+def test_slice_rep_reads_one_regular_rep_per_group():
+    # each slice's m rho is m times the unit rho, not a cached m rho per
+    # m: the towers of n = 3..40 over two groups leave one entry each
+    groups = (C9, Group(5, 3))
+    for group in groups:
+        for n in range(3, 41):
+            build_tower(n, group)
+    assert regular_rep.cache_info().currsize == len(groups)
+    assert [regular_rep(group) for group in groups] == [Rep(C9, 1, (3, 1)),
+                                                        Rep(Group(5, 3), 1, (50, 10, 2))]
 
 
 def test_strip_planes():
