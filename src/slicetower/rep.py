@@ -132,16 +132,15 @@ def n_slice_rep(n: int, group: Group) -> Rep:
         raise ValueError("n must be nonnegative")
     if n <= 2:
         return trivial_rep(group, n)
-    params = slice_params(n, group)
+    m = slice_params(n, group)[0]
     p = group.p
     if n % p != 0:
-        m = params.base_dims[0]
         w = slice_rep(group, 1, m) + trivial_rep(group) - lambda_block((m * p - n) // 2, group)
     else:
         # third = m_1 + 2 = n/p + 2, the second base dimension if there is one;
         # slice_rep(1, third) + 1 is (n - 2) rho - lambda(((n - 2) p^k - third p) / 2)
         # where that is defined, as n - 2 - third is even; at n = p^k, w is rho + 2 - L0
-        third = params.base_dims[0] + 2
+        third = m + 2
         w = (slice_rep(group, 1, third) + trivial_rep(group)
              - lambda_block(p - 1, group) - rotation_plane(group, 0))
     if not (w.is_actual and w.dim == n):
@@ -364,7 +363,12 @@ class _RepParser:
         self.take(")")
         self.take("@n=")
         n = self.take_int()
-        return slice_rep(self.group, a, slice_params(n, self.group).base_dim(a, b))
+        base_dims = slice_params(n, self.group)
+        if not 1 <= a <= self.group.k:
+            raise ValueError(f"a must be in 1..{self.group.k}, got {a}")
+        if not 1 <= b <= len(base_dims):
+            raise ValueError(f"b must be in 1..{len(base_dims)}, got {b}")
+        return slice_rep(self.group, a, base_dims[b - 1])
 
 
 def parse_rep(text: str, group: Group) -> Rep:

@@ -211,11 +211,11 @@ def test_criterion_7_identity_suite():
                 g = Group(p, k)
                 rho = regular_rep(g)
                 for n in range(3, 13):
-                    params = slice_params(n, g)
+                    base_dims = slice_params(n, g)
                     for a in range(1, k + 1):
-                        for b in range(1, params.count + 1):
-                            v = slice_rep(g, a, params.base_dim(a, b))
-                            assert v.dim == params.base_dims[b - 1] * p ** a - 1
+                        for b in range(1, len(base_dims) + 1):
+                            v = slice_rep(g, a, base_dims[b - 1])
+                            assert v.dim == base_dims[b - 1] * p ** a - 1
                     w = n_slice_rep(n, g)
                     assert w.dim == n
                     assert w + rho == n_slice_rep(n + g.order, g)

@@ -162,7 +162,7 @@ def test_torsion_vanishing_anchors():
         bh = bredon_homology(-w, B_ij(1, 0, C9), -eps)
         assert all(bh.ab(m).is_trivial for m in range(3))
     # the slice-membership computation behind the (1,1) stage of S^7
-    v11 = slice_rep(C9, 1, slice_params(7, C9).base_dim(1, 1))
+    v11 = slice_rep(C9, 1, slice_params(7, C9)[0])
     bh = bredon_homology(v11 - regular_rep(C9, 2), B_ij(2, 0, C9), 0)
     assert all(bh.ab(m).is_trivial for m in range(3))
 

@@ -157,7 +157,7 @@ def test_only_document_spells_json():
 # The closed forms of the tower.  The oracle, which checks a slice from
 # its representation and coefficient alone, reads none of them: not in
 # its modules, and not in the two functions of tower.py that run it.
-CLOSED_FORMS = {"slice_params", "SliceParams", "base_dim", "slice_rep", "n_slice_rep",
+CLOSED_FORMS = {"slice_params", "slice_rep", "n_slice_rep",
                 "lambda_block", "torsion_slice", "build_tower", "_exchange"}
 ORACLE_MODULES = ("homology.py", "cells.py", "abelian.py", "mackey.py")
 ORACLE_IN_TOWER = {"verify_slice", "verify_tower"}

@@ -1,7 +1,10 @@
 """Tower combinatorics: the count d, the base dimensions m_b, and the
-parity and junction identities everything downstream leans on."""
+parity and junction identities everything downstream leans on.  The
+runtime defines the m_b once, in slicetower.params; the paper's closed
+form for d and the junction bookkeeping live in tests/reference_tower.py."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,10 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_tower import base_count, connection_gap, ell, parity_offset
 from slicetower.group import Group, is_odd_prime, p_adic_val
 from slicetower.mackey import constant_Z, restrict_mackey
-from slicetower.params import parity_offset, slice_params, stage_count
-from slicetower.rep import restrict_rep, trivial_rep
+from slicetower.params import slice_params, stage_count
+from slicetower.rep import parse_rep, restrict_rep, trivial_rep
 from slicetower.tower import torsion_slice
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -67,51 +71,89 @@ def test_parity_offset_cases():
 @given(st.integers(min_value=3, max_value=400),
        st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]))
 def test_count_matches_direct_enumeration(n, pk):
-    # d counts the m with the parity of n in [n/p, n-2]; the constructor
-    # cross-checks the closed form against this list internally
-    params = slice_params(n, Group(*pk))
+    # d counts the m with the parity of n in [n/p, n-2]
+    dims = slice_params(n, Group(*pk))
     p = pk[0]
     direct = [m for m in range(1, n - 1) if (n - m) % 2 == 0 and m * p >= n]
-    assert params.count == len(direct)
-    assert list(params.base_dims) == direct
-    assert params.count >= 1          # m = n - 2 always qualifies
-    assert params.base_dims[-1] == n - 2
+    assert list(dims) == direct
+    assert len(dims) == base_count(n, p)
+    assert len(dims) >= 1             # m = n - 2 always qualifies
+    assert dims[-1] == n - 2
 
 
-def valuation(params, a, b):
-    """min(v_p(m_b), k - a), the twist level of stage (a, b), read off its slice's coefficient."""
-    return torsion_slice(params.group, a, params.base_dim(a, b)).coeff_i - 1
+def assert_junction(n, group, a):
+    """The reference gap is ell(a, d) - ell(a+1, 1), at most p^(a+1), and
+    equal to it exactly when the residue n mod p is 2."""
+    p, d = group.p, base_count(n, group.p)
+    gap = connection_gap(n, group, a)
+    assert gap == ell(n, group, a, d) - ell(n, group, a + 1, 1), (n, group, a)
+    assert 0 <= gap <= p ** (a + 1), (n, group, a)
+    assert (gap == p ** (a + 1)) == (n % p == 2), (n, group, a)
+
+
+@pytest.mark.parametrize("p", [q for q in range(3, 60) if is_odd_prime(q)])
+def test_base_dimensions_match_the_closed_form_for_every_n(p):
+    """The runtime's range m_1, ..., m_d = n - 2 against the paper's d for
+    every n >= 3, from one period of n.
+
+    With r = n mod p, n = p * (n // p) + r and p is odd, so n is
+    congruent to n // p + r mod 2; the offset is 0, 2 or 1 as r is 0, even
+    or odd, so it is congruent to r.  Hence n - n // p - offset is even,
+    d = (n - n // p - offset) / 2 exactly, and m_1 = n - 2d = n // p + offset.
+    From n to n + 2p, n // p gains 2 and r and the offset stay, so the
+    reference d gains p - 1 and m_1 gains 2; the runtime's m_1, the least
+    integer of the parity of n at least n/p, gains 2 as well, so its
+    (n - m_1) / 2 also gains p - 1.  Checking 3 <= n < 3 + 2p therefore
+    covers every n >= 3.  The junction gap ell(a, d) - ell(a + 1, 1) is
+    p^a (m_1 p - n + 2) / 2 = p^a (offset * p - r + 2) / 2, which reads n
+    only through r, so one period of n covers its identity and bounds too.
+    """
+    for k in (2, 3):
+        group = Group(p, k)
+        for n in range(3, 3 + 2 * p):
+            dims, d = slice_params(n, group), base_count(n, p)
+            assert (len(dims), dims[0]) == (d, n // p + parity_offset(n, p)), (n, k)
+            ahead = slice_params(n + 2 * p, group)
+            assert len(ahead) == len(dims) + p - 1 == base_count(n + 2 * p, p), (n, k)
+            assert ahead[0] == dims[0] + 2, (n, k)
+            for a in range(1, k):
+                assert_junction(n, group, a)
+                assert connection_gap(n + p, group, a) == connection_gap(n, group, a)
+
+
+def valuation(group, a, m):
+    """min(v_p(m), k - a), the twist level of a stage of column a and base
+    dimension m, read off its slice's coefficient."""
+    return torsion_slice(group, a, m).coeff_i - 1
 
 
 def test_frozen_examples():
-    p7 = slice_params(7, Group(3, 2))
-    assert tuple(p7.base_dims) == (3, 5)
-    assert p7.ell(1, 2) == 15         # ((7-2)*9 - 5*3) / 2
-    assert p7.ell(1, 1) == 18
-    assert p7.ell(2, 1) == 9
-    assert p7.ell(2, 2) == 0
-    assert valuation(p7, 2, 1) == 0    # min(v_3(3), k - a) caps at 0
-    assert valuation(p7, 1, 1) == 1
-    assert valuation(p7, 1, 2) == 0
+    g = Group(3, 2)
+    p7 = slice_params(7, g)
+    assert tuple(p7) == (3, 5)
+    assert ell(7, g, 1, 2) == 15      # ((7-2)*9 - 5*3) / 2
+    assert ell(7, g, 1, 1) == 18
+    assert ell(7, g, 2, 1) == 9
+    assert ell(7, g, 2, 2) == 0
+    assert valuation(g, 2, p7[0]) == 0    # min(v_3(3), k - a) caps at 0
+    assert valuation(g, 1, p7[0]) == 1
+    assert valuation(g, 1, p7[1]) == 0
 
-    p16 = slice_params(16, Group(3, 2))
-    assert tuple(p16.base_dims) == (6, 8, 10, 12, 14)
-    assert p16.count == 5
-    assert p16.ell(2, 5) == 0
-    assert p16.ell(1, 5) == 42
-    assert [valuation(p16, 1, b) for b in range(1, 6)] == [1, 0, 0, 1, 0]
-    assert [valuation(p16, 2, b) for b in range(1, 6)] == [0, 0, 0, 0, 0]
+    p16 = slice_params(16, g)
+    assert tuple(p16) == (6, 8, 10, 12, 14)
+    assert len(p16) == 5
+    assert ell(16, g, 2, 5) == 0
+    assert ell(16, g, 1, 5) == 42
+    assert [valuation(g, 1, m) for m in p16] == [1, 0, 0, 1, 0]
+    assert [valuation(g, 2, m) for m in p16] == [0, 0, 0, 0, 0]
 
 
 @given(st.integers(min_value=3, max_value=200),
        st.sampled_from([(3, 2), (3, 3), (5, 2)]))
 def test_junction_identity(n, pk):
-    params = slice_params(n, Group(*pk))
-    # connection_gap asserts gap == ell(a, d) - ell(a+1, 1) internally,
-    # plus the bound gap <= p^(a+1) with equality iff residue == 2
-    for a in range(1, params.group.k):
-        gap = params.connection_gap(a)
-        assert gap >= 0
+    group = Group(*pk)
+    for a in range(1, group.k):
+        assert_junction(n, group, a)
 
 
 @given(st.integers(min_value=3, max_value=200),
@@ -119,10 +161,10 @@ def test_junction_identity(n, pk):
 def test_ell_is_monotone_in_stage_order(n, pk):
     # stages ordered by (a desc, b desc) have strictly increasing ell,
     # matching strictly decreasing dimensions
-    params = slice_params(n, Group(*pk))
-    ells = [params.ell(a, b)
-            for a in range(params.group.k, 0, -1)
-            for b in range(params.count, 0, -1)]
+    group = Group(*pk)
+    ells = [ell(n, group, a, b)
+            for a in range(group.k, 0, -1)
+            for b in range(len(slice_params(n, group)), 0, -1)]
     assert ells == sorted(ells)
     assert len(set(ells)) == len(ells)
 
@@ -140,43 +182,24 @@ def test_stage_count_is_the_tower_length():
 
 
 def test_index_validation():
-    params = slice_params(7, Group(3, 2))
+    # the parser's V(a,b)@n= term checks n, then a, then b
+    g = Group(3, 2)
+    for text, message in (("V(0,1)@n=7", "a must be in 1..2, got 0"),
+                          ("V(3,3)@n=7", "a must be in 1..2, got 3"),
+                          ("V(1,3)@n=7", "b must be in 1..2, got 3"),
+                          ("V(0,1)@n=2", "slice parameters are defined for n >= 3, got 2")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_rep(text, g)
     with pytest.raises(ValueError):
-        params.ell(0, 1)
-    with pytest.raises(ValueError):
-        params.ell(3, 1)
-    with pytest.raises(ValueError):
-        params.ell(1, 3)
-    with pytest.raises(ValueError):
-        slice_params(2, Group(3, 2))
+        slice_params(2, g)
 
 
 def test_invariants_hold_under_python_O():
-    # -O strips assert statements; a wrong parity offset would then give
-    # slice_params(8, C_3) the base dimensions (2, 4, 6) without a word
+    # -O strips assert statements; the exchange check raises instead, so a
+    # section of the wrong dimension is still refused
     script = textwrap.dedent("""
-        from slicetower import params
-        from slicetower.group import Group
-        parity_offset = params.parity_offset
-        params.parity_offset = lambda n, p: 0
-        try:
-            params.slice_params(8, Group(3, 1))
-        except AssertionError as e:
-            print("count:", e)
-        params.parity_offset = parity_offset
-        try:
-            params.SliceParams(Group(3, 1), 8, (3,)).ell(1, 1)
-        except AssertionError as e:
-            print("ell:", e)
-        # S^7 over C_9 has residue 1 and offset 1; offset 2 breaks the gap
-        s7 = params.slice_params(7, Group(3, 2))
-        params.parity_offset = lambda n, p: 2
-        try:
-            s7.connection_gap(1)
-        except AssertionError as e:
-            print("gap:", e)
-        params.parity_offset = parity_offset
         from dataclasses import replace
+        from slicetower.group import Group
         from slicetower.rep import trivial_rep
         from slicetower.tower import _exchange, build_tower
         group = Group(3, 2)
@@ -192,8 +215,5 @@ def test_invariants_hold_under_python_O():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "count: closed-form count d = 3 for n = 8 over C_3, direct count 2",
-        "ell: ell(1, 1) is not a nonnegative integer: 9/2",
-        "gap: connection_gap(1) = 10 is not ell(1, 2) - ell(2, 1)",
         "exchange: exchanging planes across V(2,1) leaves no section of dimension n",
     ]

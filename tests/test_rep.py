@@ -95,15 +95,15 @@ def test_regular_rep_and_lambda_block():
 
 def test_slice_rep_frozen():
     p7 = slice_params(7, C9)
-    assert slice_rep(C9, 2, p7.base_dim(2, 2)) == Rep(C9, 4, (15, 5))      # 5*rho - 1
-    assert slice_rep(C9, 2, p7.base_dim(2, 2)).dim == 44
-    assert slice_rep(C9, 2, p7.base_dim(2, 1)).dim == 26
-    assert slice_rep(C9, 1, p7.base_dim(1, 2)) == Rep(C9, 2, (5, 1))
-    assert slice_rep(C9, 1, p7.base_dim(1, 1)) == Rep(C9, 0, (3, 1))       # rho - 1
+    assert slice_rep(C9, 2, p7[1]) == Rep(C9, 4, (15, 5))      # 5*rho - 1
+    assert slice_rep(C9, 2, p7[1]).dim == 44
+    assert slice_rep(C9, 2, p7[0]).dim == 26
+    assert slice_rep(C9, 1, p7[1]) == Rep(C9, 2, (5, 1))
+    assert slice_rep(C9, 1, p7[0]) == Rep(C9, 0, (3, 1))       # rho - 1
     p16 = slice_params(16, C9)
-    assert slice_rep(C9, 2, p16.base_dim(2, 5)) == Rep(C9, 13, (42, 14))  # 14*rho - 1
-    assert slice_rep(C9, 1, p16.base_dim(1, 1)) == Rep(C9, 1, (6, 2))     # 2*rho - 1
-    assert slice_rep(C9, 1, p16.base_dim(1, 1)).dim == 17
+    assert slice_rep(C9, 2, p16[4]) == Rep(C9, 13, (42, 14))  # 14*rho - 1
+    assert slice_rep(C9, 1, p16[0]) == Rep(C9, 1, (6, 2))     # 2*rho - 1
+    assert slice_rep(C9, 1, p16[0]).dim == 17
     for a, m in ((0, 5), (3, 5), (1, 0)):  # a in 1..k and m >= 1
         with pytest.raises(ValueError):
             slice_rep(C9, a, m)
@@ -116,7 +116,7 @@ def test_slice_rep_checks_hold_under_python_O():
         from slicetower import rep
         from slicetower.group import Group
         from slicetower.params import slice_params
-        params = slice_params(7, Group(3, 2))
+        m = slice_params(7, Group(3, 2))[1]
         lambda_block = rep.lambda_block
         mutants = {
             # one level-0 plane too many takes two dimensions off V
@@ -128,7 +128,7 @@ def test_slice_rep_checks_hold_under_python_O():
         for name, mutant in mutants.items():
             rep.lambda_block = mutant
             try:
-                print(name, "passed:", rep.slice_rep(params.group, 2, params.base_dim(2, 2)))
+                print(name, "passed:", rep.slice_rep(Group(3, 2), 2, m))
             except AssertionError as e:
                 print(f"{name}: {e}")
     """)
@@ -160,10 +160,10 @@ def test_identity_suite_over_grid():
             g = Group(p, k)
             rho = regular_rep(g)
             for n in range(3, 13):
-                params = slice_params(n, g)
+                base_dims = slice_params(n, g)
                 for a in range(1, k + 1):
-                    for b in range(1, params.count + 1):
-                        assert slice_rep(g, a, params.base_dim(a, b)).dim == params.base_dims[b - 1] * p ** a - 1
+                    for b in range(1, len(base_dims) + 1):
+                        assert slice_rep(g, a, base_dims[b - 1]).dim == base_dims[b - 1] * p ** a - 1
                 w = n_slice_rep(n, g)
                 assert w.dim == n
                 assert w.is_actual
@@ -286,7 +286,7 @@ def test_parse_grammar():
     assert parse_rep("3 + 2λ_1 + λ_0", C9) == Rep(C9, 3, (1, 2))
     assert parse_rep("14ρ−1", C9) == Rep(C9, 13, (42, 14))
     assert parse_rep("-(rho)", C9) == -regular_rep(C9)
-    assert parse_rep("V(1,1)@n=7", C9) == slice_rep(C9, 1, slice_params(7, C9).base_dim(1, 1))
+    assert parse_rep("V(1,1)@n=7", C9) == slice_rep(C9, 1, slice_params(7, C9)[0])
     assert parse_rep("W@n=16", C9) == n_slice_rep(16, C9)
     assert parse_rep("L2", C9) == trivial_rep(C9, 2)
     assert parse_rep("7", C9) == trivial_rep(C9, 7)

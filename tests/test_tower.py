@@ -308,9 +308,9 @@ def test_a_torsion_slice_depends_on_its_dimension_only():
     for p, k in itertools.product((3, 5, 7, 11), (1, 2, 3)):
         group = Group(p, k)
         for n in range(3, 61):
-            params = slice_params(n, group)
-            for a, b in itertools.product(range(1, k + 1), range(1, params.count + 1)):
-                m = params.base_dims[b - 1]
+            base_dims = slice_params(n, group)
+            for a, b in itertools.product(range(1, k + 1), range(1, len(base_dims) + 1)):
+                m = base_dims[b - 1]
                 ell = ((n - 2) * p ** k - m * p ** a) // 2
                 rep = (reference.regular_rep(group, n - 2) - reference.trivial_rep(group)
                        - reference.lambda_block(ell, group))
@@ -342,7 +342,7 @@ def test_towers_share_their_torsion_slices():
     # by it hit on identity
     for n in range(3, 31):
         for stage in build_tower(n, C9).stages[:-1]:
-            m = slice_params(n, C9).base_dims[stage.b - 1]
+            m = slice_params(n, C9)[stage.b - 1]
             assert stage.descriptor is torsion_slice(C9, stage.a, m)
     info = torsion_slice.cache_info()
     assert info.hits > info.misses == info.currsize

@@ -7,7 +7,11 @@ budget; raising one needs its reason recorded.
 verify-sweep replays, in process and from empty caches, the verify
 ranges of the benchmark workload of that name, (p, k, lowest n,
 highest n) each, and counts the cache misses of the oracle's layers:
-slices checked, spheres looked up afresh, and windows realized."""
+slices checked, spheres looked up afresh, and windows realized.
+
+tower builds, in process and from empty caches, the towers of its
+requests, (p, k, n) each, and counts the torsion slices built and the
+regular representations cached."""
 
 import importlib.util
 import json
@@ -16,11 +20,18 @@ from pathlib import Path
 
 from slicetower.group import Group
 from slicetower.homology import sphere_homology, window_homology
+from slicetower.params import stage_count
 from slicetower.rep import regular_rep
-from slicetower.tower import build_tower, verify_slice, verify_tower
+from slicetower.tower import build_tower, torsion_slice, verify_slice, verify_tower
 
 BUDGETS = json.loads((Path(__file__).parent / "data" / "work_budgets.json").read_text())
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def assert_within_budget(work, budgets):
+    assert work.keys() == budgets.keys()
+    over = {name: (count, budgets[name]) for name, count in work.items() if count > budgets[name]}
+    assert not over, f"(count, budget) over budget: {over}"
 
 
 def test_verify_sweep_budget_replays_the_benchmark_ranges():
@@ -43,7 +54,16 @@ def test_verify_sweep_stays_within_its_work_budget():
         "window_homology misses": window_homology.cache_info().misses,
         "regular_rep entries": regular_rep.cache_info().currsize,
     }
-    assert work.keys() == spec["budgets"].keys()
-    over = {name: (count, spec["budgets"][name]) for name, count in work.items()
-            if count > spec["budgets"][name]}
-    assert not over, f"(count, budget) over budget: {over}"
+    assert_within_budget(work, spec["budgets"])
+
+
+def test_tower_stays_within_its_work_budget():
+    spec = BUDGETS["tower"]
+    for p, k, n in spec["requests"]:
+        group = Group(p, k)
+        assert len(build_tower(n, group).stages) == stage_count(n, group), (p, k, n)
+    work = {
+        "torsion_slice misses": torsion_slice.cache_info().misses,
+        "regular_rep entries": regular_rep.cache_info().currsize,
+    }
+    assert_within_budget(work, spec["budgets"])
