@@ -11,17 +11,31 @@ slices checked, spheres looked up afresh, and windows realized.
 
 tower builds, in process and from empty caches, the towers of its
 requests, (p, k, n) each, and counts the torsion slices built and the
-regular representations cached."""
+regular representations cached.
 
+homology asks sphere_homology, in process and from empty caches, for
+one degree of each of its spheres at the top level with coefficients
+Z, and counts the oracle's linear algebra: Smith forms with the sum of
+r * c over their inputs, and matrix products with the sum of r * c * c'
+over their factors.  Modules bind smith_normal_form by name, so every
+binding in the package is wrapped."""
+
+import importlib
 import importlib.util
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
+import pytest
+
+import slicetower
+from slicetower.abelian import Mat, smith_normal_form
 from slicetower.group import Group
 from slicetower.homology import sphere_homology, window_homology
+from slicetower.mackey import constant_Z
 from slicetower.params import stage_count
-from slicetower.rep import regular_rep
+from slicetower.rep import parse_rep, regular_rep
 from slicetower.tower import build_tower, torsion_slice, verify_slice, verify_tower
 
 BUDGETS = json.loads((Path(__file__).parent / "data" / "work_budgets.json").read_text())
@@ -66,4 +80,34 @@ def test_tower_stays_within_its_work_budget():
         "torsion_slice misses": torsion_slice.cache_info().misses,
         "regular_rep entries": regular_rep.cache_info().currsize,
     }
+    assert_within_budget(work, spec["budgets"])
+
+
+@pytest.mark.parametrize("spec", BUDGETS["homology"]["requests"],
+                         ids=lambda spec: f"{spec['rep']} over C_{spec['p']}^{spec['k']}")
+def test_homology_stays_within_its_work_budget(spec, monkeypatch):
+    work = {"smith_normal_form calls": 0, "smith_normal_form r*c": 0,
+            "Mat.times calls": 0, "Mat.times r*c*c'": 0}
+
+    def counted_smith_normal_form(A):
+        work["smith_normal_form calls"] += 1
+        work["smith_normal_form r*c"] += A.r * A.c
+        return smith_normal_form(A)
+
+    def counted_times(self, other):
+        work["Mat.times calls"] += 1
+        work["Mat.times r*c*c'"] += self.r * self.c * other.c
+        return times(self, other)
+
+    times = Mat.times
+    monkeypatch.setattr(Mat, "times", counted_times)
+    for info in pkgutil.iter_modules(slicetower.__path__):
+        module = importlib.import_module(f"slicetower.{info.name}")
+        if getattr(module, "smith_normal_form", None) is smith_normal_form:
+            monkeypatch.setattr(module, "smith_normal_form", counted_smith_normal_form)
+
+    group = Group(spec["p"], spec["k"])
+    d = spec["degree"]
+    ab, = sphere_homology(parse_rep(spec["rep"], group), constant_Z(group), d, d)
+    assert str(ab) == spec["group"]
     assert_within_budget(work, spec["budgets"])
