@@ -2,14 +2,11 @@
 
 Everything here runs over Python's arbitrary-precision integers; no
 floating point, no modular shortcuts.  Smith normal form tracks the
-three transforms its callers read, not just the invariant factors: U
-and V (U A V = S) to solve linear systems and find kernels, and U's
-inverse, which only homology reads, to write down its generators.
-One list of rows carries all four: [S | U | Uinv^T] for each row of A,
-then the rows of V.  Row operations act on S | U, column operations on
-the first A.c entries of every row, so S and V change in one loop.  The
-transposed U^-1 swaps and negates with its row; row_i += q * row_j is
-row_j -= q * row_i on it.
+two transforms its callers read, not just the invariant factors: U and
+V with U A V = S, to solve linear systems and find kernels.  One list
+of rows carries all three: [S | U] for each row of A, then the rows of
+V.  Row operations act on S | U, column operations on the first A.c
+entries of every row, so S and V change in one loop.
 
 Lattice bases are preimage lattices {x : T x in the span of the
 orders[i] * e_i}, read off the kernel of T next to those relation
@@ -83,11 +80,10 @@ class Mat:
 
 @dataclass
 class SmithForm:
-    """U @ A @ V == S with U, V unimodular; Uinv is U's inverse."""
+    """U @ A @ V == S with U, V unimodular."""
 
     S: Mat
     U: Mat
-    Uinv: Mat
     V: Mat
 
     def diag(self, i: int) -> int:
@@ -101,22 +97,18 @@ def smith_normal_form(A: Mat) -> SmithForm:
 
     Pivot choice is deterministic (smallest absolute value, then lowest
     row, then lowest column) so downstream generator choices reproduce
-    bit for bit.  m holds r rows [S | U | Uinv^T], then the rows of V.
+    bit for bit.  m holds r rows [S | U], then the rows of V.
     """
     r, c = A.r, A.c
-    m = [list(row) + e + e for row, e in zip(A.a, Mat.identity(r).a)] + Mat.identity(c).a
+    m = [list(row) + e for row, e in zip(A.a, Mat.identity(r).a)] + Mat.identity(c).a
 
     def row_add(i: int, j: int, q: int) -> None:
-        # row_i += q * row_j on S | U, so row_j -= q * row_i on Uinv^T
+        # row_i += q * row_j on S | U
         mi, mj = m[i], m[j]
         for t in range(c + r):
             x = mj[t]
             if x:
                 mi[t] += q * x
-        for t in range(c + r, c + 2 * r):
-            x = mi[t]
-            if x:
-                mj[t] -= q * x
 
     def col_add(i: int, j: int, q: int) -> None:
         # col_i += q * col_j
@@ -179,8 +171,7 @@ def smith_normal_form(A: Mat) -> SmithForm:
             break
     rows = m[:r]
     return SmithForm(S=Mat(r, c, [row[:c] for row in rows]),
-                     U=Mat(r, r, [row[c:c + r] for row in rows]),
-                     Uinv=Mat(r, r, list(zip(*rows))[c + r:]),
+                     U=Mat(r, r, [row[c:] for row in rows]),
                      V=Mat(c, c, m[r:]))
 
 

@@ -28,6 +28,9 @@ from .tower import build_tower, verify_tower
 
 RANGE_ENV = "SLICETOWER_VERIFY_RANGE"
 MAX_STAGES = 500_000  # per request; the tower of S^1000000 over C_3 has 333,334
+# a request builds, checks or prints each of the k + 1 subgroup levels, so its
+# work and output grow with k; verify --p 3 --k 64 --n 3 takes about a second
+MAX_K = 64
 
 # flags whose values may begin with "-" (e.g. --rep "-(rho)"); they are
 # rewritten to the = form so argparse does not mistake them for options
@@ -44,6 +47,8 @@ def _group_from(args: argparse.Namespace) -> Group:
         raise ValueError(f"--p must be an odd prime, got {p}")
     if k < 1:
         raise ValueError(f"--k must be at least 1, got {k}")
+    if k > MAX_K:
+        raise ValueError(f"--k must be at most {MAX_K}, got {k}")
     return Group(p, k)
 
 

@@ -15,17 +15,16 @@ representatives so restriction maps between levels can be expressed
 on homology classes.  The cycles are abelian.lattice_basis's basis of
 the preimage of the relations one dimension down; the boundaries and
 relations are solved against it, and the Smith form of that solution
-turns the basis into the generators.
+gives the group, and its U's inverse, built when read, the generators.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
-from .abelian import (AbGroup, Mat, divides, lattice_basis, smith_normal_form, solve_factored,
-                      with_relations)
+from .abelian import (AbGroup, Mat, SmithForm, divides, lattice_basis, smith_normal_form,
+                      solve_factored, with_relations)
 from .cells import CellStructure, DiffKey, Entry, FactorCells, cell_structure, class_images, factor_cells, tensor
 from .mackey import MackeyFunctor
 from .rep import Rep
@@ -126,17 +125,38 @@ def _check_complex(cx: LevelComplex) -> None:
 
 @dataclass
 class HomologyLevel:
-    """One homology group with raw generator bookkeeping.
+    """One homology group and the Smith forms its generators come from.
 
     ab.factors lists one invariant factor per generator (0 for a free
-    one, never 1); the columns of gens are one chain representative per
-    generator, and express writes each column of a matrix of cycles in
-    those coordinates.
+    one, never 1).  fc is the Smith form of the basis of the cycles, fy
+    that of the boundaries and relations solved against it, both None
+    without cycles; keep lists fy's rows of a factor other than 1.
     """
 
     ab: AbGroup
-    gens: Mat
-    express: Callable[[Mat], Mat]
+    cycles: Mat
+    fc: SmithForm | None
+    fy: SmithForm | None
+    keep: list[int]
+
+    @property
+    def gens(self) -> Mat:
+        """One chain representative per generator, as the columns: the
+        cycles times the kept columns of fy.U's inverse, solved for when read."""
+        if not self.keep:
+            return Mat(self.cycles.r, 0)
+        E = Mat(self.cycles.c, len(self.keep), [[int(i == j) for j in self.keep] for i in range(self.cycles.c)])
+        return self.cycles.times(solve_factored(smith_normal_form(self.fy.U), E))
+
+    def express(self, X: Mat) -> Mat:
+        """Each column of a matrix of cycles in the coordinates of gens."""
+        if self.fc is None:
+            return Mat(0, X.c)
+        Z = solve_factored(self.fc, X)
+        if Z is None:
+            raise ValueError("chain is not a cycle at this level")
+        raw = Mat(len(self.keep), Z.r, [self.fy.U.a[i] for i in self.keep]).times(Z)
+        return Mat(raw.r, X.c, [[x % o for x in row] if o else row for row, o in zip(raw.a, self.ab.factors)])
 
 
 def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
@@ -145,25 +165,14 @@ def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
     # down; without generators there is nothing to factor
     cycles = lattice_basis(cx.boundary_or_zero(d), cx.orders.get(d - 1, ())) if n else Mat(0, 0)
     if cycles.c == 0:
-        return HomologyLevel(AbGroup.trivial(), Mat(n, 0), lambda X: Mat(0, X.c))
+        return HomologyLevel(AbGroup.trivial(), cycles, None, None, [])
     fc = smith_normal_form(cycles)
     Y = solve_factored(fc, with_relations(cx.boundary_or_zero(d + 1), cx.orders[d]))
     if Y is None:
         raise AssertionError("a boundary or relation is not a cycle")
     fy = smith_normal_form(Y)
     keep = [i for i in range(cycles.c) if fy.diag(i) != 1]
-    raw_orders = tuple(fy.diag(i) for i in keep)
-    gens = Mat(n, len(keep), [[row[i] for i in keep] for row in cycles.times(fy.Uinv).a])
-
-    def express(X: Mat) -> Mat:
-        Z = solve_factored(fc, X)
-        if Z is None:
-            raise ValueError("chain is not a cycle at this level")
-        raw = fy.U.times(Z).a
-        return Mat(len(keep), X.c, [[x % o for x in raw[i]] if o else raw[i]
-                                    for i, o in zip(keep, raw_orders)])
-
-    return HomologyLevel(AbGroup(raw_orders), gens, express)
+    return HomologyLevel(AbGroup(tuple(fy.diag(i) for i in keep)), cycles, fc, fy, keep)
 
 
 def chain_restriction(M: MackeyFunctor, m: int, d: int,

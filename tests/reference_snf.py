@@ -1,12 +1,16 @@
 """Dense reference Smith normal form: the elimination as it stood
 before the row-list rewrite, one helper per elementary operation and
-per matrix.  Only tests import it; it pins S, U, U^-1 and V bit for
-bit, pivot rule and order of operations included."""
+per matrix.  Only tests import it; it pins S, U and V bit for bit,
+pivot rule and order of operations included.  It still tracks U^-1
+through every row operation, which smith_normal_form no longer does,
+and returns it next to the Smith form, so the inverse that homology
+solves for when it writes down generators is pinned too."""
 
 from slicetower.abelian import Mat, SmithForm
 
 
-def reference_smith_normal_form(A: Mat) -> SmithForm:
+def reference_smith_normal_form(A: Mat) -> tuple[SmithForm, Mat]:
+    """The Smith form of A and the inverse of its U."""
     S = Mat(A.r, A.c, A.a)
     r, c = S.r, S.c
     U, Uinv = Mat.identity(r), Mat.identity(r)
@@ -114,4 +118,4 @@ def reference_smith_normal_form(A: Mat) -> SmithForm:
             row_add(t, bad, 1)
         if t < min(r, c) and s[t][t] == 0:
             break
-    return SmithForm(S=S, U=U, Uinv=Uinv, V=V)
+    return SmithForm(S=S, U=U, V=V), Uinv

@@ -13,7 +13,7 @@ import pytest
 
 from slicetower.abelian import AbGroup
 from slicetower import cli
-from slicetower.cli import MAX_STAGES, RANGE_ENV, _join_leading_dash_values, build_parser, main
+from slicetower.cli import MAX_K, MAX_STAGES, RANGE_ENV, _join_leading_dash_values, build_parser, main
 from slicetower.group import Group
 from slicetower.homology import bredon_homology
 from slicetower.mackey import parse_coefficient
@@ -426,6 +426,22 @@ def test_huge_p_exits_two():
     proc = run_subprocess("tower", "--p", str(2**61 - 1), "--k", "1", "--n", "5", timeout=10)
     assert proc.returncode == 2
     assert proc.stderr == "error: --p must be below 2^31\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("homology", "--rep", "0"),
+    ("mackey", "--show", "Z"),
+    ("verify", "--n", "3"),
+], ids=["homology", "mackey", "verify"])
+def test_k_over_the_cap_exits_two_at_once(argv):
+    # without the cap, homology --k 10000000 --rep 0 ran for 19 s and
+    # mackey --k 3000000 printed 222 MB
+    command, *rest = argv
+    start = time.perf_counter()
+    proc = run_subprocess(command, "--p", "3", "--k", str(MAX_K + 1), *rest, timeout=10)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: --k must be at most {MAX_K}, got {MAX_K + 1}\n"
 
 
 @pytest.mark.parametrize("rep", ["W@n=" + "1" + "0" * 20, "V(1,1)@n=" + "1" + "0" * 20])

@@ -89,6 +89,22 @@ def test_plane_difference_realizes_integral_family(p, k):
                 assert all(off.ab(m).is_trivial for m in range(k + 1))
 
 
+@pytest.mark.parametrize("group", [C3, C9, Group(3, 3)], ids=str)
+def test_composed_restrictions_are_the_family_composites(group):
+    # criterion 6b's family: the product of res_maps from the top level
+    # down to level m is, up to sign, Z(a, j)'s composite from k to m
+    k = group.k
+    for a in range(1, k + 1):
+        for j in range(a):
+            bh = bredon_homology(rotation_plane(group, a) - rotation_plane(group, j), constant_Z(group), 0)
+            expected = Z_ij(a, j, group)
+            down = Mat.identity(1)
+            for m in range(k - 1, -1, -1):
+                down = bh.res_maps[m].times(down)
+                assert (down.r, down.c) == (1, 1), (a, j, m)
+                assert abs(down.a[0][0]) == expected.composite(k, m), (a, j, m)
+
+
 @st.composite
 def small_group_reps(draw):
     # as test_cells draws them; level 0 of a sphere over C_27 is far slower
