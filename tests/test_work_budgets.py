@@ -13,6 +13,12 @@ tower builds, in process and from empty caches, the towers of its
 requests, (p, k, n) each, and counts the torsion slices built and the
 regular representations cached.
 
+tower-render replays, through cli.main in JSON and LaTeX and from empty
+caches, the towers of the benchmark workload of that name, and counts
+the torsion slices built, the entries of the two per-slice document
+caches (sphere_forms and slice_text), and the strings those entries
+hold for the towers' distinct slices.
+
 homology asks sphere_homology, in process and from empty caches, for
 one degree of each of its spheres at the top level with coefficients
 Z, and counts the oracle's linear algebra: Smith forms with the sum of
@@ -20,8 +26,10 @@ r * c over their inputs, and matrix products with the sum of r * c * c'
 over their factors.  Modules bind smith_normal_form by name, so every
 binding in the package is wrapped."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import pkgutil
 import sys
@@ -31,6 +39,8 @@ import pytest
 
 import slicetower
 from slicetower.abelian import Mat, smith_normal_form
+from slicetower.cli import main
+from slicetower.document import slice_text, sphere_forms
 from slicetower.group import Group
 from slicetower.homology import sphere_homology, window_homology
 from slicetower.mackey import constant_Z
@@ -48,12 +58,16 @@ def assert_within_budget(work, budgets):
     assert not over, f"(count, budget) over budget: {over}"
 
 
-def test_verify_sweep_budget_replays_the_benchmark_ranges():
+def bench_workloads():
     spec = importlib.util.spec_from_file_location("slicetower_bench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look the module up while building
     spec.loader.exec_module(module)
-    assert [tuple(r) for r in BUDGETS["verify-sweep"]["ranges"]] == list(module.VERIFY_SWEEPS)
+    return module
+
+
+def test_verify_sweep_budget_replays_the_benchmark_ranges():
+    assert [tuple(r) for r in BUDGETS["verify-sweep"]["ranges"]] == list(bench_workloads().VERIFY_SWEEPS)
 
 
 def test_verify_sweep_stays_within_its_work_budget():
@@ -81,6 +95,29 @@ def test_tower_stays_within_its_work_budget():
         "regular_rep entries": regular_rep.cache_info().currsize,
     }
     assert_within_budget(work, spec["budgets"])
+
+
+def strings(value) -> int:
+    """The str items in value, a string or nested tuples of them."""
+    return 1 if isinstance(value, str) else sum(strings(item) for item in value)
+
+
+def test_tower_render_stays_within_its_work_budget():
+    workloads = bench_workloads()
+    cases = [(p, k, n) for p, k in workloads.RENDER_GROUPS for n in workloads.RENDER_NS]
+    cases += [(3, 2, n) for n in workloads.GOLDEN_NS]
+    slices = set()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for p, k, n in cases:
+            for fmt in ("json", "latex"):
+                assert main(["tower", "--p", str(p), "--k", str(k), "--n", str(n), "--format", fmt]) == 0
+            slices.update(stage.descriptor for stage in build_tower(n, Group(p, k)).stages)
+    work = {
+        "torsion_slice misses": torsion_slice.cache_info().misses,
+        "document cache entries": sphere_forms.cache_info().currsize + slice_text.cache_info().currsize,
+        "document cache strings": sum(strings(sphere_forms(d)) + strings(slice_text(d)) for d in slices),
+    }
+    assert_within_budget(work, BUDGETS["tower-render"]["budgets"])
 
 
 @pytest.mark.parametrize("spec", BUDGETS["homology"]["requests"],
