@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
-from .group import Group
+from .group import Group, InvariantError
 from .rep import Rep
 
 Entry = dict[int, int]
@@ -110,11 +110,11 @@ def _pair_class(group: Group, iso_x: int, iso_y: int, u: int, v: int) -> tuple[i
     if iso_x <= iso_y:
         g = u % index(iso_x)
         if (g + w) % index(iso_y) != v % index(iso_y):
-            raise AssertionError("translation misses the second coordinate")
+            raise InvariantError("translation misses the second coordinate")
     else:
         g = (v - w) % index(iso_y)
         if g % index(iso_x) != u % index(iso_x):
-            raise AssertionError("translation misses the first coordinate")
+            raise InvariantError("translation misses the first coordinate")
     return w, g
 
 
@@ -204,7 +204,7 @@ def tensor(factors: FactorCells) -> CellStructure:
             entry = {g: m for g, m in measure.items() if g < s_src}
             lifted = {y: m for c, m in entry.items() for y in class_images(0, c, s_src, s_tgt)}
             if lifted != measure:
-                raise AssertionError("boundary is not equivariant")
+                raise InvariantError("boundary is not equivariant")
             diffs.setdefault(D, {})[(tgt, src)] = entry
 
     return CellStructure(group,

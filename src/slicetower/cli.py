@@ -18,7 +18,7 @@ import os
 import sys
 
 from .document import homology_document, mackey_document, tower_document, verify_document
-from .group import Group, is_odd_prime
+from .group import Group, InvariantError, is_odd_prime
 from .homology import sphere_homology
 from .mackey import parse_coefficient, render_mackey, restrict_mackey
 from .params import stage_count
@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except AssertionError as e:
+    except InvariantError as e:
         print(f"error: invariant violated: {e}", file=sys.stderr)
         return 1
 

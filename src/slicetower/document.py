@@ -1,17 +1,17 @@
 """Structured output: every --format json document, spelled here.
 
 The display rules the document shares with the text and LaTeX
-renderers in render.py live here, once: sphere_forms decides which
-form of a slice's sphere gets printed, and spells it once per slice per
-process, and coefficient_label names its coefficient.  The renderers
-read the tower's stages through these, so they show what the document
-says without building it.  Each document is one mechanism: f-strings at
-its final depth, strings through _quote and arrays through _array, byte
-for byte what json.dumps(doc, indent=2) writes, with no tree.
-tower_document joins a tower's stages once, each one f-string around
-its slice and its report encoded once per process (slice_text,
-verification_text).  verify_document yields its report one tower at a
-time, so the report streams.
+renderers in render.py live here, once: sphere_forms spells the form a
+slice's sphere is printed in, once per slice per process, and
+coefficient_label names its coefficient.  The renderers read the
+tower's stages through these, so they show what the document says
+without building it.  Each document is one mechanism: f-strings at its
+final depth, strings through _quote and arrays through _array, byte for
+byte what json.dumps(doc, indent=2) writes, with no tree.  A tower's
+stage spells its own fields and its slice's dimension and kind around
+the rest of the slice and the report, each encoded once per process
+(slice_text, verification_text), so a cache keeps only text it prints.
+verify_document yields its report one tower at a time, so it streams.
 """
 
 from __future__ import annotations
@@ -37,28 +37,28 @@ def _array(items: Sequence[str], nl: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}{nl}]" if items else "[]"
 
 
-def rep_payload(v: Rep, forms: tuple[str, str] | None = None, nl: str = "\n") -> str:
+def rep_payload(v: Rep, nl: str = "\n") -> str:
     """The representation's JSON object, as text at the depth nl gives."""
-    display, latex = forms or render_forms(v)  # forms, if given, is render_forms(v)
+    display, latex = render_forms(v)
     i = nl + "  "  # where each field begins
     return (f'{{{i}"trivial": {v.trivial},{i}"planes": {_array([str(x) for x in v.planes], i)},'
             f'{i}"dim": {v.dim},{i}"display": {_quote(display)},{i}"latex": {_quote(latex)}{nl}}}')
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def sphere_forms(desc: SliceDescriptor) -> tuple[tuple[str, str], tuple[str, str]]:
-    """The display and LaTeX forms of the slice's sphere, and of what it is printed as.
+def sphere_forms(desc: SliceDescriptor) -> tuple[str, str]:
+    """The display and LaTeX forms the slice's sphere is printed as, read
+    by the text table, the LaTeX diagram and the document's "printed".
 
     Torsion coefficients cannot see planes at or below their vanishing
     range, so those summands are stripped from the display unless the
     representation is an exact regular multiple over a group with at
     least two plane levels, where that shorthand is shorter and exact.
     """
-    forms = render_forms(desc.rep)
     if desc.is_torsion and (desc.rep.group.k < 2 or rho_form(desc.rep) is None):
         # a stripped sphere has no level-0 planes, so no rho form
-        return forms, render_forms(strip_planes(desc.rep, desc.coeff_j + 1))
-    return forms, forms
+        return render_forms(strip_planes(desc.rep, desc.coeff_j + 1))
+    return render_forms(desc.rep)
 
 
 def coefficient_label(desc: SliceDescriptor, b: str = "B") -> str:
@@ -75,16 +75,15 @@ def group_text(group: Group, order: bool = True) -> str:
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def slice_text(desc: SliceDescriptor) -> tuple[str, str]:
+def slice_text(desc: SliceDescriptor) -> str:
     """The "slice" object of every stage of this slice, as JSON text at
-    the depth a tower document holds it, before and after its "a" and
-    "b" values."""
-    forms, (display, latex) = sphere_forms(desc)
-    rep = rep_payload(desc.rep, forms, "\n        ")
+    the depth a tower document holds it, from its "rep" field to its
+    closing brace; the stage spells the fields before it."""
+    display, latex = sphere_forms(desc)
+    rep = rep_payload(desc.rep, "\n        ")
     coeff = (f'"family": "B",\n          "i": {desc.coeff_i},\n          "j": {desc.coeff_j}'
              if desc.is_torsion else '"family": "Z"')
-    return (f'{{\n        "dim": {desc.dim},\n        "kind": "{desc.kind.value}",\n        "a": ',
-            f',\n        "rep": {rep},\n        "printed": {{\n'
+    return (f'"rep": {rep},\n        "printed": {{\n'
             f'          "display": {_quote(display)},\n          "latex": {_quote(latex)}\n        }},\n'
             f'        "coefficient": {{\n          {coeff},\n'
             f'          "display": "{coefficient_label(desc)}"\n        }}\n      }}')
@@ -111,11 +110,12 @@ def tower_document(tower: Tower, reports: list[VerificationReport] | None = None
              f'  "n": {tower.n},\n  "stage_count": {len(tower.stages)},\n  "stages": [']
     sep = "\n    "
     for i, stage in enumerate(tower.stages):
-        head, tail = slice_text(stage.descriptor)
+        desc = stage.descriptor
         a, b = ("null", "null") if stage.a is None else (stage.a, stage.b)
-        section = rep_payload(stage.section, None, "\n      ")
+        section = rep_payload(stage.section, "\n      ")
         verification = "null" if reports is None else verification_text(reports[i])
-        parts.append(f'{sep}{{\n      "index": {i},\n      "slice": {head}{a},\n        "b": {b}{tail},\n'
+        parts.append(f'{sep}{{\n      "index": {i},\n      "slice": {{\n        "dim": {desc.dim},\n        "kind": '
+                     f'"{desc.kind.value}",\n        "a": {a},\n        "b": {b},\n        {slice_text(desc)},\n'
                      f'      "section": {section},\n      "verification": {verification}\n    }}')
         sep = ",\n    "
     parts.append("\n  ]\n}")  # a tower has at least one stage

@@ -1,9 +1,13 @@
-"""The ambient cyclic group C_{p^k} and p-adic valuations."""
+"""The ambient cyclic group C_{p^k}, p-adic valuations, and InvariantError."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+
+
+class InvariantError(AssertionError):
+    """A broken invariant: raised, not asserted, so python -O keeps the check."""
 
 
 def is_odd_prime(p: int) -> bool:

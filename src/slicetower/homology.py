@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .abelian import (AbGroup, Mat, SmithForm, divides, lattice_basis, smith_normal_form,
                       solve_factored, with_relations)
 from .cells import CellStructure, DiffKey, Entry, FactorCells, cell_structure, class_images, factor_cells, tensor
+from .group import InvariantError
 from .mackey import MackeyFunctor
 from .rep import Rep
 
@@ -111,7 +112,7 @@ def _check_complex(cx: LevelComplex) -> None:
             for j in range(B.c):
                 # the entry times the source order must vanish in Z / tgt[i]
                 if B.a[i][j] and not (src[j] == 0 or divides(tgt[i], B.a[i][j] * src[j])):
-                    raise AssertionError(f"boundary at dim {d} not well defined")
+                    raise InvariantError(f"boundary at dim {d} not well defined")
     for d in list(cx.boundary):
         if d - 1 not in cx.boundary:
             continue
@@ -120,7 +121,7 @@ def _check_complex(cx: LevelComplex) -> None:
         for i in range(prod.r):
             for j in range(prod.c):
                 if prod.a[i][j] and not divides(tgt[i], prod.a[i][j]):
-                    raise AssertionError(f"d^2 != 0 from dim {d}")
+                    raise InvariantError(f"d^2 != 0 from dim {d}")
 
 
 @dataclass
@@ -169,7 +170,7 @@ def homology_at(cx: LevelComplex, d: int) -> HomologyLevel:
     fc = smith_normal_form(cycles)
     Y = solve_factored(fc, with_relations(cx.boundary_or_zero(d + 1), cx.orders[d]))
     if Y is None:
-        raise AssertionError("a boundary or relation is not a cycle")
+        raise InvariantError("a boundary or relation is not a cycle")
     fy = smith_normal_form(Y)
     keep = [i for i in range(cycles.c) if fy.diag(i) != 1]
     return HomologyLevel(AbGroup(tuple(fy.diag(i) for i in keep)), cycles, fc, fy, keep)

@@ -28,24 +28,19 @@ def render_text(tower: Tower, reports: list[VerificationReport] | None = None) -
     rows = [("stage", "dim", "slice", "section", "")]
     for i, stage in enumerate(tower.stages):
         desc = stage.descriptor
-        _, (printed, _) = sphere_forms(desc)
+        printed, _ = sphere_forms(desc)
         slice_text = f"{_sphere(printed)} ∧ H{coefficient_label(desc)}"
         section_text = _sphere(render_rep(stage.section))
-        mark = "" if reports is None else "ok" if reports[i].passed else "FAIL"
+        mark = "" if reports is None else "  [ok]" if reports[i].passed else "  [FAIL]"
         rows.append((str(i), str(desc.dim), slice_text, section_text, mark))
 
     widths = [max(len(r[i]) for r in rows) for i in range(3)]  # rows[0] is the header
-    for idx, dim, slice_text, section_text, mark in rows:
-        line = (f"  {idx:>{widths[0]}}  {dim:>{widths[1]}}  "
-                f"{slice_text:<{widths[2]}}  {section_text}")
-        if mark:
-            line += f"  [{mark}]"
-        lines.append(line.rstrip())
+    lines.extend(f"  {idx:>{widths[0]}}  {dim:>{widths[1]}}  {slice_text:<{widths[2]}}  {section_text}{mark}"
+                 for idx, dim, slice_text, section_text, mark in rows)
 
     if reports is not None:
         passed = sum(1 for r in reports if r.passed)
-        lines.append("")
-        lines.append(f"verified: {passed}/{len(reports)} stages pass")
+        lines += ["", f"verified: {passed}/{len(reports)} stages pass"]
         lines.extend(f"  stage {i}: {f}" for i, r in enumerate(reports) for f in r.failures)
     return "\n".join(lines) + "\n"
 
@@ -57,7 +52,7 @@ def render_latex(tower: Tower, reports: list[VerificationReport] | None = None) 
         desc = stage.descriptor
         section = rf"S^{{{render_forms(stage.section)[1]}}} \wedge H\underline{{\mathbb{{Z}}}}"
         if desc.is_torsion:
-            _, (_, printed) = sphere_forms(desc)
+            _, printed = sphere_forms(desc)
             coeff = coefficient_label(desc, r"\underline{B}")
             rows.append(rf"S^{{{printed}}} \wedge H{coeff} \ar[r] & {section} \ar[d] \\")
         else:

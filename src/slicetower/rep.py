@@ -16,7 +16,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .group import Group
+from .group import Group, InvariantError
 from .params import slice_params
 
 
@@ -115,9 +115,9 @@ def slice_rep(group: Group, a: int, m: int) -> Rep:
     rho, lam = m * regular_rep(group), lambda_block(ell, group)
     v = Rep(group, rho.trivial - 1 - lam.trivial, tuple(map(operator.sub, rho.planes, lam.planes)))
     if not (v.is_actual and v.dim == m * group.p ** a - 1):
-        raise AssertionError(f"V at (a, m) = ({a}, {m}) is not an actual representation of the slice dimension")
+        raise InvariantError(f"V at (a, m) = ({a}, {m}) is not an actual representation of the slice dimension")
     if v.trivial != m - 1 - 2 * (ell // group.order):
-        raise AssertionError(f"V at (a, m) = ({a}, {m}) has the wrong trivial multiplicity")
+        raise InvariantError(f"V at (a, m) = ({a}, {m}) has the wrong trivial multiplicity")
     return v
 
 
@@ -144,7 +144,7 @@ def n_slice_rep(n: int, group: Group) -> Rep:
         w = (slice_rep(group, 1, third) + trivial_rep(group)
              - lambda_block(p - 1, group) - rotation_plane(group, 0))
     if not (w.is_actual and w.dim == n):
-        raise AssertionError(f"the bottom slice representation for n = {n} is not actual of dimension n")
+        raise InvariantError(f"the bottom slice representation for n = {n} is not actual of dimension n")
     return w
 
 

@@ -25,7 +25,7 @@ argument, so 2 (p^(k-a) - 1) rho to lambda; torsion_slice(G, a, m +
 2p^(k-a)) is torsion_slice(G, a, m) + 2 rho, with the same B(i, j) as
 v_p(m + 2p^(k-a)) and v_p(m) agree when capped at k - a.  torsion_slice
 builds each slice once per process, so towers share their slices as
-objects, and document.sphere_forms spells each once.
+objects, and document.sphere_forms spells the sphere each one prints once.
 Slices share spheres too, so each slice and each sphere is checked once
 per process: verify_slice is cached by the descriptor, and it reads the
 homology of its spheres through homology.sphere_homology, which keys
@@ -42,7 +42,7 @@ from enum import Enum
 
 from .abelian import AbGroup
 from .cells import max_cell_dim
-from .group import Group, p_adic_val
+from .group import Group, InvariantError, p_adic_val
 from .homology import sphere_homology
 from .mackey import B_ij, constant_Z, restrict_mackey
 from .params import slice_params
@@ -109,7 +109,7 @@ def _exchange(stage: Stage) -> Rep:
     planes[desc.coeff_j] += 1
     nxt = Rep(section.group, section.trivial + 2 * planes.pop(), tuple(planes))
     if not (nxt.is_actual and nxt.dim == section.dim):
-        raise AssertionError(f"exchanging planes across V({stage.a},{stage.b}) leaves no section of dimension n")
+        raise InvariantError(f"exchanging planes across V({stage.a},{stage.b}) leaves no section of dimension n")
     return nxt
 
 
@@ -154,9 +154,9 @@ def build_tower(n: int, group: Group) -> Tower:
 
     dims = [s.descriptor.dim for s in stages]
     if any(upper <= lower for upper, lower in zip(dims, dims[1:])):
-        raise AssertionError(f"slice dimensions are not strictly decreasing: {dims}")
+        raise InvariantError(f"slice dimensions are not strictly decreasing: {dims}")
     if section != bottom.rep:
-        raise AssertionError("the bottom section differs from the closed form of the integral slice")
+        raise InvariantError("the bottom section differs from the closed form of the integral slice")
     return Tower(group, n, tuple(stages))
 
 
@@ -211,7 +211,7 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
         Vm = restrict_rep(V, m)
         Mm = restrict_mackey(M, m)
         if Vm.dim != V.dim:
-            raise AssertionError(f"restriction to level {m} changed the dimension of {V}")
+            raise InvariantError(f"restriction to level {m} changed the dimension of {V}")
 
         wit = Vm.trivial + eps0
         eps_wit = eps0
@@ -234,7 +234,7 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
                         failures.append(Failure(m, "vanishing", epsilon=eps, t=t, group=h))
             t, w = t + 1, w - rho
             if t - first[0] > 2 * D + 8:
-                raise AssertionError("vanishing loop failed to stabilize")
+                raise InvariantError("vanishing loop failed to stabilize")
 
     return VerificationReport(not failures, checks, tuple(failures))
 

@@ -14,7 +14,7 @@ import pytest
 from slicetower.abelian import AbGroup
 from slicetower import cli
 from slicetower.cli import MAX_K, MAX_STAGES, RANGE_ENV, _join_leading_dash_values, build_parser, main
-from slicetower.group import Group
+from slicetower.group import Group, InvariantError
 from slicetower.homology import bredon_homology
 from slicetower.mackey import parse_coefficient
 from slicetower.params import stage_count
@@ -211,7 +211,7 @@ def test_failed_verification_comments_each_failure_under_the_diagram(capsys, mon
 
 def test_broken_invariant_exits_one_without_traceback(capsys, monkeypatch):
     def broken(n, group):
-        raise AssertionError("the bottom section differs from the closed form")
+        raise InvariantError("the bottom section differs from the closed form")
 
     monkeypatch.setattr(cli, "build_tower", broken)
     for argv in (("tower", "--p", "3", "--k", "1", "--n", "3"),

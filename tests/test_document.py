@@ -6,6 +6,7 @@ are what json.dumps(indent=2) writes too."""
 
 import itertools
 import json
+import re
 from importlib import resources
 
 import jsonschema
@@ -17,7 +18,7 @@ from slicetower.abelian import AbGroup
 from slicetower.cli import main
 from slicetower.document import FORMAT, VERSION, homology_document, rep_payload, tower_document
 from slicetower.group import Group
-from slicetower.rep import Rep
+from slicetower.rep import Rep, parse_rep
 from slicetower.tower import Failure, VerificationReport, build_tower, verify_tower
 
 C3 = Group(3, 1)
@@ -82,6 +83,39 @@ def test_integral_stage_prints_exactly():
     assert last["slice"]["coefficient"] == {"family": "Z", "display": "Z"}
     assert last["slice"]["printed"]["display"] == "2 + 2λ_1 + 5λ_0"
     assert last["section"]["display"] == "2 + 2λ_1 + 5λ_0"
+
+
+def latex_to_display(tex: str) -> str:
+    """A LaTeX sphere or coefficient in the text table's spelling."""
+    tex = re.sub(r"\\lambda_\{(\d+)\}", r"λ_\1", tex.replace(r"\rho", "ρ"))
+    return tex.replace(r"\underline{\mathbb{Z}}", "Z").replace(r"\underline{B}", "B")
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 3), (3, 4), (7, 2)])
+def test_the_three_formats_print_the_same_slice(capsys, p, k):
+    # one cached entry spells each slice's printed sphere for every
+    # format: the text row's slice cell, the LaTeX row (for the bottom
+    # stage, its section, which is the integral slice) and the JSON
+    # "printed" and "coefficient" name the same sphere and coefficient
+    group = Group(p, k)
+    for n in range(0, 61, 3):
+        out = {}
+        for fmt in ("text", "latex", "json"):
+            assert main(["tower", "--p", str(p), "--k", str(k), "--n", str(n), "--format", fmt]) == 0
+            out[fmt] = capsys.readouterr().out
+        stages = json.loads(out["json"])["stages"]
+        header, *table = out["text"].splitlines()[2:]
+        lo, hi = header.index("slice"), header.index("section")
+        diagram = out["latex"].splitlines()[1:-1]
+        assert len(table) == len(diagram) == len(stages), (p, k, n)
+        for stage, line, row in zip(stages, table, diagram):
+            printed, coeff = stage["slice"]["printed"], stage["slice"]["coefficient"]["display"]
+            sphere, text_coeff = line[lo:hi].rstrip().split(" ∧ H")
+            tex, tex_coeff = re.match(r"&? ?S\^\{(.*?)\} \\wedge H(\S+)", row).groups()
+            assert sphere.removeprefix("S^") in (printed["display"], f"({printed['display']})"), (n, line)
+            assert tex == printed["latex"], (n, row)
+            assert text_coeff == latex_to_display(tex_coeff) == coeff, (n, line, row)
+            assert parse_rep(latex_to_display(tex), group) == parse_rep(printed["display"], group), (n, row)
 
 
 def test_verification_payload():

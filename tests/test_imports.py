@@ -4,8 +4,9 @@ orbit size p^(k - h) has one home, Group.index.  No indented JSON goes
 through json.dumps: every document is spelled as text in document.py,
 the one module that imports json or reads the document's format and
 group fields.  Spheres are realized in one module, homology.  The oracle reads none of the tower's
-closed forms.  The runtime ships no code that only tests read.  And
-every cache is bounded."""
+closed forms.  The runtime ships no code that only tests read.  Every
+cache is bounded.  And every invariant raises InvariantError, which
+python -O keeps and the command line reports."""
 
 import ast
 import inspect
@@ -183,3 +184,18 @@ def test_caches_are_bounded(package_caches):
                  if cache.cache_parameters()["maxsize"] is None
                  and inspect.signature(cache.__wrapped__).parameters]
     assert not unbounded, f"give these caches a maxsize: {unbounded}"
+
+
+def test_invariants_raise_invariant_error():
+    # python -O drops an assert statement, and cli.main reports a broken
+    # invariant in one line only when it is an InvariantError
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = getattr(node, "exc", None)
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if (isinstance(node, ast.Assert) or isinstance(node, ast.Raise)
+                    and isinstance(exc, ast.Name) and exc.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"raise group.InvariantError here: {found}"
