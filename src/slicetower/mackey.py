@@ -21,6 +21,7 @@ over C_9, while Z and Z* differ.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from .abelian import AbGroup
@@ -126,8 +127,11 @@ def parse_coefficient(text: str, group: Group) -> MackeyFunctor:
 
 # --- restriction -------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1 << 12)
 def restrict_mackey(M: MackeyFunctor, h: int) -> MackeyFunctor:
-    """Restrict to C_{p^h}: keep the bottom h+1 levels."""
+    """Restrict to C_{p^h}: keep the bottom h+1 levels.  Cached by value,
+    so a hit may carry the name of an equal functor; nothing prints a
+    restricted functor's name."""
     if not 0 <= h <= M.group.k:
         raise ValueError(f"no subgroup at level {h}")
     return MackeyFunctor(

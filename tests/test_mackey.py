@@ -98,6 +98,18 @@ def test_restrict_mackey():
     validate_mackey(r)
 
 
+def test_restriction_cache_is_bounded():
+    # the constant functors over C_3^k and C_5^k for k <= 64, each
+    # restricted to every level, are more pairs than the cache holds
+    for p in (3, 5):
+        for k in range(1, 65):
+            z = constant_Z(Group(p, k))
+            for h in range(k + 1):
+                restrict_mackey(z, h)
+    info = restrict_mackey.cache_info()
+    assert info.misses > info.maxsize >= info.currsize
+
+
 def test_functors_compare_by_value():
     # equal presentations, built apart, renamed or restricted from a
     # larger group, are equal and hash alike

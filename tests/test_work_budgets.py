@@ -7,7 +7,8 @@ budget; raising one needs its reason recorded.
 verify-sweep replays, in process and from empty caches, the verify
 ranges of the benchmark workload of that name, (p, k, lowest n,
 highest n) each, and counts the cache misses of the oracle's layers:
-slices checked, spheres looked up afresh, and windows realized.
+slices checked, spheres looked up afresh, windows realized, and
+coefficients restricted to a subgroup.
 
 tower builds, in process and from empty caches, the towers of its
 requests, (p, k, n) each, and counts the torsion slices built and the
@@ -43,7 +44,7 @@ from slicetower.cli import main
 from slicetower.document import slice_text, sphere_forms
 from slicetower.group import Group
 from slicetower.homology import sphere_homology, window_homology
-from slicetower.mackey import constant_Z
+from slicetower.mackey import constant_Z, restrict_mackey
 from slicetower.params import stage_count
 from slicetower.rep import parse_rep, regular_rep
 from slicetower.tower import build_tower, torsion_slice, verify_slice, verify_tower
@@ -80,6 +81,7 @@ def test_verify_sweep_stays_within_its_work_budget():
         "verify_slice misses": verify_slice.cache_info().misses,
         "sphere_homology misses": sphere_homology.cache_info().misses,
         "window_homology misses": window_homology.cache_info().misses,
+        "restrict_mackey misses": restrict_mackey.cache_info().misses,
         "regular_rep entries": regular_rep.cache_info().currsize,
     }
     assert_within_budget(work, spec["budgets"])
