@@ -3,19 +3,20 @@
 Four subcommands: tower (build and render a slice tower), verify
 (sweep a range of n and re-check every slice from scratch), homology
 (one Bredon homology group of a virtual representation sphere), and
-mackey (display a coefficient system).  Exit status is 0 on success
-and when every requested verification passes, 1 when a verification
-fails or an invariant of the construction breaks (one error line, no
+mackey (display a coefficient system).  Their flags, in COMMANDS, take
+--flag value or --flag=value, named exactly; a value may begin with
+"-", and a repeated flag keeps its last value.  Exit status is 0 on
+success, for --help, and when every requested verification passes, 1
+when a verification fails or an invariant breaks (one error line, no
 traceback) or when the reader closes stdout early (nothing on stderr),
-2 for usage errors.
+2 for usage errors (one error line).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from .document import homology_document, mackey_document, tower_document, verify_document
 from .group import Group, InvariantError, is_odd_prime
@@ -32,12 +33,8 @@ MAX_STAGES = 500_000  # per request; the tower of S^1000000 over C_3 has 333,334
 # work and output grow with k; verify --p 3 --k 64 --n 3 takes about a second
 MAX_K = 64
 
-# flags whose values may begin with "-" (e.g. --rep "-(rho)"); they are
-# rewritten to the = form so argparse does not mistake them for options
-_VALUE_FLAGS = {"--rep", "--coeff", "--show", "--n"}
 
-
-def _group_from(args: argparse.Namespace) -> Group:
+def _group_from(args: SimpleNamespace) -> Group:
     p, k = args.p, args.k
     if p == 2:
         raise ValueError("p = 2 is not supported; the construction needs an odd prime")
@@ -76,7 +73,7 @@ def _check_stages(group: Group, lo: int, hi: int, spec: str) -> None:
         raise ValueError(f"--n {spec} builds at least {total} stages, over the cap of {MAX_STAGES}")
 
 
-def cmd_tower(args: argparse.Namespace) -> int:
+def cmd_tower(args: SimpleNamespace) -> int:
     group = _group_from(args)
     if args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
@@ -94,7 +91,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     group = _group_from(args)
     spec = args.n if args.n is not None else os.environ.get(RANGE_ENV)
     if spec is None:
@@ -137,7 +134,7 @@ def _level_index(text: str, group: Group) -> int:
     return m
 
 
-def cmd_homology(args: argparse.Namespace) -> int:
+def cmd_homology(args: SimpleNamespace) -> int:
     group = _group_from(args)
     v = parse_rep(args.rep, group)
     coeff = parse_coefficient(args.coeff, group)
@@ -152,7 +149,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_mackey(args: argparse.Namespace) -> int:
+def cmd_mackey(args: SimpleNamespace) -> int:
     group = _group_from(args)
     M = parse_coefficient(args.show, group)
     if args.format == "json":
@@ -162,74 +159,75 @@ def cmd_mackey(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_group_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, required=True, help="odd prime")
-    sub.add_argument("--k", type=int, required=True, help="the group is cyclic of order p^k")
+def _usage() -> int:
+    print("usage: slicetower COMMAND --flag VALUE ... (or --flag=VALUE)")
+    for command, (_, summary, flags) in COMMANDS.items():
+        print(f"\n{command}: {summary}")
+        for flag, (kind, value) in {**_FLAGS, **flags}.items():
+            shape = "" if kind is bool else "|".join(kind) if isinstance(kind, tuple) else kind.__name__
+            note = "required" if value is REQUIRED else f"default {value}" if shape and value is not None else ""
+            print(f"  {flag:9} {shape:17} {note}".rstrip())
+    return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process: parse_args leaves it unchanged
-    and gives every call a fresh namespace of defaults, so main reuses
-    it across requests."""
-    parser = argparse.ArgumentParser(
-        prog="slicetower",
-        description="slice towers of suspended Eilenberg-MacLane spectra over cyclic p-groups")
-    subs = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of a flag that must be given
+_FLAGS = {"--p": (int, REQUIRED), "--k": (int, REQUIRED), "--format": (("text", "json"), "text")}
+_HELP = ("-h", "--help")
 
-    tower = subs.add_parser("tower", help="build and print one slice tower")
-    _add_group_flags(tower)
-    tower.add_argument("--n", type=int, required=True, help="suspension degree")
-    tower.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    tower.add_argument("--verify", action="store_true",
-                       help="re-check every slice and annotate the output")
-    tower.set_defaults(run=cmd_tower)
-
-    verify = subs.add_parser("verify", help="verify every slice over a range of n")
-    _add_group_flags(verify)
-    verify.add_argument("--n", help=f"N or A..B (falls back to ${RANGE_ENV})")
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.set_defaults(run=cmd_verify)
-
-    homology = subs.add_parser("homology", help="one Bredon homology group")
-    _add_group_flags(homology)
-    homology.add_argument("--rep", required=True,
-                          help='virtual representation, e.g. "3+2L1+L0", "5rho-1", "V(1,1)@n=7"')
-    homology.add_argument("--coeff", default="Z", help="Z, Z*, Z(i,j), or B(i,j)")
-    homology.add_argument("--degree", type=int, default=0)
-    homology.add_argument("--level", default="top", help="top, e, or a subgroup level 0..k")
-    homology.add_argument("--format", choices=("text", "json"), default="text")
-    homology.set_defaults(run=cmd_homology)
-
-    mackey = subs.add_parser("mackey", help="display a coefficient system")
-    _add_group_flags(mackey)
-    mackey.add_argument("--show", required=True, help="Z, Z*, Z(i,j), or B(i,j)")
-    mackey.add_argument("--format", choices=("text", "json"), default="text")
-    mackey.set_defaults(run=cmd_mackey)
-    return parser
+# command: (handler, summary, flags beyond _FLAGS); flag: (kind, default), a kind
+# being int, str, a tuple of choices, or bool for a switch that takes no value
+COMMANDS = {
+    "tower": (cmd_tower, "the slice tower of S^n; --verify re-checks each slice", {
+        "--n": (int, REQUIRED), "--format": (("text", "json", "latex"), "text"), "--verify": (bool, False)}),
+    "verify": (cmd_verify, f"verify every slice for --n N or A..B, else ${RANGE_ENV}", {"--n": (str, None)}),
+    "homology": (cmd_homology, "one Bredon homology group; --rep as 3+2L1+L0, --level top, e or 0..k", {
+        "--rep": (str, REQUIRED), "--coeff": (str, "Z"), "--degree": (int, 0), "--level": (str, "top")}),
+    "mackey": (cmd_mackey, "show a coefficient system: Z, Z*, Z(i,j) or B(i,j)", {"--show": (str, REQUIRED)}),
+}
 
 
-def _join_leading_dash_values(argv: list[str]) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{arg}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(arg)
-            i += 1
-    return out
+def dispatch(argv: list[str]) -> int:
+    """Run argv's command on a namespace of its flags, each value read
+    by its flag's kind; a usage error raises ValueError."""
+    command = argv[0] if argv else ""
+    if command in _HELP:
+        return _usage()
+    if command not in COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    handler, _, own = COMMANDS[command]
+    flags = {**_FLAGS, **own}
+    values = {flag: default for flag, (_, default) in flags.items()}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in _HELP:
+            return _usage()
+        flag, eq, value = arg.partition("=")
+        if flag not in flags:
+            raise ValueError(f"unknown argument {arg!r} to {command}")
+        kind = flags[flag][0]
+        if kind is bool:
+            if eq:
+                raise ValueError(f"{flag} takes no value")
+            value = True
+        elif not eq and (value := next(rest, None)) is None:
+            raise ValueError(f"{flag} needs a value")
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:  # int() also refuses more than 4,300 digits
+                shown = value if len(value) <= 40 else value[:40] + "..."
+                raise ValueError(f"{flag} expects an integer, got {shown!r}") from None
+        elif kind is not str and value not in kind:
+            raise ValueError(f"{flag} must be one of {', '.join(kind)}, got {value!r}")
+        values[flag] = value
+    if REQUIRED in values.values():
+        raise ValueError(f"{command} needs {' and '.join(f for f, v in values.items() if v is REQUIRED)}")
+    return handler(SimpleNamespace(**{flag[2:]: value for flag, value in values.items()}))
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_leading_dash_values(list(argv)))
-        code = args.run(args)
+        code = dispatch(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -129,9 +129,7 @@ def parse_coefficient(text: str, group: Group) -> MackeyFunctor:
 
 @functools.lru_cache(maxsize=1 << 12)
 def restrict_mackey(M: MackeyFunctor, h: int) -> MackeyFunctor:
-    """Restrict to C_{p^h}: keep the bottom h+1 levels.  Cached by value,
-    so a hit may carry the name of an equal functor; nothing prints a
-    restricted functor's name."""
+    """Restrict to C_{p^h}: keep the bottom h+1 levels (a cache hit keeps an equal functor's name)."""
     if not 0 <= h <= M.group.k:
         raise ValueError(f"no subgroup at level {h}")
     return MackeyFunctor(

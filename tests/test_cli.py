@@ -13,7 +13,7 @@ import pytest
 
 from slicetower.abelian import AbGroup
 from slicetower import cli
-from slicetower.cli import MAX_K, MAX_STAGES, RANGE_ENV, _join_leading_dash_values, build_parser, main
+from slicetower.cli import MAX_K, MAX_STAGES, RANGE_ENV, main
 from slicetower.group import Group, InvariantError
 from slicetower.homology import bredon_homology
 from slicetower.mackey import parse_coefficient
@@ -336,18 +336,74 @@ def test_usage_errors(capsys):
     assert err == "error: cannot parse coefficient 'B(--1,0)'; expected Z, Z*, Z(i,j), or B(i,j)\n"
 
 
-def test_unknown_subcommand_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["untower"])
-    assert exc.value.code == 2
+def test_unknown_subcommand_exits_two(capsys):
+    code, out, err = run(capsys, "untower")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a command (tower, verify, homology, mackey), got 'untower'\n"
 
 
-def test_join_leading_dash_values():
-    assert _join_leading_dash_values(["--rep", "-(rho)", "--p", "3"]) == [
-        "--rep=-(rho)", "--p", "3"]
-    assert _join_leading_dash_values(["--rep", "rho"]) == ["--rep", "rho"]
-    assert _join_leading_dash_values(["--n", "-1"]) == ["--n=-1"]
-    assert _join_leading_dash_values([]) == []
+S7 = ("tower", "--p", "3", "--k", "2", "--n", "7")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "expected a command (tower, verify, homology, mackey), got ''"),
+    (("untower", "--p", "3"), "expected a command (tower, verify, homology, mackey), got 'untower'"),
+    ((*S7, "--form", "json"), "unknown argument '--form' to tower"),
+    (("homology", "--p", "3", "--k", "1", "--rep"), "--rep needs a value"),
+    (S7[:-2], "tower needs --n"),
+    (("mackey", "--show", "Z"), "mackey needs --p and --k"),
+    (("tower", "--p", "three", "--k", "2", "--n", "7"), "--p expects an integer, got 'three'"),
+    ((*S7[:-1], "1" * 5000), f"--n expects an integer, got '{'1' * 40}...'"),
+    ((*S7, "--format", "yaml"), "--format must be one of text, json, latex, got 'yaml'"),
+    (("verify", "--p", "3", "--k", "1", "--n", "3", "--format", "latex"),
+     "--format must be one of text, json, got 'latex'"),
+    ((*S7, "--verify=x"), "--verify takes no value"),
+    ((*S7, "8"), "unknown argument '8' to tower"),
+], ids=["no-command", "unknown-command", "unknown-flag", "no-value", "missing-flag", "missing-flags",
+        "not-an-integer", "5000-digits", "bad-choice", "choice-of-another-command", "switch-value",
+        "stray-positional"])
+def test_usage_error_is_one_line_and_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,name,value", [
+    (("homology", "--rep", "-(rho)"), "rep", "-(rho)"),
+    (("homology", "--rep=-(rho)"), "rep", "-(rho)"),
+    (("homology", "--rep", "-h"), "rep", "-h"),
+    (("homology", "--rep", "rho", "--degree", "-3"), "degree", -3),
+    (("homology", "--rep", "rho", "--coeff=B(1,0)"), "coeff", "B(1,0)"),
+    (("tower", "--n", "-1"), "n", -1),
+    (("verify", "--n", "-1"), "n", "-1"),
+], ids=["rep", "rep-equals", "rep-help", "degree", "coeff-equals", "tower-n", "verify-n"])
+def test_a_value_reaches_the_command_verbatim(capsys, monkeypatch, argv, name, value):
+    # a value is the next argument whatever it begins with, or all after the first "="
+    seen = []
+    command, *flags = argv
+    _, summary, own = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command, (lambda args: seen.append(args) or 0, summary, own))
+    assert run(capsys, command, "--p", "3", "--k", "1", *flags) == (0, "", "")
+    assert getattr(seen[0], name) == value
+
+
+def test_a_repeated_flag_keeps_its_last_value(capsys):
+    code, out, err = run(capsys, "tower", "--p", "5", "--k", "2", "--n", "7", "--format", "json",
+                         "--p", "3", "--format=text")
+    assert (code, out, err) == (0, S7_TEXT, "")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",), ("tower", "--help"), ("homology", "--p", "3", "-h")])
+def test_help_names_every_command_and_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: slicetower COMMAND")
+    blocks = out.split("\n\n")[1:]
+    assert [block.split(":")[0] for block in blocks] == list(cli.COMMANDS)
+    for block, (_, summary, flags) in zip(blocks, cli.COMMANDS.values()):
+        head, *lines = block.splitlines()
+        assert head.endswith(summary)
+        assert [line.split()[0] for line in lines] == list({**cli._FLAGS, **flags})
 
 
 def run_subprocess(*argv, timeout, flags=()):
@@ -511,20 +567,18 @@ MIXED_REQUESTS = [
 
 
 @pytest.mark.parametrize("env_range", [None, "3..4"], ids=["no-env", "env"])
-def test_cached_parser_answers_like_a_fresh_one(capsys, monkeypatch, env_range):
-    # parse_args leaves the one parser unchanged: no value of one request
+def test_requests_answer_alike_in_either_order(capsys, monkeypatch, env_range):
+    # the reader leaves the flag table unchanged: no value of one request
     # leaks into the defaults of the next
     if env_range is None:
         monkeypatch.delenv(RANGE_ENV, raising=False)
     else:
         monkeypatch.setenv(RANGE_ENV, env_range)
-    assert build_parser() is build_parser()
-    cached = [run(capsys, *argv) for argv in MIXED_REQUESTS]
-    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
-    fresh = [run(capsys, *argv) for argv in MIXED_REQUESTS]
-    assert cached == fresh
-    assert cached[2][1] == "H_0(S^(λ_1 - λ_0); Z) at level 2 over C_3^2: Z\n"
-    assert cached[4][0] == cached[9][0] == (2 if env_range is None else 0)
+    forwards = [run(capsys, *argv) for argv in MIXED_REQUESTS]
+    backwards = [run(capsys, *argv) for argv in reversed(MIXED_REQUESTS)][::-1]
+    assert forwards == backwards
+    assert forwards[2][1] == "H_0(S^(λ_1 - λ_0); Z) at level 2 over C_3^2: Z\n"
+    assert forwards[4][0] == forwards[9][0] == (2 if env_range is None else 0)
 
 
 def test_verify_of_a_large_k_is_quick(capsys):

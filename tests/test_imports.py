@@ -1,6 +1,7 @@
 """The runtime uses the standard library only: every absolute import in
-the package names a standard-library module or the package itself.  The
-orbit size p^(k - h) has one home, Group.index.  No indented JSON goes
+the package names a standard-library module or the package itself, and
+the command line does without argparse.  The orbit size p^(k - h) has
+one home, Group.index.  No indented JSON goes
 through json.dumps: every document is spelled as text in document.py,
 the one module that imports json or reads the document's format and
 group fields.  Spheres are realized in one module, homology.  The oracle reads none of the tower's
@@ -10,6 +11,8 @@ python -O keeps and the command line reports."""
 
 import ast
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +36,15 @@ def test_runtime_imports_are_stdlib_only():
         for name in absolute_imports(ast.parse(path.read_text(), str(path))):
             top = name.split(".")[0]
             assert top in sys.stdlib_module_names or top == "slicetower", f"{path.name} imports {name}"
+
+
+def test_the_command_line_does_not_import_argparse():
+    # every slicetower process imports cli; its flags are read from one
+    # table, so argparse's import and parser build are not paid per process
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", "import sys, slicetower.cli; print('argparse' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def subtracts_from_k(node: ast.AST) -> bool:
@@ -178,7 +190,7 @@ def test_the_oracle_reads_no_closed_form():
 def test_caches_are_bounded(package_caches):
     # a cache keyed by its arguments gains an entry per distinct request,
     # so a long-lived process would grow without end; only a function of
-    # no arguments (cli.build_parser) holds one value and may go uncapped
+    # no arguments holds one value and may go uncapped
     assert len(package_caches) >= 9
     unbounded = [f"{cache.__module__}.{cache.__qualname__}" for cache in package_caches
                  if cache.cache_parameters()["maxsize"] is None
