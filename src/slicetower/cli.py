@@ -163,7 +163,7 @@ def _usage() -> int:
     print("usage: slicetower COMMAND --flag VALUE ... (or --flag=VALUE)")
     for command, (_, summary, flags) in COMMANDS.items():
         print(f"\n{command}: {summary}")
-        for flag, (kind, value) in {**_FLAGS, **flags}.items():
+        for flag, (kind, value) in {**COMMON_FLAGS, **flags}.items():
             shape = "" if kind is bool else "|".join(kind) if isinstance(kind, tuple) else kind.__name__
             note = "required" if value is REQUIRED else f"default {value}" if shape and value is not None else ""
             print(f"  {flag:9} {shape:17} {note}".rstrip())
@@ -171,10 +171,10 @@ def _usage() -> int:
 
 
 REQUIRED = object()  # the default of a flag that must be given
-_FLAGS = {"--p": (int, REQUIRED), "--k": (int, REQUIRED), "--format": (("text", "json"), "text")}
+COMMON_FLAGS = {"--p": (int, REQUIRED), "--k": (int, REQUIRED), "--format": (("text", "json"), "text")}
 _HELP = ("-h", "--help")
 
-# command: (handler, summary, flags beyond _FLAGS); flag: (kind, default), a kind
+# command: (handler, summary, flags beyond COMMON_FLAGS); flag: (kind, default), a kind
 # being int, str, a tuple of choices, or bool for a switch that takes no value
 COMMANDS = {
     "tower": (cmd_tower, "the slice tower of S^n; --verify re-checks each slice", {
@@ -195,7 +195,7 @@ def dispatch(argv: list[str]) -> int:
     if command not in COMMANDS:
         raise ValueError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
     handler, _, own = COMMANDS[command]
-    flags = {**_FLAGS, **own}
+    flags = {**COMMON_FLAGS, **own}
     values = {flag: default for flag, (_, default) in flags.items()}
     rest = iter(argv[1:])
     for arg in rest:

@@ -403,7 +403,7 @@ def test_help_names_every_command_and_flag(capsys, argv):
     for block, (_, summary, flags) in zip(blocks, cli.COMMANDS.values()):
         head, *lines = block.splitlines()
         assert head.endswith(summary)
-        assert [line.split()[0] for line in lines] == list({**cli._FLAGS, **flags})
+        assert [line.split()[0] for line in lines] == list({**cli.COMMON_FLAGS, **flags})
 
 
 def run_subprocess(*argv, timeout, flags=()):
