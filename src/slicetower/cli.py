@@ -137,7 +137,7 @@ def _level_index(text: str, group: Group) -> int:
 def cmd_homology(args: SimpleNamespace) -> int:
     group = _group_from(args)
     v = parse_rep(args.rep, group)
-    coeff = parse_coefficient(args.coeff, group)
+    _, coeff = parse_coefficient(args.coeff, group)
     level = _level_index(args.level, group)
     # level m is the top level of the sphere restricted to C_{p^m}
     d = args.degree
@@ -151,11 +151,11 @@ def cmd_homology(args: SimpleNamespace) -> int:
 
 def cmd_mackey(args: SimpleNamespace) -> int:
     group = _group_from(args)
-    M = parse_coefficient(args.show, group)
+    label, M = parse_coefficient(args.show, group)
     if args.format == "json":
-        print(mackey_document(M))
+        print(mackey_document(M, label))
     else:
-        print(render_mackey(M), end="")
+        print(render_mackey(M, label), end="")
     return 0
 
 

@@ -109,13 +109,14 @@ def tower_document(tower: Tower, reports: list[VerificationReport] | None = None
              f'    "version": "{VERSION}"\n  }},\n  "group": {group_text(tower.group)},\n'
              f'  "n": {tower.n},\n  "stage_count": {len(tower.stages)},\n  "stages": [']
     sep = "\n    "
+    bottom = "zero" if tower.n == 0 else "integral-small" if tower.n <= 2 else "integral"
     for i, stage in enumerate(tower.stages):
         desc = stage.descriptor
-        a, b = ("null", "null") if stage.a is None else (stage.a, stage.b)
+        a, b, kind = ("null", "null", bottom) if stage.a is None else (stage.a, stage.b, "torsion")
         section = rep_payload(stage.section, "\n      ")
         verification = "null" if reports is None else verification_text(reports[i])
         parts.append(f'{sep}{{\n      "index": {i},\n      "slice": {{\n        "dim": {desc.dim},\n        "kind": '
-                     f'"{desc.kind.value}",\n        "a": {a},\n        "b": {b},\n        {slice_text(desc)},\n'
+                     f'"{kind}",\n        "a": {a},\n        "b": {b},\n        {slice_text(desc)},\n'
                      f'      "section": {section},\n      "verification": {verification}\n    }}')
         sep = ",\n    "
     parts.append("\n  ]\n}")  # a tower has at least one stage
@@ -151,13 +152,13 @@ def _matrix(x: int, rows: int, cols: int) -> str:
     return _array([_array([str(x)] * cols, "\n      ")] * rows, "\n    ")
 
 
-def mackey_document(M: MackeyFunctor) -> str:
-    """The mackey command's JSON document, each map as the matrix its
-    levels shape: 1x1, or empty."""
+def mackey_document(M: MackeyFunctor, label: str) -> str:
+    """The mackey command's JSON document, named by the label, each map
+    as the matrix its levels shape: 1x1, or empty."""
     nl = "\n  "
     size = [len(level) for level in M.levels]
     levels = _array([_array([str(x) for x in level], "\n    ") for level in M.levels], nl)
     res = _array([_matrix(x, size[m], size[m + 1]) for m, x in enumerate(M.res)], nl)
     tr = _array([_matrix(x, size[m + 1], size[m]) for m, x in enumerate(M.tr)], nl)
     return (f'{{\n  "format": "{FORMAT}",\n  "kind": "mackey",\n  "group": {group_text(M.group, False)},\n'
-            f'  "name": {_quote(M.name)},\n  "levels": {levels},\n  "res": {res},\n  "tr": {tr}\n}}')
+            f'  "name": {_quote(label)},\n  "levels": {levels},\n  "res": {res},\n  "tr": {tr}\n}}')

@@ -32,7 +32,7 @@ def p_adic_val(i: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Group:
     """The cyclic group C_{p^k} for an odd prime p.
 

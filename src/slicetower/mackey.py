@@ -4,8 +4,8 @@ A functor is stored by its value at each subgroup level together with
 restriction and transfer.  Every coefficient the verifier uses (Z, Z*,
 Z(i,j), B(i,j)) has trivial Weyl action, so none is recorded.  Level m
 is the value at the orbit G/C_{p^m}, so level 0 is the underlying
-abelian group and level k the fixed points.  Every named functor (Z,
-Z*, Z(i,j), B(i,j)) is cyclic at each level, so a level is () for
+abelian group and level k the fixed points.  Each of these families
+(Z, Z*, Z(i,j), B(i,j)) is cyclic at each level, so a level is () for
 zero or (order,) for one generator of that order (0 meaning infinite
 cyclic), and restriction and transfer are integers, 0 next to a zero
 level.  They all come from one builder, _cyclic_functor, which takes
@@ -13,16 +13,16 @@ the order at each level and the restriction and transfer scalars.  The
 CLI still prints each map as a 1x1 matrix, or as an empty one next to
 a zero level.
 
-Functors compare and hash by value, not by name: two are equal when
-they have the same group, generator orders and restriction and
+Functors carry no name and compare and hash by value: two are equal
+when they have the same group, generator orders and restriction and
 transfer scalars.  So B(1,0) over C_27 restricted to C_9 equals B(1,0)
-over C_9, while Z and Z* differ.
+over C_9, and Z equals Z(0,0), while Z and Z* differ.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .abelian import AbGroup
 from .group import Group
@@ -34,7 +34,6 @@ class MackeyFunctor:
     levels: tuple[tuple[int, ...], ...]  # () or (order,); levels[m] for G/C_{p^m}
     res: tuple[int, ...]                 # res[m]: level m+1 -> level m
     tr: tuple[int, ...]                  # tr[m]: level m -> level m+1
-    name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         k = self.group.k
@@ -61,12 +60,9 @@ class MackeyFunctor:
             out *= self.res[m]
         return out
 
-    def __str__(self) -> str:
-        return render_mackey(self)
-
 
 def _cyclic_functor(group: Group, orders: list[int], res_scalars: list[int],
-                    tr_scalars: list[int], name: str) -> MackeyFunctor:
+                    tr_scalars: list[int]) -> MackeyFunctor:
     """One generator of orders[m] at each level m, none where the order
     is 1; restriction and transfer are the given scalars between levels
     that both have a generator, 0 elsewhere."""
@@ -75,7 +71,7 @@ def _cyclic_functor(group: Group, orders: list[int], res_scalars: list[int],
     def maps(scalars: list[int]) -> tuple[int, ...]:
         return tuple(x if levels[m] and levels[m + 1] else 0 for m, x in enumerate(scalars))
 
-    return MackeyFunctor(group, levels, maps(res_scalars), maps(tr_scalars), name)
+    return MackeyFunctor(group, levels, maps(res_scalars), maps(tr_scalars))
 
 
 def Z_ij(i: int, j: int, group: Group) -> MackeyFunctor:
@@ -87,16 +83,16 @@ def Z_ij(i: int, j: int, group: Group) -> MackeyFunctor:
     p = group.p
     res_scalars = [1 if m < j else p if m < i else 1 for m in range(group.k)]
     tr_scalars = [p if m < j else 1 if m < i else p for m in range(group.k)]
-    return _cyclic_functor(group, [0] * (group.k + 1), res_scalars, tr_scalars, f"Z({i},{j})")
+    return _cyclic_functor(group, [0] * (group.k + 1), res_scalars, tr_scalars)
 
 
 def constant_Z(group: Group) -> MackeyFunctor:
     """Z at every level, restriction the identity, transfer by p."""
-    return replace(Z_ij(0, 0, group), name="Z")
+    return Z_ij(0, 0, group)
 
 
 def dual_Z(group: Group) -> MackeyFunctor:
-    return replace(Z_ij(group.k, 0, group), name="Z*")
+    return Z_ij(group.k, 0, group)
 
 
 def B_ij(i: int, j: int, group: Group) -> MackeyFunctor:
@@ -107,21 +103,23 @@ def B_ij(i: int, j: int, group: Group) -> MackeyFunctor:
         raise ValueError(f"need i >= 1, j >= 0, i + j <= k, got i={i}, j={j}, k={group.k}")
     p, k = group.p, group.k
     orders = [1 if m <= j else p ** min(m - j, i) for m in range(k + 1)]
-    return _cyclic_functor(group, orders, [1] * k, [p] * k, f"B({i},{j})")
+    return _cyclic_functor(group, orders, [1] * k, [p] * k)
 
 
-def parse_coefficient(text: str, group: Group) -> MackeyFunctor:
-    """Names accepted on the command line: Z, Z*, Z(i,j), B(i,j)."""
+def parse_coefficient(text: str, group: Group) -> tuple[str, MackeyFunctor]:
+    """Names accepted on the command line: Z, Z*, Z(i,j), B(i,j), each
+    with the label spelled from what was read: B( 1 , 0 ) is B(1,0)."""
     s = text.replace(" ", "")
     if s == "Z":
-        return constant_Z(group)
+        return "Z", constant_Z(group)
     if s == "Z*":
-        return dual_Z(group)
+        return "Z*", dual_Z(group)
     for head, ctor in (("Z", Z_ij), ("B", B_ij)):
         if s.startswith(head + "(") and s.endswith(")"):
             body = s[len(head) + 1:-1].split(",")
-            if len(body) == 2 and all(x.removeprefix("-").isdigit() for x in body):
-                return ctor(int(body[0]), int(body[1]), group)
+            if len(body) == 2 and all(x.removeprefix("-").isdecimal() for x in body):
+                i, j = int(body[0]), int(body[1])
+                return f"{head}({i},{j})", ctor(i, j, group)
     raise ValueError(f"cannot parse coefficient {text!r}; expected Z, Z*, Z(i,j), or B(i,j)")
 
 
@@ -129,7 +127,7 @@ def parse_coefficient(text: str, group: Group) -> MackeyFunctor:
 
 @functools.lru_cache(maxsize=1 << 12)
 def restrict_mackey(M: MackeyFunctor, h: int) -> MackeyFunctor:
-    """Restrict to C_{p^h}: keep the bottom h+1 levels (a cache hit keeps an equal functor's name)."""
+    """Restrict to C_{p^h}: keep the bottom h+1 levels."""
     if not 0 <= h <= M.group.k:
         raise ValueError(f"no subgroup at level {h}")
     return MackeyFunctor(
@@ -137,7 +135,6 @@ def restrict_mackey(M: MackeyFunctor, h: int) -> MackeyFunctor:
         levels=M.levels[: h + 1],
         res=M.res[:h],
         tr=M.tr[:h],
-        name=f"res({M.name}, {h})" if M.name else "",
     )
 
 
@@ -149,10 +146,9 @@ def _fmt_map(x: int, src: tuple[int, ...], dst: tuple[int, ...]) -> str:
     return f"[{x}]" if src and dst else f"({len(dst)}x{len(src)})"
 
 
-def render_mackey(M: MackeyFunctor) -> str:
-    """Text Lewis diagram, fixed points at the top."""
-    head = f"{M.name or 'Mackey functor'} over {M.group}"
-    lines = [head]
+def render_mackey(M: MackeyFunctor, label: str) -> str:
+    """Text Lewis diagram, fixed points at the top, under the label."""
+    lines = [f"{label} over {M.group}"]
     for m in range(M.group.k, -1, -1):
         lines.append(f"  level {m}: {M.level_group(m)}")
         if m > 0:

@@ -14,7 +14,8 @@ Bredon homology of the relevant virtual spheres from their cell
 structures.  Nothing in that path reuses the closed forms above, which
 is the point.
 
-A descriptor is the spectrum alone; where it sits in a tower is its
+A descriptor is the spectrum alone, its sphere and its coefficient;
+where it sits in a tower, and so the kind a document gives it, is its
 Stage's business.  The torsion slice at (a, b) of S^n depends only on a
 and m = m_b: as lambda(ell + p^k) = lambda(ell) + 2 rho and n - 2 - m is
 even, (n - 2) rho - 1 - lambda(((n - 2) p^k - m p^a) / 2) is slice_rep's
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 
 from .abelian import AbGroup
 from .cells import max_cell_dim
@@ -48,24 +48,12 @@ from .mackey import B_ij, constant_Z, restrict_mackey
 from .params import slice_params
 from .rep import Rep, is_subrep, n_slice_rep, regular_rep, restrict_rep, slice_rep, trivial_rep
 
-class Kind(str, Enum):
-    """What a slice is: TORSION for the B-coefficient slices, INTEGRAL
-    for the bottom slice with constant coefficients, INTEGRAL_SMALL for
-    the degenerate n = 1, 2 towers, and ZERO for n = 0.  The values are
-    the document's "kind" strings."""
-
-    TORSION = "torsion"
-    INTEGRAL = "integral"
-    INTEGRAL_SMALL = "integral-small"
-    ZERO = "zero"
-
 
 @dataclass(frozen=True, slots=True)
 class SliceDescriptor:
     """One slice: S^rep smash an Eilenberg-MacLane spectrum, with
-    coefficient B(coeff_i, coeff_j) for the torsion slices."""
+    coefficient B(coeff_i, coeff_j) for the torsion slices, else Z."""
 
-    kind: Kind
     rep: Rep
     coeff_i: int | None = None
     coeff_j: int | None = None
@@ -76,7 +64,7 @@ class SliceDescriptor:
 
     @property
     def is_torsion(self) -> bool:
-        return self.kind == Kind.TORSION
+        return self.coeff_i is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +105,7 @@ def _exchange(stage: Stage) -> Rep:
 def torsion_slice(group: Group, a: int, m: int) -> SliceDescriptor:
     """The torsion slice of dimension m p^a - 1 in column a of every
     tower with the base dimension m.  Capped like verify_slice's cache."""
-    return SliceDescriptor(Kind.TORSION, slice_rep(group, a, m),  # checks a and m
+    return SliceDescriptor(slice_rep(group, a, m),  # checks a and m
                            coeff_i=min(p_adic_val(m, group.p), group.k - a) + 1, coeff_j=a - 1)
 
 
@@ -135,8 +123,7 @@ def build_tower(n: int, group: Group) -> Tower:
         raise ValueError("n must be nonnegative")
     if n <= 2:
         rep = trivial_rep(group, n)
-        desc = SliceDescriptor(Kind.ZERO if n == 0 else Kind.INTEGRAL_SMALL, rep)
-        return Tower(group, n, (Stage(desc, rep),))
+        return Tower(group, n, (Stage(SliceDescriptor(rep), rep),))
 
     base_dims = slice_params(n, group)
     p = group.p
@@ -149,7 +136,7 @@ def build_tower(n: int, group: Group) -> Tower:
             desc = torsion_slice(group, a, base_dims[b - 1])
             stages.append(Stage(desc, section, a, b))
             section = _exchange(stages[-1])
-    bottom = SliceDescriptor(Kind.INTEGRAL, n_slice_rep(n, group))
+    bottom = SliceDescriptor(n_slice_rep(n, group))
     stages.append(Stage(bottom, section))
 
     dims = [s.descriptor.dim for s in stages]
@@ -178,9 +165,12 @@ class Failure:
 
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
-    passed: bool
     checks: int
     failures: tuple[Failure, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -236,7 +226,7 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
             if t - first[0] > 2 * D + 8:
                 raise InvariantError("vanishing loop failed to stabilize")
 
-    return VerificationReport(not failures, checks, tuple(failures))
+    return VerificationReport(checks, tuple(failures))
 
 
 def verify_tower(tower: Tower) -> list[VerificationReport]:

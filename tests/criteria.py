@@ -84,7 +84,7 @@ def b_as_cokernel(i: int, j: int, group: Group) -> MackeyFunctor:
         # the same scalar must intertwine the transfers
         if phi[m + 1] * src.tr[m] != dst.tr[m] * phi[m]:
             raise AssertionError(f"the map does not commute with transfer {m} -> {m + 1}")
-    return _cyclic_functor(group, phi, list(dst.res), list(dst.tr), f"coker(Z({i + j},{j}) -> Z)")
+    return _cyclic_functor(group, phi, list(dst.res), list(dst.tr))
 
 
 def congruent(level: tuple[int, ...], x: int, y: int) -> bool:
@@ -101,6 +101,6 @@ def validate_mackey(M: MackeyFunctor) -> None:
     for m in range(M.group.k):
         lo, hi = M.levels[m], M.levels[m + 1]
         if not congruent(lo, M.res[m] * M.tr[m], p):
-            raise AssertionError(f"{M.name}: res.tr at level {m} is not the norm")
+            raise AssertionError(f"{M}: res.tr at level {m} is not the norm")
         if not congruent(hi, M.tr[m] * M.res[m], p):
-            raise AssertionError(f"{M.name}: tr.res at level {m + 1} is not the norm")
+            raise AssertionError(f"{M}: tr.res at level {m + 1} is not the norm")

@@ -13,7 +13,7 @@ junction bookkeeping of the columns, for the tests of test_params.
 
 from slicetower.group import Group, p_adic_val
 from slicetower.rep import Rep
-from slicetower.tower import Kind, SliceDescriptor, Stage, Tower
+from slicetower.tower import SliceDescriptor, Stage, Tower
 
 
 def parity_offset(n: int, p: int) -> int:
@@ -84,8 +84,7 @@ def lambda_block(count: int, group: Group) -> Rep:
 def reference_build_tower(n: int, group: Group) -> Tower:
     if n <= 2:
         rep = trivial_rep(group, n)
-        desc = SliceDescriptor(Kind.ZERO if n == 0 else Kind.INTEGRAL_SMALL, rep)
-        return Tower(group, n, (Stage(desc, rep),))
+        return Tower(group, n, (Stage(SliceDescriptor(rep), rep),))
 
     p, k = group.p, group.k
     dims = base_dims(n, p)
@@ -99,9 +98,9 @@ def reference_build_tower(n: int, group: Group) -> Tower:
             rep = (regular_rep(group, n - 2) - trivial_rep(group)
                    - lambda_block(ell(n, group, a, b), group))
             i, j = min(p_adic_val(m, p), k - a) + 1, a - 1
-            stages.append(Stage(SliceDescriptor(Kind.TORSION, rep, coeff_i=i, coeff_j=j),
+            stages.append(Stage(SliceDescriptor(rep, coeff_i=i, coeff_j=j),
                                 section, a, b))
             section = section - rotation_plane(group, i + j) + rotation_plane(group, j)
     # the bottom integral slice is the last section itself
-    stages.append(Stage(SliceDescriptor(Kind.INTEGRAL, section), section))
+    stages.append(Stage(SliceDescriptor(section), section))
     return Tower(group, n, tuple(stages))

@@ -152,7 +152,7 @@ def test_verify_bad_range(capsys):
 
 def test_exit_one_on_failed_verification(capsys, monkeypatch):
     def doomed(tower):
-        return [VerificationReport(False, 1, (Failure(0, "vanishing", 0, 1, AbGroup((3,))),))
+        return [VerificationReport(1, (Failure(0, "vanishing", 0, 1, AbGroup((3,))),))
                 for _ in tower.slices]
 
     monkeypatch.setattr("slicetower.cli.verify_tower", doomed)
@@ -192,7 +192,7 @@ S7_FAILURES = {0: (Failure(1, "vanishing", 1, 3, AbGroup((3,))),),
 
 
 def s7_doomed(tower):
-    return [VerificationReport(i not in S7_FAILURES, 4, S7_FAILURES.get(i, ()))
+    return [VerificationReport(4, S7_FAILURES.get(i, ()))
             for i in range(len(tower.stages))]
 
 
@@ -256,7 +256,7 @@ def test_homology_matches_every_level_of_bredon_homology(capsys, p, k, reps):
     levels = {"top": k, "e": 0, **{str(m): m for m in range(k + 1)}}
     for rep in reps:
         for coeff in ("Z", "Z*", "B(1,0)"):
-            M = parse_coefficient(coeff, group)
+            _, M = parse_coefficient(coeff, group)
             for d in range(-2, 3):
                 bh = bredon_homology(parse_rep(rep, group), M, d)
                 for text, m in levels.items():
@@ -293,6 +293,29 @@ def test_mackey_json(capsys):
     assert doc["levels"] == [[], [3], [9]]
     assert doc["res"] == [[], [[1]]]
     assert doc["tr"] == [[[]], [[3]]]
+
+
+@pytest.mark.parametrize("shows,label,twin", [
+    (["Z"], "Z", "Z(0,0)"),
+    (["Z(0,0)"], "Z(0,0)", "Z"),
+    (["Z*"], "Z*", "Z(2,0)"),
+    (["Z(2,0)"], "Z(2,0)", "Z*"),
+    (["B( 1 , 0 )", "B(01,0)", "B(1,-0)"], "B(1,0)", "B(1,0)"),
+], ids=["Z", "Z(0,0)", "Z*", "Z(2,0)", "B(1,0)"])
+def test_equal_functors_keep_their_own_labels(capsys, shows, label, twin):
+    # over C_9, Z equals Z(0,0) and Z* equals Z(2,0): each prints the name
+    # it was asked by, spelled canonically, over the levels and maps its
+    # equal twin prints, in text and in JSON
+    def mackey(show, *fmt):
+        code, out, _ = run(capsys, "mackey", "--p", "3", "--k", "2", "--show", show, *fmt)
+        assert code == 0, show
+        return out
+
+    twin_body = mackey(twin).split("\n", 1)[1]
+    twin_doc = json.loads(mackey(twin, "--format", "json"))
+    for show in shows:
+        assert mackey(show).split("\n", 1) == [f"{label} over C_3^2", twin_body], show
+        assert json.loads(mackey(show, "--format", "json")) == {**twin_doc, "name": label}, show
 
 
 @pytest.mark.parametrize("argv", [
@@ -343,6 +366,7 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 S7 = ("tower", "--p", "3", "--k", "2", "--n", "7")
+SUPERSCRIPT = "cannot parse coefficient 'B(²,0)'; expected Z, Z*, Z(i,j), or B(i,j)"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -359,9 +383,12 @@ S7 = ("tower", "--p", "3", "--k", "2", "--n", "7")
      "--format must be one of text, json, got 'latex'"),
     ((*S7, "--verify=x"), "--verify takes no value"),
     ((*S7, "8"), "unknown argument '8' to tower"),
+    # '²'.isdigit() is true, but int('²') raises
+    (("mackey", "--p", "3", "--k", "2", "--show", "B(²,0)"), SUPERSCRIPT),
+    (("homology", "--p", "3", "--k", "2", "--rep", "rho", "--coeff", "B(²,0)"), SUPERSCRIPT),
 ], ids=["no-command", "unknown-command", "unknown-flag", "no-value", "missing-flag", "missing-flags",
         "not-an-integer", "5000-digits", "bad-choice", "choice-of-another-command", "switch-value",
-        "stray-positional"])
+        "stray-positional", "superscript-show", "superscript-coeff"])
 def test_usage_error_is_one_line_and_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

@@ -130,14 +130,12 @@ def test_verification_payload():
 
 
 BAD = VerificationReport(
-    passed=False,
     checks=3,
     failures=(Failure(level=1, check="vanishing", epsilon=1, t=2,
                       group=AbGroup((3,))),),
 )
 # a containment failure has no epsilon, t or group: each is spelled null
 UNCONTAINED = VerificationReport(
-    passed=False,
     checks=4,
     failures=(Failure(level=0, check="containment"), *BAD.failures),
 )
@@ -152,6 +150,23 @@ def test_failure_payload():
         assert v["passed"] is False
         assert v["checks"] == report.checks
         assert v["failures"] == failures
+
+
+# the stage kinds of S^0..S^4: S^3 over C_3 has no torsion stage, as 3 | n
+# drops the one it would have
+KINDS = {C3: [["zero"], ["integral-small"], ["integral-small"], ["integral"], ["torsion", "integral"]],
+         C9: [["zero"], ["integral-small"], ["integral-small"], ["torsion", "integral"],
+              ["torsion", "torsion", "integral"]]}
+
+
+@pytest.mark.parametrize("group", [C3, C9], ids=str)
+def test_document_kinds(group):
+    # the document spells each stage's kind: torsion where the stage has
+    # a column a, else zero, integral-small or integral by the tower's n
+    for n, kinds in enumerate(KINDS[group]):
+        stages = json.loads(tower_document(build_tower(n, group)))["stages"]
+        assert [s["slice"]["kind"] for s in stages] == kinds, n
+        assert [s["slice"]["a"] is not None for s in stages] == [k == "torsion" for k in kinds], n
 
 
 @pytest.mark.parametrize("n,group", [

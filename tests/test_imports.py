@@ -6,15 +6,21 @@ through json.dumps: every document is spelled as text in document.py,
 the one module that imports json or reads the document's format and
 group fields.  Spheres are realized in one module, homology.  The oracle reads none of the tower's
 closed forms.  The runtime ships no code that only tests read.  Every
-cache is bounded.  And every invariant raises InvariantError, which
+cache is bounded, and every field of a dataclass it may be keyed by
+takes part in equality.  And every invariant raises InvariantError, which
 python -O keeps and the command line reports."""
 
 import ast
+import dataclasses
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import slicetower
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "slicetower"
 
@@ -196,6 +202,21 @@ def test_caches_are_bounded(package_caches):
                  if cache.cache_parameters()["maxsize"] is None
                  and inspect.signature(cache.__wrapped__).parameters]
     assert not unbounded, f"give these caches a maxsize: {unbounded}"
+
+
+def test_every_dataclass_field_takes_part_in_equality():
+    # the caches are keyed by these values: a field that equality
+    # ignores would let a hit carry what an equal key built otherwise
+    # held, so a hit could be told apart from a fresh build
+    classes = [value for info in pkgutil.iter_modules(slicetower.__path__)
+               for module in [importlib.import_module(f"slicetower.{info.name}")]
+               for value in vars(module).values()
+               if isinstance(value, type) and dataclasses.is_dataclass(value)
+               and value.__module__ == module.__name__]
+    assert len(classes) >= 14
+    ignored = [f"{cls.__module__}.{cls.__qualname__}.{field.name}"
+               for cls in classes for field in dataclasses.fields(cls) if not field.compare]
+    assert not ignored, f"these fields are left out of equality: {ignored}"
 
 
 def test_invariants_raise_invariant_error():

@@ -110,16 +110,31 @@ def test_restriction_cache_is_bounded():
     assert info.misses > info.maxsize >= info.currsize
 
 
+def test_a_restriction_cache_hit_is_a_fresh_functor():
+    # each entry is filled by one functor and hit by an equal one built
+    # otherwise; the hit holds, field by field, what a functor built
+    # afresh over the subgroup holds
+    C27 = Group(3, 3)
+    fields = [f.name for f in dataclasses.fields(MackeyFunctor)]
+    cases = [(Z_ij(1, 1, C9), constant_Z(C9), 1, MackeyFunctor(Group(3, 1), ((0,), (0,)), (1,), (3,))),
+             (B_ij(1, 0, C27), b_as_cokernel(1, 0, C27), 2, MackeyFunctor(C9, ((), (3,), (3,)), (0, 1), (0, 3)))]
+    for fill, ask, h, fresh in cases:
+        restrict_mackey(fill, h)
+        hits = restrict_mackey.cache_info().hits
+        hit = restrict_mackey(ask, h)
+        assert restrict_mackey.cache_info().hits == hits + 1
+        assert [getattr(hit, f) for f in fields] == [getattr(fresh, f) for f in fields]
+
+
 def test_functors_compare_by_value():
-    # equal presentations, built apart, renamed or restricted from a
-    # larger group, are equal and hash alike
+    # equal presentations, built apart or restricted from a larger group,
+    # are equal and hash alike
     b = B_ij(1, 0, C9)
-    same = [B_ij(1, 0, C9), dataclasses.replace(b, name="renamed"),
-            restrict_mackey(B_ij(1, 0, Group(3, 3)), 2)]
+    same = [B_ij(1, 0, C9), restrict_mackey(B_ij(1, 0, Group(3, 3)), 2)]
     for other in same:
         assert other == b and hash(other) == hash(b)
     assert len({b, *same}) == 1
-    # the name is a label only: Z and Z* share their levels, not their maps
+    # Z and Z* share their levels, not their maps
     assert constant_Z(C9) != dual_Z(C9)
     assert dual_Z(C9) == Z_ij(2, 0, C9)
     # the group counts too, also where the levels and maps agree
@@ -155,15 +170,20 @@ def test_more_than_one_generator_at_a_level_is_rejected():
         MackeyFunctor(group=Group(3, 1), levels=((0,), (0, 0)), res=(1,), tr=(3,))
 
 
-def all_families(g: Group) -> list[MackeyFunctor]:
+def all_families(g: Group) -> dict[str, MackeyFunctor]:
+    """Every family over g, by a label of how it was built."""
     k = g.k
-    return [constant_Z(g), dual_Z(g),
-            *(Z_ij(i, j, g) for i in range(k + 1) for j in range(i + 1)),
-            *(B_ij(i, j, g) for i in range(1, k + 1) for j in range(k - i + 1)),
-            *(b_as_cokernel(i, j, g) for i in range(1, k + 1) for j in range(k - i + 1))]
+    return {"Z": constant_Z(g), "Z*": dual_Z(g),
+            **{f"Z({i},{j})": Z_ij(i, j, g) for i in range(k + 1) for j in range(i + 1)},
+            **{f"B({i},{j})": B_ij(i, j, g) for i in range(1, k + 1) for j in range(k - i + 1)},
+            **{f"coker(Z({i + j},{j}) -> Z)": b_as_cokernel(i, j, g)
+               for i in range(1, k + 1) for j in range(k - i + 1)}}
 
 
-@pytest.mark.parametrize("M", all_families(Group(3, 3)), ids=lambda M: M.name)
+FAMILIES = all_families(Group(3, 3))
+
+
+@pytest.mark.parametrize("M", list(FAMILIES.values()), ids=list(FAMILIES))
 def test_composite(M):
     k = M.group.k
     for m in range(k + 1):
@@ -194,10 +214,17 @@ def test_congruent():
 
 
 def test_parse_coefficient():
-    assert parse_coefficient("Z", C9) == constant_Z(C9)
-    assert parse_coefficient("Z*", C9) == dual_Z(C9)
-    assert parse_coefficient("Z(2,1)", C9) == Z_ij(2, 1, C9)
-    assert parse_coefficient("B( 1 , 1 )", C9) == B_ij(1, 1, C9)
+    assert parse_coefficient("Z", C9) == ("Z", constant_Z(C9))
+    assert parse_coefficient("Z*", C9) == ("Z*", dual_Z(C9))
+    assert parse_coefficient("Z(2,1)", C9) == ("Z(2,1)", Z_ij(2, 1, C9))
+    assert parse_coefficient("B( 1 , 1 )", C9) == ("B(1,1)", B_ij(1, 1, C9))
+    # equal functors keep the labels they were asked by
+    assert parse_coefficient("Z(0,0)", C9) == ("Z(0,0)", constant_Z(C9))
+    assert parse_coefficient("Z(2,0)", C9) == ("Z(2,0)", dual_Z(C9))
+    # the label is spelled from the integers read, and int() reads the
+    # decimal digits of any script
+    for text in ("B(01,0)", "B(1,-0)", "B(１,0)"):
+        assert parse_coefficient(text, C9) == ("B(1,0)", B_ij(1, 0, C9))
     with pytest.raises(ValueError):
         parse_coefficient("Q", C9)
     with pytest.raises(ValueError):
@@ -209,7 +236,7 @@ def test_parse_coefficient():
 
 
 def test_render_golden():
-    assert render_mackey(B_ij(2, 0, C9)) == (
+    assert render_mackey(B_ij(2, 0, C9), "B(2,0)") == (
         "B(2,0) over C_3^2\n"
         "  level 2: Z/9\n"
         "    res 2->1: [1]   tr 1->2: [3]\n"
@@ -217,7 +244,7 @@ def test_render_golden():
         "    res 1->0: (0x1)   tr 0->1: (1x0)\n"
         "  level 0: 0\n"
     )
-    assert render_mackey(constant_Z(Group(3, 1))) == (
+    assert render_mackey(constant_Z(Group(3, 1)), "Z") == (
         "Z over C_3\n"
         "  level 1: Z\n"
         "    res 1->0: [1]   tr 0->1: [3]\n"

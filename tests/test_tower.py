@@ -16,7 +16,6 @@ from slicetower.params import slice_params
 from slicetower.rep import Rep, regular_rep, rotation_plane, trivial_rep
 from slicetower.tower import (
     Failure,
-    Kind,
     SliceDescriptor,
     VerificationReport,
     _exchange,
@@ -33,7 +32,7 @@ C9 = Group(3, 2)
 def test_s7_tower_frozen():
     tower = build_tower(7, C9)
     assert [s.dim for s in tower.slices] == [44, 26, 14, 8, 7]
-    assert [s.kind for s in tower.slices] == [Kind.TORSION] * 4 + [Kind.INTEGRAL]
+    assert [s.is_torsion for s in tower.slices] == [True] * 4 + [False]
     assert [(s.coeff_i, s.coeff_j) for s in tower.slices[:-1]] == [
         (1, 1), (1, 1), (1, 0), (2, 0)]
     assert [(s.a, s.b) for s in tower.stages[:-1]] == [(2, 2), (2, 1), (1, 2), (1, 1)]
@@ -62,7 +61,7 @@ def test_multiple_of_p_drops_last_torsion_slice():
     assert all((s.a, s.b) != (1, 1) for s in tower.stages[:-1])
     # d = 3 (base dims 3, 5, 7) and the dropped slot leaves k*d stages
     assert len(tower.stages) == 6
-    assert tower.slices[-1].kind == Kind.INTEGRAL
+    assert not tower.slices[-1].is_torsion
     assert tower.slices[-1].dim == 9
 
 
@@ -91,7 +90,7 @@ def test_small_n_single_stage(n):
         tower = build_tower(n, g)
         assert len(tower.stages) == 1
         desc = tower.slices[0]
-        assert desc.kind == (Kind.ZERO if n == 0 else Kind.INTEGRAL_SMALL)
+        assert not desc.is_torsion
         assert desc.dim == n
         assert desc.rep == trivial_rep(g, n)
         report = verify_slice(desc)
@@ -177,7 +176,7 @@ def failure_list(report):
 def test_verify_slice_flags_non_slice():
     # a plane with the wrong kernel level passes the cheap structural
     # checks but leaves nonvanishing homology where a slice has none
-    fake = SliceDescriptor(kind=Kind.TORSION, rep=rotation_plane(C9, 1), coeff_i=1, coeff_j=0)
+    fake = SliceDescriptor(rep=rotation_plane(C9, 1), coeff_i=1, coeff_j=0)
     report = verify_slice(fake)
     assert not report.passed
     assert all(f.check == "vanishing" for f in report.failures)
@@ -196,7 +195,7 @@ def test_verify_slice_reports_both_degrees_in_t_order():
     assert failure_list(report) == [(2, 0, 1, "Z/3"), (2, 1, 2, "Z/3")]
     # 2λ_1 is no slice of dimension 4: at t = 1 both degrees fail on one
     # complex, degree 0 first
-    fake = SliceDescriptor(kind=Kind.TORSION, rep=Rep(C9, 0, (0, 2)), coeff_i=1, coeff_j=0)
+    fake = SliceDescriptor(rep=Rep(C9, 0, (0, 2)), coeff_i=1, coeff_j=0)
     report = verify_slice(fake)
     assert report.checks == 14
     assert report.failures[0].check == "containment"
@@ -280,7 +279,7 @@ def test_slice_cache_is_bounded(monkeypatch):
     monkeypatch.setattr("slicetower.tower.sphere_homology", lambda w, M, lo, hi: (AbGroup(()),) * 2)
     primes = [p for p in range(3, 50000, 2) if is_odd_prime(p)][:4200]
     for p in primes:
-        verify_slice(SliceDescriptor(Kind.ZERO, trivial_rep(Group(p, 1), 0)))
+        verify_slice(SliceDescriptor(trivial_rep(Group(p, 1), 0)))
     for cache in (sphere_homology, verify_slice):
         info = cache.cache_info()
         assert info.misses > info.maxsize >= info.currsize
@@ -292,7 +291,7 @@ def test_torsion_slice_and_form_caches_are_bounded():
     # of these caches holds
     for m in range(1, 4201):
         slice_text(torsion_slice(C3, 1, m))
-        verification_text(VerificationReport(True, m, ()))
+        verification_text(VerificationReport(m, ()))
     for cache in (torsion_slice, sphere_forms, slice_text, verification_text):
         info = cache.cache_info()
         assert info.misses > info.maxsize >= info.currsize
@@ -314,8 +313,7 @@ def test_a_torsion_slice_depends_on_its_dimension_only():
                 ell = ((n - 2) * p ** k - m * p ** a) // 2
                 rep = (reference.regular_rep(group, n - 2) - reference.trivial_rep(group)
                        - reference.lambda_block(ell, group))
-                own = SliceDescriptor(Kind.TORSION, rep, coeff_i=min(p_adic_val(m, p), k - a) + 1,
-                                      coeff_j=a - 1)
+                own = SliceDescriptor(rep, coeff_i=min(p_adic_val(m, p), k - a) + 1, coeff_j=a - 1)
                 assert torsion_slice(group, a, m) == own, (group, n, a, b)
                 checked += 1
     assert checked == 17160

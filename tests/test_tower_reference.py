@@ -13,7 +13,7 @@ from slicetower.tower import build_tower
 
 def stage_fields(stage):
     desc = stage.descriptor
-    return (desc.kind, desc.rep, desc.coeff_i, desc.coeff_j, stage.section, stage.a, stage.b)
+    return (desc.rep, desc.coeff_i, desc.coeff_j, stage.section, stage.a, stage.b)
 
 
 @pytest.mark.parametrize("p,k", list(itertools.product((3, 5, 7), range(1, 5))))
