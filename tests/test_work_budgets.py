@@ -11,8 +11,9 @@ slices checked, spheres looked up afresh, windows realized, and
 coefficients restricted to a subgroup.
 
 tower builds, in process and from empty caches, the towers of its
-requests, (p, k, n) each, and counts the torsion slices built and the
-regular representations cached.
+requests, (p, k, n) each, and counts the torsion slices built, the
+regular representations cached and the representations constructed,
+by wrapping Rep.__post_init__.
 
 tower-render replays, through cli.main in JSON and LaTeX and from empty
 caches, the towers of the benchmark workload of that name, and counts
@@ -46,7 +47,7 @@ from slicetower.group import Group
 from slicetower.homology import sphere_homology, window_homology
 from slicetower.mackey import constant_Z, restrict_mackey
 from slicetower.params import stage_count
-from slicetower.rep import parse_rep, regular_rep
+from slicetower.rep import Rep, parse_rep, regular_rep
 from slicetower.tower import build_tower, torsion_slice, verify_slice, verify_tower
 
 BUDGETS = json.loads((Path(__file__).parent / "data" / "work_budgets.json").read_text())
@@ -87,14 +88,24 @@ def test_verify_sweep_stays_within_its_work_budget():
     assert_within_budget(work, spec["budgets"])
 
 
-def test_tower_stays_within_its_work_budget():
+def test_tower_stays_within_its_work_budget(monkeypatch):
     spec = BUDGETS["tower"]
+    constructions = 0
+
+    def counted_post_init(self):
+        nonlocal constructions
+        constructions += 1
+        post_init(self)
+
+    post_init = Rep.__post_init__
+    monkeypatch.setattr(Rep, "__post_init__", counted_post_init)
     for p, k, n in spec["requests"]:
         group = Group(p, k)
         assert len(build_tower(n, group).stages) == stage_count(n, group), (p, k, n)
     work = {
         "torsion_slice misses": torsion_slice.cache_info().misses,
         "regular_rep entries": regular_rep.cache_info().currsize,
+        "Rep constructions": constructions,
     }
     assert_within_budget(work, spec["budgets"])
 
