@@ -27,7 +27,6 @@ from .render import render_latex, render_text
 from .rep import parse_rep, render_rep, restrict_rep
 from .tower import build_tower, verify_tower
 
-RANGE_ENV = "SLICETOWER_VERIFY_RANGE"
 MAX_STAGES = 500_000  # per request; the tower of S^1000000 over C_3 has 333,334
 # a request builds, checks or prints each of the k + 1 subgroup levels, so its
 # work and output grow with k; verify --p 3 --k 64 --n 3 takes about a second
@@ -93,11 +92,8 @@ def cmd_tower(args: SimpleNamespace) -> int:
 
 def cmd_verify(args: SimpleNamespace) -> int:
     group = _group_from(args)
-    spec = args.n if args.n is not None else os.environ.get(RANGE_ENV)
-    if spec is None:
-        raise ValueError(f"provide --n N or --n A..B, or set {RANGE_ENV}")
-    lo, hi = _parse_range(spec)
-    _check_stages(group, lo, hi, spec)
+    lo, hi = _parse_range(args.n)
+    _check_stages(group, lo, hi, args.n)
 
     towers = [build_tower(n, group) for n in range(lo, hi + 1)]
     runs = [(tower, verify_tower(tower)) for tower in towers]
@@ -179,7 +175,7 @@ _HELP = ("-h", "--help")
 COMMANDS = {
     "tower": (cmd_tower, "the slice tower of S^n; --verify re-checks each slice", {
         "--n": (int, REQUIRED), "--format": (("text", "json", "latex"), "text"), "--verify": (bool, False)}),
-    "verify": (cmd_verify, f"verify every slice for --n N or A..B, else ${RANGE_ENV}", {"--n": (str, None)}),
+    "verify": (cmd_verify, "verify every slice for --n N or A..B", {"--n": (str, REQUIRED)}),
     "homology": (cmd_homology, "one Bredon homology group; --rep as 3+2L1+L0, --level top, e or 0..k", {
         "--rep": (str, REQUIRED), "--coeff": (str, "Z"), "--degree": (int, 0), "--level": (str, "top")}),
     "mackey": (cmd_mackey, "show a coefficient system: Z, Z*, Z(i,j) or B(i,j)", {"--show": (str, REQUIRED)}),

@@ -112,8 +112,8 @@ def slice_rep(group: Group, a: int, m: int) -> Rep:
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     ell = m * (group.order - group.p ** a) // 2
-    rho, lam = m * regular_rep(group), lambda_block(ell, group)
-    v = Rep(group, rho.trivial - 1 - lam.trivial, tuple(map(operator.sub, rho.planes, lam.planes)))
+    rho, lam = regular_rep(group), lambda_block(ell, group)  # m rho is not built: one Rep, not two
+    v = Rep(group, m * rho.trivial - 1 - lam.trivial, tuple([m * r - l for r, l in zip(rho.planes, lam.planes)]))
     if not (v.is_actual and v.dim == m * group.p ** a - 1):
         raise InvariantError(f"V at (a, m) = ({a}, {m}) is not an actual representation of the slice dimension")
     if v.trivial != m - 1 - 2 * (ell // group.order):

@@ -16,17 +16,19 @@ is the point.
 
 A descriptor is the spectrum alone, its sphere and its coefficient;
 where it sits in a tower, and so the kind a document gives it, is its
-Stage's business.  The torsion slice at (a, b) of S^n depends only on a
-and m = m_b: as lambda(ell + p^k) = lambda(ell) + 2 rho and n - 2 - m is
-even, (n - 2) rho - 1 - lambda(((n - 2) p^k - m p^a) / 2) is slice_rep's
-m rho - 1 - lambda(m (p^k - p^a) / 2), with coefficient
-B(min(v_p(m), k - a) + 1, a - 1).  So the slices are 2 rho-periodic:
-m + 2p^(k-a) adds 2p^(k-a) rho to m rho and (p^(k-a) - 1) p^k to lambda's
-argument, so 2 (p^(k-a) - 1) rho to lambda; torsion_slice(G, a, m +
-2p^(k-a)) is torsion_slice(G, a, m) + 2 rho, with the same B(i, j) as
-v_p(m + 2p^(k-a)) and v_p(m) agree when capped at k - a.  torsion_slice
-builds each slice once per process, so towers share their slices as
-objects, and document.sphere_forms spells the sphere each one prints once.
+Stage's business.  The torsion stage at (a, b) of S^n depends only on a
+and m = m_b.  Crossing it trades the plane at level out = a + min(v_p(m),
+k - a) for one at level in = a - 1, a level-k plane being two trivial
+summands (rotation_plane), and that trade is the coefficient,
+B(out - in, in).  Its sphere is slice_rep's m rho - 1 - lambda(m (p^k -
+p^a) / 2): as lambda(ell + p^k) = lambda(ell) + 2 rho and n - 2 - m is
+even, that is (n - 2) rho - 1 - lambda(((n - 2) p^k - m p^a) / 2).  So
+the slices are 2 rho-periodic: m + 2p^(k-a) adds 2p^(k-a) rho to m rho
+and (p^(k-a) - 1) p^k to lambda's argument, so 2 (p^(k-a) - 1) rho to
+lambda, and the trade stays as v_p(m + 2p^(k-a)) and v_p(m) agree when
+capped at k - a.  torsion_slice builds each stage's slice and move once
+per process, so towers share their slices as objects, and
+document.sphere_forms spells the sphere each one prints once.
 Slices share spheres too, so each slice and each sphere is checked once
 per process: verify_slice is cached by the descriptor, and it reads the
 homology of its spheres through homology.sphere_homology, which keys
@@ -46,7 +48,7 @@ from .group import Group, InvariantError, p_adic_val
 from .homology import sphere_homology
 from .mackey import B_ij, constant_Z, restrict_mackey
 from .params import slice_params
-from .rep import Rep, is_subrep, n_slice_rep, regular_rep, restrict_rep, slice_rep, trivial_rep
+from .rep import Rep, is_subrep, n_slice_rep, regular_rep, restrict_rep, rotation_plane, slice_rep, trivial_rep
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,27 +88,23 @@ class Tower:
         return [s.descriptor for s in self.stages]
 
 
-def _exchange(stage: Stage) -> Rep:
-    """The section below a torsion stage: crossing a slice with
-    coefficient B(i, j) trades the plane at level i + j for one at
-    level j (two trivial summands when i + j is k)."""
-    desc, section = stage.descriptor, stage.section
-    # one slot per level 0..k; a level-k plane is two trivial summands (see rotation_plane)
-    planes = [*section.planes, 0]
-    planes[desc.coeff_i + desc.coeff_j] -= 1
-    planes[desc.coeff_j] += 1
-    nxt = Rep(section.group, section.trivial + 2 * planes.pop(), tuple(planes))
-    if not (nxt.is_actual and nxt.dim == section.dim):
-        raise InvariantError(f"exchanging planes across V({stage.a},{stage.b}) leaves no section of dimension n")
-    return nxt
+@functools.lru_cache(maxsize=1 << 12)
+def torsion_slice(group: Group, a: int, m: int) -> tuple[SliceDescriptor, Rep]:
+    """The torsion stage in column a of every tower with the base
+    dimension m: its slice, of dimension m p^a - 1, and the move that
+    crossing it makes on the section.  The stage trades the plane at
+    level out = a + min(v_p(m), k - a) for one at level in = a - 1, and
+    its coefficient is B(out - in, in).  Capped like verify_slice's cache."""
+    rep = slice_rep(group, a, m)  # checks a and m
+    out, in_ = a + min(p_adic_val(m, group.p), group.k - a), a - 1
+    return SliceDescriptor(rep, coeff_i=out - in_, coeff_j=in_), _plane_trade(group, out, in_)
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def torsion_slice(group: Group, a: int, m: int) -> SliceDescriptor:
-    """The torsion slice of dimension m p^a - 1 in column a of every
-    tower with the base dimension m.  Capped like verify_slice's cache."""
-    return SliceDescriptor(slice_rep(group, a, m),  # checks a and m
-                           coeff_i=min(p_adic_val(m, group.p), group.k - a) + 1, coeff_j=a - 1)
+def _plane_trade(group: Group, out: int, in_: int) -> Rep:
+    """The plane at level out goes and one at level in comes; a group
+    has at most k(k+1)/2 such trades, so each is built once."""
+    return rotation_plane(group, in_) - rotation_plane(group, out)
 
 
 def build_tower(n: int, group: Group) -> Tower:
@@ -115,12 +113,14 @@ def build_tower(n: int, group: Group) -> Tower:
     For n >= 3 there are d torsion slices per column a = k..1, except
     that the column a = 1 loses its b = 1 entry when p divides n, and
     one integral slice of dimension n at the bottom.  The top section is
-    S^n itself.  Two things are asserted: the slice dimensions strictly
-    decrease, and the bottom section agrees with the closed form for the
-    integral slice.
+    S^n itself, and crossing each torsion stage makes its move.  Three
+    things are asserted: each crossing leaves an actual section, the
+    slice dimensions strictly decrease, and the bottom section agrees
+    with the closed form for the integral slice.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    group = group.subgroup(group.k)  # the process's one C_{p^k}, as in the cached moves: added by identity
     if n <= 2:
         rep = trivial_rep(group, n)
         return Tower(group, n, (Stage(SliceDescriptor(rep), rep),))
@@ -133,9 +133,11 @@ def build_tower(n: int, group: Group) -> Tower:
         for b in range(len(base_dims), 0, -1):
             if a == 1 and b == 1 and n % p == 0:
                 continue
-            desc = torsion_slice(group, a, base_dims[b - 1])
+            desc, move = torsion_slice(group, a, base_dims[b - 1])
             stages.append(Stage(desc, section, a, b))
-            section = _exchange(stages[-1])
+            section += move
+            if not section.is_actual:
+                raise InvariantError(f"exchanging planes across V({a},{b}) leaves no section of dimension n")
     bottom = SliceDescriptor(n_slice_rep(n, group))
     stages.append(Stage(bottom, section))
 

@@ -13,7 +13,7 @@ import pytest
 
 from slicetower.abelian import AbGroup
 from slicetower import cli
-from slicetower.cli import MAX_K, MAX_STAGES, RANGE_ENV, main
+from slicetower.cli import MAX_K, MAX_STAGES, main
 from slicetower.group import Group, InvariantError
 from slicetower.homology import bredon_homology
 from slicetower.mackey import parse_coefficient
@@ -131,18 +131,9 @@ def test_verify_json_envelope(capsys):
     assert len(doc["towers"]) == 1
 
 
-def test_verify_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv(RANGE_ENV, "3..4")
-    code, out, _ = run(capsys, "verify", "--p", "3", "--k", "1")
-    assert code == 0
-    assert "n = 3..4" in out
-
-
-def test_verify_requires_some_range(capsys, monkeypatch):
-    monkeypatch.delenv(RANGE_ENV, raising=False)
-    code, _, err = run(capsys, "verify", "--p", "3", "--k", "1")
-    assert code == 2
-    assert RANGE_ENV in err
+def test_verify_requires_some_range(capsys):
+    code, out, err = run(capsys, "verify", "--p", "3", "--k", "1")
+    assert (code, out, err) == (2, "", "error: verify needs --n\n")
 
 
 def test_verify_bad_range(capsys):
@@ -593,19 +584,14 @@ MIXED_REQUESTS = [
 ]
 
 
-@pytest.mark.parametrize("env_range", [None, "3..4"], ids=["no-env", "env"])
-def test_requests_answer_alike_in_either_order(capsys, monkeypatch, env_range):
+def test_requests_answer_alike_in_either_order(capsys):
     # the reader leaves the flag table unchanged: no value of one request
     # leaks into the defaults of the next
-    if env_range is None:
-        monkeypatch.delenv(RANGE_ENV, raising=False)
-    else:
-        monkeypatch.setenv(RANGE_ENV, env_range)
     forwards = [run(capsys, *argv) for argv in MIXED_REQUESTS]
     backwards = [run(capsys, *argv) for argv in reversed(MIXED_REQUESTS)][::-1]
     assert forwards == backwards
     assert forwards[2][1] == "H_0(S^(λ_1 - λ_0); Z) at level 2 over C_3^2: Z\n"
-    assert forwards[4][0] == forwards[9][0] == (2 if env_range is None else 0)
+    assert forwards[4][0] == forwards[9][0] == 2
 
 
 def test_verify_of_a_large_k_is_quick(capsys):

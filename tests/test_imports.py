@@ -5,9 +5,10 @@ one home, Group.index.  No indented JSON goes
 through json.dumps: every document is spelled as text in document.py,
 the one module that imports json or reads the document's format and
 group fields.  Spheres are realized in one module, homology.  The oracle reads none of the tower's
-closed forms.  The runtime ships no code that only tests read.  Every
-cache is bounded, and every field of a dataclass it may be keyed by
-takes part in equality.  And every invariant raises InvariantError, which
+closed forms, and the closed forms read no coefficient back.  The
+runtime ships no code that only tests read.  Every cache is bounded,
+and every field of a dataclass it may be keyed by takes part in
+equality.  And every invariant raises InvariantError, which
 python -O keeps and the command line reports."""
 
 import ast
@@ -177,7 +178,7 @@ def test_only_document_spells_json():
 # its representation and coefficient alone, reads none of them: not in
 # its modules, and not in the two functions of tower.py that run it.
 CLOSED_FORMS = {"slice_params", "slice_rep", "n_slice_rep",
-                "lambda_block", "torsion_slice", "build_tower", "_exchange"}
+                "lambda_block", "torsion_slice", "_plane_trade", "build_tower"}
 ORACLE_MODULES = ("homology.py", "cells.py", "abelian.py", "mackey.py")
 ORACLE_IN_TOWER = {"verify_slice", "verify_tower"}
 
@@ -191,6 +192,19 @@ def test_the_oracle_reads_no_closed_form():
     found.extend(f"tower.{node.name} reads {form}" for node in bodies
                  for form in sorted(reads(node) & CLOSED_FORMS))
     assert not found, f"the verifier must not reuse the construction: {found}"
+
+
+def test_the_closed_form_reads_no_coefficient_back():
+    # each torsion stage's trade is decided once, and its coefficient is
+    # derived from it; a closed form that read the trade back off B(i, j)
+    # as (i + j, j) would follow any coefficient it was handed.  Only the
+    # oracle reads a coefficient, to check it
+    functions = [node for node in ast.parse((SRC / "tower.py").read_text(), "tower.py").body
+                 if isinstance(node, ast.FunctionDef) and node.name not in ORACLE_IN_TOWER]
+    assert {"torsion_slice", "build_tower"} <= {node.name for node in functions}
+    found = [f"tower.{node.name} reads {name}" for node in functions
+             for name in sorted(set(references(node)) & {"coeff_i", "coeff_j"})]
+    assert not found, f"derive the coefficient from the trade, not the trade from it: {found}"
 
 
 def test_caches_are_bounded(package_caches):

@@ -18,7 +18,6 @@ from slicetower.tower import (
     Failure,
     SliceDescriptor,
     VerificationReport,
-    _exchange,
     build_tower,
     torsion_slice,
     verify_slice,
@@ -134,31 +133,49 @@ def test_fiber_sequences():
 
 
 def test_exchange_at_level_k_trades_two_trivial_summands():
-    # S^7 over C_9: B(1,1) at (2, 2) and B(2,0) at (1, 1) have i + j = k,
-    # so crossing them gives up two trivial summands for a level-j plane
+    # S^7 over C_9: B(1,1) at (2, 2) and B(2,0) at (1, 1) trade out the
+    # level-k plane, so crossing them gives up two trivial summands for a
+    # level-j plane
     tower = build_tower(7, C9)
-    assert _exchange(tower.stages[0]) == Rep(C9, 5, (0, 1))
-    assert _exchange(tower.stages[3]) == Rep(C9, 1, (2, 1))
+    assert torsion_slice(C9, 2, 5)[1] == Rep(C9, -2, (0, 1))
+    assert torsion_slice(C9, 1, 3)[1] == Rep(C9, -2, (1, 0))
+    assert tower.stages[0].section + torsion_slice(C9, 2, 5)[1] == Rep(C9, 5, (0, 1))
+    assert tower.stages[3].section + torsion_slice(C9, 1, 3)[1] == Rep(C9, 1, (2, 1))
     for p, k, n in itertools.product((3, 5), (1, 2, 3), range(3, 25)):
         g = Group(p, k)
-        for stage in build_tower(n, g).stages[:-1]:
-            i, j = stage.descriptor.coeff_i, stage.descriptor.coeff_j
+        stages = build_tower(n, g).stages
+        for stage, below in zip(stages, stages[1:]):
+            desc, move = torsion_slice(g, stage.a, slice_params(n, g)[stage.b - 1])
+            assert desc is stage.descriptor
+            i, j = desc.coeff_i, desc.coeff_j
             if i + j != k:
                 continue
-            nxt = _exchange(stage)
+            nxt = stage.section + move
+            assert nxt == below.section
             assert nxt.trivial == stage.section.trivial - 2, (n, g, stage.a, stage.b)
             assert nxt.planes == tuple(m + (level == j) for level, m in enumerate(stage.section.planes))
 
 
-def test_exchange_needs_the_plane_it_gives_up():
-    tower = build_tower(7, C9)
-    # the (2, 1) slice's B(1,1) gives up two trivial summands, and S^1 has one
+def doctor_column(monkeypatch, a, move):
+    """Make every stage of column a move the section by move in place of its own trade."""
+    real = torsion_slice
+    monkeypatch.setattr("slicetower.tower.torsion_slice",
+                        lambda group, col, m: (real(group, col, m)[0], move) if col == a else real(group, col, m))
+
+
+def test_exchange_needs_the_plane_it_gives_up(monkeypatch):
+    # S^7 over C_9 with column 2 trading six trivial summands for three
+    # level-1 planes: the (2, 1) stage finds one trivial summand left
+    doctor_column(monkeypatch, 2, rotation_plane(C9, 1, 3) - rotation_plane(C9, 2, 3))
     with pytest.raises(AssertionError, match=r"exchanging planes across V\(2,1\) leaves no section"):
-        _exchange(dataclasses.replace(tower.stages[1], section=trivial_rep(C9, 1)))
-    # the (1, 2) slice's B(1,0) gives up a level-1 plane, and S^7 has none
-    assert tower.stages[2].descriptor.coeff_i + tower.stages[2].descriptor.coeff_j == 1
+        build_tower(7, C9)
+    # with column 2 moving its planes to level 0, the (1, 2) slice's
+    # B(1,0) finds no level-1 plane to give up
+    desc, _ = torsion_slice(C9, 1, 5)
+    assert desc.coeff_i + desc.coeff_j == 1
+    doctor_column(monkeypatch, 2, rotation_plane(C9, 0) - rotation_plane(C9, 2))
     with pytest.raises(AssertionError, match=r"exchanging planes across V\(1,2\) leaves no section"):
-        _exchange(dataclasses.replace(tower.stages[2], section=trivial_rep(C9, 7)))
+        build_tower(7, C9)
 
 
 def test_verify_slice_passes_on_real_slices():
@@ -290,7 +307,7 @@ def test_torsion_slice_and_form_caches_are_bounded():
     # and encoded once, and as many distinct reports, are more than any
     # of these caches holds
     for m in range(1, 4201):
-        slice_text(torsion_slice(C3, 1, m))
+        slice_text(torsion_slice(C3, 1, m)[0])
         verification_text(VerificationReport(m, ()))
     for cache in (torsion_slice, sphere_forms, slice_text, verification_text):
         info = cache.cache_info()
@@ -302,7 +319,8 @@ def test_a_torsion_slice_depends_on_its_dimension_only():
     # of n = 3..60 over C_p^k, p in {3, 5, 7, 11} and k = 1..3, against
     # the slice built from the numbers of S^n itself with the reference
     # constructors, (n - 2) rho - 1 - lambda(ell) with coefficient
-    # B(min(v_p(m_b), k - a) + 1, a - 1)
+    # B(min(v_p(m_b), k - a) + 1, a - 1), whose stage trades the plane
+    # at level a + min(v_p(m_b), k - a) for one at level a - 1
     checked = 0
     for p, k in itertools.product((3, 5, 7, 11), (1, 2, 3)):
         group = Group(p, k)
@@ -313,15 +331,17 @@ def test_a_torsion_slice_depends_on_its_dimension_only():
                 ell = ((n - 2) * p ** k - m * p ** a) // 2
                 rep = (reference.regular_rep(group, n - 2) - reference.trivial_rep(group)
                        - reference.lambda_block(ell, group))
-                own = SliceDescriptor(rep, coeff_i=min(p_adic_val(m, p), k - a) + 1, coeff_j=a - 1)
-                assert torsion_slice(group, a, m) == own, (group, n, a, b)
+                out = a + min(p_adic_val(m, p), k - a)
+                own = SliceDescriptor(rep, coeff_i=out - a + 1, coeff_j=a - 1)
+                move = reference.rotation_plane(group, a - 1) - reference.rotation_plane(group, out)
+                assert torsion_slice(group, a, m) == (own, move), (group, n, a, b)
                 checked += 1
     assert checked == 17160
 
 
 def test_torsion_slices_are_2rho_periodic():
     # tower.py derives torsion_slice(G, a, m + 2p^(k-a)) =
-    # torsion_slice(G, a, m) + 2 rho, with the same B(i, j), from
+    # torsion_slice(G, a, m) + 2 rho, with the same trade, from
     # slice_rep's formula: every a and m = 1..80 over C_p^k, p in
     # {3, 5, 7, 11} and k = 1..3
     checked = 0
@@ -329,8 +349,10 @@ def test_torsion_slices_are_2rho_periodic():
         group = Group(p, k)
         two_rho = regular_rep(group, 2)
         for a, m in itertools.product(range(1, k + 1), range(1, 81)):
-            low, high = torsion_slice(group, a, m), torsion_slice(group, a, m + 2 * p ** (k - a))
+            (low, low_move), (high, high_move) = (torsion_slice(group, a, m),
+                                                  torsion_slice(group, a, m + 2 * p ** (k - a)))
             assert high == dataclasses.replace(low, rep=low.rep + two_rho), (group, a, m)
+            assert high_move is low_move, (group, a, m)
             checked += 1
     assert checked == 1920
 
@@ -341,7 +363,7 @@ def test_towers_share_their_torsion_slices():
     for n in range(3, 31):
         for stage in build_tower(n, C9).stages[:-1]:
             m = slice_params(n, C9)[stage.b - 1]
-            assert stage.descriptor is torsion_slice(C9, stage.a, m)
+            assert stage.descriptor is torsion_slice(C9, stage.a, m)[0]
     info = torsion_slice.cache_info()
     assert info.hits > info.misses == info.currsize
 
