@@ -18,8 +18,9 @@ by wrapping Rep.__post_init__.
 tower-render replays, through cli.main in JSON and LaTeX and from empty
 caches, the towers of the benchmark workload of that name, and counts
 the torsion slices built, the entries of the two per-slice document
-caches (sphere_forms and slice_text), and the strings those entries
-hold for the towers' distinct slices.
+caches (sphere_forms and slice_text), the strings those entries hold
+for the towers' distinct slices, and the representations the requests
+construct, counted as the tower's are.
 
 homology asks sphere_homology, in process and from empty caches, for
 one degree of each of its spheres at the top level with coefficients
@@ -88,24 +89,29 @@ def test_verify_sweep_stays_within_its_work_budget():
     assert_within_budget(work, spec["budgets"])
 
 
-def test_tower_stays_within_its_work_budget(monkeypatch):
-    spec = BUDGETS["tower"]
-    constructions = 0
+@pytest.fixture
+def rep_constructions(monkeypatch):
+    """A one-item list that counts the Reps constructed from here on."""
+    count = [0]
 
     def counted_post_init(self):
-        nonlocal constructions
-        constructions += 1
+        count[0] += 1
         post_init(self)
 
     post_init = Rep.__post_init__
     monkeypatch.setattr(Rep, "__post_init__", counted_post_init)
+    return count
+
+
+def test_tower_stays_within_its_work_budget(rep_constructions):
+    spec = BUDGETS["tower"]
     for p, k, n in spec["requests"]:
         group = Group(p, k)
         assert len(build_tower(n, group).stages) == stage_count(n, group), (p, k, n)
     work = {
         "torsion_slice misses": torsion_slice.cache_info().misses,
         "regular_rep entries": regular_rep.cache_info().currsize,
-        "Rep constructions": constructions,
+        "Rep constructions": rep_constructions[0],
     }
     assert_within_budget(work, spec["budgets"])
 
@@ -115,20 +121,21 @@ def strings(value) -> int:
     return 1 if isinstance(value, str) else sum(strings(item) for item in value)
 
 
-def test_tower_render_stays_within_its_work_budget():
+def test_tower_render_stays_within_its_work_budget(rep_constructions):
     workloads = bench_workloads()
     cases = [(p, k, n) for p, k in workloads.RENDER_GROUPS for n in workloads.RENDER_NS]
     cases += [(3, 2, n) for n in workloads.GOLDEN_NS]
-    slices = set()
     with contextlib.redirect_stdout(io.StringIO()):
         for p, k, n in cases:
             for fmt in ("json", "latex"):
                 assert main(["tower", "--p", str(p), "--k", str(k), "--n", str(n), "--format", fmt]) == 0
-            slices.update(stage.descriptor for stage in build_tower(n, Group(p, k)).stages)
+    constructions = rep_constructions[0]  # the requests' alone, not the slices' below
+    slices = {stage.descriptor for p, k, n in cases for stage in build_tower(n, Group(p, k)).stages}
     work = {
         "torsion_slice misses": torsion_slice.cache_info().misses,
         "document cache entries": sphere_forms.cache_info().currsize + slice_text.cache_info().currsize,
         "document cache strings": sum(strings(sphere_forms(d)) + strings(slice_text(d)) for d in slices),
+        "Rep constructions": constructions,
     }
     assert_within_budget(work, BUDGETS["tower-render"]["budgets"])
 
