@@ -18,14 +18,14 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .document import homology_document, mackey_document, tower_document, verify_document
+from .document import homology_document, mackey_document, tower_document, tower_json, verify_document
 from .group import Group, InvariantError, is_odd_prime
 from .homology import sphere_homology
 from .mackey import parse_coefficient, render_mackey, restrict_mackey
 from .params import stage_count
-from .render import render_latex, render_text
+from .render import latex_lines, render_latex, render_text
 from .rep import parse_rep, render_rep, restrict_rep
-from .tower import build_tower, verify_tower
+from .tower import build_tower, schedule, verify_tower
 
 MAX_STAGES = 500_000  # per request; the tower of S^1000000 over C_3 has 333,334
 # a request builds, checks or prints each of the k + 1 subgroup levels, so its
@@ -77,6 +77,16 @@ def cmd_tower(args: SimpleNamespace) -> int:
     if args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     _check_stages(group, args.n, args.n, str(args.n))
+    if args.format != "text" and not args.verify:
+        # each stage is written as the schedule yields it, so the request
+        # holds no tower and no document; a broken invariant stops it there
+        if args.format == "json":
+            sys.stdout.writelines(tower_json(group, args.n, schedule(args.n, group)))
+            sys.stdout.write("\n")
+        else:
+            sys.stdout.writelines(latex_lines(group, schedule(args.n, group)))
+        return 0
+    # the table's column widths, and the oracle's reports, need every stage first
     tower = build_tower(args.n, group)
     reports = verify_tower(tower) if args.verify else None
     if args.format == "json":

@@ -11,7 +11,9 @@ byte what json.dumps(doc, indent=2) writes, with no tree.  A tower's
 stage spells its own fields and its slice's dimension and kind around
 the rest of the slice and the report, each encoded once per process
 (slice_text, verification_text), so a cache keeps only text it prints.
-verify_document yields its report one tower at a time, so it streams.
+tower_json yields a tower's document one stage at a time, from the
+stages as tower.schedule yields them, and verify_document its report
+one tower at a time, so both stream.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from .abelian import AbGroup
 from .group import Group
 from .mackey import MackeyFunctor
+from .params import stage_count
 from .rep import Rep, render_forms, render_rep, rho_form, strip_planes
-from .tower import SliceDescriptor, Tower, VerificationReport
+from .tower import SliceDescriptor, Step, Tower, VerificationReport
 
 FORMAT = "slicetower/1"
 VERSION = "0.1.0"
@@ -37,12 +40,14 @@ def _array(items: Sequence[str], nl: str) -> str:
     return f"[{inner}{(',' + inner).join(items)}{nl}]" if items else "[]"
 
 
-def rep_payload(v: Rep, nl: str = "\n") -> str:
-    """The representation's JSON object, as text at the depth nl gives."""
-    display, latex = render_forms(v)
+def rep_payload(group: Group, trivial: int, planes: tuple[int, ...], nl: str = "\n") -> str:
+    """The JSON object of the representation of these multiplicities, as
+    text at the depth nl gives."""
+    display, latex = render_forms(group, trivial, planes)
     i = nl + "  "  # where each field begins
-    return (f'{{{i}"trivial": {v.trivial},{i}"planes": {_array([str(x) for x in v.planes], i)},'
-            f'{i}"dim": {v.dim},{i}"display": {_quote(display)},{i}"latex": {_quote(latex)}{nl}}}')
+    return (f'{{{i}"trivial": {trivial},{i}"planes": {_array([str(x) for x in planes], i)},'
+            f'{i}"dim": {trivial + 2 * sum(planes)},{i}"display": {_quote(display)},'
+            f'{i}"latex": {_quote(latex)}{nl}}}')
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -55,10 +60,10 @@ def sphere_forms(desc: SliceDescriptor) -> tuple[str, str]:
     representation is an exact regular multiple over a group with at
     least two plane levels, where that shorthand is shorter and exact.
     """
-    if desc.is_torsion and (desc.rep.group.k < 2 or rho_form(desc.rep) is None):
-        # a stripped sphere has no level-0 planes, so no rho form
-        return render_forms(strip_planes(desc.rep, desc.coeff_j + 1))
-    return render_forms(desc.rep)
+    v = desc.rep
+    if desc.is_torsion and (v.group.k < 2 or rho_form(v.group, v.trivial, v.planes) is None):
+        v = strip_planes(v, desc.coeff_j + 1)  # with no level-0 planes left, it has no rho form
+    return render_forms(v.group, v.trivial, v.planes)
 
 
 def coefficient_label(desc: SliceDescriptor, b: str = "B") -> str:
@@ -80,7 +85,7 @@ def slice_text(desc: SliceDescriptor) -> str:
     the depth a tower document holds it, from its "rep" field to its
     closing brace; the stage spells the fields before it."""
     display, latex = sphere_forms(desc)
-    rep = rep_payload(desc.rep, "\n        ")
+    rep = rep_payload(desc.rep.group, desc.rep.trivial, desc.rep.planes, "\n        ")
     coeff = (f'"family": "B",\n          "i": {desc.coeff_i},\n          "j": {desc.coeff_j}'
              if desc.is_torsion else '"family": "Z"')
     return (f'"rep": {rep},\n        "printed": {{\n'
@@ -103,24 +108,31 @@ def verification_text(report: VerificationReport) -> str:
             f'        "checks": {report.checks},\n        "failures": {failures}\n      }}')
 
 
-def tower_document(tower: Tower, reports: list[VerificationReport] | None = None) -> str:
-    """The tower's JSON document, as json.dumps(doc, indent=2) would write it."""
-    parts = [f'{{\n  "format": "{FORMAT}",\n  "tool": {{\n    "name": "slicetower",\n'
-             f'    "version": "{VERSION}"\n  }},\n  "group": {group_text(tower.group)},\n'
-             f'  "n": {tower.n},\n  "stage_count": {len(tower.stages)},\n  "stages": [']
+def tower_json(group: Group, n: int, steps: Iterator[Step],
+               reports: Sequence[VerificationReport] | None = None) -> Iterator[str]:
+    """The JSON document of the tower of S^n, whose stages steps yields as
+    tower.schedule does, in parts: the header, one part per stage as it
+    comes, and the closing brackets, with no final newline.  reports, if
+    given, holds each stage's report by its index."""
+    yield (f'{{\n  "format": "{FORMAT}",\n  "tool": {{\n    "name": "slicetower",\n'
+           f'    "version": "{VERSION}"\n  }},\n  "group": {group_text(group)},\n'
+           f'  "n": {n},\n  "stage_count": {stage_count(n, group)},\n  "stages": [')
     sep = "\n    "
-    bottom = "zero" if tower.n == 0 else "integral-small" if tower.n <= 2 else "integral"
-    for i, stage in enumerate(tower.stages):
-        desc = stage.descriptor
-        a, b, kind = ("null", "null", bottom) if stage.a is None else (stage.a, stage.b, "torsion")
-        section = rep_payload(stage.section, "\n      ")
+    bottom = "zero" if n == 0 else "integral-small" if n <= 2 else "integral"
+    for i, (desc, a, b, trivial, planes) in enumerate(steps):
+        a, b, kind = ("null", "null", bottom) if a is None else (a, b, "torsion")
+        section = rep_payload(group, trivial, planes, "\n      ")
         verification = "null" if reports is None else verification_text(reports[i])
-        parts.append(f'{sep}{{\n      "index": {i},\n      "slice": {{\n        "dim": {desc.dim},\n        "kind": '
-                     f'"{kind}",\n        "a": {a},\n        "b": {b},\n        {slice_text(desc)},\n'
-                     f'      "section": {section},\n      "verification": {verification}\n    }}')
+        yield (f'{sep}{{\n      "index": {i},\n      "slice": {{\n        "dim": {desc.dim},\n        "kind": '
+               f'"{kind}",\n        "a": {a},\n        "b": {b},\n        {slice_text(desc)},\n'
+               f'      "section": {section},\n      "verification": {verification}\n    }}')
         sep = ",\n    "
-    parts.append("\n  ]\n}")  # a tower has at least one stage
-    return "".join(parts)
+    yield "\n  ]\n}"  # a tower has at least one stage
+
+
+def tower_document(tower: Tower, reports: Sequence[VerificationReport] | None = None) -> str:
+    """The tower's JSON document, as json.dumps(doc, indent=2) would write it."""
+    return "".join(tower_json(tower.group, tower.n, tower.steps(), reports))
 
 
 def verify_document(group: Group, lo: int, hi: int, total: int, failed: int,

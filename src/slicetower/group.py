@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import functools
+import weakref
 from dataclasses import dataclass
 
 
@@ -32,23 +32,35 @@ def p_adic_val(i: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Group:
     """The cyclic group C_{p^k} for an odd prime p.
 
     k = 0 (the trivial group) is permitted so that restriction to
     subgroups bottoms out cleanly; user-facing entry points insist on
-    k >= 1.
+    k >= 1.  Group(p, k) returns the process's one object for C_{p^k},
+    so groups hash and compare by identity, at C speed; copies and
+    pickles come back as that object too.
     """
 
     p: int
     k: int
 
-    def __post_init__(self) -> None:
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.k < 0:
-            raise ValueError(f"k must be nonnegative, got {self.k}")
+    def __new__(cls, p: int, k: int) -> "Group":
+        group = _GROUPS.get((p, k))
+        if group is None:
+            if not is_odd_prime(p):
+                raise ValueError(f"p must be an odd prime, got {p}")
+            if k < 0:
+                raise ValueError(f"k must be nonnegative, got {k}")
+            group = super().__new__(cls)
+            object.__setattr__(group, "p", p)
+            object.__setattr__(group, "k", k)
+            _GROUPS[p, k] = group
+        return group
+
+    def __reduce__(self) -> tuple:
+        return Group, (self.p, self.k)
 
     @property
     def order(self) -> int:
@@ -59,16 +71,16 @@ class Group:
         return self.p ** (self.k - h)
 
     def subgroup(self, m: int) -> "Group":
-        """The subgroup C_{p^m}, for 0 <= m <= k: one object for each
-        C_{p^m} in this process, whichever group it is asked of."""
+        """The subgroup C_{p^m}, for 0 <= m <= k."""
         if not 0 <= m <= self.k:
             raise ValueError(f"no subgroup level {m} in C_{self.p}^{self.k}")
-        return _subgroup(self.p, m)
+        return Group(self.p, m)
 
     def __repr__(self) -> str:
         return f"C_{self.p}^{self.k}" if self.k != 1 else f"C_{self.p}"
 
 
-@functools.lru_cache(maxsize=1 << 8)
-def _subgroup(p: int, m: int) -> Group:
-    return Group(p, m)
+# the live groups by (p, k): a group is dropped once nothing holds it, so the
+# table grows only with what is in use, and no value can hold a dropped group
+# for a later Group(p, k) to be compared with
+_GROUPS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()

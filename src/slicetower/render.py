@@ -1,16 +1,20 @@
 """Text and LaTeX renderers.
 
-Both read the tower's stages directly.  How a slice's sphere is printed
-and how its coefficient is named come from document.py, the one home of
-those rules, so the text table and the xymatrix diagram show what the
-JSON document holds without building it.
+The text table reads a built tower, since its column widths need every
+row; the xymatrix diagram is written a line at a time from the stages
+as tower.schedule yields them.  How a slice's sphere is printed and how
+its coefficient is named come from document.py, the one home of those
+rules, so both show what the JSON document holds without building it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+
 from .document import coefficient_label, sphere_forms
+from .group import Group
 from .rep import render_forms, render_rep
-from .tower import Tower, VerificationReport
+from .tower import Step, Tower, VerificationReport
 
 _NEEDS_PARENS = set(" +-")
 
@@ -45,18 +49,25 @@ def render_text(tower: Tower, reports: list[VerificationReport] | None = None) -
     return "\n".join(lines) + "\n"
 
 
-def render_latex(tower: Tower, reports: list[VerificationReport] | None = None) -> str:
-    """The xymatrix diagram, then one % comment line per failed check."""
-    rows = []
-    for stage in tower.stages:
-        desc = stage.descriptor
-        section = rf"S^{{{render_forms(stage.section)[1]}}} \wedge H\underline{{\mathbb{{Z}}}}"
+def latex_lines(group: Group, steps: Iterator[Step],
+                reports: Sequence[VerificationReport] | None = None) -> Iterator[str]:
+    """The xymatrix diagram of the stages steps yields, as tower.schedule
+    does, one line at a time, then one % comment line per failed check."""
+    yield "\\xymatrix{\n"
+    for desc, _, _, trivial, planes in steps:
+        section = rf"S^{{{render_forms(group, trivial, planes)[1]}}} \wedge H\underline{{\mathbb{{Z}}}}"
         if desc.is_torsion:
             _, printed = sphere_forms(desc)
             coeff = coefficient_label(desc, r"\underline{B}")
-            rows.append(rf"S^{{{printed}}} \wedge H{coeff} \ar[r] & {section} \ar[d] \\")
+            yield rf"S^{{{printed}}} \wedge H{coeff} \ar[r] & {section} \ar[d] \\" "\n"
         else:
-            rows.append(f"& {section}")
-    body = "\n".join(rows)
-    failed = "".join(f"% stage {i}: {f}\n" for i, r in enumerate(reports or ()) for f in r.failures)
-    return f"\\xymatrix{{\n{body}\n}}\n" + failed
+            yield f"& {section}\n"
+    yield "}\n"
+    for i, r in enumerate(reports or ()):
+        for f in r.failures:
+            yield f"% stage {i}: {f}\n"
+
+
+def render_latex(tower: Tower, reports: Sequence[VerificationReport] | None = None) -> str:
+    """The xymatrix diagram, then one % comment line per failed check."""
+    return "".join(latex_lines(tower.group, tower.steps(), reports))

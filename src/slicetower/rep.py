@@ -55,7 +55,7 @@ class Rep:
         return Rep(self.group, s * self.trivial, tuple(s * m for m in self.planes))
 
     def _same_group(self, other: "Rep") -> None:
-        if self.group is not other.group and self.group != other.group:
+        if self.group is not other.group:
             raise ValueError(f"group mismatch: {self.group} vs {other.group}")
 
     def __str__(self) -> str:
@@ -66,19 +66,21 @@ def trivial_rep(group: Group, count: int = 1) -> Rep:
     return Rep(group, count, (0,) * group.k)
 
 
-def rotation_plane(group: Group, level: int, count: int = 1) -> Rep:
-    """count copies of the level-`level` plane.
+def _level_sum(group: Group, counts: list[int]) -> Rep:
+    """The sum of counts[j] planes at level j, for j = 0..k: the one home
+    of the rule that a level-k plane, on which the whole group acts
+    trivially, is two trivial summands."""
+    *planes, top = counts
+    return Rep(group, 2 * top, tuple(planes))
 
-    Level k is allowed and denotes the plane on which the whole group
-    acts trivially, i.e. two trivial summands.
-    """
+
+def rotation_plane(group: Group, level: int, count: int = 1) -> Rep:
+    """count copies of the level-`level` plane; level k is allowed."""
     if not 0 <= level <= group.k:
         raise ValueError(f"plane level {level} out of range for {group}")
-    if level == group.k:
-        return trivial_rep(group, 2 * count)
-    planes = [0] * group.k
-    planes[level] = count
-    return Rep(group, 0, tuple(planes))
+    counts = [0] * (group.k + 1)
+    counts[level] = count
+    return _level_sum(group, counts)
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -90,17 +92,16 @@ def regular_rep(group: Group, count: int = 1) -> Rep:
 
 
 def lambda_block(count: int, group: Group) -> Rep:
-    """Sum of the planes with weights 1, 2, ..., count.
-
-    Weights divisible by p^k contribute two trivial summands each.
-    """
+    """Sum of the planes with weights 1, 2, ..., count: the weight w
+    gives a plane at level min(v_p(w), k)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    p, planes = group.p, []
+    p, counts = group.p, []
     for _ in range(group.k):  # count is the original count // p^j at step j
-        planes.append(count - count // p)
+        counts.append(count - count // p)
         count //= p
-    return Rep(group, 2 * count, tuple(planes))
+    counts.append(count)
+    return _level_sum(group, counts)
 
 
 def slice_rep(group: Group, a: int, m: int) -> Rep:
@@ -167,12 +168,13 @@ def is_subrep(small: Rep, big: Rep) -> bool:
 
 # --- display ---------------------------------------------------------------
 
-def rho_form(v: Rep) -> tuple[int, int] | None:
-    """(s, t) with v == s*rho - t*trivial, s >= 1 and 0 <= t <= 2, if the planes
-    are s*rho's; s is read off level k - 1, where rho has (p - 1)/2 planes."""
-    s, r = divmod(v.planes[-1], (v.group.p - 1) // 2) if v.planes else (0, 0)
-    t = s - v.trivial
-    if r or s <= 0 or not 0 <= t <= 2 or v.planes != tuple(s * x for x in regular_rep(v.group).planes):
+def rho_form(group: Group, trivial: int, planes: tuple[int, ...]) -> tuple[int, int] | None:
+    """(s, t) with the representation of these multiplicities equal to
+    s*rho - t*trivial, s >= 1 and 0 <= t <= 2, if the planes are s*rho's;
+    s is read off level k - 1, where rho has (p - 1)/2 planes."""
+    s, r = divmod(planes[-1], (group.p - 1) // 2) if planes else (0, 0)
+    t = s - trivial
+    if r or s <= 0 or not 0 <= t <= 2 or planes != tuple(s * x for x in regular_rep(group).planes):
         return None
     return s, t
 
@@ -185,10 +187,11 @@ def strip_planes(v: Rep, below: int) -> Rep:
                tuple(0 if j < below else m for j, m in enumerate(v.planes)))
 
 
-def render_forms(v: Rep) -> tuple[str, str]:
-    """The display and LaTeX forms of v, from one reading of its terms;
-    the s*rho - t shorthand is used when it is exact."""
-    form = rho_form(v)
+def render_forms(group: Group, trivial: int, planes: tuple[int, ...]) -> tuple[str, str]:
+    """The display and LaTeX forms of the representation of these
+    multiplicities, from one reading of its terms, so none is built to
+    be printed; the s*rho - t shorthand is used when it is exact."""
+    form = rho_form(group, trivial, planes)
     if form is not None:
         s, t = form
         head = "" if s == 1 else str(s)
@@ -196,20 +199,28 @@ def render_forms(v: Rep) -> tuple[str, str]:
         return f"{head}ρ{tail}", rf"{head}\rho{tail}"
 
     # the trivial term first, then the planes from level k - 1 down
-    text = tex = str(v.trivial) if v.trivial else ""
-    for j in range(v.group.k - 1, -1, -1):
-        m = v.planes[j]
+    text = tex = str(trivial) if trivial else ""
+    for j in range(group.k - 1, -1, -1):
+        m = planes[j]
         if m:
-            sign = (" + " if m > 0 else " - ") if text else ("" if m > 0 else "-")
-            head = sign if m == 1 or m == -1 else sign + str(abs(m))
-            text += f"{head}λ_{j}"
-            tex += rf"{head}\lambda_{{{j}}}"
+            term, tex_term = _plane_term(m, j, not text)
+            text += term
+            tex += tex_term
     return text or "0", tex or "0"
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _plane_term(m: int, j: int, first: bool) -> tuple[str, str]:
+    """The display and LaTeX terms of m level-j planes, signed as the
+    first term or a later one; capped like verify_slice's cache."""
+    sign = ("" if m > 0 else "-") if first else (" + " if m > 0 else " - ")
+    head = sign if m == 1 or m == -1 else sign + str(abs(m))
+    return f"{head}λ_{j}", rf"{head}\lambda_{{{j}}}"
 
 
 def render_rep(v: Rep) -> str:
     """Canonical display."""
-    return render_forms(v)[0]
+    return render_forms(v.group, v.trivial, v.planes)[0]
 
 
 # --- parsing ---------------------------------------------------------------

@@ -28,7 +28,10 @@ and (p^(k-a) - 1) p^k to lambda's argument, so 2 (p^(k-a) - 1) rho to
 lambda, and the trade stays as v_p(m + 2p^(k-a)) and v_p(m) agree when
 capped at k - a.  torsion_slice builds each stage's slice and move once
 per process, so towers share their slices as objects, and
-document.sphere_forms spells the sphere each one prints once.
+document.sphere_forms spells the sphere each one prints once.  A tower
+is its schedule: schedule yields the stages one at a time, each with its
+section as multiplicities, which the JSON and LaTeX writers print as
+they come; build_tower wraps the same stages into Stage and Rep values.
 Slices share spheres too, so each slice and each sphere is checked once
 per process: verify_slice is cached by the descriptor, and it reads the
 homology of its spheres through homology.sphere_homology, which keys
@@ -40,6 +43,8 @@ window is realized once.
 from __future__ import annotations
 
 import functools
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .abelian import AbGroup
@@ -69,6 +74,11 @@ class SliceDescriptor:
         return self.coeff_i is not None
 
 
+# one stage as schedule yields it: its slice, its column and row (None for
+# the integral slice), and the trivial and plane multiplicities of its section
+Step = tuple[SliceDescriptor, int | None, int | None, int, tuple[int, ...]]
+
+
 @dataclass(frozen=True, slots=True)
 class Stage:
     descriptor: SliceDescriptor
@@ -86,6 +96,10 @@ class Tower:
     @property
     def slices(self) -> list[SliceDescriptor]:
         return [s.descriptor for s in self.stages]
+
+    def steps(self) -> Iterator[Step]:
+        """The stages as schedule yields them, for the document and LaTeX writers."""
+        return ((s.descriptor, s.a, s.b, s.section.trivial, s.section.planes) for s in self.stages)
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -107,46 +121,58 @@ def _plane_trade(group: Group, out: int, in_: int) -> Rep:
     return rotation_plane(group, in_) - rotation_plane(group, out)
 
 
-def build_tower(n: int, group: Group) -> Tower:
-    """The slices with their sections, top to bottom by decreasing dimension.
+def schedule(n: int, group: Group) -> Iterator[Step]:
+    """The stages of the tower of S^n, top to bottom by decreasing
+    dimension, one at a time, each with its section as multiplicities.
 
     For n >= 3 there are d torsion slices per column a = k..1, except
     that the column a = 1 loses its b = 1 entry when p divides n, and
     one integral slice of dimension n at the bottom.  The top section is
-    S^n itself, and crossing each torsion stage makes its move.  Three
-    things are asserted: each crossing leaves an actual section, the
-    slice dimensions strictly decrease, and the bottom section agrees
-    with the closed form for the integral slice.
+    S^n itself, and crossing each torsion stage makes its move on the
+    multiplicities, so no Rep or Stage is built per stage.  Three things
+    are checked as the stages go, each before the stage it concerns is
+    yielded: each crossing leaves an actual section, the slice
+    dimensions strictly decrease, and the bottom section agrees with
+    the closed form for the integral slice.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    group = group.subgroup(group.k)  # the process's one C_{p^k}, as in the cached moves: added by identity
+    trivial, planes = n, (0,) * group.k
     if n <= 2:
-        rep = trivial_rep(group, n)
-        return Tower(group, n, (Stage(SliceDescriptor(rep), rep),))
+        yield SliceDescriptor(trivial_rep(group, n)), None, None, trivial, planes
+        return
 
     base_dims = slice_params(n, group)
-    p = group.p
-    section = trivial_rep(group, n)
-    stages: list[Stage] = []
+    above = None  # the dimension of the slice above
     for a in range(group.k, 0, -1):
         for b in range(len(base_dims), 0, -1):
-            if a == 1 and b == 1 and n % p == 0:
+            if a == 1 and b == 1 and n % group.p == 0:
                 continue
             desc, move = torsion_slice(group, a, base_dims[b - 1])
-            stages.append(Stage(desc, section, a, b))
-            section += move
-            if not section.is_actual:
+            above = _below(above, desc.dim)
+            yield desc, a, b, trivial, planes
+            trivial, planes = trivial + move.trivial, tuple(map(operator.add, planes, move.planes))
+            if trivial < 0 or min(planes) < 0:
                 raise InvariantError(f"exchanging planes across V({a},{b}) leaves no section of dimension n")
     bottom = SliceDescriptor(n_slice_rep(n, group))
-    stages.append(Stage(bottom, section))
-
-    dims = [s.descriptor.dim for s in stages]
-    if any(upper <= lower for upper, lower in zip(dims, dims[1:])):
-        raise InvariantError(f"slice dimensions are not strictly decreasing: {dims}")
-    if section != bottom.rep:
+    _below(above, bottom.dim)
+    if (trivial, planes) != (bottom.rep.trivial, bottom.rep.planes):
         raise InvariantError("the bottom section differs from the closed form of the integral slice")
-    return Tower(group, n, tuple(stages))
+    yield bottom, None, None, trivial, planes
+
+
+def _below(above: int | None, dim: int) -> int:
+    """dim, the next slice's dimension, once checked to lie below above,
+    the dimension of the slice before it (None at the top)."""
+    if above is not None and dim >= above:
+        raise InvariantError(f"slice dimensions are not strictly decreasing: {above} then {dim}")
+    return dim
+
+
+def build_tower(n: int, group: Group) -> Tower:
+    """The tower of S^n as values: schedule's stages, each section a Rep."""
+    return Tower(group, n, tuple(Stage(desc, Rep(group, trivial, planes), a, b)
+                                 for desc, a, b, trivial, planes in schedule(n, group)))
 
 
 # --- verification ------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from importlib import resources
 from pathlib import Path
@@ -12,13 +13,13 @@ import jsonschema
 import pytest
 
 from slicetower.abelian import AbGroup
-from slicetower import cli
+from slicetower import cli, tower
 from slicetower.cli import MAX_K, MAX_STAGES, main
 from slicetower.group import Group, InvariantError
 from slicetower.homology import bredon_homology
 from slicetower.mackey import parse_coefficient
 from slicetower.params import stage_count
-from slicetower.rep import parse_rep
+from slicetower.rep import parse_rep, rotation_plane
 from slicetower.tower import Failure, VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -211,6 +212,62 @@ def test_broken_invariant_exits_one_without_traceback(capsys, monkeypatch):
         assert code == 1 and out == ""
         assert err == "error: invariant violated: the bottom section differs from the closed form\n"
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_an_invariant_broken_mid_stream_exits_one_without_traceback(capsys, monkeypatch, fmt):
+    # S^7 over C_9 with column 2 trading six trivial summands for three
+    # level-1 planes: the (2, 1) stage is written, then its crossing finds
+    # one trivial summand left, so the two stages above it stay on stdout
+    group = Group(3, 2)
+    move = rotation_plane(group, 1, 3) - rotation_plane(group, 2, 3)
+    real = tower.torsion_slice
+    monkeypatch.setattr(tower, "torsion_slice",
+                        lambda g, a, m: (real(g, a, m)[0], move) if a == 2 else real(g, a, m))
+    code, out, err = run(capsys, "tower", "--p", "3", "--k", "2", "--n", "7", "--format", fmt)
+    assert code == 1
+    assert err == "error: invariant violated: exchanging planes across V(2,1) leaves no section of dimension n\n"
+    if fmt == "json":
+        assert out.startswith('{\n  "format": "slicetower/1",') and out.count('"index": ') == 2
+        assert out.endswith('"display": "1 + 3\\u03bb_1",\n        "latex": "1 + 3\\\\lambda_{1}"\n      },\n'
+                            '      "verification": null\n    }')
+    else:
+        assert out.splitlines() == [*S7_LATEX.splitlines()[:2], r"S^{3\rho - 1} \wedge H\underline{B}(1,1) \ar[r]"
+                                    r" & S^{1 + 3\lambda_{1}} \wedge H\underline{\mathbb{Z}} \ar[d] \\"]
+
+
+# a request's own peak memory, in KiB, less its peak after import
+PEAK_GROWTH = textwrap.dedent("""
+    import sys
+    from slicetower.cli import main
+
+    def peak_kib():
+        # the high-water mark of this process's memory; ru_maxrss would also
+        # carry that of the process it was started from, across exec
+        with open("/proc/self/status") as status:
+            return int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+
+    before = peak_kib()
+    code = main(sys.argv[1:])
+    print(peak_kib() - before, file=sys.stderr)
+    sys.exit(code)
+""")
+
+
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_a_streamed_tower_holds_memory_flat_in_n(fmt):
+    # the tower of S^100000 over C_3 has 33,334 stages, all distinct
+    # slices, so every per-slice cache fills to its cap; written a stage
+    # at a time, the request grows by what those caches hold, not by its
+    # tower or its document (about 100 MB for JSON and 33 MB for LaTeX
+    # when they were held whole, 8 MB and 5 MB streamed)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", PEAK_GROWTH, "tower", "--p", "3", "--k", "1", "--n", "100000",
+                           "--format", fmt], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    grown_mb = int(proc.stderr) / 1024
+    assert grown_mb < 16, grown_mb
 
 
 def test_homology_text_golden(capsys):

@@ -42,7 +42,7 @@ def test_top_level_fields():
 
 
 def test_rep_payload():
-    payload = json.loads(rep_payload(Rep(C9, 2, (5, 1))))
+    payload = json.loads(rep_payload(C9, 2, (5, 1)))
     assert payload == {
         "trivial": 2,
         "planes": [5, 1],

@@ -3,7 +3,10 @@ parity and junction identities everything downstream leans on.  The
 runtime defines the m_b once, in slicetower.params; the paper's closed
 form for d and the junction bookkeeping live in tests/reference_tower.py."""
 
+import copy
+import dataclasses
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -47,6 +50,25 @@ def test_group_basics():
     assert g.subgroup(0).order == 1
     assert str(g) == "C_3^2"
     assert str(Group(5, 1)) == "C_5"
+
+
+def test_a_group_is_one_object_per_p_and_k(package_caches):
+    # groups hash and compare by identity, so every way of getting C_{p^k}
+    # gives the one object, emptied caches, copies and pickles included
+    g = Group(3, 2)
+    assert Group(3, 2) is g and Group(p=3, k=2) is g and Group(3, 4).subgroup(2) is g
+    assert hash(g) == object.__hash__(g)
+    assert g == Group(3, 2) and g != Group(3, 1) and g != Group(5, 2)
+    for cache in package_caches:
+        cache.cache_clear()
+    assert Group(3, 2) is g
+    assert copy.copy(g) is g and copy.deepcopy(g) is g and pickle.loads(pickle.dumps(g)) is g
+    assert dataclasses.replace(g, k=1) is Group(3, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.k = 3
+    for p, k in ((4, 1), (3, -1)):
+        with pytest.raises(ValueError):
+            Group(p, k)
 
 
 def test_equal_subgroups_are_one_object():

@@ -41,6 +41,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 GROUPS = [C3, C9, Group(5, 1), Group(5, 2), Group(7, 1), Group(3, 3)]
 
 
+def fields(v):
+    """The group and multiplicities the display routines read."""
+    return v.group, v.trivial, v.planes
+
+
 def reps(group):
     return st.builds(
         Rep,
@@ -184,14 +189,14 @@ def test_restrict_and_is_subrep():
 
 
 def test_rho_form():
-    assert rho_form(regular_rep(C9)) == (1, 0)
-    assert rho_form(Rep(C9, 4, (15, 5))) == (5, 1)
-    assert rho_form(Rep(C9, 0, (3, 1))) == (1, 1)
-    assert rho_form(Rep(C3, 0, (2,))) == (2, 2)
-    assert rho_form(Rep(C9, -2, (3, 1))) is None       # t out of range
-    assert rho_form(Rep(C9, 1, (3, 2))) is None        # not a regular multiple
-    assert rho_form(Rep(C9, 1, (4, 1))) is None
-    assert rho_form(trivial_rep(C9, 5)) is None
+    assert rho_form(*fields(regular_rep(C9))) == (1, 0)
+    assert rho_form(*fields(Rep(C9, 4, (15, 5)))) == (5, 1)
+    assert rho_form(*fields(Rep(C9, 0, (3, 1)))) == (1, 1)
+    assert rho_form(*fields(Rep(C3, 0, (2,)))) == (2, 2)
+    assert rho_form(*fields(Rep(C9, -2, (3, 1)))) is None       # t out of range
+    assert rho_form(*fields(Rep(C9, 1, (3, 2)))) is None        # not a regular multiple
+    assert rho_form(*fields(Rep(C9, 1, (4, 1)))) is None
+    assert rho_form(*fields(trivial_rep(C9, 5))) is None
 
 
 def test_rho_form_reads_one_regular_rep_per_group():
@@ -201,7 +206,7 @@ def test_rho_form_reads_one_regular_rep_per_group():
     for rho in unit:
         for s in range(1, 51):
             v = Rep(rho.group, s - 1, tuple(s * x for x in rho.planes))
-            assert rho_form(v) == (s, 1)
+            assert rho_form(*fields(v)) == (s, 1)
     assert regular_rep.cache_info().currsize == len(unit)
     assert [regular_rep(rho.group) for rho in unit] == list(unit)
 
@@ -233,11 +238,11 @@ def test_render_rep():
     assert render_rep(Rep(C9, 0, (0, 0))) == "0"
     assert render_rep(Rep(C9, -2, (1, 0))) == "-2 + λ_0"
     assert render_rep(Rep(C9, 1, (-1, 1))) == "1 + λ_1 - λ_0"
-    assert render_forms(Rep(C9, 4, (15, 5)))[1] == r"5\rho - 1"
-    assert render_forms(Rep(C9, 3, (1, 2)))[1] == r"3 + 2\lambda_{1} + \lambda_{0}"
-    assert render_forms(Rep(C9, 0, (0, 0)))[1] == "0"
+    assert render_forms(*fields(Rep(C9, 4, (15, 5))))[1] == r"5\rho - 1"
+    assert render_forms(*fields(Rep(C9, 3, (1, 2))))[1] == r"3 + 2\lambda_{1} + \lambda_{0}"
+    assert render_forms(*fields(Rep(C9, 0, (0, 0))))[1] == "0"
     assert render_rep(Rep(C9, 1, (2, 1))) == "1 + λ_1 + 2λ_0"
-    assert render_forms(Rep(C9, 0, (0, 1)))[1] == r"\lambda_{1}"
+    assert render_forms(*fields(Rep(C9, 0, (0, 1))))[1] == r"\lambda_{1}"
 
 
 def reference_render(v, latex=False):
@@ -245,7 +250,7 @@ def reference_render(v, latex=False):
     replaced, kept as the reference it must agree with."""
     rho_sym = r"\rho" if latex else "ρ"
     lam = (lambda j: rf"\lambda_{{{j}}}") if latex else (lambda j: f"λ_{j}")
-    form = rho_form(v)
+    form = rho_form(*fields(v))
     if form is not None:
         s, t = form
         head = rho_sym if s == 1 else f"{s}{rho_sym}"
@@ -272,7 +277,7 @@ def test_render_forms_match_the_reference(group):
 
     @given(st.one_of(reps(group), exact))
     def check(v):
-        display, latex = render_forms(v)
+        display, latex = render_forms(*fields(v))
         assert (display, latex) == (reference_render(v), reference_render(v, latex=True))
         assert render_rep(v) == display
 

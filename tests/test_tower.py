@@ -12,13 +12,14 @@ from slicetower.document import slice_text, sphere_forms, verification_text
 from slicetower.group import Group, is_odd_prime, p_adic_val
 from slicetower.homology import sphere_homology
 from slicetower.mackey import B_ij, constant_Z, dual_Z, restrict_mackey
-from slicetower.params import slice_params
+from slicetower.params import slice_params, stage_count
 from slicetower.rep import Rep, regular_rep, rotation_plane, trivial_rep
 from slicetower.tower import (
     Failure,
     SliceDescriptor,
     VerificationReport,
     build_tower,
+    schedule,
     torsion_slice,
     verify_slice,
     verify_tower,
@@ -154,6 +155,25 @@ def test_exchange_at_level_k_trades_two_trivial_summands():
             assert nxt == below.section
             assert nxt.trivial == stage.section.trivial - 2, (n, g, stage.a, stage.b)
             assert nxt.planes == tuple(m + (level == j) for level, m in enumerate(stage.section.planes))
+
+
+def test_build_tower_wraps_the_schedule(monkeypatch):
+    # build_tower's stages are schedule's, each section made a Rep; the
+    # schedule itself builds none per stage: with its torsion slices
+    # cached, it builds the bottom slice's few, whatever the tower's length
+    for g in (C3, C9, Group(5, 2), Group(3, 3)):
+        for n in range(0, 30):
+            assert list(build_tower(n, g).steps()) == list(schedule(n, g)), (g, n)
+    built = []
+    post_init = Rep.__post_init__
+    monkeypatch.setattr(Rep, "__post_init__", lambda self: built.append(post_init(self)))
+    counts = []
+    for n in (301, 3001):
+        list(schedule(n, C3))
+        built.clear()
+        assert sum(1 for _ in schedule(n, C3)) == stage_count(n, C3)
+        counts.append(len(built))
+    assert counts[0] == counts[1] < 10, counts
 
 
 def doctor_column(monkeypatch, a, move):
