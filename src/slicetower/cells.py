@@ -128,21 +128,35 @@ def class_images(x: int, c: int, s_src: int, s_tgt: int) -> list[int]:
     return [(x + c + t * s_src) % s_tgt for t in range(max(1, s_tgt // s_src))]
 
 
-def factor_cells(v: Rep, window: tuple[int, int] | None = None) -> FactorCells:
+def _cell_size(group: Group, cum: list[int], d: int) -> tuple[int, int]:
+    """_sphere_cell's isotropy, and its attaching translations if d is odd."""
+    r = (d + 1) // 2
+    return group.k - bisect_left(cum, r), group.index(group.k - bisect_left(cum, r - 1)) if d % 2 else 0
+
+
+def factor_cells(v: Rep, window: tuple[int, int] | None = None, cell=_sphere_cell) -> FactorCells:
     """The factor cells of the sphere of v that the window (lo, hi), by
-    default the whole product, pairs.  Planes of positive multiplicity
-    give the positive sphere, the others the mirror, which also carries
-    the trivial summands as a dimension shift."""
+    default the whole product, pairs, each spelled by cell.  Planes of
+    positive multiplicity give the positive sphere, the others the
+    mirror, which also carries the trivial summands as a dimension shift."""
     pos, neg = ([0, *accumulate(max(s * m, 0) for m in reversed(v.planes))] for s in (1, -1))
     group, trivial = v.group, v.trivial
     top, bottom = 2 * pos[-1], trivial - 2 * neg[-1]
     lo, hi = window or (bottom, top + trivial)
     return FactorCells(
         group, (lo, hi),
-        tuple((dA, *_sphere_cell(group, pos, dA))
-              for dA in range(max(0, lo - trivial), min(top, hi - bottom) + 1)),
-        tuple((dB, *_sphere_cell(group, neg, trivial - dB))
-              for dB in range(max(bottom, lo - top), min(trivial, hi) + 1)))
+        tuple((dA, *cell(group, pos, dA)) for dA in range(max(0, lo - trivial), min(top, hi - bottom) + 1)),
+        tuple((dB, *cell(group, neg, trivial - dB)) for dB in range(max(bottom, lo - top), min(trivial, hi) + 1)))
+
+
+def window_size(v: Rep, window: tuple[int, int]) -> int:
+    """The cells of the sphere of v in the window, counted from isotropy
+    levels alone: the product's index classes, and the translations of
+    the odd factor cells' attaching entries, none of which is built."""
+    group, (lo, hi), pos, mirror = factor_cells(v, window, _cell_size)
+    B = {dB: iso for dB, iso, _ in mirror}
+    pairs = (max(iso, B[dB]) for dA, iso, _ in pos for dB in range(lo - dA, hi - dA + 1) if dB in B)
+    return sum(map(group.index, pairs)) + sum(size for *_, size in pos + mirror)
 
 
 def tensor(factors: FactorCells) -> CellStructure:

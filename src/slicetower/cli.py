@@ -18,19 +18,23 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .document import homology_document, mackey_document, tower_document, tower_json, verify_document
+from .cells import window_size
+from .document import homology_document, mackey_document, tower_document, verify_document
 from .group import Group, InvariantError, is_odd_prime
 from .homology import sphere_homology
 from .mackey import parse_coefficient, render_mackey, restrict_mackey
 from .params import stage_count
-from .render import latex_lines, render_latex, render_text
+from .render import render_latex, render_text
 from .rep import parse_rep, render_rep, restrict_rep
-from .tower import build_tower, schedule, verify_tower
+from .tower import build_tower, verify_tower
 
 MAX_STAGES = 500_000  # per request; the tower of S^1000000 over C_3 has 333,334
 # a request builds, checks or prints each of the k + 1 subgroup levels, so its
 # work and output grow with k; verify --p 3 --k 64 --n 3 takes about a second
 MAX_K = 64
+# cells per homology request, counted before any is built (cells.window_size): 50L0 -
+# 50L1 over C_9 has 1,487, L0 - L1 over C_3^7 2,921 (40 s) and over C_3^8 8,753
+MAX_CELLS = 3_000
 
 
 def _group_from(args: SimpleNamespace) -> Group:
@@ -77,27 +81,14 @@ def cmd_tower(args: SimpleNamespace) -> int:
     if args.n < 0:
         raise ValueError(f"--n must be nonnegative, got {args.n}")
     _check_stages(group, args.n, args.n, str(args.n))
-    if args.format != "text" and not args.verify:
-        # each stage is written as the schedule yields it, so the request
-        # holds no tower and no document; a broken invariant stops it there
-        if args.format == "json":
-            sys.stdout.writelines(tower_json(group, args.n, schedule(args.n, group)))
-            sys.stdout.write("\n")
-        else:
-            sys.stdout.writelines(latex_lines(group, schedule(args.n, group)))
-        return 0
-    # the table's column widths, and the oracle's reports, need every stage first
+    # the writer walks the tower's recipe and writes each stage as it comes,
+    # holding no stage and no document, and a broken invariant stops it there;
+    # --verify first holds one cached report per stage, for a second walk
     tower = build_tower(args.n, group)
     reports = verify_tower(tower) if args.verify else None
-    if args.format == "json":
-        print(tower_document(tower, reports))
-    elif args.format == "latex":
-        print(render_latex(tower, reports), end="")
-    else:
-        print(render_text(tower, reports), end="")
-    if reports is not None and not all(r.passed for r in reports):
-        return 1
-    return 0
+    writer = {"text": render_text, "json": tower_document, "latex": render_latex}[args.format]
+    sys.stdout.writelines(writer(tower, reports))
+    return 0 if reports is None or all(r.passed for r in reports) else 1
 
 
 def cmd_verify(args: SimpleNamespace) -> int:
@@ -105,8 +96,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
     lo, hi = _parse_range(args.n)
     _check_stages(group, lo, hi, args.n)
 
-    towers = [build_tower(n, group) for n in range(lo, hi + 1)]
-    runs = [(tower, verify_tower(tower)) for tower in towers]
+    runs = [(tower, verify_tower(tower)) for tower in (build_tower(n, group) for n in range(lo, hi + 1))]
     total = sum(len(reports) for _, reports in runs)
     failed = sum(not r.passed for _, reports in runs for r in reports)
 
@@ -119,10 +109,7 @@ def cmd_verify(args: SimpleNamespace) -> int:
             status = "all pass" if bad == 0 else f"{bad} FAIL"
             noun = "stage" if len(reports) == 1 else "stages"
             print(f"  n={tower.n}: {len(reports)} {noun}, {status}")
-        if failed == 0:
-            print(f"all {total} stages pass")
-        else:
-            print(f"{failed} of {total} stages FAIL")
+        print(f"all {total} stages pass" if failed == 0 else f"{failed} of {total} stages FAIL")
     return 0 if failed == 0 else 1
 
 
@@ -146,8 +133,13 @@ def cmd_homology(args: SimpleNamespace) -> int:
     _, coeff = parse_coefficient(args.coeff, group)
     level = _level_index(args.level, group)
     # level m is the top level of the sphere restricted to C_{p^m}
-    d = args.degree
-    ab, = sphere_homology(restrict_rep(v, level), restrict_mackey(coeff, level), d, d)
+    d, w = args.degree, restrict_rep(v, level)
+    # (S + 2)^2 |G| bounds the count, S = sum |planes|: (S + 1)^2 pairs, S odd cells, each |G| at most
+    if (w.group.order * (sum(map(abs, w.planes)) + 2) ** 2 > MAX_CELLS
+            and (cells := window_size(w, (d - 1, d + 1))) > MAX_CELLS):
+        raise ValueError(f"the sphere has {cells} cells in degrees {d - 1}..{d + 1} at level {level}, "
+                         f"over the cap of {MAX_CELLS}")
+    ab, = sphere_homology(w, restrict_mackey(coeff, level), d, d)
     if args.format == "json":
         print(homology_document(group, v, args.coeff, d, level, ab))
     else:

@@ -3,17 +3,14 @@
 The display rules the document shares with the text and LaTeX
 renderers in render.py live here, once: sphere_forms spells the form a
 slice's sphere is printed in, once per slice per process, and
-coefficient_label names its coefficient.  The renderers read the
-tower's stages through these, so they show what the document says
-without building it.  Each document is one mechanism: f-strings at its
-final depth, strings through _quote and arrays through _array, byte for
-byte what json.dumps(doc, indent=2) writes, with no tree.  A tower's
-stage spells its own fields and its slice's dimension and kind around
-the rest of the slice and the report, each encoded once per process
-(slice_text, verification_text), so a cache keeps only text it prints.
-tower_json yields a tower's document one stage at a time, from the
-stages as tower.schedule yields them, and verify_document its report
-one tower at a time, so both stream.
+coefficient_label names its coefficient.  Each document is one
+mechanism: f-strings at its final depth, strings through _quote and
+arrays through _array, byte for byte what json.dumps(doc, indent=2)
+writes, with no tree.  A tower's stage spells its own fields around its
+slice's and its report's text, each encoded once per process
+(slice_text, verification_text).  tower_document yields a tower's
+document one stage at a time, as the tower's steps come, and
+verify_document its report one tower at a time, so both stream.
 """
 
 from __future__ import annotations
@@ -26,8 +23,8 @@ from .abelian import AbGroup
 from .group import Group
 from .mackey import MackeyFunctor
 from .params import stage_count
-from .rep import Rep, render_forms, render_rep, rho_form, strip_planes
-from .tower import SliceDescriptor, Step, Tower, VerificationReport
+from .rep import Rep, render_forms, render_rep, rho_form
+from .tower import SliceDescriptor, Tower, VerificationReport
 
 FORMAT = "slicetower/1"
 VERSION = "0.1.0"
@@ -60,10 +57,11 @@ def sphere_forms(desc: SliceDescriptor) -> tuple[str, str]:
     representation is an exact regular multiple over a group with at
     least two plane levels, where that shorthand is shorter and exact.
     """
-    v = desc.rep
-    if desc.is_torsion and (v.group.k < 2 or rho_form(v.group, v.trivial, v.planes) is None):
-        v = strip_planes(v, desc.coeff_j + 1)  # with no level-0 planes left, it has no rho form
-    return render_forms(v.group, v.trivial, v.planes)
+    v, planes = desc.rep, desc.rep.planes
+    if desc.is_torsion and (v.group.k < 2 or rho_form(v.group, v.trivial, planes) is None):
+        below = desc.coeff_j + 1  # with no level-0 planes left, it has no rho form
+        planes = (0,) * below + planes[below:]
+    return render_forms(v.group, v.trivial, planes)
 
 
 def coefficient_label(desc: SliceDescriptor, b: str = "B") -> str:
@@ -108,18 +106,18 @@ def verification_text(report: VerificationReport) -> str:
             f'        "checks": {report.checks},\n        "failures": {failures}\n      }}')
 
 
-def tower_json(group: Group, n: int, steps: Iterator[Step],
-               reports: Sequence[VerificationReport] | None = None) -> Iterator[str]:
-    """The JSON document of the tower of S^n, whose stages steps yields as
-    tower.schedule does, in parts: the header, one part per stage as it
-    comes, and the closing brackets, with no final newline.  reports, if
-    given, holds each stage's report by its index."""
+def tower_document(tower: Tower, reports: Sequence[VerificationReport] | None = None) -> Iterator[str]:
+    """The tower's JSON document, as json.dumps(doc, indent=2) writes it
+    and a newline, in parts: the header, one part per stage as the
+    tower's steps come, and the closing brackets.  reports, if given,
+    holds each stage's report by its index."""
+    group, n = tower.group, tower.n
     yield (f'{{\n  "format": "{FORMAT}",\n  "tool": {{\n    "name": "slicetower",\n'
            f'    "version": "{VERSION}"\n  }},\n  "group": {group_text(group)},\n'
            f'  "n": {n},\n  "stage_count": {stage_count(n, group)},\n  "stages": [')
     sep = "\n    "
     bottom = "zero" if n == 0 else "integral-small" if n <= 2 else "integral"
-    for i, (desc, a, b, trivial, planes) in enumerate(steps):
+    for i, (desc, a, b, trivial, planes) in enumerate(tower.steps()):
         a, b, kind = ("null", "null", bottom) if a is None else (a, b, "torsion")
         section = rep_payload(group, trivial, planes, "\n      ")
         verification = "null" if reports is None else verification_text(reports[i])
@@ -127,24 +125,19 @@ def tower_json(group: Group, n: int, steps: Iterator[Step],
                f'"{kind}",\n        "a": {a},\n        "b": {b},\n        {slice_text(desc)},\n'
                f'      "section": {section},\n      "verification": {verification}\n    }}')
         sep = ",\n    "
-    yield "\n  ]\n}"  # a tower has at least one stage
-
-
-def tower_document(tower: Tower, reports: Sequence[VerificationReport] | None = None) -> str:
-    """The tower's JSON document, as json.dumps(doc, indent=2) would write it."""
-    return "".join(tower_json(tower.group, tower.n, tower.steps(), reports))
+    yield "\n  ]\n}\n"  # a tower has at least one stage
 
 
 def verify_document(group: Group, lo: int, hi: int, total: int, failed: int,
                     runs: list[tuple[Tower, list[VerificationReport]]]) -> Iterator[str]:
-    """The verify report's JSON text in parts, ending in a newline: its
-    header, then each tower's document as it is spelled, then the closing
-    brackets, so no more than one tower's text is held at a time."""
+    """The verify report's JSON text in parts, ending in a newline: its header,
+    each tower's document re-indented as one string, and the closing brackets."""
     yield (f'{{\n  "format": "{FORMAT}",\n  "kind": "verify-report",\n  "group": {group_text(group)},\n'
            f'  "range": [\n    {lo},\n    {hi}\n  ],\n  "stages": {total},\n  "failed_stages": {failed},\n'
            f'  "all_passed": {"true" if failed == 0 else "false"},\n  "towers": [')
     for i, (tower, reports) in enumerate(runs):
-        yield (",\n    " if i else "\n    ") + tower_document(tower, reports).replace("\n", "\n    ")
+        text = "".join(tower_document(tower, reports))[:-1]  # without its newline
+        yield (",\n    " if i else "\n    ") + text.replace("\n", "\n    ")
     yield "\n  ]\n}\n"
 
 

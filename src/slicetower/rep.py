@@ -122,12 +122,14 @@ def slice_rep(group: Group, a: int, m: int) -> Rep:
     return v
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def n_slice_rep(n: int, group: Group) -> Rep:
     """The representation whose suspension carries the bottom slice.
 
     Two closed forms apply depending on whether p divides n; both have
     dimension n and differ from (n-2) copies of the regular
-    representation by an initial segment of planes.
+    representation by an initial segment of planes.  Each walk of a
+    tower reads it, so it is cached, capped like verify_slice's.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -177,14 +179,6 @@ def rho_form(group: Group, trivial: int, planes: tuple[int, ...]) -> tuple[int, 
     if r or s <= 0 or not 0 <= t <= 2 or planes != tuple(s * x for x in regular_rep(group).planes):
         return None
     return s, t
-
-
-def strip_planes(v: Rep, below: int) -> Rep:
-    """Zero the plane multiplicities at levels strictly below the
-    cutoff.  Used to display spheres up to summands a torsion
-    coefficient cannot see."""
-    return Rep(v.group, v.trivial,
-               tuple(0 if j < below else m for j, m in enumerate(v.planes)))
 
 
 def render_forms(group: Group, trivial: int, planes: tuple[int, ...]) -> tuple[str, str]:

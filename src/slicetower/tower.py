@@ -16,7 +16,7 @@ is the point.
 
 A descriptor is the spectrum alone, its sphere and its coefficient;
 where it sits in a tower, and so the kind a document gives it, is its
-Stage's business.  The torsion stage at (a, b) of S^n depends only on a
+step's business.  The torsion stage at (a, b) of S^n depends only on a
 and m = m_b.  Crossing it trades the plane at level out = a + min(v_p(m),
 k - a) for one at level in = a - 1, a level-k plane being two trivial
 summands (rotation_plane), and that trade is the coefficient,
@@ -27,17 +27,11 @@ the slices are 2 rho-periodic: m + 2p^(k-a) adds 2p^(k-a) rho to m rho
 and (p^(k-a) - 1) p^k to lambda's argument, so 2 (p^(k-a) - 1) rho to
 lambda, and the trade stays as v_p(m + 2p^(k-a)) and v_p(m) agree when
 capped at k - a.  torsion_slice builds each stage's slice and move once
-per process, so towers share their slices as objects, and
-document.sphere_forms spells the sphere each one prints once.  A tower
-is its schedule: schedule yields the stages one at a time, each with its
-section as multiplicities, which the JSON and LaTeX writers print as
-they come; build_tower wraps the same stages into Stage and Rep values.
-Slices share spheres too, so each slice and each sphere is checked once
-per process: verify_slice is cached by the descriptor, and it reads the
-homology of its spheres through homology.sphere_homology, which keys
-its answers by the sphere and the coefficients by value, and its
-realizations by the cells the sphere's window pairs: each distinct
-window is realized once.
+per process, so towers share their slices as objects.  A tower is its
+recipe, (group, n): each walk runs schedule afresh, and the writers
+print its stages as they come.  verify_slice is cached by the
+descriptor, and reads its spheres through homology.sphere_homology,
+which keys them by value and realizes each distinct window once.
 """
 
 from __future__ import annotations
@@ -80,26 +74,18 @@ Step = tuple[SliceDescriptor, int | None, int | None, int, tuple[int, ...]]
 
 
 @dataclass(frozen=True, slots=True)
-class Stage:
-    descriptor: SliceDescriptor
-    section: Rep  # the section this slice maps into; always of dimension n
-    a: int | None = None  # a torsion slice's column and row in the tower
-    b: int | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class Tower:
+    """The tower of S^n as its recipe: each walk runs the schedule afresh."""
+
     group: Group
     n: int
-    stages: tuple[Stage, ...]
+
+    def steps(self) -> Iterator[Step]:
+        return schedule(self.n, self.group)
 
     @property
     def slices(self) -> list[SliceDescriptor]:
-        return [s.descriptor for s in self.stages]
-
-    def steps(self) -> Iterator[Step]:
-        """The stages as schedule yields them, for the document and LaTeX writers."""
-        return ((s.descriptor, s.a, s.b, s.section.trivial, s.section.planes) for s in self.stages)
+        return [desc for desc, *_ in self.steps()]
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -128,21 +114,13 @@ def schedule(n: int, group: Group) -> Iterator[Step]:
     For n >= 3 there are d torsion slices per column a = k..1, except
     that the column a = 1 loses its b = 1 entry when p divides n, and
     one integral slice of dimension n at the bottom.  The top section is
-    S^n itself, and crossing each torsion stage makes its move on the
-    multiplicities, so no Rep or Stage is built per stage.  Three things
-    are checked as the stages go, each before the stage it concerns is
-    yielded: each crossing leaves an actual section, the slice
-    dimensions strictly decrease, and the bottom section agrees with
-    the closed form for the integral slice.
+    S^n, and each torsion stage makes its move on the multiplicities, so
+    no Rep is built per stage.  Before the stage it concerns is yielded,
+    each crossing must leave an actual section, the slice dimensions
+    strictly decrease, and the bottom section is the integral slice's.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    base_dims = _base_dims(n, group)
     trivial, planes = n, (0,) * group.k
-    if n <= 2:
-        yield SliceDescriptor(trivial_rep(group, n)), None, None, trivial, planes
-        return
-
-    base_dims = slice_params(n, group)
     above = None  # the dimension of the slice above
     for a in range(group.k, 0, -1):
         for b in range(len(base_dims), 0, -1):
@@ -169,10 +147,17 @@ def _below(above: int | None, dim: int) -> int:
     return dim
 
 
+def _base_dims(n: int, group: Group) -> range:
+    """The base dimensions of S^n, none for n <= 2, once n is checked."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return slice_params(n, group) if n >= 3 else range(0)
+
+
 def build_tower(n: int, group: Group) -> Tower:
-    """The tower of S^n as values: schedule's stages, each section a Rep."""
-    return Tower(group, n, tuple(Stage(desc, Rep(group, trivial, planes), a, b)
-                                 for desc, a, b, trivial, planes in schedule(n, group)))
+    """The recipe of the tower of S^n, once n is checked as schedule checks it."""
+    _base_dims(n, group)
+    return Tower(group, n)
 
 
 # --- verification ------------------------------------------------------------
@@ -212,11 +197,10 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     past (dim V + eps) / p^m.  One loop over t reads both degrees of
     each sphere from homology.sphere_homology, so a sphere met before in
     this process, or one with the same cells in its window, under an
-    equal functor however it was built, is not realized again.  The
-    loop stops once the top cell dimension drops
-    below -1, after which both groups are zero for size reasons alone.
-    The report is immutable and cached: a slice met before in this
-    process, in any tower, is not checked again.
+    equal functor, is not realized again.  The loop stops once the top
+    cell dimension drops below -1, where both groups are zero for size
+    reasons.  The report is immutable and cached: a slice met before in
+    this process, in any tower, is not checked again.
     """
     V, group = desc.rep, desc.rep.group
     M = B_ij(desc.coeff_i, desc.coeff_j, group) if desc.is_torsion else constant_Z(group)
@@ -258,4 +242,5 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
 
 
 def verify_tower(tower: Tower) -> list[VerificationReport]:
+    """The cached report of each stage, in order: one pointer per stage."""
     return [verify_slice(desc) for desc in tower.slices]

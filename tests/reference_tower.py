@@ -1,7 +1,8 @@
 """Reference tower assembly: build_tower as it stood before its plane
 arithmetic was flattened, every slice and every section formed by Rep
 addition and subtraction of whole representations.  Only tests import
-it; it pins each Stage (descriptor, coefficients, section, a, b).
+it; it pins each stage as (descriptor, a, b, section), the shape
+stages gives a tower's steps in.
 
 The plane constructors are copied here rather than imported, so a
 change to the ones in slicetower.rep cannot move the reference with it.
@@ -13,7 +14,7 @@ junction bookkeeping of the columns, for the tests of test_params.
 
 from slicetower.group import Group, p_adic_val
 from slicetower.rep import Rep
-from slicetower.tower import SliceDescriptor, Stage, Tower
+from slicetower.tower import SliceDescriptor, Tower
 
 
 def parity_offset(n: int, p: int) -> int:
@@ -81,15 +82,21 @@ def lambda_block(count: int, group: Group) -> Rep:
     return Rep(group, 2 * (count // p ** k), planes)
 
 
-def reference_build_tower(n: int, group: Group) -> Tower:
+def stages(tower: Tower) -> list[tuple[SliceDescriptor, int | None, int | None, Rep]]:
+    """The tower's steps, each as (descriptor, a, b, section), the
+    section's multiplicities made a Rep."""
+    return [(desc, a, b, Rep(tower.group, trivial, planes)) for desc, a, b, trivial, planes in tower.steps()]
+
+
+def reference_build_tower(n: int, group: Group) -> list[tuple[SliceDescriptor, int | None, int | None, Rep]]:
     if n <= 2:
         rep = trivial_rep(group, n)
-        return Tower(group, n, (Stage(SliceDescriptor(rep), rep),))
+        return [(SliceDescriptor(rep), None, None, rep)]
 
     p, k = group.p, group.k
     dims = base_dims(n, p)
     section = trivial_rep(group, n)
-    stages = []
+    found = []
     for a in range(k, 0, -1):
         for b in range(len(dims), 0, -1):
             if a == 1 and b == 1 and n % p == 0:
@@ -98,9 +105,8 @@ def reference_build_tower(n: int, group: Group) -> Tower:
             rep = (regular_rep(group, n - 2) - trivial_rep(group)
                    - lambda_block(ell(n, group, a, b), group))
             i, j = min(p_adic_val(m, p), k - a) + 1, a - 1
-            stages.append(Stage(SliceDescriptor(rep, coeff_i=i, coeff_j=j),
-                                section, a, b))
+            found.append((SliceDescriptor(rep, coeff_i=i, coeff_j=j), a, b, section))
             section = section - rotation_plane(group, i + j) + rotation_plane(group, j)
     # the bottom integral slice is the last section itself
-    stages.append(Stage(SliceDescriptor(section), section))
-    return Tower(group, n, tuple(stages))
+    found.append((SliceDescriptor(section), None, None, section))
+    return found

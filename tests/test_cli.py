@@ -14,7 +14,7 @@ import pytest
 
 from slicetower.abelian import AbGroup
 from slicetower import cli, tower
-from slicetower.cli import MAX_K, MAX_STAGES, main
+from slicetower.cli import MAX_CELLS, MAX_K, MAX_STAGES, main
 from slicetower.group import Group, InvariantError
 from slicetower.homology import bredon_homology
 from slicetower.mackey import parse_coefficient
@@ -64,6 +64,35 @@ def test_tower_text_golden(capsys):
     code, out, err = run(capsys, "tower", "--p", "3", "--k", "2", "--n", "7")
     assert code == 0 and err == ""
     assert out == S7_TEXT
+
+
+def full_scan_table(doc):
+    """The text table of a tower's JSON document, each column as wide as
+    its widest cell, found by a scan of every row."""
+    def sphere(display):
+        return f"S^({display})" if set(display) & set(" +-") else f"S^{display}"
+
+    rows = [("stage", "dim", "slice", "section")] + [
+        (str(s["index"]), str(s["slice"]["dim"]),
+         f'{sphere(s["slice"]["printed"]["display"])} ∧ H{s["slice"]["coefficient"]["display"]}',
+         sphere(s["section"]["display"])) for s in doc["stages"]]
+    w = [max(len(row[i]) for row in rows) for i in range(3)]
+    count = doc["stage_count"]
+    head = f'Slice tower of S^{doc["n"]} ∧ HZ over {doc["group"]["display"]}   ({count} stage{"s" * (count != 1)})'
+    return head + "\n\n" + "".join(f"  {i:>{w[0]}}  {d:>{w[1]}}  {c:<{w[2]}}  {sec}\n" for i, d, c, sec in rows)
+
+
+def test_text_widths_match_a_full_scan(capsys):
+    # render_text takes its widths from a few stages (render.py proves
+    # which); every column is as wide as a scan of all rows makes it,
+    # also over C_3^12 and C_5^12, where a coefficient B(i, j) with
+    # i >= 10 widens a row whose sphere is not the widest
+    cases = [(p, k, n) for p in (3, 5, 7) for k in (1, 2, 3, 4) for n in range(61)]
+    cases += [(3, 12, 20), (3, 12, 56), (3, 12, 164), (5, 12, 12), (5, 12, 52)]
+    for p, k, n in cases:
+        argv = ("tower", "--p", str(p), "--k", str(k), "--n", str(n))
+        text, doc = run(capsys, *argv)[1], json.loads(run(capsys, *argv, "--format", "json")[1])
+        assert text == full_scan_table(doc), (p, k, n)
 
 
 def test_tower_latex_golden(capsys):
@@ -185,7 +214,7 @@ S7_FAILURES = {0: (Failure(1, "vanishing", 1, 3, AbGroup((3,))),),
 
 def s7_doomed(tower):
     return [VerificationReport(4, S7_FAILURES.get(i, ()))
-            for i in range(len(tower.stages))]
+            for i in range(len(tower.slices))]
 
 
 def test_failed_verification_prints_each_failure(capsys, monkeypatch):
@@ -254,19 +283,32 @@ PEAK_GROWTH = textwrap.dedent("""
 """)
 
 
-@pytest.mark.parametrize("fmt", ["json", "latex"])
+def peak_growth_mb(*argv):
+    """How far the request's peak memory rises above its peak after import, in MB."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", PEAK_GROWTH, *argv], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stderr) / 1024
+
+
+@pytest.mark.parametrize("fmt", ["json", "latex", "text"])
 def test_a_streamed_tower_holds_memory_flat_in_n(fmt):
     # the tower of S^100000 over C_3 has 33,334 stages, all distinct
     # slices, so every per-slice cache fills to its cap; written a stage
     # at a time, the request grows by what those caches hold, not by its
-    # tower or its document (about 100 MB for JSON and 33 MB for LaTeX
-    # when they were held whole, 8 MB and 5 MB streamed)
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", PEAK_GROWTH, "tower", "--p", "3", "--k", "1", "--n", "100000",
-                           "--format", fmt], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    grown_mb = int(proc.stderr) / 1024
+    # tower or its document (about 100 MB for JSON, 33 MB for LaTeX and
+    # 50 MB for text when they were held whole)
+    grown_mb = peak_growth_mb("tower", "--p", "3", "--k", "1", "--n", "100000", "--format", fmt)
+    assert grown_mb < 16, grown_mb
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_verify_sweep_holds_one_report_pointer_per_stage(fmt):
+    # the 100,100 stages of n = 3..600 over C_9 are walked twice, to check
+    # and to print, and only a pointer to each cached report is held in
+    # between (26 MB as text and 29 MB as JSON when every tower was held)
+    grown_mb = peak_growth_mb("verify", "--p", "3", "--k", "2", "--n", "3..600", "--format", fmt)
     assert grown_mb < 16, grown_mb
 
 
@@ -517,6 +559,21 @@ def test_a_reader_that_closes_stdout_early_gets_exit_one_and_no_traceback(argv):
     assert (proc.returncode, err) == (1, "")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("--n", "100000"), ("--n", "10000", "--verify")], ids=["table", "verify"])
+def test_a_text_table_whose_reader_leaves_after_one_byte_exits_one(argv, unbuffered):
+    # as under `| head -c 1`: each table is far more than a pipe holds
+    # (2.4 MB and 229 kB), written a row at a time, so a write after the
+    # reader has gone finds no reader
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen([sys.executable, "-m", "slicetower.cli", "tower", "--p", "3", "--k", "1", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"S"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 @pytest.mark.parametrize("level,index", [("e", 0), ("1", 1)])
 def test_homology_low_level_of_a_large_group_is_quick(level, index):
     # low levels are realized on the restricted sphere, where most planes
@@ -606,6 +663,24 @@ def test_stage_cap(capsys):
     code, out, err = run(capsys, "verify", "--p", "3", "--k", "1", "--n", "0..3000")
     assert (code, out) == (2, "")
     assert err == f"error: --n 0..3000 builds at least {total} stages, over the cap of {MAX_STAGES}\n"
+
+
+@pytest.mark.parametrize("k,rep,degree,window,cells", [
+    (64, "L0-L1", "0", "-1..1", 4 * 3**63 + 5),
+    (64, "L0 + L1", "3", "2..4", 3**63 + 3),
+    (8, "L0-L1", "0", "-1..1", 8753),
+], ids=["product", "attaching", "C_3^8"])
+def test_a_homology_request_over_the_cell_cap_exits_two_at_once(k, rep, degree, window, cells):
+    # counted from isotropy levels before any cell is built: over C_3^64,
+    # the product classes of L0 - L1 and the attaching translations of
+    # L0 + L1's 3-cell, each past 3^63, which no machine would build;
+    # over C_3^8, a request that would run for minutes
+    start = time.perf_counter()
+    proc = run_subprocess("homology", "--p", "3", "--k", str(k), "--rep", rep, "--degree", degree, timeout=10)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: the sphere has {cells} cells in degrees {window} at level {k}, "
+                           f"over the cap of {MAX_CELLS}\n")
 
 
 @pytest.mark.parametrize("depth", [500, 5000])

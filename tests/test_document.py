@@ -25,13 +25,20 @@ C3 = Group(3, 1)
 C9 = Group(3, 2)
 
 
+def document(tower, reports=None) -> str:
+    """The tower's JSON document as one string, less the newline that ends it."""
+    text = "".join(tower_document(tower, reports))
+    assert text.endswith("}\n")
+    return text[:-1]
+
+
 def load_schema():
     text = resources.files("slicetower").joinpath("data/tower.schema.json").read_text()
     return json.loads(text)
 
 
 def test_top_level_fields():
-    doc = json.loads(tower_document(build_tower(7, C9)))
+    doc = json.loads(document(build_tower(7, C9)))
     assert doc["format"] == FORMAT == "slicetower/1"
     assert doc["tool"] == {"name": "slicetower", "version": VERSION}
     assert doc["group"] == {"p": 3, "k": 2, "order": 9, "display": "C_3^2"}
@@ -54,7 +61,7 @@ def test_rep_payload():
 
 def test_printed_rule_regular_shorthand():
     # over a group with two plane levels the exact rho form survives
-    doc = json.loads(tower_document(build_tower(7, C9)))
+    doc = json.loads(document(build_tower(7, C9)))
     s0 = doc["stages"][0]["slice"]
     assert s0["rep"]["display"] == "5ρ - 1"
     assert s0["printed"] == {"display": "5ρ - 1", "latex": r"5\rho - 1"}
@@ -65,19 +72,19 @@ def test_printed_rule_regular_shorthand():
 
 def test_printed_rule_strips_invisible_planes():
     # no rho shorthand: planes below the coefficient's range disappear
-    doc = json.loads(tower_document(build_tower(7, C9)))
+    doc = json.loads(document(build_tower(7, C9)))
     s2 = doc["stages"][2]["slice"]
     assert s2["rep"]["display"] == "2 + λ_1 + 5λ_0"
     assert s2["printed"]["display"] == "2 + λ_1"
     # over C_p even an exact regular multiple is printed stripped
-    doc3 = json.loads(tower_document(build_tower(7, C3)))
+    doc3 = json.loads(document(build_tower(7, C3)))
     s0 = doc3["stages"][0]["slice"]
     assert s0["rep"]["display"] == "5ρ - 1"
     assert s0["printed"]["display"] == "4"
 
 
 def test_integral_stage_prints_exactly():
-    doc = json.loads(tower_document(build_tower(16, C9)))
+    doc = json.loads(document(build_tower(16, C9)))
     last = doc["stages"][-1]
     assert last["slice"]["kind"] == "integral"
     assert last["slice"]["coefficient"] == {"family": "Z", "display": "Z"}
@@ -121,7 +128,7 @@ def test_the_three_formats_print_the_same_slice(capsys, p, k):
 def test_verification_payload():
     tower = build_tower(4, C3)
     reports = verify_tower(tower)
-    doc = json.loads(tower_document(tower, reports))
+    doc = json.loads(document(tower, reports))
     for stage in doc["stages"]:
         v = stage["verification"]
         assert v["passed"] is True
@@ -146,7 +153,7 @@ def test_failure_payload():
     vanishing = {"level": 1, "check": "vanishing", "epsilon": 1, "t": 2, "group": "Z/3"}
     containment = {"level": 0, "check": "containment", "epsilon": None, "t": None, "group": None}
     for report, failures in ((BAD, [vanishing]), (UNCONTAINED, [containment, vanishing])):
-        v = json.loads(tower_document(tower, [report]))["stages"][0]["verification"]
+        v = json.loads(document(tower, [report]))["stages"][0]["verification"]
         assert v["passed"] is False
         assert v["checks"] == report.checks
         assert v["failures"] == failures
@@ -164,7 +171,7 @@ def test_document_kinds(group):
     # the document spells each stage's kind: torsion where the stage has
     # a column a, else zero, integral-small or integral by the tower's n
     for n, kinds in enumerate(KINDS[group]):
-        stages = json.loads(tower_document(build_tower(n, group)))["stages"]
+        stages = json.loads(document(build_tower(n, group)))["stages"]
         assert [s["slice"]["kind"] for s in stages] == kinds, n
         assert [s["slice"]["a"] is not None for s in stages] == [k == "torsion" for k in kinds], n
 
@@ -175,8 +182,8 @@ def test_document_kinds(group):
 def test_documents_validate_against_schema(n, group):
     schema = load_schema()
     tower = build_tower(n, group)
-    jsonschema.validate(json.loads(tower_document(tower)), schema)
-    jsonschema.validate(json.loads(tower_document(tower, verify_tower(tower)
+    jsonschema.validate(json.loads(document(tower)), schema)
+    jsonschema.validate(json.loads(document(tower, verify_tower(tower)
                                                   if n <= 5 else None)), schema)
 
 
@@ -198,9 +205,9 @@ def test_document_round_trips_through_json():
     # reports; a failing report also carries a group, or nulls
     for p, k, n in itertools.product((3, 5, 7), (1, 2, 3), range(41)):
         tower = build_tower(n, Group(p, k))
-        count = len(tower.stages)
+        count = len(tower.slices)
         for reports in (None, verify_tower(tower), [BAD] * count, [UNCONTAINED] * count):
-            assert canonical(tower_document(tower, reports)), (p, k, n, reports)
+            assert canonical(document(tower, reports)), (p, k, n, reports)
 
 
 @pytest.mark.parametrize("p,k,n", [("3", "2", "3..40"), ("5", "1", "0..40"), ("7", "3", "3..12")])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from criteria import canonical_lambda
+from slicetower.document import sphere_forms
 from slicetower.group import Group
 from slicetower.params import slice_params
 from slicetower.rep import (
@@ -28,10 +29,9 @@ from slicetower.rep import (
     rho_form,
     rotation_plane,
     slice_rep,
-    strip_planes,
     trivial_rep,
 )
-from slicetower.tower import build_tower
+from slicetower.tower import SliceDescriptor, build_tower
 
 C9 = Group(3, 2)
 C3 = Group(3, 1)
@@ -217,17 +217,19 @@ def test_slice_rep_reads_one_regular_rep_per_group():
     groups = (C9, Group(5, 3))
     for group in groups:
         for n in range(3, 41):
-            build_tower(n, group)
+            list(build_tower(n, group).steps())
     assert regular_rep.cache_info().currsize == len(groups)
     assert [regular_rep(group) for group in groups] == [Rep(C9, 1, (3, 1)),
                                                         Rep(Group(5, 3), 1, (50, 10, 2))]
 
 
 def test_strip_planes():
+    # sphere_forms prints a torsion slice's sphere without the planes its
+    # coefficient B(i, j) cannot see, those below level j + 1
     v = Rep(C9, 2, (5, 2))
-    assert strip_planes(v, 0) == v
-    assert strip_planes(v, 1) == Rep(C9, 2, (0, 2))
-    assert strip_planes(v, 2) == Rep(C9, 2, (0, 0))
+    assert sphere_forms(SliceDescriptor(v)) == render_forms(C9, 2, (5, 2))
+    assert sphere_forms(SliceDescriptor(v, coeff_i=2, coeff_j=0)) == render_forms(C9, 2, (0, 2))
+    assert sphere_forms(SliceDescriptor(v, coeff_i=1, coeff_j=1)) == render_forms(C9, 2, (0, 0))
 
 
 def test_render_rep():

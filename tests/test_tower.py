@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 import reference_tower as reference
+from reference_tower import stages
 from slicetower.abelian import AbGroup
 from slicetower.document import slice_text, sphere_forms, verification_text
 from slicetower.group import Group, is_odd_prime, p_adic_val
@@ -35,11 +36,12 @@ def test_s7_tower_frozen():
     assert [s.is_torsion for s in tower.slices] == [True] * 4 + [False]
     assert [(s.coeff_i, s.coeff_j) for s in tower.slices[:-1]] == [
         (1, 1), (1, 1), (1, 0), (2, 0)]
-    assert [(s.a, s.b) for s in tower.stages[:-1]] == [(2, 2), (2, 1), (1, 2), (1, 1)]
-    assert tower.stages[0].section == trivial_rep(C9, 7)
-    assert [str(s.section) for s in tower.stages] == [
+    sections = [section for *_, section in stages(tower)]
+    assert [(a, b) for _, a, b, _ in stages(tower)[:-1]] == [(2, 2), (2, 1), (1, 2), (1, 1)]
+    assert sections[0] == trivial_rep(C9, 7)
+    assert [str(section) for section in sections] == [
         "7", "5 + λ_1", "3 + 2λ_1", "3 + λ_1 + λ_0", "1 + λ_1 + 2λ_0"]
-    assert tower.stages[-1].section == tower.slices[-1].rep
+    assert sections[-1] == tower.slices[-1].rep
 
 
 def test_s16_tower_frozen():
@@ -50,17 +52,18 @@ def test_s16_tower_frozen():
         (1, 1)] * 5 + [(1, 0), (2, 0), (1, 0), (1, 0), (2, 0)]
     assert str(tower.slices[0].rep) == "14ρ - 1"
     assert str(tower.slices[6].rep) == "4ρ - 1"
-    assert tower.stages[-1].section == Rep(C9, 2, (5, 2))
-    assert str(tower.stages[-1].section) == "2 + 2λ_1 + 5λ_0"
+    *_, bottom = stages(tower)[-1]
+    assert bottom == Rep(C9, 2, (5, 2))
+    assert str(bottom) == "2 + 2λ_1 + 5λ_0"
 
 
 def test_multiple_of_p_drops_last_torsion_slice():
     # p | n: the (a, b) = (1, 1) slot is absent and the bottom integral
     # slice takes over directly
     tower = build_tower(9, C9)
-    assert all((s.a, s.b) != (1, 1) for s in tower.stages[:-1])
+    assert all((a, b) != (1, 1) for _, a, b, _ in stages(tower)[:-1])
     # d = 3 (base dims 3, 5, 7) and the dropped slot leaves k*d stages
-    assert len(tower.stages) == 6
+    assert len(stages(tower)) == 6
     assert not tower.slices[-1].is_torsion
     assert tower.slices[-1].dim == 9
 
@@ -79,16 +82,17 @@ def test_c_p_family_closed_form():
             for i, s in enumerate(torsion, start=1):
                 assert (s.coeff_i, s.coeff_j) == (1, 0)
                 assert s.rep.trivial == n - 2 * i - 1
-            for i, stage in enumerate(tower.stages):
-                assert stage.section == Rep(g, n - 2 * i, (i,))
-            assert tower.stages[-1].section == Rep(g, n - 2 * d, (d,))
+            sections = [section for *_, section in stages(tower)]
+            for i, section in enumerate(sections):
+                assert section == Rep(g, n - 2 * i, (i,))
+            assert sections[-1] == Rep(g, n - 2 * d, (d,))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_small_n_single_stage(n):
     for g in (C3, C9):
         tower = build_tower(n, g)
-        assert len(tower.stages) == 1
+        assert len(list(tower.steps())) == 1
         desc = tower.slices[0]
         assert not desc.is_torsion
         assert desc.dim == n
@@ -120,50 +124,53 @@ def test_fiber_sequences():
     # common part by planes at levels below its column a only
     for p, k, n in itertools.product((3, 5, 7), (1, 2, 3), range(3, 31)):
         g = Group(p, k)
-        tower = build_tower(n, g)
-        for stage, below in zip(tower.stages, tower.stages[1:]):
-            desc, a = stage.descriptor, stage.a
+        tower = stages(build_tower(n, g))
+        for (desc, a, b, section), (*_, below) in zip(tower, tower[1:]):
             i, j = desc.coeff_i, desc.coeff_j
             assert desc.is_torsion
-            assert j == a - 1 and 1 <= i and i + j <= g.k, (n, g, a, stage.b)
-            common = stage.section - rotation_plane(g, i + j)
-            assert common == below.section - rotation_plane(g, j), (n, g, a, stage.b)
+            assert j == a - 1 and 1 <= i and i + j <= g.k, (n, g, a, b)
+            common = section - rotation_plane(g, i + j)
+            assert common == below - rotation_plane(g, j), (n, g, a, b)
             excess = desc.rep - (common - trivial_rep(g))
-            assert excess.is_actual and excess.trivial == 0, (n, g, a, stage.b, excess)
-            assert not any(excess.planes[a:]), (n, g, a, stage.b, excess)
+            assert excess.is_actual and excess.trivial == 0, (n, g, a, b, excess)
+            assert not any(excess.planes[a:]), (n, g, a, b, excess)
 
 
 def test_exchange_at_level_k_trades_two_trivial_summands():
     # S^7 over C_9: B(1,1) at (2, 2) and B(2,0) at (1, 1) trade out the
     # level-k plane, so crossing them gives up two trivial summands for a
     # level-j plane
-    tower = build_tower(7, C9)
+    sections = [section for *_, section in stages(build_tower(7, C9))]
     assert torsion_slice(C9, 2, 5)[1] == Rep(C9, -2, (0, 1))
     assert torsion_slice(C9, 1, 3)[1] == Rep(C9, -2, (1, 0))
-    assert tower.stages[0].section + torsion_slice(C9, 2, 5)[1] == Rep(C9, 5, (0, 1))
-    assert tower.stages[3].section + torsion_slice(C9, 1, 3)[1] == Rep(C9, 1, (2, 1))
+    assert sections[0] + torsion_slice(C9, 2, 5)[1] == Rep(C9, 5, (0, 1))
+    assert sections[3] + torsion_slice(C9, 1, 3)[1] == Rep(C9, 1, (2, 1))
     for p, k, n in itertools.product((3, 5), (1, 2, 3), range(3, 25)):
         g = Group(p, k)
-        stages = build_tower(n, g).stages
-        for stage, below in zip(stages, stages[1:]):
-            desc, move = torsion_slice(g, stage.a, slice_params(n, g)[stage.b - 1])
-            assert desc is stage.descriptor
+        tower = stages(build_tower(n, g))
+        for (own, a, b, section), (*_, below) in zip(tower, tower[1:]):
+            desc, move = torsion_slice(g, a, slice_params(n, g)[b - 1])
+            assert desc is own
             i, j = desc.coeff_i, desc.coeff_j
             if i + j != k:
                 continue
-            nxt = stage.section + move
-            assert nxt == below.section
-            assert nxt.trivial == stage.section.trivial - 2, (n, g, stage.a, stage.b)
-            assert nxt.planes == tuple(m + (level == j) for level, m in enumerate(stage.section.planes))
+            nxt = section + move
+            assert nxt == below
+            assert nxt.trivial == section.trivial - 2, (n, g, a, b)
+            assert nxt.planes == tuple(m + (level == j) for level, m in enumerate(section.planes))
 
 
-def test_build_tower_wraps_the_schedule(monkeypatch):
-    # build_tower's stages are schedule's, each section made a Rep; the
-    # schedule itself builds none per stage: with its torsion slices
-    # cached, it builds the bottom slice's few, whatever the tower's length
+def test_a_tower_holds_only_its_recipe(monkeypatch):
+    # a Tower is (group, n): building it builds no stage, and each walk of
+    # its steps runs the schedule afresh; the schedule itself builds no Rep
+    # per stage: with its torsion slices cached, it builds the bottom
+    # slice's few, whatever the tower's length
+    assert [f.name for f in dataclasses.fields(build_tower(7, C9))] == ["group", "n"]
     for g in (C3, C9, Group(5, 2), Group(3, 3)):
         for n in range(0, 30):
-            assert list(build_tower(n, g).steps()) == list(schedule(n, g)), (g, n)
+            tower = build_tower(n, g)
+            assert (tower.group, tower.n) == (g, n)
+            assert list(tower.steps()) == list(tower.steps()) == list(schedule(n, g)), (g, n)
     built = []
     post_init = Rep.__post_init__
     monkeypatch.setattr(Rep, "__post_init__", lambda self: built.append(post_init(self)))
@@ -171,7 +178,9 @@ def test_build_tower_wraps_the_schedule(monkeypatch):
     for n in (301, 3001):
         list(schedule(n, C3))
         built.clear()
-        assert sum(1 for _ in schedule(n, C3)) == stage_count(n, C3)
+        tower = build_tower(n, C3)
+        assert not built
+        assert sum(1 for _ in tower.steps()) == stage_count(n, C3)
         counts.append(len(built))
     assert counts[0] == counts[1] < 10, counts
 
@@ -188,14 +197,14 @@ def test_exchange_needs_the_plane_it_gives_up(monkeypatch):
     # level-1 planes: the (2, 1) stage finds one trivial summand left
     doctor_column(monkeypatch, 2, rotation_plane(C9, 1, 3) - rotation_plane(C9, 2, 3))
     with pytest.raises(AssertionError, match=r"exchanging planes across V\(2,1\) leaves no section"):
-        build_tower(7, C9)
+        list(build_tower(7, C9).steps())
     # with column 2 moving its planes to level 0, the (1, 2) slice's
     # B(1,0) finds no level-1 plane to give up
     desc, _ = torsion_slice(C9, 1, 5)
     assert desc.coeff_i + desc.coeff_j == 1
     doctor_column(monkeypatch, 2, rotation_plane(C9, 0) - rotation_plane(C9, 2))
     with pytest.raises(AssertionError, match=r"exchanging planes across V\(1,2\) leaves no section"):
-        build_tower(7, C9)
+        list(build_tower(7, C9).steps())
 
 
 def test_verify_slice_passes_on_real_slices():
@@ -280,13 +289,13 @@ def test_a_slice_is_checked_once_wherever_it_sits():
     # (n, a, b) in the towers of C_9 takes one cache miss
     places = {}
     for n in range(3, 13):
-        for stage in build_tower(n, C9).stages:
-            places.setdefault(stage.descriptor, []).append(stage)
-    moved = [met for met in places.values() if len({(s.a, s.b) for s in met}) > 1]
+        for desc, a, b, *_ in build_tower(n, C9).steps():
+            places.setdefault(desc, []).append((a, b))
+    moved = [(desc, met) for desc, met in places.items() if len(set(met)) > 1]
     assert moved
-    for met in moved:
+    for desc, met in moved:
         empty_caches()
-        reports = [verify_slice(stage.descriptor) for stage in met]
+        reports = [verify_slice(desc) for _ in met]
         assert all(r is reports[0] for r in reports)
         assert verify_slice.cache_info()[:2] == (len(met) - 1, 1)  # hits, misses
 
@@ -381,9 +390,9 @@ def test_towers_share_their_torsion_slices():
     # a slice met in several towers is one object, so the caches keyed
     # by it hit on identity
     for n in range(3, 31):
-        for stage in build_tower(n, C9).stages[:-1]:
-            m = slice_params(n, C9)[stage.b - 1]
-            assert stage.descriptor is torsion_slice(C9, stage.a, m)[0]
+        for desc, a, b, *_ in list(build_tower(n, C9).steps())[:-1]:
+            m = slice_params(n, C9)[b - 1]
+            assert desc is torsion_slice(C9, a, m)[0]
     info = torsion_slice.cache_info()
     assert info.hits > info.misses == info.currsize
 
@@ -395,7 +404,7 @@ def test_regular_rep_cache_stays_under_its_cap():
     primes = [p for p in range(3, 50000, 2) if is_odd_prime(p)][:4200]
     regular_rep.cache_clear()
     for p in primes:
-        build_tower(3, Group(p, 1))
+        list(build_tower(3, Group(p, 1)).steps())
     info = regular_rep.cache_info()
     assert info.misses > info.maxsize >= info.currsize
 

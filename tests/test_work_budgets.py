@@ -107,7 +107,7 @@ def test_tower_stays_within_its_work_budget(rep_constructions):
     spec = BUDGETS["tower"]
     for p, k, n in spec["requests"]:
         group = Group(p, k)
-        assert len(build_tower(n, group).stages) == stage_count(n, group), (p, k, n)
+        assert len(list(build_tower(n, group).steps())) == stage_count(n, group), (p, k, n)
     work = {
         "torsion_slice misses": torsion_slice.cache_info().misses,
         "regular_rep entries": regular_rep.cache_info().currsize,
@@ -130,7 +130,7 @@ def test_tower_render_stays_within_its_work_budget(rep_constructions):
             for fmt in ("json", "latex"):
                 assert main(["tower", "--p", str(p), "--k", str(k), "--n", str(n), "--format", fmt]) == 0
     constructions = rep_constructions[0]  # the requests' alone, not the slices' below
-    slices = {stage.descriptor for p, k, n in cases for stage in build_tower(n, Group(p, k)).stages}
+    slices = {desc for p, k, n in cases for desc in build_tower(n, Group(p, k)).slices}
     work = {
         "torsion_slice misses": torsion_slice.cache_info().misses,
         "document cache entries": sphere_forms.cache_info().currsize + slice_text.cache_info().currsize,
