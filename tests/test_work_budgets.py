@@ -8,12 +8,14 @@ verify-sweep replays, in process and from empty caches, the verify
 ranges of the benchmark workload of that name, (p, k, lowest n,
 highest n) each, and counts the cache misses of the oracle's layers:
 slices checked, spheres looked up afresh, windows realized, and
-coefficients restricted to a subgroup.
+coefficients restricted to a subgroup; and the bookkeeping around
+them, the representations and Mackey functors the sweep constructs,
+counted by wrapping Rep.__post_init__ and MackeyFunctor.__post_init__.
 
 tower builds, in process and from empty caches, the towers of its
 requests, (p, k, n) each, and counts the torsion slices built, the
 regular representations cached and the representations constructed,
-by wrapping Rep.__post_init__.
+counted as the sweep's are.
 
 tower-render replays, through cli.main in JSON and LaTeX and from empty
 caches, the towers of the benchmark workload of that name, and counts
@@ -46,7 +48,7 @@ from slicetower.cli import main
 from slicetower.document import slice_text, sphere_forms
 from slicetower.group import Group
 from slicetower.homology import sphere_homology, window_homology
-from slicetower.mackey import constant_Z, restrict_mackey
+from slicetower.mackey import MackeyFunctor, constant_Z, restrict_mackey
 from slicetower.params import stage_count
 from slicetower.rep import Rep, parse_rep, regular_rep
 from slicetower.tower import build_tower, torsion_slice, verify_slice, verify_tower
@@ -73,8 +75,9 @@ def test_verify_sweep_budget_replays_the_benchmark_ranges():
     assert [tuple(r) for r in BUDGETS["verify-sweep"]["ranges"]] == list(bench_workloads().VERIFY_SWEEPS)
 
 
-def test_verify_sweep_stays_within_its_work_budget():
+def test_verify_sweep_stays_within_its_work_budget(monkeypatch):
     spec = BUDGETS["verify-sweep"]
+    reps, functors = count_constructions(monkeypatch, Rep), count_constructions(monkeypatch, MackeyFunctor)
     for p, k, lo, hi in spec["ranges"]:
         group = Group(p, k)
         for n in range(lo, hi + 1):
@@ -85,22 +88,30 @@ def test_verify_sweep_stays_within_its_work_budget():
         "window_homology misses": window_homology.cache_info().misses,
         "restrict_mackey misses": restrict_mackey.cache_info().misses,
         "regular_rep entries": regular_rep.cache_info().currsize,
+        "Rep constructions": reps[0],
+        "MackeyFunctor constructions": functors[0],
     }
     assert_within_budget(work, spec["budgets"])
 
 
-@pytest.fixture
-def rep_constructions(monkeypatch):
-    """A one-item list that counts the Reps constructed from here on."""
+def count_constructions(monkeypatch, cls):
+    """A one-item list that counts the instances of the dataclass cls
+    constructed from here on, by wrapping its __post_init__."""
     count = [0]
 
     def counted_post_init(self):
         count[0] += 1
         post_init(self)
 
-    post_init = Rep.__post_init__
-    monkeypatch.setattr(Rep, "__post_init__", counted_post_init)
+    post_init = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", counted_post_init)
     return count
+
+
+@pytest.fixture
+def rep_constructions(monkeypatch):
+    """A one-item list that counts the Reps constructed from here on."""
+    return count_constructions(monkeypatch, Rep)
 
 
 def test_tower_stays_within_its_work_budget(rep_constructions):
