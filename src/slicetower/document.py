@@ -10,7 +10,7 @@ writes, with no tree.  A tower's stage spells its own fields around its
 slice's and its report's text, each encoded once per process
 (slice_text, verification_text).  tower_document yields a tower's
 document one stage at a time, as the tower's steps come, and
-verify_document its report one tower at a time, so both stream.
+verify_document its report from those parts, so both stream.
 """
 
 from __future__ import annotations
@@ -131,13 +131,16 @@ def tower_document(tower: Tower, reports: Sequence[VerificationReport] | None = 
 def verify_document(group: Group, lo: int, hi: int, total: int, failed: int,
                     runs: list[tuple[Tower, list[VerificationReport]]]) -> Iterator[str]:
     """The verify report's JSON text in parts, ending in a newline: its header,
-    each tower's document re-indented as one string, and the closing brackets."""
+    each tower's document re-indented a part at a time, and the closing brackets."""
     yield (f'{{\n  "format": "{FORMAT}",\n  "kind": "verify-report",\n  "group": {group_text(group)},\n'
            f'  "range": [\n    {lo},\n    {hi}\n  ],\n  "stages": {total},\n  "failed_stages": {failed},\n'
            f'  "all_passed": {"true" if failed == 0 else "false"},\n  "towers": [')
     for i, (tower, reports) in enumerate(runs):
-        text = "".join(tower_document(tower, reports))[:-1]  # without its newline
-        yield (",\n    " if i else "\n    ") + text.replace("\n", "\n    ")
+        part = ",\n" if i else "\n"  # each part is yielded once the next one comes
+        for following in tower_document(tower, reports):
+            yield part.replace("\n", "\n    ")
+            part = following
+        yield part[:-1].replace("\n", "\n    ")  # the tower's last part, without its newline
     yield "\n  ]\n}\n"
 
 

@@ -16,7 +16,8 @@ a zero level.
 Functors carry no name and compare and hash by value: two are equal
 when they have the same group, generator orders and restriction and
 transfer scalars.  So B(1,0) over C_27 restricted to C_9 equals B(1,0)
-over C_9, and Z equals Z(0,0), while Z and Z* differ.
+over C_9, and Z equals Z(0,0), while Z and Z* differ.  Z_ij and B_ij
+are cached, so every caller shares one functor per (i, j, group).
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ def _cyclic_functor(group: Group, orders: list[int], res_scalars: list[int],
     return MackeyFunctor(group, levels, maps(res_scalars), maps(tr_scalars))
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def Z_ij(i: int, j: int, group: Group) -> MackeyFunctor:
     """The integral family interpolating between the constant functor
     and its dual: restriction is multiplication by p on levels j..i-1
@@ -95,6 +97,7 @@ def dual_Z(group: Group) -> MackeyFunctor:
     return Z_ij(group.k, 0, group)
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def B_ij(i: int, j: int, group: Group) -> MackeyFunctor:
     """The torsion family: zero through level j, then growing cyclic
     p-groups capped at order p^i from level i+j upward.  Restriction is

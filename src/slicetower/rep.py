@@ -163,11 +163,6 @@ def restrict_rep(v: Rep, m: int) -> Rep:
     return Rep(sub, v.trivial + 2 * sum(v.planes[m:]), v.planes[:m])
 
 
-def is_subrep(small: Rep, big: Rep) -> bool:
-    d = big - small
-    return d.is_actual
-
-
 # --- display ---------------------------------------------------------------
 
 def rho_form(group: Group, trivial: int, planes: tuple[int, ...]) -> tuple[int, int] | None:

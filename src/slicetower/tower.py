@@ -8,11 +8,11 @@ the bottom has dimension n.  Sections interpolate by exchanging one
 rotation plane at a time.
 
 verify_slice is the independent check that a descriptor really is a
-slice of the claimed dimension: it restricts to every subgroup level
-and tests the containment and connectivity conditions by computing
-Bredon homology of the relevant virtual spheres from their cell
-structures.  Nothing in that path reuses the closed forms above, which
-is the point.
+slice of the claimed dimension: at every subgroup level it tests
+containment on integer multiplicities, and connectivity by the Bredon
+homology of the relevant virtual spheres, from their cell structures.
+Nothing in that path reuses the closed forms above, which is the
+point.
 
 A descriptor is the spectrum alone, its sphere and its coefficient;
 where it sits in a tower, and so the kind a document gives it, is its
@@ -47,7 +47,7 @@ from .group import Group, InvariantError, p_adic_val
 from .homology import sphere_homology
 from .mackey import B_ij, constant_Z, restrict_mackey
 from .params import slice_params
-from .rep import Rep, is_subrep, n_slice_rep, regular_rep, restrict_rep, rotation_plane, slice_rep, trivial_rep
+from .rep import Rep, n_slice_rep, regular_rep, restrict_rep, rotation_plane, slice_rep
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,19 +188,19 @@ class VerificationReport:
 
 @functools.lru_cache(maxsize=1 << 12)
 def verify_slice(desc: SliceDescriptor) -> VerificationReport:
-    """Check the slice condition for the descriptor.
+    """Check the slice condition for the descriptor, on multiplicities.
 
-    At every subgroup level m the restricted representation must sit
-    inside copies of the regular representation (minus a trivial line
-    for the torsion slices), as many as make the fixed subspaces agree,
-    and the homology of S^(V - t rho) must vanish in degree -eps for every t
-    past (dim V + eps) / p^m.  One loop over t reads both degrees of
-    each sphere from homology.sphere_homology, so a sphere met before in
-    this process, or one with the same cells in its window, under an
-    equal functor, is not realized again.  The loop stops once the top
-    cell dimension drops below -1, where both groups are zero for size
-    reasons.  The report is immutable and cached: a slice met before in
-    this process, in any tower, is not checked again.
+    At every subgroup level m, V restricts once to Vm, read against the
+    multiplicities of rho_m, which has one trivial summand.  Vm must sit
+    inside wit rho_m minus eps trivial lines, wit as many copies as make
+    the fixed subspaces agree: wit - eps >= Vm.trivial, and wit rho_m has
+    at least Vm's planes at every level.  The homology of S^(Vm - t rho_m)
+    must vanish in degree -eps for every t past (dim V + eps) / p^m.  One
+    loop over t builds each sphere once from multiplicities and reads both
+    degrees from homology.sphere_homology, which keys spheres by value and
+    realizes each distinct window once.  It stops once the top cell
+    dimension drops below -1, where both groups are zero for size reasons.
+    The report is immutable and cached: a slice is checked once per process.
     """
     V, group = desc.rep, desc.rep.group
     M = B_ij(desc.coeff_i, desc.coeff_j, group) if desc.is_torsion else constant_Z(group)
@@ -209,32 +209,29 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     checks = 0
 
     for m in range(group.k, -1, -1):
-        rho = regular_rep(group.subgroup(m))
         Vm = restrict_rep(V, m)
+        sub, trivial, planes = Vm.group, Vm.trivial, Vm.planes
+        rho = regular_rep(sub).planes  # and one trivial summand
         Mm = restrict_mackey(M, m)
         if Vm.dim != V.dim:
             raise InvariantError(f"restriction to level {m} changed the dimension of {V}")
 
-        wit = Vm.trivial + eps0
-        eps_wit = eps0
-        if wit == 0:
-            wit, eps_wit = 1, 1
-        bound = wit * rho - trivial_rep(rho.group, eps_wit)
+        wit, eps_wit = (trivial + eps0, eps0) if trivial + eps0 else (1, 1)
         checks += 1
-        if not is_subrep(Vm, bound):
+        if wit - eps_wit < trivial or any(wit * r < x for r, x in zip(rho, planes)):
             failures.append(Failure(m, "containment"))
 
         D = Vm.dim
         first = [(D + eps) // group.p ** m + 1 for eps in (0, 1)]
-        t, w = first[0], Vm - first[0] * rho
-        while max_cell_dim(w) > -2:
+        t = first[0]
+        while max_cell_dim(w := Rep(sub, trivial - t, tuple([x - t * r for x, r in zip(planes, rho)]))) > -2:
             h_minus1, h_0 = sphere_homology(w, Mm, -1, 0)
             for eps, h in ((0, h_0), (1, h_minus1)):
                 if t >= first[eps]:
                     checks += 1
                     if not h.is_trivial:
                         failures.append(Failure(m, "vanishing", epsilon=eps, t=t, group=h))
-            t, w = t + 1, w - rho
+            t += 1
             if t - first[0] > 2 * D + 8:
                 raise InvariantError("vanishing loop failed to stabilize")
 

@@ -1,9 +1,10 @@
 """Checks that only tests read: criterion 6d, injectivity of restriction
 on torsion coefficients, with the lattice tests it is built from; the
-paper's plane λ(w), the reference lambda_block is held to; and the
-Mackey checks, B(i,j) as the cokernel of Z(i+j,j) -> Z and the norm
-axiom tr.res = p.  No command reaches them, so they live here rather
-than in the package.
+paper's plane λ(w), the reference lambda_block is held to; the Mackey
+checks, B(i,j) as the cokernel of Z(i+j,j) -> Z and the norm axiom
+tr.res = p; and the oracle's loop as it was written on Rep arithmetic,
+containment by is_subrep, the reference tower.verify_slice is held to.
+No command reaches them, so they live here rather than in the package.
 
 This is a helper module, not a test module: pytest does not rewrite its
 asserts and python -O would strip them, so it raises instead."""
@@ -11,10 +12,12 @@ asserts and python -O would strip them, so it raises instead."""
 from typing import Sequence
 
 from slicetower.abelian import Mat, divides, lattice_basis
-from slicetower.group import Group, p_adic_val
-from slicetower.homology import bredon_homology
-from slicetower.mackey import B_ij, MackeyFunctor, Z_ij, _cyclic_functor, constant_Z
-from slicetower.rep import Rep, rotation_plane
+from slicetower.cells import max_cell_dim
+from slicetower.group import Group, InvariantError, p_adic_val
+from slicetower.homology import bredon_homology, sphere_homology
+from slicetower.mackey import B_ij, MackeyFunctor, Z_ij, _cyclic_functor, constant_Z, restrict_mackey
+from slicetower.rep import Rep, regular_rep, restrict_rep, rotation_plane, trivial_rep
+from slicetower.tower import Failure, SliceDescriptor, VerificationReport
 
 
 def in_diagonal_lattice(v: Sequence[int], orders: Sequence[int]) -> bool:
@@ -104,3 +107,51 @@ def validate_mackey(M: MackeyFunctor) -> None:
             raise AssertionError(f"{M}: res.tr at level {m} is not the norm")
         if not congruent(hi, M.tr[m] * M.res[m], p):
             raise AssertionError(f"{M}: tr.res at level {m + 1} is not the norm")
+
+
+def is_subrep(small: Rep, big: Rep) -> bool:
+    d = big - small
+    return d.is_actual
+
+
+def reference_verify_slice(desc: SliceDescriptor) -> VerificationReport:
+    """tower.verify_slice as it was written on Rep arithmetic, uncached:
+    the containment by is_subrep against wit rho - eps, and each sphere
+    of the vanishing loop as Vm - t rho, one subtraction of rho a step."""
+    V, group = desc.rep, desc.rep.group
+    M = B_ij(desc.coeff_i, desc.coeff_j, group) if desc.is_torsion else constant_Z(group)
+    eps0 = 1 if desc.is_torsion else 0
+    failures: list[Failure] = []
+    checks = 0
+
+    for m in range(group.k, -1, -1):
+        rho = regular_rep(group.subgroup(m))
+        Vm = restrict_rep(V, m)
+        Mm = restrict_mackey(M, m)
+        if Vm.dim != V.dim:
+            raise InvariantError(f"restriction to level {m} changed the dimension of {V}")
+
+        wit = Vm.trivial + eps0
+        eps_wit = eps0
+        if wit == 0:
+            wit, eps_wit = 1, 1
+        bound = wit * rho - trivial_rep(rho.group, eps_wit)
+        checks += 1
+        if not is_subrep(Vm, bound):
+            failures.append(Failure(m, "containment"))
+
+        D = Vm.dim
+        first = [(D + eps) // group.p ** m + 1 for eps in (0, 1)]
+        t, w = first[0], Vm - first[0] * rho
+        while max_cell_dim(w) > -2:
+            h_minus1, h_0 = sphere_homology(w, Mm, -1, 0)
+            for eps, h in ((0, h_0), (1, h_minus1)):
+                if t >= first[eps]:
+                    checks += 1
+                    if not h.is_trivial:
+                        failures.append(Failure(m, "vanishing", epsilon=eps, t=t, group=h))
+            t, w = t + 1, w - rho
+            if t - first[0] > 2 * D + 8:
+                raise InvariantError("vanishing loop failed to stabilize")
+
+    return VerificationReport(checks, tuple(failures))

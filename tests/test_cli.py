@@ -312,6 +312,14 @@ def test_a_verify_sweep_holds_one_report_pointer_per_stage(fmt):
     assert grown_mb < 16, grown_mb
 
 
+def test_a_verify_report_streams_its_tower_a_stage_at_a_time():
+    # the 10,001 stages of n = 30000 over C_3 are one tower, whose document
+    # is re-indented into the report a part at a time (the request grew by
+    # 46 MB when each tower's document was joined and re-indented whole)
+    grown_mb = peak_growth_mb("verify", "--p", "3", "--k", "1", "--n", "30000", "--format", "json")
+    assert grown_mb < 16, grown_mb
+
+
 def test_homology_text_golden(capsys):
     code, out, _ = run(capsys, "homology", "--p", "3", "--k", "1",
                        "--rep", "-(rho)", "--coeff", "Z",

@@ -11,14 +11,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from criteria import canonical_lambda
+from criteria import canonical_lambda, is_subrep
 from slicetower.document import sphere_forms
 from slicetower.group import Group
 from slicetower.params import slice_params
 from slicetower.rep import (
     Rep,
     RepParseError,
-    is_subrep,
     lambda_block,
     n_slice_rep,
     parse_rep,

@@ -3,10 +3,13 @@ and the from-scratch slice verification."""
 
 import dataclasses
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 import reference_tower as reference
+from criteria import reference_verify_slice
 from reference_tower import stages
 from slicetower.abelian import AbGroup
 from slicetower.document import slice_text, sphere_forms, verification_text
@@ -28,6 +31,9 @@ from slicetower.tower import (
 
 C3 = Group(3, 1)
 C9 = Group(3, 2)
+# (p, k, lowest n, highest n) of each range of the benchmark's verify-sweep
+SWEEP_RANGES = json.loads((Path(__file__).parent / "data" / "work_budgets.json").read_text())[
+    "verify-sweep"]["ranges"]
 
 
 def test_s7_tower_frozen():
@@ -228,6 +234,39 @@ def test_verify_slice_flags_non_slice():
     assert all(f.check == "vanishing" for f in report.failures)
     assert report.checks == 11
     assert failure_list(report) == [(2, 1, 1, "Z/3"), (1, 0, 2, "Z/3"), (1, 1, 3, "Z/3")]
+
+
+def mutants(desc):
+    """The descriptor's sphere under every other coefficient its group
+    has, B(i, j) or Z; then its coefficient on the sphere with one plane
+    moved a level up or down, a level-k plane being two trivial summands."""
+    v, group, k = desc.rep, desc.rep.group, desc.rep.group.k
+    for i, j in [(None, None), *((i, j) for i in range(1, k + 1) for j in range(k - i + 1))]:
+        if (i, j) != (desc.coeff_i, desc.coeff_j):
+            yield SliceDescriptor(v, i, j)
+    counts = [*v.planes, v.trivial // 2]
+    for out in range(k + 1):
+        for in_ in (out - 1, out + 1):
+            if counts[out] > 0 and 0 <= in_ <= k:
+                moved = v + rotation_plane(group, in_) - rotation_plane(group, out)
+                yield SliceDescriptor(moved, desc.coeff_i, desc.coeff_j)
+
+
+def test_verify_slice_matches_the_reference_loop_on_passes_and_failures():
+    # every slice of the verify-sweep towers, which pass, and then mutants
+    # of the towers' slices over C_9, C_27 and C_25, which fail both ways:
+    # the loop on multiplicities gives the Rep loop's report, failure for failure
+    for p, k, lo, hi in SWEEP_RANGES:
+        for desc in {desc for n in range(lo, hi + 1) for desc in build_tower(n, Group(p, k)).slices}:
+            assert verify_slice(desc) == reference_verify_slice(desc), desc
+    checks = set()
+    for group in (C9, Group(3, 3), Group(5, 2)):
+        slices = {desc for n in range(3, 25) for desc in build_tower(n, group).slices}
+        for desc in {mutant for desc in slices for mutant in mutants(desc)}:
+            report = verify_slice(desc)
+            assert report == reference_verify_slice(desc), desc
+            checks.update(f.check for f in report.failures)
+    assert checks == {"containment", "vanishing"}
 
 
 def test_verify_slice_reports_both_degrees_in_t_order():
