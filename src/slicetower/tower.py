@@ -202,7 +202,7 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     dimension drops below -1, where both groups are zero for size reasons.
     The report is immutable and cached: a slice is checked once per process.
     """
-    V, group = desc.rep, desc.rep.group
+    V, group, D = desc.rep, desc.rep.group, desc.rep.dim
     M = B_ij(desc.coeff_i, desc.coeff_j, group) if desc.is_torsion else constant_Z(group)
     eps0 = 1 if desc.is_torsion else 0
     failures: list[Failure] = []
@@ -213,7 +213,7 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
         sub, trivial, planes = Vm.group, Vm.trivial, Vm.planes
         rho = regular_rep(sub).planes  # and one trivial summand
         Mm = restrict_mackey(M, m)
-        if Vm.dim != V.dim:
+        if Vm.dim != D:
             raise InvariantError(f"restriction to level {m} changed the dimension of {V}")
 
         wit, eps_wit = (trivial + eps0, eps0) if trivial + eps0 else (1, 1)
@@ -221,7 +221,6 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
         if wit - eps_wit < trivial or any(wit * r < x for r, x in zip(rho, planes)):
             failures.append(Failure(m, "containment"))
 
-        D = Vm.dim
         first = [(D + eps) // group.p ** m + 1 for eps in (0, 1)]
         t = first[0]
         while max_cell_dim(w := Rep(sub, trivial - t, tuple([x - t * r for x, r in zip(planes, rho)]))) > -2:
