@@ -103,19 +103,12 @@ def _pair_class(group: Group, iso_x: int, iso_y: int, u: int, v: int) -> tuple[i
 
     The class is the difference v - u modulo the coarser index group;
     the translation g moves the representative point (0, class) to
-    (u, v) and lives modulo the finer index group.
+    (u, v) and lives modulo the finer index group.  Orbit sizes p^(k - h)
+    are nested powers of p, so g = u (mod p^(k - iso_x)) and g + w = v
+    (mod p^(k - iso_y)) hold by construction.
     """
-    index = group.index
-    w = (v - u) % index(max(iso_x, iso_y))
-    if iso_x <= iso_y:
-        g = u % index(iso_x)
-        if (g + w) % index(iso_y) != v % index(iso_y):
-            raise InvariantError("translation misses the second coordinate")
-    else:
-        g = (v - w) % index(iso_y)
-        if g % index(iso_x) != u % index(iso_x):
-            raise InvariantError("translation misses the first coordinate")
-    return w, g
+    w = (v - u) % group.index(max(iso_x, iso_y))
+    return w, u % group.index(iso_x) if iso_x <= iso_y else (v - w) % group.index(iso_y)
 
 
 def class_images(x: int, c: int, s_src: int, s_tgt: int) -> list[int]:
@@ -166,7 +159,9 @@ def tensor(factors: FactorCells) -> CellStructure:
     A pair (a, b) of factor cells gives one cell per index class.
     Boundary entries follow the Leibniz rule with a sign (-1)^dim(a) on
     the second factor; each formal entry is recovered from the multiset
-    of image points of the representative point (0, class).
+    of image points of the representative point (0, class).  As lo <= hi,
+    the mirror's window is empty only when the positive one is, both then
+    missing the product: B's defaults only keep an empty product from raising.
     """
     group, (lo, hi) = factors.group, factors.window
     index = group.index

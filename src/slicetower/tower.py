@@ -193,9 +193,12 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
     At every subgroup level m, V restricts once to Vm, read against the
     multiplicities of rho_m, which has one trivial summand.  Vm must sit
     inside wit rho_m minus eps trivial lines, wit as many copies as make
-    the fixed subspaces agree: wit - eps >= Vm.trivial, and wit rho_m has
-    at least Vm's planes at every level.  The homology of S^(Vm - t rho_m)
-    must vanish in degree -eps for every t past (dim V + eps) / p^m.  One
+    the fixed subspaces agree: wit = Vm.trivial + eps, or 1 with eps = 1
+    where that sum is 0.  Then wit - eps is Vm.trivial, or 0 when
+    Vm.trivial = -eps <= 0, so the fixed parts always fit, and
+    containment is one comparison: wit rho_m has at least Vm's planes at
+    every level.  The homology of S^(Vm - t rho_m) must vanish in degree
+    -eps for every t past (dim V + eps) / p^m.  One
     loop over t builds each sphere once from multiplicities and reads both
     degrees from homology.sphere_homology, which keys spheres by value and
     realizes each distinct window once.  It stops once the top cell
@@ -216,9 +219,9 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
         if Vm.dim != D:
             raise InvariantError(f"restriction to level {m} changed the dimension of {V}")
 
-        wit, eps_wit = (trivial + eps0, eps0) if trivial + eps0 else (1, 1)
+        wit = trivial + eps0 or 1
         checks += 1
-        if wit - eps_wit < trivial or any(wit * r < x for r, x in zip(rho, planes)):
+        if any(wit * r < x for r, x in zip(rho, planes)):
             failures.append(Failure(m, "containment"))
 
         first = [(D + eps) // group.p ** m + 1 for eps in (0, 1)]

@@ -6,9 +6,10 @@ checks, so these tests double as boundary-map validation."""
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from slicetower import cells
 from slicetower.abelian import Mat
 from slicetower.cells import cell_structure, class_images, factor_cells, max_cell_dim, tensor
-from slicetower.group import Group
+from slicetower.group import Group, InvariantError
 from slicetower.homology import homology_at, level_complex
 from slicetower.mackey import B_ij, constant_Z, dual_Z
 from slicetower.rep import Rep, rotation_plane, trivial_rep
@@ -137,6 +138,19 @@ def test_level_complex_input_validation():
         level_complex(struct, constant_Z(C3), 2)
     with pytest.raises(ValueError):
         level_complex(struct, constant_Z(C9), 1)
+
+
+def test_tensor_refuses_a_boundary_that_is_not_equivariant(monkeypatch):
+    # no factor cells give one, as each face lifts its factor's entry over
+    # the factor's stabilizer, which holds the product cell's; a pairing
+    # that puts every image point at translation 0 breaks that.  The fixed
+    # 0-cell of the mirror of lambda_0 over C_3 meets the three points of
+    # the free cell below it, so it measures {0: 3}, which lifts to
+    # {0: 3, 1: 3, 2: 3}
+    real = cells._pair_class
+    monkeypatch.setattr(cells, "_pair_class", lambda group, *point: (real(group, *point)[0], 0))
+    with pytest.raises(InvariantError, match="boundary is not equivariant"):
+        tensor(factor_cells(Rep(C3, 0, (-1,))))
 
 
 GROUPS = [C3, C9, Group(5, 1)]

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from criteria import homres_injective, in_diagonal_lattice, presented_injective
 from slicetower.abelian import AbGroup, Mat
-from slicetower.group import Group
-from slicetower.homology import (bredon_homology, homology_at, level_complex, sphere_homology,
-                                 window_homology)
+from slicetower.group import Group, InvariantError
+from slicetower.homology import (LevelComplex, _check_complex, bredon_homology, homology_at, level_complex,
+                                 sphere_homology, window_homology)
 from slicetower.cells import cell_structure
 from slicetower.mackey import B_ij, Z_ij, constant_Z, dual_Z, restrict_mackey
 from slicetower.params import slice_params
@@ -290,6 +290,42 @@ def test_window_cache_is_bounded():
         sphere_homology(trivial_rep(C3, n), constant_Z(C3), n, n)
     info = window_homology.cache_info()
     assert info.misses > info.maxsize >= info.currsize
+
+
+def complex_of(orders, boundary):
+    """A hand-made LevelComplex: generator orders and boundary rows by dimension."""
+    return LevelComplex({d: tuple(o) for d, o in orders.items()},
+                        {d: Mat(len(rows), len(rows[0]), rows) for d, rows in boundary.items()}, {})
+
+
+def test_check_complex_refuses_an_ill_defined_boundary():
+    # an entry times its source order must vanish modulo its target order:
+    # from Z/3, 1 is well defined into Z/3 but not into Z or Z/9, where 3
+    # is; from Z/9, 1 is into Z/3 but 2 is not into Z/27; any entry out of
+    # Z is, and so is a zero entry
+    for src, tgt, entry in ((3, 3, 1), (0, 3, 1), (0, 0, 2), (3, 9, 3), (9, 3, 1), (3, 0, 0)):
+        _check_complex(complex_of({1: [src], 0: [tgt]}, {1: [[entry]]}))
+    for src, tgt, entry in ((3, 0, 1), (3, 9, 1), (9, 27, 2)):
+        with pytest.raises(InvariantError, match="boundary at dim 1 not well defined"):
+            _check_complex(complex_of({1: [0, src], 0: [tgt]}, {1: [[0, entry]]}))
+
+
+def test_check_complex_refuses_a_square_that_is_not_zero():
+    # d1 d2 = 3 is zero in Z/3, but 1 is not zero in Z or Z/3, nor 3 in Z/9
+    _check_complex(complex_of({2: [0], 1: [0], 0: [3]}, {2: [[3]], 1: [[1]]}))
+    for tgt, square in ((0, 1), (3, 1), (9, 3)):
+        with pytest.raises(InvariantError, match=r"d\^2 != 0 from dim 2"):
+            _check_complex(complex_of({2: [0], 1: [0], 0: [0, tgt]}, {2: [[square]], 1: [[0], [1]]}))
+
+
+def test_homology_at_refuses_a_boundary_that_is_not_a_cycle():
+    # d1 = (1, 0) has the cycles Z e2, and d2 hits e1, which is no cycle;
+    # d2 hitting e2 instead gives H_1 = 0
+    cx = complex_of({2: [0], 1: [0, 0], 0: [0]}, {2: [[0], [1]], 1: [[1, 0]]})
+    assert homology_at(cx, 1).ab == AbGroup.trivial()
+    cx = complex_of({2: [0], 1: [0, 0], 0: [0]}, {2: [[1], [0]], 1: [[1, 0]]})
+    with pytest.raises(InvariantError, match="a boundary or relation is not a cycle"):
+        homology_at(cx, 1)
 
 
 def test_homres_injective_spec_instance():

@@ -9,7 +9,8 @@ closed forms, and the closed forms read no coefficient back.  The
 runtime ships no code that only tests read.  Every cache is bounded,
 and every field of a dataclass it may be keyed by takes part in
 equality.  And every invariant raises InvariantError, which
-python -O keeps and the command line reports."""
+python -O keeps and the command line reports, and a tier-1 test fires
+each one."""
 
 import ast
 import dataclasses
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import slicetower
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "slicetower"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "slicetower"
 
 
 def absolute_imports(tree: ast.AST) -> list[str]:
@@ -246,3 +248,70 @@ def test_invariants_raise_invariant_error():
                     and isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"raise group.InvariantError here: {found}"
+
+
+# Every raise InvariantError in the runtime, by its function and message
+# (each formatted value written {}), with the tier-1 test that fires it:
+# a check that no test fires cannot be told from one that cannot fail.
+GUARDS = {
+    ("cells.tensor", "boundary is not equivariant"):
+        "test_cells.py::test_tensor_refuses_a_boundary_that_is_not_equivariant",
+    ("homology._check_complex", "boundary at dim {} not well defined"):
+        "test_homology.py::test_check_complex_refuses_an_ill_defined_boundary",
+    ("homology._check_complex", "d^2 != 0 from dim {}"):
+        "test_homology.py::test_check_complex_refuses_a_square_that_is_not_zero",
+    ("homology.homology_at", "a boundary or relation is not a cycle"):
+        "test_homology.py::test_homology_at_refuses_a_boundary_that_is_not_a_cycle",
+    ("rep.slice_rep", "V at (a, m) = ({}, {}) is not an actual representation of the slice dimension"):
+        "test_rep.py::test_slice_rep_checks_hold_under_python_O",
+    ("rep.slice_rep", "V at (a, m) = ({}, {}) has the wrong trivial multiplicity"):
+        "test_rep.py::test_slice_rep_checks_hold_under_python_O",
+    ("rep.n_slice_rep", "the bottom slice representation for n = {} is not actual of dimension n"):
+        "test_rep.py::test_n_slice_rep_refuses_a_bottom_slice_of_another_dimension",
+    ("tower.schedule", "exchanging planes across V({},{}) leaves no section of dimension n"):
+        "test_tower.py::test_exchange_needs_the_plane_it_gives_up",
+    ("tower.schedule", "the bottom section differs from the closed form of the integral slice"):
+        "test_tower.py::test_schedule_refuses_a_bottom_section_off_the_closed_form",
+    ("tower._below", "slice dimensions are not strictly decreasing: {} then {}"):
+        "test_tower.py::test_slice_dimensions_must_strictly_decrease",
+    ("tower.verify_slice", "restriction to level {} changed the dimension of {}"):
+        "test_tower.py::test_verify_slice_refuses_a_restriction_that_changes_the_dimension",
+    ("tower.verify_slice", "vanishing loop failed to stabilize"):
+        "test_tower.py::test_verify_slice_gives_up_on_a_vanishing_loop_that_never_stops",
+}
+
+
+def message(node: ast.expr) -> str:
+    """The text of a string or f-string, each formatted value as {}."""
+    return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in getattr(node, "values", [node]))
+
+
+def guard_sites(node: ast.AST, where: str) -> list[tuple[str, str]]:
+    """(function, message) of each raise InvariantError under node, the
+    function named where, as module.function or module.Class.method."""
+    sites = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            sites += guard_sites(child, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "InvariantError":
+                args = getattr(child.exc, "args", [])
+                sites.append((where, message(args[0]) if args else ""))
+        sites += guard_sites(child, where)
+    return sites
+
+
+def test_every_invariant_is_fired_by_a_test():
+    sites = [site for path in sorted(SRC.glob("*.py"))
+             for site in guard_sites(ast.parse(path.read_text(), str(path)), path.stem)]
+    assert len(sites) == len(set(sites)), "two guards share a function and a message"
+    unlisted, stale = set(sites) - set(GUARDS), set(GUARDS) - set(sites)
+    assert not unlisted, f"name the test that fires each of these in GUARDS: {sorted(unlisted)}"
+    assert not stale, f"these guards are gone; take them off GUARDS: {sorted(stale)}"
+    files = {test.split("::")[0] for test in GUARDS.values()}
+    defined = {f"{file}::{node.name}" for file in files
+               for node in ast.parse((TESTS / file).read_text(), file).body if isinstance(node, ast.FunctionDef)}
+    missing = set(GUARDS.values()) - defined
+    assert not missing, f"GUARDS names tests that do not exist: {sorted(missing)}"

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from criteria import canonical_lambda, is_subrep
+from slicetower import rep
 from slicetower.document import sphere_forms
-from slicetower.group import Group
+from slicetower.group import Group, InvariantError
 from slicetower.params import slice_params
 from slicetower.rep import (
     Rep,
@@ -156,6 +157,16 @@ def test_n_slice_rep_frozen():
         assert n_slice_rep(n, C9) == trivial_rep(C9, n)
     with pytest.raises(ValueError):
         n_slice_rep(-1, C9)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_n_slice_rep_refuses_a_bottom_slice_of_another_dimension(monkeypatch, n):
+    # a first base dimension one too large, whether p divides n or not,
+    # moves the bottom slice off dimension n
+    real = slice_params
+    monkeypatch.setattr(rep, "slice_params", lambda n, group: [m + 1 for m in real(n, group)])
+    with pytest.raises(InvariantError, match=f"the bottom slice representation for n = {n} is not actual of dimension n"):
+        n_slice_rep.__wrapped__(n, C9)
 
 
 def test_identity_suite_over_grid():

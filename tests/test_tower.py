@@ -4,6 +4,7 @@ and the from-scratch slice verification."""
 import dataclasses
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -13,15 +14,16 @@ from criteria import reference_verify_slice
 from reference_tower import stages
 from slicetower.abelian import AbGroup
 from slicetower.document import slice_text, sphere_forms, verification_text
-from slicetower.group import Group, is_odd_prime, p_adic_val
+from slicetower.group import Group, InvariantError, is_odd_prime, p_adic_val
 from slicetower.homology import sphere_homology
 from slicetower.mackey import B_ij, constant_Z, dual_Z, restrict_mackey
 from slicetower.params import slice_params, stage_count
-from slicetower.rep import Rep, regular_rep, rotation_plane, trivial_rep
+from slicetower.rep import Rep, n_slice_rep, regular_rep, restrict_rep, rotation_plane, trivial_rep
 from slicetower.tower import (
     Failure,
     SliceDescriptor,
     VerificationReport,
+    _below,
     build_tower,
     schedule,
     torsion_slice,
@@ -213,6 +215,24 @@ def test_exchange_needs_the_plane_it_gives_up(monkeypatch):
         list(build_tower(7, C9).steps())
 
 
+def test_schedule_refuses_a_bottom_section_off_the_closed_form(monkeypatch):
+    # the integral slice of S^7 over C_9 with a level-0 plane in place of
+    # two trivial summands keeps its dimension, so only the bottom
+    # section's comparison with it can tell
+    real = n_slice_rep
+    monkeypatch.setattr("slicetower.tower.n_slice_rep",
+                        lambda n, group: real(n, group) + rotation_plane(group, 0) - trivial_rep(group, 2))
+    with pytest.raises(InvariantError, match="the bottom section differs from the closed form of the integral slice"):
+        list(schedule(7, C9))
+
+
+def test_slice_dimensions_must_strictly_decrease():
+    assert (_below(None, 5), _below(6, 5)) == (5, 5)
+    for above in (5, 4):
+        with pytest.raises(InvariantError, match=f"slice dimensions are not strictly decreasing: {above} then 5"):
+            _below(above, 5)
+
+
 def test_verify_slice_passes_on_real_slices():
     reports = verify_tower(build_tower(7, C9))
     assert all(r.passed and not r.failures for r in reports)
@@ -286,6 +306,34 @@ def test_verify_slice_reports_both_degrees_in_t_order():
     assert report.failures[0].check == "containment"
     assert failure_list(report)[1:] == [(2, 0, 1, "Z/3"), (2, 1, 1, "Z/3"),
                                         (1, 0, 4, "Z/3"), (1, 1, 5, "Z/3")]
+
+
+@pytest.mark.parametrize("planes", [-1, 1])
+def test_verify_slice_refuses_a_restriction_that_changes_the_dimension(monkeypatch, planes):
+    # a restriction that drops or adds a level-0 plane moves Vm two
+    # dimensions off V, which the top level already shows
+    real = restrict_rep
+
+    def off_by_a_plane(v, m):
+        w = real(v, m)
+        return Rep(w.group, w.trivial, (w.planes[0] + planes, *w.planes[1:]))
+
+    monkeypatch.setattr("slicetower.tower.restrict_rep", off_by_a_plane)
+    desc = SliceDescriptor(n_slice_rep(7, C9))
+    with pytest.raises(InvariantError, match=re.escape(f"restriction to level 2 changed the dimension of {desc.rep}")):
+        verify_slice.__wrapped__(desc)
+
+
+def test_verify_slice_gives_up_on_a_vanishing_loop_that_never_stops(monkeypatch):
+    # with the top cell dimension stuck above -2 the loop would run
+    # forever; at the top level of S^2 over C_3, where degree 0 starts at
+    # t = 1 and degree -1 at t = 2, it reads 2 dim V + 9 spheres from the
+    # first, t = 1..13, and then gives up
+    seen = []
+    monkeypatch.setattr("slicetower.tower.max_cell_dim", lambda w: seen.append(w.trivial) or 0)
+    with pytest.raises(InvariantError, match="vanishing loop failed to stabilize"):
+        verify_slice.__wrapped__(SliceDescriptor(trivial_rep(C3, 2)))
+    assert seen == [2 - t for t in range(1, 14)]
 
 
 def outcome(report):
