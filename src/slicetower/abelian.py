@@ -1,12 +1,13 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Everything here runs over Python's arbitrary-precision integers; no
-floating point, no modular shortcuts.  Smith normal form tracks the
-two transforms its callers read, not just the invariant factors: U and
-V with U A V = S, to solve linear systems and find kernels.  One list
-of rows carries all three: [S | U] for each row of A, then the rows of
-V.  Row operations act on S | U, column operations on the first A.c
-entries of every row, so S and V change in one loop.
+floating point, no modular shortcuts.  Where only a group is read,
+invariant_factors eliminates sparse rows and keeps no transform.  Smith
+normal form, for the generators of homology.bredon_homology, tracks
+U and V with U A V = S as well, to solve linear systems and find
+kernels.  One list of rows carries all three: [S | U] for each row of
+A, then the rows of V.  Row operations act on S | U, column operations
+on the first A.c entries of every row, so S and V change in one loop.
 
 Lattice bases are preimage lattices {x : T x in the span of the
 orders[i] * e_i}, read off the kernel of T next to those relation
@@ -21,7 +22,8 @@ rows of U B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
 
 def divides(d: int, x: int) -> bool:
@@ -173,6 +175,65 @@ def smith_normal_form(A: Mat) -> SmithForm:
     return SmithForm(S=Mat(r, c, [row[:c] for row in rows]),
                      U=Mat(r, r, [row[c:] for row in rows]),
                      V=Mat(c, c, m[r:]))
+
+
+def invariant_factors(vectors: Iterable[dict[int, int]]) -> list[int]:
+    """The nonzero invariant factors d_1 | d_2 | ..., units included, so
+    as many as the rank, of the matrix with these sparse rows, or columns.
+
+    Each pivot is an entry of least absolute value, the first unit met
+    at once.  Row operations clear its column; once its row alone is
+    left there, column operations reduce that row modulo the pivot.  A
+    remainder is a smaller pivot to come, and without one the pivot is
+    on the diagonal, which gcd and lcm then make a divisibility chain."""
+    rows = dict(enumerate(dict(v) for v in vectors if v))
+    where: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for c in row:
+            where.setdefault(c, set()).add(i)
+    diagonal = []
+    while rows:
+        best = None
+        for i, row in rows.items():
+            for c, x in row.items():
+                if best is None or abs(x) < best:
+                    best, pi, j = abs(x), i, c
+            if best == 1:
+                break
+        prow = rows.pop(pi)
+        v = prow[j]
+        for c in prow:
+            where[c].discard(pi)
+        for i in list(where[j]):
+            row = rows[i]
+            q = row[j] // v
+            for c, x in prow.items():
+                y = row.get(c, 0) - q * x
+                if y:
+                    if c not in row:
+                        where[c].add(i)
+                    row[c] = y
+                else:
+                    del row[c]
+                    where[c].discard(i)
+            if not row:
+                del rows[i]
+        rest = prow if where[j] else {c: r for c, x in prow.items() if (r := x % v)}
+        if rest:
+            # a smaller pivot is left in its column, or in its row
+            # reduced modulo it
+            rest[j] = v
+            rows[pi] = rest
+            for c in rest:
+                where[c].add(pi)
+        else:
+            diagonal.append(best)
+    chain = [d for d in diagonal if d != 1]
+    for i in range(len(chain)):
+        for t in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[t])
+            chain[i], chain[t] = g, chain[i] // g * chain[t]
+    return [1] * (len(diagonal) - len(chain)) + chain
 
 
 def kernel_basis(A: Mat) -> Mat:

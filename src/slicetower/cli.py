@@ -33,7 +33,7 @@ MAX_STAGES = 500_000  # per request; the tower of S^1000000 over C_3 has 333,334
 # work and output grow with k; verify --p 3 --k 64 --n 3 takes about a second
 MAX_K = 64
 # cells per homology request, counted before any is built (cells.window_size): 50L0 -
-# 50L1 over C_9 has 1,487, L0 - L1 over C_3^7 2,921 (40 s) and over C_3^8 8,753
+# 50L1 over C_9 has 1,487 (0.3 s), L0 - L1 over C_3^7 2,921 (0.3 s) and over C_3^8 8,753
 MAX_CELLS = 3_000
 
 

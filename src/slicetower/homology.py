@@ -1,5 +1,11 @@
 """Bredon homology of representation spheres from their cell structures.
 
+The runtime reads values at the top level only: window_homology takes
+them off ranks and invariant factors of the boundaries' top-level lifts
+to the integers, with no generator and no transform.  bredon_homology,
+the reference at every level with the restrictions between them, builds
+generators, and the rest of this docstring is its path.
+
 A cell structure is realized at one subgroup level at a time: a cell
 with isotropy level h contributes Group.index(max(m, h)) index classes
 of generators at level m, each class carrying the coefficient functor's
@@ -23,7 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .abelian import (AbGroup, Mat, SmithForm, divides, lattice_basis, smith_normal_form,
+from .abelian import (AbGroup, Mat, SmithForm, divides, invariant_factors, lattice_basis, smith_normal_form,
                       solve_factored, with_relations)
 from .cells import CellStructure, DiffKey, Entry, FactorCells, cell_structure, class_images, factor_cells, tensor
 from .group import InvariantError
@@ -31,6 +37,7 @@ from .mackey import MackeyFunctor
 from .rep import Rep
 
 Layout = list[tuple[int, int, int]]  # per cell: (iso, classes, first gen); one gen per class or none
+Lifts = dict[int, dict[int, dict[int, int]]]  # dimension -> source -> target -> entry
 
 
 @dataclass
@@ -204,6 +211,35 @@ def sphere_homology(v: Rep, M: MackeyFunctor, lo: int, hi: int) -> tuple[AbGroup
     return window_homology(factor_cells(v, (lo - 1, hi + 1)), M)
 
 
+def _top_lifts(struct: CellStructure, M: MackeyFunctor) -> tuple[dict[int, list[int | None]], Lifts]:
+    """The structure realized at the top level with coefficients M, where
+    Group.index is 1: the orders by dimension, one generator a cell, of
+    its isotropy level's order, or none at a zero level; and the
+    boundaries lifted to the integers, an entry {c: m_c} as the sum of
+    the m_c times the composite between the two levels.  Each lift must
+    be well defined on the orders and compose to exactly 0."""
+    orders = {d: [M.levels[h][0] if M.levels[h] else None for h in cells] for d, cells in struct.cells.items()}
+    lifts: Lifts = {}
+    for d, entries in struct.diffs.items():
+        src, tgt, cols = struct.cells[d], struct.cells[d - 1], lifts.setdefault(d, {})
+        for (t, s), entry in entries.items():
+            x = sum(entry.values()) * M.composite(src[s], tgt[t])
+            if x:
+                if not divides(orders[d - 1][t], x * orders[d][s]):
+                    raise InvariantError(f"boundary at dim {d} not well defined at the top level")
+                cols.setdefault(s, {})[t] = x
+    for d, cols in lifts.items():
+        below = lifts.get(d - 1, {})
+        for col in cols.values():
+            image: dict[int, int] = {}
+            for t, x in col.items():
+                for u, y in below.get(t, {}).items():
+                    image[u] = image.get(u, 0) + x * y
+            if any(image.values()):
+                raise InvariantError(f"the lifted boundaries from dim {d} do not compose to 0")
+    return orders, lifts
+
+
 @functools.lru_cache(maxsize=1 << 12)
 def window_homology(factors: FactorCells, M: MackeyFunctor) -> tuple[AbGroup, ...]:
     """H_lo+1, ..., H_hi-1 at the top level with coefficients M of the
@@ -211,8 +247,30 @@ def window_homology(factors: FactorCells, M: MackeyFunctor) -> tuple[AbGroup, ..
     reads nothing else, so spheres that differ only outside the window
     share an entry, of about 1.4 KB, capped as sphere_homology's are."""
     lo, hi = factors.window
-    cx = level_complex(tensor(factors), M, factors.group.k)
-    return tuple(homology_at(cx, d).ab for d in range(lo + 1, hi))
+    orders, lifts = _top_lifts(tensor(factors), M)
+    # the chains are the cokernel of the relations R into the free chains
+    # F, so H_d is that of the cone of R -> F.  Its torsion is that of the
+    # cokernel of the cone's D_d+1, from F_d+1 + R_d to F_d + R_d-1, with
+    # R_d-1's rows keyed by ~i.  Its free rank is f_d less rho_d and
+    # rho_d+1, the ranks of the boundaries between free generators, as
+    # over Q the others vanish; D_d+1 has rank r_d + rho_d+1, as over Q
+    # R_d's columns clear its torsion rows of F_d, and, the lifts composing
+    # to 0, what that adds in R_d-1 is a combination of its free rows
+    free = {d: [i for i, o in enumerate(ords) if o == 0] for d, ords in orders.items()}
+    rho = len(invariant_factors({t: x for t, x in lifts.get(lo + 1, {}).get(s, {}).items() if orders[lo][t] == 0}
+                                for s in free.get(lo + 1, ())))
+    groups = []
+    for d in range(lo + 1, hi):
+        relations = [(j, o) for j, o in enumerate(orders.get(d, ())) if o]
+        cone = list(lifts.get(d + 1, {}).values())
+        for j, o in relations:
+            boundary = lifts.get(d, {}).get(j, {})
+            cone.append({j: o, **{~i: -o * x // orders[d - 1][i] for i, x in boundary.items()}})
+        diagonal = invariant_factors(cone)
+        below, rho = rho, len(diagonal) - len(relations)
+        torsion = [f for f in diagonal if f != 1]
+        groups.append(AbGroup((*torsion, *[0] * (len(free.get(d, ())) - below - rho))))
+    return tuple(groups)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from criteria import in_diagonal_lattice
 from slicetower.abelian import (
     AbGroup,
     Mat,
+    invariant_factors,
     kernel_basis,
     lattice_basis,
     smith_normal_form,
@@ -73,6 +74,21 @@ def test_smith_form_invariants(A):
     for a, b in zip(diag, diag[1:]):
         if b != 0:
             assert a != 0 and b % a == 0
+
+
+@given(st.one_of(matrices(), matrices(max_dim=7, max_entry=1), matrices(max_dim=6, max_entry=27)))
+def test_invariant_factors_are_the_smith_diagonal(A):
+    # the sparse elimination keeps no transform, and gives the Smith form's
+    # nonzero diagonal from the rows and from the columns alike, with each
+    # caller's vectors left as they were
+    f = smith_normal_form(A)
+    expected = [d for d in (f.diag(i) for i in range(min(A.r, A.c))) if d]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in A.a]
+    columns = [{i: A.a[i][j] for i in range(A.r) if A.a[i][j]} for j in range(A.c)]
+    before = [dict(v) for v in rows]
+    assert invariant_factors(rows) == expected
+    assert invariant_factors(iter(columns)) == expected
+    assert rows == before
 
 
 @given(matrices())

@@ -12,10 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from criteria import homres_injective, in_diagonal_lattice, presented_injective
 from slicetower.abelian import AbGroup, Mat
 from slicetower.group import Group, InvariantError
-from slicetower.homology import (LevelComplex, _check_complex, bredon_homology, homology_at, level_complex,
-                                 sphere_homology, window_homology)
-from slicetower.cells import cell_structure
-from slicetower.mackey import B_ij, Z_ij, constant_Z, dual_Z, restrict_mackey
+from slicetower.homology import (LevelComplex, _check_complex, _top_lifts, bredon_homology, homology_at,
+                                 level_complex, sphere_homology, window_homology)
+from slicetower.cells import CellStructure, cell_structure, factor_cells, tensor
+from slicetower.mackey import B_ij, MackeyFunctor, Z_ij, constant_Z, dual_Z, restrict_mackey
 from slicetower.params import slice_params
 from slicetower.rep import (
     Rep,
@@ -281,6 +281,62 @@ def test_sphere_homology_is_a_fresh_realization(case):
         for v in reps:
             cx = level_complex(cell_structure(v, (lo - 1, hi + 1)), M, v.group.k)
             assert sphere_homology(v, M, lo, hi) == tuple(homology_at(cx, d).ab for d in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("group", [C3, C9, Group(3, 3), Group(3, 4), Group(5, 1), Group(5, 2), Group(7, 2)],
+                         ids=str)
+def test_window_homology_matches_the_generator_path(group):
+    # the values path reads the top level off ranks and invariant factors
+    # alone; the generator path's Smith forms of one top-level realization
+    # must give the same groups in every degree -3..3, for every
+    # coefficient family and a fixed seeded draw of spheres
+    k = group.k
+    rng = random.Random(str(group))
+    coeffs = [constant_Z(group), dual_Z(group), *(Z_ij(i, j, group) for i in range(k + 1) for j in range(i + 1)),
+              *(B_ij(i, j, group) for i in range(1, k + 1) for j in range(k - i + 1))]
+    bound = 2 if k < 4 else 1  # the generator path's dense Smith forms grow fast over C_81
+    for M in coeffs:
+        for _ in range(2):
+            v = Rep(group, rng.randint(-3, 3), tuple(rng.randint(-bound, bound) for _ in range(k)))
+            factors = factor_cells(v, (-4, 4))
+            cx = level_complex(tensor(factors), M, k)
+            expected = tuple(homology_at(cx, d).ab for d in range(-3, 4))
+            assert window_homology.__wrapped__(factors, M) == expected, (str(v), M)
+
+
+def top_structure(cells, diffs, group=C3):
+    """A hand-made CellStructure: isotropy levels and boundary entries by dimension."""
+    return CellStructure(group, {d: tuple(hs) for d, hs in cells.items()}, diffs)
+
+
+def test_top_lifts_refuse_an_ill_defined_boundary():
+    # a cell of isotropy 0 is one generator of level 0's order at the top
+    # level, and an entry realizes as its sum times the composite: from
+    # Z/3 into Z/9, twice a transfer of 3 is well defined but twice a
+    # transfer of 1 is not, and no nonzero entry is into Z; the quotient
+    # Z/9 -> Z/3 is, and so is any entry out of Z
+    up, down = {1: [0], 0: [1]}, {1: [1], 0: [0]}
+    diffs = {1: {(0, 0): {0: 1, 1: 1}}}
+    good, bad = MackeyFunctor(C3, ((3,), (9,)), (1,), (3,)), MackeyFunctor(C3, ((3,), (9,)), (1,), (1,))
+    assert _top_lifts(top_structure(up, diffs), good) == ({1: [3], 0: [9]}, {1: {0: {0: 6}}})
+    assert _top_lifts(top_structure(down, diffs), bad) == ({1: [9], 0: [3]}, {1: {0: {0: 2}}})
+    assert _top_lifts(top_structure(up, diffs), MackeyFunctor(C3, ((0,), (3,)), (1,), (1,)))[1] == {1: {0: {0: 2}}}
+    for M in (bad, MackeyFunctor(C3, ((3,), (0,)), (1,), (3,))):
+        with pytest.raises(InvariantError, match="boundary at dim 1 not well defined at the top level"):
+            _top_lifts(top_structure(up, diffs), M)
+
+
+def test_top_lifts_refuse_boundaries_that_do_not_compose_to_zero():
+    # a 2-cell whose boundary is the difference of two 1-cells on one
+    # 0-cell composes to 0; one 1-cell gives 1 in Z, and with Z/3
+    # everywhere a boundary of 3 gives 3, zero in Z/3 but not exactly 0
+    square = {2: {(0, 0): {0: 1}, (1, 0): {0: -1}}, 1: {(0, 0): {0: 1}, (0, 1): {0: 1}}}
+    _top_lifts(top_structure({2: [1], 1: [1, 1], 0: [1]}, square), constant_Z(C3))
+    Z3 = B_ij(1, 0, C3)
+    for M, diffs in ((constant_Z(C3), {2: {(0, 0): {0: 1}}, 1: {(0, 0): {0: 1}}}),
+                     (Z3, {2: {(0, 0): {0: 3}}, 1: {(0, 0): {0: 1}}})):
+        with pytest.raises(InvariantError, match="the lifted boundaries from dim 2 do not compose to 0"):
+            _top_lifts(top_structure({2: [1], 1: [1], 0: [1]}, diffs), M)
 
 
 def test_window_cache_is_bounded():

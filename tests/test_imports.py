@@ -262,6 +262,10 @@ GUARDS = {
         "test_homology.py::test_check_complex_refuses_a_square_that_is_not_zero",
     ("homology.homology_at", "a boundary or relation is not a cycle"):
         "test_homology.py::test_homology_at_refuses_a_boundary_that_is_not_a_cycle",
+    ("homology._top_lifts", "boundary at dim {} not well defined at the top level"):
+        "test_homology.py::test_top_lifts_refuse_an_ill_defined_boundary",
+    ("homology._top_lifts", "the lifted boundaries from dim {} do not compose to 0"):
+        "test_homology.py::test_top_lifts_refuse_boundaries_that_do_not_compose_to_zero",
     ("rep.slice_rep", "V at (a, m) = ({}, {}) is not an actual representation of the slice dimension"):
         "test_rep.py::test_slice_rep_checks_hold_under_python_O",
     ("rep.slice_rep", "V at (a, m) = ({}, {}) has the wrong trivial multiplicity"):

@@ -26,10 +26,10 @@ construct, counted as the tower's are.
 
 homology asks sphere_homology, in process and from empty caches, for
 one degree of each of its spheres at the top level with coefficients
-Z, and counts the oracle's linear algebra: Smith forms with the sum of
-r * c over their inputs, and matrix products with the sum of r * c * c'
-over their factors.  Modules bind smith_normal_form by name, so every
-binding in the package is wrapped."""
+Z, and counts the oracle's linear algebra: the calls of
+invariant_factors, the one elimination the top level runs, with the
+nonzero entries of the sparse vectors they are handed.  Modules bind
+invariant_factors by name, so every binding in the package is wrapped."""
 
 import contextlib
 import importlib
@@ -43,7 +43,7 @@ from pathlib import Path
 import pytest
 
 import slicetower
-from slicetower.abelian import Mat, smith_normal_form
+from slicetower.abelian import invariant_factors
 from slicetower.cli import main
 from slicetower.document import slice_text, sphere_forms
 from slicetower.group import Group
@@ -154,25 +154,18 @@ def test_tower_render_stays_within_its_work_budget(rep_constructions):
 @pytest.mark.parametrize("spec", BUDGETS["homology"]["requests"],
                          ids=lambda spec: f"{spec['rep']} over C_{spec['p']}^{spec['k']}")
 def test_homology_stays_within_its_work_budget(spec, monkeypatch):
-    work = {"smith_normal_form calls": 0, "smith_normal_form r*c": 0,
-            "Mat.times calls": 0, "Mat.times r*c*c'": 0}
+    work = {"invariant_factors calls": 0, "invariant_factors nonzeros in": 0}
 
-    def counted_smith_normal_form(A):
-        work["smith_normal_form calls"] += 1
-        work["smith_normal_form r*c"] += A.r * A.c
-        return smith_normal_form(A)
+    def counted_invariant_factors(vectors):
+        vectors = list(vectors)
+        work["invariant_factors calls"] += 1
+        work["invariant_factors nonzeros in"] += sum(map(len, vectors))
+        return invariant_factors(vectors)
 
-    def counted_times(self, other):
-        work["Mat.times calls"] += 1
-        work["Mat.times r*c*c'"] += self.r * self.c * other.c
-        return times(self, other)
-
-    times = Mat.times
-    monkeypatch.setattr(Mat, "times", counted_times)
     for info in pkgutil.iter_modules(slicetower.__path__):
         module = importlib.import_module(f"slicetower.{info.name}")
-        if getattr(module, "smith_normal_form", None) is smith_normal_form:
-            monkeypatch.setattr(module, "smith_normal_form", counted_smith_normal_form)
+        if getattr(module, "invariant_factors", None) is invariant_factors:
+            monkeypatch.setattr(module, "invariant_factors", counted_invariant_factors)
 
     group = Group(spec["p"], spec["k"])
     d = spec["degree"]
