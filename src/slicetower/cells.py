@@ -36,7 +36,9 @@ costs only the few dimensions the window reaches.  The factors are
 given by their plane counts per level, and a plane's level is found by
 bisecting the running counts, so a multiplicity costs no memory.
 The factor cells a window pairs are listed by factor_cells as one
-hashable value, all that tensor, their product, reads: spheres that
+hashable value, each cell as three integers: dimension, isotropy, and
+the index classes its attaching map sums over, 0 for an even cell.  It
+is all that tensor, their product, and window_size read: spheres that
 agree on it have one windowed structure, which homology realizes once.
 """
 
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
-from .group import Group, InvariantError
+from .group import Group
 from .rep import Rep
 
 Entry = dict[int, int]
@@ -64,37 +66,29 @@ class CellStructure:
         return sorted(self.cells)
 
 
-EntryItems = tuple[tuple[int, int], ...]  # an Entry's items, hashable
-
-
 class FactorCells(NamedTuple):
     """The positive sphere's and the mirror's cells that the window pairs,
-    as (dimension, isotropy, boundary entry out of it, or into it).  A
-    tuple, as it is a cache key: it hashes and compares at C speed."""
+    as (dimension, isotropy, attaching classes) integers.  A tuple, as it
+    is a cache key: it hashes and compares at C speed."""
 
     group: Group
     window: tuple[int, int]
-    pos: tuple[tuple[int, int, EntryItems], ...]
-    mirror: tuple[tuple[int, int, EntryItems], ...]
+    pos: tuple[tuple[int, int, int], ...]
+    mirror: tuple[tuple[int, int, int], ...]
 
 
-def _sphere_cell(group: Group, cum: list[int], d: int) -> tuple[int, EntryItems]:
+def _sphere_cell(group: Group, cum: list[int], d: int) -> tuple[int, int]:
     """Isotropy of the cell in dimension d of the sphere of planes whose
     counts, from the top level down, have running sums cum = [0, ...],
-    and the items of its boundary entry (none out of the fixed 0-cell).
+    and the index classes its boundary entry sums over if d is odd, else 0.
 
     Plane r lies at level k - bisect_left(cum, r), which is k for r = 0,
     the fixed 0-cell.  It gives the cells in dimensions 2r-1 and 2r with
     that level as isotropy; the odd one attaches by the sum over the
-    index classes of the coarser cell before it.
+    index classes of the coarser cell before it, the even one by 1 - t.
     """
     r = (d + 1) // 2
-    level = group.k - bisect_left(cum, r)
-    if d == 0:
-        return level, ()
-    if d % 2 == 0:
-        return level, ((0, 1), (1, -1))
-    return level, tuple((c, 1) for c in range(group.index(group.k - bisect_left(cum, r - 1))))
+    return group.k - bisect_left(cum, r), group.index(group.k - bisect_left(cum, r - 1)) if d % 2 else 0
 
 
 def _pair_class(group: Group, iso_x: int, iso_y: int, u: int, v: int) -> tuple[int, int]:
@@ -121,35 +115,37 @@ def class_images(x: int, c: int, s_src: int, s_tgt: int) -> list[int]:
     return [(x + c + t * s_src) % s_tgt for t in range(max(1, s_tgt // s_src))]
 
 
-def _cell_size(group: Group, cum: list[int], d: int) -> tuple[int, int]:
-    """_sphere_cell's isotropy, and its attaching translations if d is odd."""
-    r = (d + 1) // 2
-    return group.k - bisect_left(cum, r), group.index(group.k - bisect_left(cum, r - 1)) if d % 2 else 0
+def factor_ranges(v: Rep, window: tuple[int, int]) -> tuple[range, range]:
+    """The dimensions of the positive sphere's and the mirror's cells that
+    the window (lo, hi) pairs.  Each such cell lies in a product cell of
+    the window, so neither range is longer than window_size's count."""
+    lo, hi = window
+    trivial, top = v.trivial, 2 * sum(m for m in v.planes if m > 0)
+    bottom = trivial - 2 * sum(-m for m in v.planes if m < 0)
+    return range(max(0, lo - trivial), min(top, hi - bottom) + 1), range(max(bottom, lo - top), min(trivial, hi) + 1)
 
 
-def factor_cells(v: Rep, window: tuple[int, int] | None = None, cell=_sphere_cell) -> FactorCells:
+def factor_cells(v: Rep, window: tuple[int, int] | None = None) -> FactorCells:
     """The factor cells of the sphere of v that the window (lo, hi), by
-    default the whole product, pairs, each spelled by cell.  Planes of
-    positive multiplicity give the positive sphere, the others the
-    mirror, which also carries the trivial summands as a dimension shift."""
+    default the whole product, pairs.  Planes of positive multiplicity
+    give the positive sphere, the others the mirror, which also carries
+    the trivial summands as a dimension shift."""
     pos, neg = ([0, *accumulate(max(s * m, 0) for m in reversed(v.planes))] for s in (1, -1))
     group, trivial = v.group, v.trivial
-    top, bottom = 2 * pos[-1], trivial - 2 * neg[-1]
-    lo, hi = window or (bottom, top + trivial)
-    return FactorCells(
-        group, (lo, hi),
-        tuple((dA, *cell(group, pos, dA)) for dA in range(max(0, lo - trivial), min(top, hi - bottom) + 1)),
-        tuple((dB, *cell(group, neg, trivial - dB)) for dB in range(max(bottom, lo - top), min(trivial, hi) + 1)))
+    window = window or (trivial - 2 * neg[-1], trivial + 2 * pos[-1])
+    dims_A, dims_B = factor_ranges(v, window)
+    return FactorCells(group, window, tuple((dA, *_sphere_cell(group, pos, dA)) for dA in dims_A),
+                       tuple((dB, *_sphere_cell(group, neg, trivial - dB)) for dB in dims_B))
 
 
 def window_size(v: Rep, window: tuple[int, int]) -> int:
     """The cells of the sphere of v in the window, counted from isotropy
-    levels alone: the product's index classes, and the translations of
-    the odd factor cells' attaching entries, none of which is built."""
-    group, (lo, hi), pos, mirror = factor_cells(v, window, _cell_size)
+    levels alone: the product's index classes, and the attaching classes
+    of the odd factor cells, none of which is built."""
+    group, (lo, hi), pos, mirror = factor_cells(v, window)
     B = {dB: iso for dB, iso, _ in mirror}
     pairs = (max(iso, B[dB]) for dA, iso, _ in pos for dB in range(lo - dA, hi - dA + 1) if dB in B)
-    return sum(map(group.index, pairs)) + sum(size for *_, size in pos + mirror)
+    return sum(map(group.index, pairs)) + sum(n for *_, n in pos + mirror)
 
 
 def tensor(factors: FactorCells) -> CellStructure:
@@ -158,17 +154,23 @@ def tensor(factors: FactorCells) -> CellStructure:
 
     A pair (a, b) of factor cells gives one cell per index class.
     Boundary entries follow the Leibniz rule with a sign (-1)^dim(a) on
-    the second factor; each formal entry is recovered from the multiset
-    of image points of the representative point (0, class).  As lo <= hi,
-    the mirror's window is empty only when the positive one is, both then
-    missing the product: B's defaults only keep an empty product from raising.
+    the second factor.  A factor cell's entry is written out from its
+    attaching classes: an odd cell's is the sum over them, an even cell's
+    1 - t, and the 0-cell's is never read.  The image points of the
+    representative point (0, class) give a measure on the translations of
+    each target class, periodic mod s_src, the source's index: each face
+    lifts its factor's entry over that factor cell's stabilizer, which
+    holds the product cell's, and _pair_class is equivariant.  So the
+    formal entry is the measure below s_src.  As lo <= hi, the mirror's
+    window is empty only when the positive one is, both then missing the
+    product: B's defaults only keep an empty product from raising.
     """
     group, (lo, hi) = factors.group, factors.window
     index = group.index
     # factor cells by dimension; B[dB] holds the mirror's boundary entry
     # into dB, A[dA] the positive sphere's out of dA
-    A = {dA: (iso, entry) for dA, iso, entry in factors.pos}
-    B = {dB: (iso, entry) for dB, iso, entry in factors.mirror}
+    A, B = ({d: (iso, [(c, 1) for c in range(n)] if n else [(0, 1), (1, -1)]) for d, iso, n in factor}
+            for factor in (factors.pos, factors.mirror))
     b_lo, b_hi = min(B, default=0), max(B, default=-1)
 
     cells: dict[int, list[int]] = {}
@@ -203,18 +205,10 @@ def tensor(factors: FactorCells) -> CellStructure:
             wt, g = _pair_class(group, A[tA][0], B[tB][0], u, v)
             bucket = measures.setdefault(where[(tA, tB, wt)], {})
             bucket[g] = bucket.get(g, 0) + m_c
-        # the formal entry is the point measure on the classes below
-        # s_src; lifting it again must give back the whole measure
         for tgt, measure in measures.items():
-            measure = {g: m for g, m in measure.items() if m}
-            if not measure:
-                continue
-            s_tgt = index(cells[D - 1][tgt])
-            entry = {g: m for g, m in measure.items() if g < s_src}
-            lifted = {y: m for c, m in entry.items() for y in class_images(0, c, s_src, s_tgt)}
-            if lifted != measure:
-                raise InvariantError("boundary is not equivariant")
-            diffs.setdefault(D, {})[(tgt, src)] = entry
+            entry = {g: m for g, m in measure.items() if m and g < s_src}
+            if entry:
+                diffs.setdefault(D, {})[(tgt, src)] = entry
 
     return CellStructure(group,
                          cells={d: tuple(cs) for d, cs in cells.items()},

@@ -18,7 +18,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .cells import window_size
+from .cells import factor_ranges, window_size
 from .document import homology_document, mackey_document, tower_document, verify_document
 from .group import Group, InvariantError, is_odd_prime
 from .homology import sphere_homology
@@ -134,11 +134,14 @@ def cmd_homology(args: SimpleNamespace) -> int:
     level = _level_index(args.level, group)
     # level m is the top level of the sphere restricted to C_{p^m}
     d, w = args.degree, restrict_rep(v, level)
-    # (S + 2)^2 |G| bounds the count, S = sum |planes|: (S + 1)^2 pairs, S odd cells, each |G| at most
-    if (w.group.order * (sum(map(abs, w.planes)) + 2) ** 2 > MAX_CELLS
-            and (cells := window_size(w, (d - 1, d + 1))) > MAX_CELLS):
-        raise ValueError(f"the sphere has {cells} cells in degrees {d - 1}..{d + 1} at level {level}, "
-                         f"over the cap of {MAX_CELLS}")
+    # (S + 2)^2 |G| bounds the count, S = sum |planes|: (S + 1)^2 pairs, S odd cells, each |G| at most;
+    # each factor cell the count would list lies in a product cell, so a longer factor range is not listed
+    if w.group.order * (sum(map(abs, w.planes)) + 2) ** 2 > MAX_CELLS:
+        listed = max(map(len, factor_ranges(w, (d - 1, d + 1))))
+        cells = f"at least {listed}" if listed > MAX_CELLS else window_size(w, (d - 1, d + 1))
+        if listed > MAX_CELLS or cells > MAX_CELLS:
+            raise ValueError(f"the sphere has {cells} cells in degrees {d - 1}..{d + 1} at level {level}, "
+                             f"over the cap of {MAX_CELLS}")
     ab, = sphere_homology(w, restrict_mackey(coeff, level), d, d)
     if args.format == "json":
         print(homology_document(group, v, args.coeff, d, level, ab))

@@ -118,7 +118,7 @@ def _check_complex(cx: LevelComplex) -> None:
         for i in range(B.r):
             for j in range(B.c):
                 # the entry times the source order must vanish in Z / tgt[i]
-                if B.a[i][j] and not (src[j] == 0 or divides(tgt[i], B.a[i][j] * src[j])):
+                if B.a[i][j] and not divides(tgt[i], B.a[i][j] * src[j]):
                     raise InvariantError(f"boundary at dim {d} not well defined")
     for d in list(cx.boundary):
         if d - 1 not in cx.boundary:
@@ -205,9 +205,9 @@ def sphere_homology(v: Rep, M: MackeyFunctor, lo: int, hi: int) -> tuple[AbGroup
     arguments by value: Rep and MackeyFunctor compare by value, so a
     sphere met before under an equal functor, however it was built or
     named, is not looked up again; a miss asks window_homology.  An entry
-    of two degrees takes about 0.5 KB, as it shares its groups with that
-    cache; the cap of 4,096 entries bounds a long-lived process, and the
-    least recently used entry goes first."""
+    takes about 0.3 KB over the verify-sweep benchmark's spheres, as it
+    shares its groups with that cache; the cap of 4,096 entries bounds a
+    long-lived process, and the least recently used entry goes first."""
     return window_homology(factor_cells(v, (lo - 1, hi + 1)), M)
 
 
@@ -245,7 +245,8 @@ def window_homology(factors: FactorCells, M: MackeyFunctor) -> tuple[AbGroup, ..
     """H_lo+1, ..., H_hi-1 at the top level with coefficients M of the
     product of the factor cells over their window (lo, hi).  The product
     reads nothing else, so spheres that differ only outside the window
-    share an entry, of about 1.4 KB, capped as sphere_homology's are."""
+    share an entry, of about 0.8 KB over the verify-sweep benchmark's
+    spheres, capped as sphere_homology's are."""
     lo, hi = factors.window
     orders, lifts = _top_lifts(tensor(factors), M)
     # the chains are the cokernel of the relations R into the free chains

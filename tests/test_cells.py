@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from slicetower import cells
 from slicetower.abelian import Mat
-from slicetower.cells import cell_structure, class_images, factor_cells, max_cell_dim, tensor
-from slicetower.group import Group, InvariantError
+from slicetower.cells import cell_structure, class_images, factor_cells, max_cell_dim, tensor, window_size
+from slicetower.group import Group
 from slicetower.homology import homology_at, level_complex
 from slicetower.mackey import B_ij, constant_Z, dual_Z
 from slicetower.rep import Rep, rotation_plane, trivial_rep
@@ -107,12 +107,13 @@ def test_cell_structure_frozen_odd_trivial_mixed_signs():
 def test_tensor_cell_classes():
     # S^(λ_0 - λ_1): the free cells of λ_0 against the cells of the
     # mirrored λ_1, fixed by C_3, give one class per point of C_9 / C_3
-    # as (dimension, isotropy, boundary entry): the positive cells with
-    # the entry out of each, the mirror's with the entry into each
+    # as (dimension, isotropy, attaching classes): each odd cell attaches
+    # by the sum over the one class of the fixed 0-cell, and the even
+    # cells and the 0-cells count none
     factors = factor_cells(Rep(C9, 0, (1, -1)))
     assert factors.window == (-2, 2)
-    assert factors.pos == ((0, 2, ()), (1, 0, ((0, 1),)), (2, 0, ((0, 1), (1, -1))))
-    assert factors.mirror == ((-2, 1, ((0, 1), (1, -1))), (-1, 1, ((0, 1),)), (0, 2, ()))
+    assert factors.pos == ((0, 2, 0), (1, 0, 1), (2, 0, 0))
+    assert factors.mirror == ((-2, 1, 0), (-1, 1, 1), (0, 2, 0))
     st_ = tensor(factors)
     assert st_.cells == {-2: (1,), -1: (1, 0, 0, 0), 0: (2, 0, 0, 0, 0, 0, 0),
                          1: (0, 0, 0, 0), 2: (0,)}
@@ -140,17 +141,43 @@ def test_level_complex_input_validation():
         level_complex(struct, constant_Z(C9), 1)
 
 
-def test_tensor_refuses_a_boundary_that_is_not_equivariant(monkeypatch):
-    # no factor cells give one, as each face lifts its factor's entry over
-    # the factor's stabilizer, which holds the product cell's; a pairing
-    # that puts every image point at translation 0 breaks that.  The fixed
-    # 0-cell of the mirror of lambda_0 over C_3 meets the three points of
-    # the free cell below it, so it measures {0: 3}, which lifts to
-    # {0: 3, 1: 3, 2: 3}
-    real = cells._pair_class
-    monkeypatch.setattr(cells, "_pair_class", lambda group, *point: (real(group, *point)[0], 0))
-    with pytest.raises(InvariantError, match="boundary is not equivariant"):
-        tensor(factor_cells(Rep(C3, 0, (-1,))))
+@pytest.mark.parametrize("group", [C3, C9, Group(3, 3), Group(5, 2)], ids=str)
+def test_pair_classes_and_class_images_match_the_orbits(group):
+    # tensor keeps each boundary measure below the source's index only, as
+    # the measure is periodic: both functions must be exact on the points.
+    # G acts on G/C_{p^x} x G/C_{p^y} by translating both coordinates; the
+    # orbit of (0, w), w below the coarser index, meets each point once, at
+    # a translation unique modulo the finer index
+    for x in range(group.k + 1):
+        for y in range(group.k + 1):
+            s_x, s_y, s_fine = group.index(x), group.index(y), group.index(min(x, y))
+            orbits: dict[tuple[int, int], set[tuple[int, int]]] = {}
+            for w in range(group.index(max(x, y))):
+                for g in range(group.order):
+                    orbits.setdefault((g % s_x, (g + w) % s_y), set()).add((w, g % s_fine))
+            assert len(orbits) == s_x * s_y
+            for (u, v), found in orbits.items():
+                assert found == {cells._pair_class(group, x, y, u, v)}, (x, y, u, v)
+            # translation c carries the points of class u of G/C_{p^x} to
+            # these classes of G/C_{p^y}, each once
+            for u in range(s_x):
+                for c in range(group.order):
+                    got = class_images(u, c, s_x, s_y)
+                    assert sorted(got) == sorted({(X + c) % s_y for X in range(u, group.order, s_x)}), (x, y, u, c)
+
+
+@pytest.mark.parametrize("group", [C3, C9, Group(5, 2)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_window_size_counts_the_product(group, data):
+    # the cap counts what the product builds: its cells, and the attaching
+    # classes of the factor cells, which tensor writes out as entries
+    v = Rep(group, data.draw(st.integers(-4, 4)), tuple(data.draw(st.integers(-3, 3)) for _ in range(group.k)))
+    lo = data.draw(st.integers(-14, 12))
+    window = (lo, lo + data.draw(st.integers(0, 5)))
+    factors = factor_cells(v, window)
+    product = sum(map(len, tensor(factors).cells.values()))
+    assert window_size(v, window) == product + sum(n for *_, n in factors.pos + factors.mirror)
 
 
 GROUPS = [C3, C9, Group(5, 1)]

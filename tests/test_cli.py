@@ -677,12 +677,15 @@ def test_stage_cap(capsys):
     (64, "L0-L1", "0", "-1..1", 4 * 3**63 + 5),
     (64, "L0 + L1", "3", "2..4", 3**63 + 3),
     (8, "L0-L1", "0", "-1..1", 8753),
-], ids=["product", "attaching", "C_3^8"])
+    (2, "1000000L0-1000000L1", "0", "-1..1", "at least 2000001"),
+], ids=["product", "attaching", "C_3^8", "multiplicity"])
 def test_a_homology_request_over_the_cell_cap_exits_two_at_once(k, rep, degree, window, cells):
     # counted from isotropy levels before any cell is built: over C_3^64,
     # the product classes of L0 - L1 and the attaching translations of
     # L0 + L1's 3-cell, each past 3^63, which no machine would build;
-    # over C_3^8, a request that would run for minutes
+    # over C_3^8, a request that would run for minutes.  Over C_9, each of
+    # the 2,000,001 cells of either factor lies in a product cell, so the
+    # request is refused before one is listed
     start = time.perf_counter()
     proc = run_subprocess("homology", "--p", "3", "--k", str(k), "--rep", rep, "--degree", degree, timeout=10)
     assert time.perf_counter() - start < 5

@@ -254,8 +254,6 @@ def test_invariants_raise_invariant_error():
 # (each formatted value written {}), with the tier-1 test that fires it:
 # a check that no test fires cannot be told from one that cannot fail.
 GUARDS = {
-    ("cells.tensor", "boundary is not equivariant"):
-        "test_cells.py::test_tensor_refuses_a_boundary_that_is_not_equivariant",
     ("homology._check_complex", "boundary at dim {} not well defined"):
         "test_homology.py::test_check_complex_refuses_an_ill_defined_boundary",
     ("homology._check_complex", "d^2 != 0 from dim {}"):
