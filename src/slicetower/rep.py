@@ -85,7 +85,7 @@ def rotation_plane(group: Group, level: int, count: int = 1) -> Rep:
 
 @functools.lru_cache(maxsize=1 << 12)
 def regular_rep(group: Group, count: int = 1) -> Rep:
-    """count copies of the real regular representation, for slice_rep, rho_form,
+    """count copies of the real regular representation, for the slices, render_forms,
     verify_slice and the parser's rho; the cache is capped like verify_slice's."""
     planes = tuple(count * ((group.index(j) - group.index(j + 1)) // 2) for j in range(group.k))
     return Rep(group, count, planes)
@@ -112,12 +112,18 @@ def slice_rep(group: Group, a: int, m: int) -> Rep:
         raise ValueError(f"a must be in 1..{group.k}, got {a}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    ell = m * (group.order - group.p ** a) // 2
-    rho, lam = regular_rep(group), lambda_block(ell, group)  # m rho is not built: one Rep, not two
-    v = Rep(group, m * rho.trivial - 1 - lam.trivial, tuple([m * r - l for r, l in zip(rho.planes, lam.planes)]))
-    if not (v.is_actual and v.dim == m * group.p ** a - 1):
+    rho, lam = regular_rep(group).planes, lambda_block(m * (group.order - group.p ** a) // 2, group)
+    return checked_slice(group, a, m, m - 1 - lam.trivial, tuple([m * r - l for r, l in zip(rho, lam.planes)]))
+
+
+def checked_slice(group: Group, a: int, m: int, trivial: int, planes: tuple[int, ...]) -> Rep:
+    """The representation of these multiplicities, once checked to carry
+    the torsion slice at (a, m): actual, of dimension m p^a - 1, with
+    m - 1 - 2 floor(ell / p^k) trivial summands, ell = m (p^k - p^a) / 2."""
+    v, order, pa = Rep(group, trivial, planes), group.order, group.p ** a
+    if not (v.is_actual and v.dim == m * pa - 1):
         raise InvariantError(f"V at (a, m) = ({a}, {m}) is not an actual representation of the slice dimension")
-    if v.trivial != m - 1 - 2 * (ell // group.order):
+    if trivial != m - 1 - 2 * (m * (order - pa) // 2 // order):
         raise InvariantError(f"V at (a, m) = ({a}, {m}) has the wrong trivial multiplicity")
     return v
 
@@ -135,17 +141,15 @@ def n_slice_rep(n: int, group: Group) -> Rep:
         raise ValueError("n must be nonnegative")
     if n <= 2:
         return trivial_rep(group, n)
-    m = slice_params(n, group)[0]
-    p = group.p
+    m, p = slice_params(n, group)[0], group.p
     if n % p != 0:
-        w = slice_rep(group, 1, m) + trivial_rep(group) - lambda_block((m * p - n) // 2, group)
+        v, lam = slice_rep(group, 1, m), lambda_block((m * p - n) // 2, group)
     else:
-        # third = m_1 + 2 = n/p + 2, the second base dimension if there is one;
-        # slice_rep(1, third) + 1 is (n - 2) rho - lambda(((n - 2) p^k - third p) / 2)
-        # where that is defined, as n - 2 - third is even; at n = p^k, w is rho + 2 - L0
-        third = m + 2
-        w = (slice_rep(group, 1, third) + trivial_rep(group)
-             - lambda_block(p - 1, group) - rotation_plane(group, 0))
+        # m + 2 = n/p + 2, the second base dimension if there is one; slice_rep(1, m + 2) + 1
+        # is (n - 2) rho - lambda(((n - 2) p^k - (m + 2) p) / 2) where that is defined, as
+        # n - m - 4 is even; lambda(p - 1) + L0 is p L0; at n = p^k, w is rho + 2 - L0
+        v, lam = slice_rep(group, 1, m + 2), rotation_plane(group, 0, p)
+    w = Rep(group, v.trivial + 1 - lam.trivial, tuple([x - y for x, y in zip(v.planes, lam.planes)]))
     if not (w.is_actual and w.dim == n):
         raise InvariantError(f"the bottom slice representation for n = {n} is not actual of dimension n")
     return w
@@ -165,31 +169,24 @@ def restrict_rep(v: Rep, m: int) -> Rep:
 
 # --- display ---------------------------------------------------------------
 
-def rho_form(group: Group, trivial: int, planes: tuple[int, ...]) -> tuple[int, int] | None:
-    """(s, t) with the representation of these multiplicities equal to
-    s*rho - t*trivial, s >= 1 and 0 <= t <= 2, if the planes are s*rho's;
-    s is read off level k - 1, where rho has (p - 1)/2 planes."""
-    s, r = divmod(planes[-1], (group.p - 1) // 2) if planes else (0, 0)
-    t = s - trivial
-    if r or s <= 0 or not 0 <= t <= 2 or planes != tuple(s * x for x in regular_rep(group).planes):
-        return None
-    return s, t
-
-
-def render_forms(group: Group, trivial: int, planes: tuple[int, ...]) -> tuple[str, str]:
+def render_forms(group: Group, trivial: int, planes: tuple[int, ...], below: int = 0) -> tuple[str, str]:
     """The display and LaTeX forms of the representation of these
     multiplicities, from one reading of its terms, so none is built to
-    be printed; the s*rho - t shorthand is used when it is exact."""
-    form = rho_form(group, trivial, planes)
-    if form is not None:
-        s, t = form
+    be printed.  The s*rho - t shorthand, s >= 1 and 0 <= t <= 2, is used
+    when exact: s is read off level k - 1, where rho has (p - 1)/2 planes,
+    then level 0 is tried, where it has (p^k - p^(k-1))/2.  Else the terms
+    are spelled, without the planes below level below."""
+    s, r = divmod(planes[-1], (group.p - 1) // 2) if planes else (0, 0)
+    t = s - trivial
+    if (not r and s > 0 and 0 <= t <= 2 and 2 * planes[0] == s * (group.order - group.index(1))
+            and planes == tuple([s * x for x in regular_rep(group).planes])):
         head = "" if s == 1 else str(s)
         tail = "" if t == 0 else f" - {t}"
         return f"{head}ρ{tail}", rf"{head}\rho{tail}"
 
     # the trivial term first, then the planes from level k - 1 down
     text = tex = str(trivial) if trivial else ""
-    for j in range(group.k - 1, -1, -1):
+    for j in range(group.k - 1, below - 1, -1):
         m = planes[j]
         if m:
             term, tex_term = _plane_term(m, j, not text)

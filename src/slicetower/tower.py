@@ -27,19 +27,19 @@ the slices are 2 rho-periodic: m + 2p^(k-a) adds 2p^(k-a) rho to m rho
 and (p^(k-a) - 1) p^k to lambda's argument, so 2 (p^(k-a) - 1) rho to
 lambda, and the trade stays as v_p(m + 2p^(k-a)) and v_p(m) agree when
 capped at k - a.  torsion_slice builds each stage's slice and move once
-per process, so towers share their slices as objects.  A tower is its
-recipe, (group, n): each walk runs schedule afresh, and the writers
-print its stages as they come.  verify_slice is cached by the
-descriptor, and reads its spheres through homology.sphere_homology,
+per process, so towers share their slices as objects, from the entry
+of its class; a column has at most 2p^(k-a) classes, whatever n is.  A
+tower is its recipe, (group, n): each walk runs schedule afresh, and
+the writers print its stages as they come.  verify_slice is cached by
+the descriptor, and reads its spheres through homology.sphere_homology,
 which keys them by value and realizes each distinct window once.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abelian import AbGroup
 from .cells import max_cell_dim
@@ -47,7 +47,7 @@ from .group import Group, InvariantError, p_adic_val
 from .homology import sphere_homology
 from .mackey import B_ij, constant_Z, restrict_mackey
 from .params import slice_params
-from .rep import Rep, n_slice_rep, regular_rep, restrict_rep, rotation_plane, slice_rep
+from .rep import Rep, checked_slice, n_slice_rep, regular_rep, restrict_rep, rotation_plane, slice_rep
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,10 +58,14 @@ class SliceDescriptor:
     rep: Rep
     coeff_i: int | None = None
     coeff_j: int | None = None
+    dim: int = field(init=False)  # the rep's, which the schedule and the writers read per stage
 
-    @property
-    def dim(self) -> int:
-        return self.rep.dim
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", self.rep.dim)
+
+    def __hash__(self) -> int:  # every stage's cache lookups hash it: the rep's fields, read in place
+        rep = self.rep
+        return hash((rep.group, rep.trivial, rep.planes, self.coeff_i, self.coeff_j))
 
     @property
     def is_torsion(self) -> bool:
@@ -83,28 +87,33 @@ class Tower:
     def steps(self) -> Iterator[Step]:
         return schedule(self.n, self.group)
 
-    @property
-    def slices(self) -> list[SliceDescriptor]:
-        return [desc for desc, *_ in self.steps()]
-
 
 @functools.lru_cache(maxsize=1 << 12)
 def torsion_slice(group: Group, a: int, m: int) -> tuple[SliceDescriptor, Rep]:
     """The torsion stage in column a of every tower with the base
     dimension m: its slice, of dimension m p^a - 1, and the move that
-    crossing it makes on the section.  The stage trades the plane at
-    level out = a + min(v_p(m), k - a) for one at level in = a - 1, and
-    its coefficient is B(out - in, in).  Capped like verify_slice's cache."""
-    rep = slice_rep(group, a, m)  # checks a and m
-    out, in_ = a + min(p_adic_val(m, group.p), group.k - a), a - 1
-    return SliceDescriptor(rep, coeff_i=out - in_, coeff_j=in_), _plane_trade(group, out, in_)
+    crossing it makes on the section: its class's stage plus 2 rho per
+    period 2p^(k - a), on integers, checked as slice_rep checks its own.
+    Capped like verify_slice's cache."""
+    period = 2 * group.index(a)
+    shifts = max((m - 1) // period, 0)  # an m below 1 is its own class, which slice_rep refuses
+    base, out, in_, move = _slice_class(group, a, m - shifts * period)
+    rep = checked_slice(group, a, m, base.trivial + 2 * shifts,
+                        tuple([x + 2 * shifts * r for x, r in zip(base.planes, regular_rep(group).planes)]))
+    return SliceDescriptor(rep, coeff_i=out - in_, coeff_j=in_), move
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _plane_trade(group: Group, out: int, in_: int) -> Rep:
-    """The plane at level out goes and one at level in comes; a group
-    has at most k(k+1)/2 such trades, so each is built once."""
-    return rotation_plane(group, in_) - rotation_plane(group, out)
+def _slice_class(group: Group, a: int, r: int) -> tuple[Rep, int, int, Rep]:
+    """The stage in column a at r = (m - 1) mod 2p^(k - a) + 1, the least m
+    of its class: slice_rep's representation, and the trade, of the plane
+    at level out = a + v_p(r), which is a + min(v_p(m), k - a) across the
+    class as r < p^(k - a + 1), for one at level in = a - 1, which is the
+    coefficient B(out - in, in), and the move it makes.  Capped as
+    verify_slice's."""
+    rep = slice_rep(group, a, r)  # checks a and r
+    out, in_ = a + p_adic_val(r, group.p), a - 1
+    return rep, out, in_, rotation_plane(group, in_) - rotation_plane(group, out)
 
 
 def schedule(n: int, group: Group) -> Iterator[Step]:
@@ -121,30 +130,25 @@ def schedule(n: int, group: Group) -> Iterator[Step]:
     """
     base_dims = _base_dims(n, group)
     trivial, planes = n, (0,) * group.k
-    above = None  # the dimension of the slice above
+    above = float("inf")  # the dimension of the slice above; there is none above the first
     for a in range(group.k, 0, -1):
         for b in range(len(base_dims), 0, -1):
             if a == 1 and b == 1 and n % group.p == 0:
                 continue
             desc, move = torsion_slice(group, a, base_dims[b - 1])
-            above = _below(above, desc.dim)
+            if desc.dim >= above:
+                raise InvariantError(f"slice dimensions are not strictly decreasing: {above} then {desc.dim}")
+            above = desc.dim
             yield desc, a, b, trivial, planes
-            trivial, planes = trivial + move.trivial, tuple(map(operator.add, planes, move.planes))
+            trivial, planes = trivial + move.trivial, tuple([x + y for x, y in zip(planes, move.planes)])
             if trivial < 0 or min(planes) < 0:
                 raise InvariantError(f"exchanging planes across V({a},{b}) leaves no section of dimension n")
     bottom = SliceDescriptor(n_slice_rep(n, group))
-    _below(above, bottom.dim)
+    if bottom.dim >= above:
+        raise InvariantError(f"the integral slice, of dimension {bottom.dim}, is not below the slice above, of {above}")
     if (trivial, planes) != (bottom.rep.trivial, bottom.rep.planes):
         raise InvariantError("the bottom section differs from the closed form of the integral slice")
     yield bottom, None, None, trivial, planes
-
-
-def _below(above: int | None, dim: int) -> int:
-    """dim, the next slice's dimension, once checked to lie below above,
-    the dimension of the slice before it (None at the top)."""
-    if above is not None and dim >= above:
-        raise InvariantError(f"slice dimensions are not strictly decreasing: {above} then {dim}")
-    return dim
 
 
 def _base_dims(n: int, group: Group) -> range:
@@ -241,5 +245,6 @@ def verify_slice(desc: SliceDescriptor) -> VerificationReport:
 
 
 def verify_tower(tower: Tower) -> list[VerificationReport]:
-    """The cached report of each stage, in order: one pointer per stage."""
-    return [verify_slice(desc) for desc in tower.slices]
+    """The cached report of each stage, in order, from one walk: one
+    pointer per stage, and no slice held past its report."""
+    return [verify_slice(desc) for desc, *_ in tower.steps()]

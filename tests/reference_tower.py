@@ -82,6 +82,11 @@ def lambda_block(count: int, group: Group) -> Rep:
     return Rep(group, 2 * (count // p ** k), planes)
 
 
+def tower_slices(tower: Tower) -> list[SliceDescriptor]:
+    """The tower's slices, top to bottom, read off one walk of its steps."""
+    return [desc for desc, *_ in tower.steps()]
+
+
 def stages(tower: Tower) -> list[tuple[SliceDescriptor, int | None, int | None, Rep]]:
     """The tower's steps, each as (descriptor, a, b, section), the
     section's multiplicities made a Rep."""

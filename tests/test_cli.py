@@ -12,6 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from reference_tower import tower_slices
 from slicetower.abelian import AbGroup
 from slicetower import cli, tower
 from slicetower.cli import MAX_CELLS, MAX_K, MAX_STAGES, main
@@ -174,7 +175,7 @@ def test_verify_bad_range(capsys):
 def test_exit_one_on_failed_verification(capsys, monkeypatch):
     def doomed(tower):
         return [VerificationReport(1, (Failure(0, "vanishing", 0, 1, AbGroup((3,))),))
-                for _ in tower.slices]
+                for _ in tower_slices(tower)]
 
     monkeypatch.setattr("slicetower.cli.verify_tower", doomed)
     code, out, _ = run(capsys, "tower", "--p", "3", "--k", "1", "--n", "3",
@@ -214,7 +215,7 @@ S7_FAILURES = {0: (Failure(1, "vanishing", 1, 3, AbGroup((3,))),),
 
 def s7_doomed(tower):
     return [VerificationReport(4, S7_FAILURES.get(i, ()))
-            for i in range(len(tower.slices))]
+            for i in range(len(tower_slices(tower)))]
 
 
 def test_failed_verification_prints_each_failure(capsys, monkeypatch):

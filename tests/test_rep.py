@@ -26,7 +26,6 @@ from slicetower.rep import (
     render_forms,
     render_rep,
     restrict_rep,
-    rho_form,
     rotation_plane,
     slice_rep,
     trivial_rep,
@@ -199,14 +198,15 @@ def test_restrict_and_is_subrep():
 
 
 def test_rho_form():
-    assert rho_form(*fields(regular_rep(C9))) == (1, 0)
-    assert rho_form(*fields(Rep(C9, 4, (15, 5)))) == (5, 1)
-    assert rho_form(*fields(Rep(C9, 0, (3, 1)))) == (1, 1)
-    assert rho_form(*fields(Rep(C3, 0, (2,)))) == (2, 2)
-    assert rho_form(*fields(Rep(C9, -2, (3, 1)))) is None       # t out of range
-    assert rho_form(*fields(Rep(C9, 1, (3, 2)))) is None        # not a regular multiple
-    assert rho_form(*fields(Rep(C9, 1, (4, 1)))) is None
-    assert rho_form(*fields(trivial_rep(C9, 5))) is None
+    # the s rho - t shorthand, s >= 1 and 0 <= t <= 2, exactly where it holds
+    assert render_rep(regular_rep(C9)) == "ρ"
+    assert render_rep(Rep(C9, 4, (15, 5))) == "5ρ - 1"
+    assert render_rep(Rep(C9, 0, (3, 1))) == "ρ - 1"
+    assert render_rep(Rep(C3, 0, (2,))) == "2ρ - 2"
+    assert render_rep(Rep(C9, -2, (3, 1))) == "-2 + λ_1 + 3λ_0"      # t out of range
+    assert render_rep(Rep(C9, 1, (3, 2))) == "1 + 2λ_1 + 3λ_0"       # not a regular multiple
+    assert render_rep(Rep(C9, 1, (4, 1))) == "1 + λ_1 + 4λ_0"
+    assert render_rep(trivial_rep(C9, 5)) == "5"
 
 
 def test_rho_form_reads_one_regular_rep_per_group():
@@ -216,7 +216,7 @@ def test_rho_form_reads_one_regular_rep_per_group():
     for rho in unit:
         for s in range(1, 51):
             v = Rep(rho.group, s - 1, tuple(s * x for x in rho.planes))
-            assert rho_form(*fields(v)) == (s, 1)
+            assert render_forms(*fields(v))[0] == ("ρ - 1" if s == 1 else f"{s}ρ - 1")
     assert regular_rep.cache_info().currsize == len(unit)
     assert [regular_rep(rho.group) for rho in unit] == list(unit)
 
@@ -262,9 +262,11 @@ def reference_render(v, latex=False):
     replaced, kept as the reference it must agree with."""
     rho_sym = r"\rho" if latex else "ρ"
     lam = (lambda j: rf"\lambda_{{{j}}}") if latex else (lambda j: f"λ_{j}")
-    form = rho_form(*fields(v))
-    if form is not None:
-        s, t = form
+    unit = regular_rep(v.group).planes
+    form = [(v.trivial + t, t) for t in range(3)
+            if v.trivial + t >= 1 and v.planes == tuple((v.trivial + t) * x for x in unit)]
+    if form:
+        (s, t), = form
         head = rho_sym if s == 1 else f"{s}{rho_sym}"
         return head if t == 0 else f"{head} - {t}"
     terms = [(v.trivial, "")] if v.trivial else []

@@ -11,7 +11,7 @@ import pytest
 
 import reference_tower as reference
 from criteria import reference_verify_slice
-from reference_tower import stages
+from reference_tower import stages, tower_slices
 from slicetower.abelian import AbGroup
 from slicetower.document import slice_text, sphere_forms, verification_text
 from slicetower.group import Group, InvariantError, is_odd_prime, p_adic_val
@@ -23,7 +23,7 @@ from slicetower.tower import (
     Failure,
     SliceDescriptor,
     VerificationReport,
-    _below,
+    _slice_class,
     build_tower,
     schedule,
     torsion_slice,
@@ -40,26 +40,26 @@ SWEEP_RANGES = json.loads((Path(__file__).parent / "data" / "work_budgets.json")
 
 def test_s7_tower_frozen():
     tower = build_tower(7, C9)
-    assert [s.dim for s in tower.slices] == [44, 26, 14, 8, 7]
-    assert [s.is_torsion for s in tower.slices] == [True] * 4 + [False]
-    assert [(s.coeff_i, s.coeff_j) for s in tower.slices[:-1]] == [
+    assert [s.dim for s in tower_slices(tower)] == [44, 26, 14, 8, 7]
+    assert [s.is_torsion for s in tower_slices(tower)] == [True] * 4 + [False]
+    assert [(s.coeff_i, s.coeff_j) for s in tower_slices(tower)[:-1]] == [
         (1, 1), (1, 1), (1, 0), (2, 0)]
     sections = [section for *_, section in stages(tower)]
     assert [(a, b) for _, a, b, _ in stages(tower)[:-1]] == [(2, 2), (2, 1), (1, 2), (1, 1)]
     assert sections[0] == trivial_rep(C9, 7)
     assert [str(section) for section in sections] == [
         "7", "5 + λ_1", "3 + 2λ_1", "3 + λ_1 + λ_0", "1 + λ_1 + 2λ_0"]
-    assert sections[-1] == tower.slices[-1].rep
+    assert sections[-1] == tower_slices(tower)[-1].rep
 
 
 def test_s16_tower_frozen():
     tower = build_tower(16, C9)
-    assert [s.dim for s in tower.slices] == [
+    assert [s.dim for s in tower_slices(tower)] == [
         125, 107, 89, 71, 53, 41, 35, 29, 23, 17, 16]
-    assert [(s.coeff_i, s.coeff_j) for s in tower.slices[:-1]] == [
+    assert [(s.coeff_i, s.coeff_j) for s in tower_slices(tower)[:-1]] == [
         (1, 1)] * 5 + [(1, 0), (2, 0), (1, 0), (1, 0), (2, 0)]
-    assert str(tower.slices[0].rep) == "14ρ - 1"
-    assert str(tower.slices[6].rep) == "4ρ - 1"
+    assert str(tower_slices(tower)[0].rep) == "14ρ - 1"
+    assert str(tower_slices(tower)[6].rep) == "4ρ - 1"
     *_, bottom = stages(tower)[-1]
     assert bottom == Rep(C9, 2, (5, 2))
     assert str(bottom) == "2 + 2λ_1 + 5λ_0"
@@ -72,8 +72,8 @@ def test_multiple_of_p_drops_last_torsion_slice():
     assert all((a, b) != (1, 1) for _, a, b, _ in stages(tower)[:-1])
     # d = 3 (base dims 3, 5, 7) and the dropped slot leaves k*d stages
     assert len(stages(tower)) == 6
-    assert not tower.slices[-1].is_torsion
-    assert tower.slices[-1].dim == 9
+    assert not tower_slices(tower)[-1].is_torsion
+    assert tower_slices(tower)[-1].dim == 9
 
 
 def test_c_p_family_closed_form():
@@ -85,7 +85,7 @@ def test_c_p_family_closed_form():
             if n % p == 0:
                 continue
             tower = build_tower(n, g)
-            torsion = tower.slices[:-1]
+            torsion = tower_slices(tower)[:-1]
             d = len(torsion)
             for i, s in enumerate(torsion, start=1):
                 assert (s.coeff_i, s.coeff_j) == (1, 0)
@@ -101,7 +101,7 @@ def test_small_n_single_stage(n):
     for g in (C3, C9):
         tower = build_tower(n, g)
         assert len(list(tower.steps())) == 1
-        desc = tower.slices[0]
+        desc = tower_slices(tower)[0]
         assert not desc.is_torsion
         assert desc.dim == n
         assert desc.rep == trivial_rep(g, n)
@@ -112,7 +112,7 @@ def test_small_n_single_stage(n):
 def test_counts_and_monotone_dims():
     for g in (C3, C9, Group(5, 2), Group(3, 3)):
         for n in range(3, 16):
-            slices = build_tower(n, g).slices
+            slices = tower_slices(build_tower(n, g))
             dims = [s.dim for s in slices]
             assert dims == sorted(dims, reverse=True)
             assert len(set(dims)) == len(dims)
@@ -226,11 +226,24 @@ def test_schedule_refuses_a_bottom_section_off_the_closed_form(monkeypatch):
         list(schedule(7, C9))
 
 
-def test_slice_dimensions_must_strictly_decrease():
-    assert (_below(None, 5), _below(6, 5)) == (5, 5)
-    for above in (5, 4):
-        with pytest.raises(InvariantError, match=f"slice dimensions are not strictly decreasing: {above} then 5"):
-            _below(above, 5)
+def test_slice_dimensions_must_strictly_decrease(monkeypatch):
+    # S^7 over C_9 has slices of dimensions 44, 26, 14 and 8 above its
+    # integral slice of dimension 7.  Column 1 given column 2's slices
+    # climbs back to 44, or repeats 26; an integral slice of dimension 8
+    # or 9 is not below the last torsion slice
+    real_slice, real_bottom = torsion_slice, n_slice_rep
+    for m, dims in ((None, "26 then 44"), (3, "26 then 26")):
+        monkeypatch.setattr("slicetower.tower.torsion_slice",
+                            lambda group, a, own: real_slice(group, 2 if a == 1 else a, m or own))
+        with pytest.raises(InvariantError, match=f"slice dimensions are not strictly decreasing: {dims}"):
+            list(schedule(7, C9))
+    monkeypatch.setattr("slicetower.tower.torsion_slice", real_slice)
+    for extra in (1, 2):
+        monkeypatch.setattr("slicetower.tower.n_slice_rep",
+                            lambda n, group: real_bottom(n, group) + trivial_rep(group, extra))
+        with pytest.raises(InvariantError, match=f"the integral slice, of dimension {7 + extra}, "
+                                                 "is not below the slice above, of 8"):
+            list(schedule(7, C9))
 
 
 def test_verify_slice_passes_on_real_slices():
@@ -277,11 +290,11 @@ def test_verify_slice_matches_the_reference_loop_on_passes_and_failures():
     # of the towers' slices over C_9, C_27 and C_25, which fail both ways:
     # the loop on multiplicities gives the Rep loop's report, failure for failure
     for p, k, lo, hi in SWEEP_RANGES:
-        for desc in {desc for n in range(lo, hi + 1) for desc in build_tower(n, Group(p, k)).slices}:
+        for desc in {desc for n in range(lo, hi + 1) for desc in tower_slices(build_tower(n, Group(p, k)))}:
             assert verify_slice(desc) == reference_verify_slice(desc), desc
     checks = set()
     for group in (C9, Group(3, 3), Group(5, 2)):
-        slices = {desc for n in range(3, 25) for desc in build_tower(n, group).slices}
+        slices = {desc for n in range(3, 25) for desc in tower_slices(build_tower(n, group))}
         for desc in {mutant for desc in slices for mutant in mutants(desc)}:
             report = verify_slice(desc)
             assert report == reference_verify_slice(desc), desc
@@ -292,7 +305,7 @@ def test_verify_slice_matches_the_reference_loop_on_passes_and_failures():
 def test_verify_slice_reports_both_degrees_in_t_order():
     # the dimension-5 stage of S^4 over C_9 with B(1,1) in place of its
     # B(1,0) fails in degree 0 at t = 1 and in degree -1 at t = 2
-    stage = next(d for d in build_tower(4, C9).slices if d.dim == 5)
+    stage = next(d for d in tower_slices(build_tower(4, C9)) if d.dim == 5)
     assert stage.rep == Rep(C9, 1, (2, 0))
     report = verify_slice(dataclasses.replace(stage, coeff_i=1, coeff_j=1))
     assert not report.passed
@@ -349,7 +362,7 @@ def empty_caches():
 def test_warm_memo_gives_the_cold_reports(group, top):
     # one verify_slice call never meets a sphere twice, so emptying both
     # caches before each call gives the reports of the plain realization
-    slices = [d for n in range(3, top + 1) for d in build_tower(n, group).slices]
+    slices = [d for n in range(3, top + 1) for d in tower_slices(build_tower(n, group))]
     cold = []
     for desc in slices:
         empty_caches()
@@ -388,7 +401,7 @@ def test_a_slice_is_checked_once_wherever_it_sits():
 
 
 def test_reports_share_no_state_with_the_cache():
-    stage = next(d for d in build_tower(4, C9).slices if d.dim == 5)
+    stage = next(d for d in tower_slices(build_tower(4, C9)) if d.dim == 5)
     mutant = dataclasses.replace(stage, coeff_i=1, coeff_j=1)
     report = verify_slice(mutant)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -455,22 +468,69 @@ def test_a_torsion_slice_depends_on_its_dimension_only():
     assert checked == 17160
 
 
+def reference_torsion_slice(group, a, m):
+    """The stage at (a, m) from the reference constructors: the slice
+    m rho - 1 - lambda(m (p^k - p^a) / 2) with coefficient
+    B(min(v_p(m), k - a) + 1, a - 1), and the move trading the plane at
+    level a + min(v_p(m), k - a) for one at level a - 1."""
+    p, k = group.p, group.k
+    rep = (reference.regular_rep(group, m) - reference.trivial_rep(group)
+           - reference.lambda_block(m * (p ** k - p ** a) // 2, group))
+    out = a + min(p_adic_val(m, p), k - a)
+    move = reference.rotation_plane(group, a - 1) - reference.rotation_plane(group, out)
+    return SliceDescriptor(rep, coeff_i=out - a + 1, coeff_j=a - 1), move
+
+
 def test_torsion_slices_are_2rho_periodic():
-    # tower.py derives torsion_slice(G, a, m + 2p^(k-a)) =
-    # torsion_slice(G, a, m) + 2 rho, with the same trade, from
-    # slice_rep's formula: every a and m = 1..80 over C_p^k, p in
-    # {3, 5, 7, 11} and k = 1..3
-    checked = 0
-    for p, k in itertools.product((3, 5, 7, 11), (1, 2, 3)):
+    # tower.py derives that the stage at m + 2p^(k-a) is the stage at m
+    # plus 2 rho, with the same trade, and torsion_slice builds each
+    # stage from its class's so: every a and m = 1..4 * 2p^(k-a) over
+    # C_3, C_9, C_27, C_81, C_25 and C_7^2, against the reference
+    # constructors, with one class built per residue reached
+    checked = classes = 0
+    for p, k in ((3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)):
         group = Group(p, k)
-        two_rho = regular_rep(group, 2)
-        for a, m in itertools.product(range(1, k + 1), range(1, 81)):
-            (low, low_move), (high, high_move) = (torsion_slice(group, a, m),
-                                                  torsion_slice(group, a, m + 2 * p ** (k - a)))
-            assert high == dataclasses.replace(low, rep=low.rep + two_rho), (group, a, m)
-            assert high_move is low_move, (group, a, m)
-            checked += 1
-    assert checked == 1920
+        for a in range(1, k + 1):
+            period = 2 * p ** (k - a)
+            two_rho = reference.regular_rep(group, 2)
+            for m in range(1, 4 * period + 1):
+                (own, move), (low, low_move) = torsion_slice(group, a, m), reference_torsion_slice(group, a, m)
+                assert (own, move) == (low, low_move), (group, a, m)
+                high, high_move = reference_torsion_slice(group, a, m + period)
+                assert high == dataclasses.replace(low, rep=low.rep + two_rho), (group, a, m)
+                assert high_move == low_move, (group, a, m)
+                checked += 1
+            classes += period
+    assert checked == 4 * classes == 576
+    assert _slice_class.cache_info().misses == classes
+
+
+def test_torsion_slices_past_the_cap_come_from_their_classes():
+    # m = 1..9,000 over C_3, more base dimensions than torsion_slice's
+    # cache holds, are built from C_3's two classes, m odd and m even
+    for m in range(1, 9001):
+        assert torsion_slice(C3, 1, m) == reference_torsion_slice(C3, 1, m), m
+    info = torsion_slice.cache_info()
+    assert info.misses == 9000 > info.maxsize >= info.currsize
+    assert _slice_class.cache_info().misses == 2
+
+
+def test_a_shifted_slice_is_checked_as_slice_rep_checks(monkeypatch):
+    # with its class's slice mutated, the stage at (2, 5) over C_9, 4 rho
+    # above its class's rho - 1, is refused either way
+    real = _slice_class
+    mutants = {
+        # one level-0 plane too many adds two dimensions to V
+        "is not an actual representation of the slice dimension": rotation_plane(C9, 0),
+        # a level-0 plane for two trivial summands keeps the dimension
+        "has the wrong trivial multiplicity": rotation_plane(C9, 0) - trivial_rep(C9, 2),
+    }
+    for message, mutant in mutants.items():
+        monkeypatch.setattr("slicetower.tower._slice_class",
+                            lambda group, a, r: (real(group, a, r)[0] + mutant, *real(group, a, r)[1:]))
+        assert real(C9, 2, 1)[0] == regular_rep(C9) - trivial_rep(C9)
+        with pytest.raises(InvariantError, match=re.escape(f"V at (a, m) = (2, 5) {message}")):
+            torsion_slice(C9, 2, 5)
 
 
 def test_towers_share_their_torsion_slices():
@@ -505,7 +565,7 @@ def test_a_huge_n_is_refused_before_any_stage():
 def test_memo_tells_coefficients_apart():
     # the dimension-5 stage of S^4 over C_9 passes with its B(1,0); its
     # B(1,1) mutant meets the same spheres and must still fail
-    stage = next(d for d in build_tower(4, C9).slices if d.dim == 5)
+    stage = next(d for d in tower_slices(build_tower(4, C9)) if d.dim == 5)
     assert verify_slice(stage).passed
     report = verify_slice(dataclasses.replace(stage, coeff_i=1, coeff_j=1))
     assert report.checks == 9

@@ -7,15 +7,17 @@ budget; raising one needs its reason recorded.
 verify-sweep replays, in process and from empty caches, the verify
 ranges of the benchmark workload of that name, (p, k, lowest n,
 highest n) each, and counts the cache misses of the oracle's layers:
-slices checked, spheres looked up afresh, windows realized, and
-coefficients restricted to a subgroup; and the bookkeeping around
+slices checked, spheres looked up afresh, windows realized, products
+of factor cells built (homology's binding of cells.tensor, wrapped),
+and coefficients restricted to a subgroup; and the bookkeeping around
 them, the representations and Mackey functors the sweep constructs,
 counted by wrapping Rep.__post_init__ and MackeyFunctor.__post_init__.
 
-tower builds, in process and from empty caches, the towers of its
-requests, (p, k, n) each, and counts the torsion slices built, the
-regular representations cached and the representations constructed,
-counted as the sweep's are.
+tower builds, in process, each from empty caches, the towers of its
+requests, each with its own budgets, and counts the torsion slices
+built, the classes of stages they are built from, the regular
+representations cached and the representations constructed, counted
+as the sweep's are.
 
 tower-render replays, through cli.main in JSON and LaTeX and from empty
 caches, the towers of the benchmark workload of that name, and counts
@@ -43,7 +45,10 @@ from pathlib import Path
 import pytest
 
 import slicetower
+from reference_tower import tower_slices
+from slicetower import homology
 from slicetower.abelian import invariant_factors
+from slicetower.cells import tensor
 from slicetower.cli import main
 from slicetower.document import slice_text, sphere_forms
 from slicetower.group import Group
@@ -51,7 +56,7 @@ from slicetower.homology import sphere_homology, window_homology
 from slicetower.mackey import MackeyFunctor, constant_Z, restrict_mackey
 from slicetower.params import stage_count
 from slicetower.rep import Rep, parse_rep, regular_rep
-from slicetower.tower import build_tower, torsion_slice, verify_slice, verify_tower
+from slicetower.tower import _slice_class, build_tower, torsion_slice, verify_slice, verify_tower
 
 BUDGETS = json.loads((Path(__file__).parent / "data" / "work_budgets.json").read_text())
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -78,6 +83,13 @@ def test_verify_sweep_budget_replays_the_benchmark_ranges():
 def test_verify_sweep_stays_within_its_work_budget(monkeypatch):
     spec = BUDGETS["verify-sweep"]
     reps, functors = count_constructions(monkeypatch, Rep), count_constructions(monkeypatch, MackeyFunctor)
+    products = [0]
+
+    def counted_tensor(factors):
+        products[0] += 1
+        return tensor(factors)
+
+    monkeypatch.setattr(homology, "tensor", counted_tensor)
     for p, k, lo, hi in spec["ranges"]:
         group = Group(p, k)
         for n in range(lo, hi + 1):
@@ -86,6 +98,7 @@ def test_verify_sweep_stays_within_its_work_budget(monkeypatch):
         "verify_slice misses": verify_slice.cache_info().misses,
         "sphere_homology misses": sphere_homology.cache_info().misses,
         "window_homology misses": window_homology.cache_info().misses,
+        "tensor calls": products[0],
         "restrict_mackey misses": restrict_mackey.cache_info().misses,
         "regular_rep entries": regular_rep.cache_info().currsize,
         "Rep constructions": reps[0],
@@ -114,17 +127,20 @@ def rep_constructions(monkeypatch):
     return count_constructions(monkeypatch, Rep)
 
 
-def test_tower_stays_within_its_work_budget(rep_constructions):
-    spec = BUDGETS["tower"]
-    for p, k, n in spec["requests"]:
-        group = Group(p, k)
-        assert len(list(build_tower(n, group).steps())) == stage_count(n, group), (p, k, n)
-    work = {
-        "torsion_slice misses": torsion_slice.cache_info().misses,
-        "regular_rep entries": regular_rep.cache_info().currsize,
-        "Rep constructions": rep_constructions[0],
-    }
-    assert_within_budget(work, spec["budgets"])
+def test_tower_stays_within_its_work_budget(rep_constructions, package_caches):
+    for spec in BUDGETS["tower"]["requests"]:
+        for cache in package_caches:
+            cache.cache_clear()
+        rep_constructions[0] = 0
+        group, n = Group(spec["p"], spec["k"]), spec["n"]
+        assert sum(1 for _ in build_tower(n, group).steps()) == stage_count(n, group), spec
+        work = {
+            "torsion_slice misses": torsion_slice.cache_info().misses,
+            "slice class misses": _slice_class.cache_info().misses,
+            "regular_rep entries": regular_rep.cache_info().currsize,
+            "Rep constructions": rep_constructions[0],
+        }
+        assert_within_budget(work, spec["budgets"])
 
 
 def strings(value) -> int:
@@ -141,7 +157,7 @@ def test_tower_render_stays_within_its_work_budget(rep_constructions):
             for fmt in ("json", "latex"):
                 assert main(["tower", "--p", str(p), "--k", str(k), "--n", str(n), "--format", fmt]) == 0
     constructions = rep_constructions[0]  # the requests' alone, not the slices' below
-    slices = {desc for p, k, n in cases for desc in build_tower(n, Group(p, k)).slices}
+    slices = {desc for p, k, n in cases for desc in tower_slices(build_tower(n, Group(p, k)))}
     work = {
         "torsion_slice misses": torsion_slice.cache_info().misses,
         "document cache entries": sphere_forms.cache_info().currsize + slice_text.cache_info().currsize,
