@@ -130,9 +130,7 @@ def parse_coefficient(text: str, group: Group) -> tuple[str, MackeyFunctor]:
 
 @functools.lru_cache(maxsize=1 << 12)
 def restrict_mackey(M: MackeyFunctor, h: int) -> MackeyFunctor:
-    """Restrict to C_{p^h}: keep the bottom h+1 levels."""
-    if not 0 <= h <= M.group.k:
-        raise ValueError(f"no subgroup at level {h}")
+    """Restrict to C_{p^h}: keep the bottom h+1 levels (Group.subgroup checks h)."""
     return MackeyFunctor(
         group=M.group.subgroup(h),
         levels=M.levels[: h + 1],

@@ -33,7 +33,7 @@ from .tower import SliceDescriptor, Tower, VerificationReport, torsion_slice
 
 
 def _sphere(display: str) -> str:
-    return f"S^({display})" if any(c in " +-" for c in display) else f"S^{display}"
+    return f"S^({display})" if " " in display or "+" in display or "-" in display else f"S^{display}"
 
 
 def _slice_cell(desc: SliceDescriptor) -> str:

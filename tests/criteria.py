@@ -1,5 +1,6 @@
-"""Checks that only tests read: criterion 6d, injectivity of restriction
-on torsion coefficients, with the lattice tests it is built from; the
+"""Checks that only tests read: whether a representation is actual;
+criterion 6d, injectivity of restriction on torsion coefficients, with
+the lattice tests it is built from; the
 paper's plane λ(w), the reference lambda_block is held to; the Mackey
 checks, B(i,j) as the cokernel of Z(i+j,j) -> Z and the norm axiom
 tr.res = p; and the oracle's loop as it was written on Rep arithmetic,
@@ -44,7 +45,7 @@ def homres_injective(w: Rep, i: int, j: int, h: int) -> bool:
     coefficient functor is already saturated at the target level."""
     if not i + j <= h <= w.group.k:
         raise ValueError(f"need i + j <= h <= k, got i={i}, j={j}, h={h}, k={w.group.k}")
-    if not w.is_actual:
+    if not is_actual(w):
         raise ValueError("need an actual representation")
     M = B_ij(i, j, w.group)
     k = w.group.k
@@ -109,9 +110,14 @@ def validate_mackey(M: MackeyFunctor) -> None:
             raise AssertionError(f"{M}: tr.res at level {m + 1} is not the norm")
 
 
+def is_actual(v: Rep) -> bool:
+    """Whether every multiplicity of v is nonnegative: an honest
+    representation, not a formal difference."""
+    return v.trivial >= 0 and all(x >= 0 for x in v.planes)
+
+
 def is_subrep(small: Rep, big: Rep) -> bool:
-    d = big - small
-    return d.is_actual
+    return is_actual(big - small)
 
 
 def reference_verify_slice(desc: SliceDescriptor) -> VerificationReport:

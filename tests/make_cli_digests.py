@@ -77,6 +77,22 @@ EXTRA += tuple(("tower", "--p", str(p), "--k", str(k), "--n", str(n), "--verify"
                for p, k in ((3, 1), (3, 2), (5, 2)) for n in range(3, 11)
                for fmt in ("text", "json", "latex"))
 
+# usage errors whose text no request above pins: a --p that is not prime, k = 0, an
+# --n that is no range, a negative tower --n, an --level that is no level
+# or out of range, and a --rep that ends early or runs on; and an integer
+# --level, which no request above gives
+EXTRA += (
+    ("tower", "--p", "9", "--k", "1", "--n", "7"),
+    ("tower", "--p", "3", "--k", "0", "--n", "7"),
+    ("verify", "--p", "3", "--k", "1", "--n", "3..x"),
+    ("tower", "--p", "3", "--k", "1", "--n", "-1"),
+    ("homology", "--p", "3", "--k", "2", "--rep", "L0 - L1", "--level", "x"),
+    ("homology", "--p", "3", "--k", "2", "--rep", "L0 - L1", "--level", "3"),
+    ("homology", "--p", "3", "--k", "2", "--rep", "V(1"),
+    ("homology", "--p", "3", "--k", "2", "--rep", "L0)"),
+    ("homology", "--p", "3", "--k", "2", "--rep", "L0 - L1", "--level", "1"),
+)
+
 
 def requests() -> list[list[str]]:
     sys.path.insert(0, str(ROOT / "bench"))

@@ -180,7 +180,7 @@ def test_only_document_spells_json():
 # its representation and coefficient alone, reads none of them: not in
 # its modules, and not in the two functions of tower.py that run it.
 CLOSED_FORMS = {"slice_params", "slice_rep", "n_slice_rep",
-                "lambda_block", "torsion_slice", "_slice_class", "checked_slice", "build_tower"}
+                "lambda_block", "torsion_slice", "_slice_class", "build_tower"}
 ORACLE_MODULES = ("homology.py", "cells.py", "abelian.py", "mackey.py")
 ORACLE_IN_TOWER = {"verify_slice", "verify_tower"}
 
@@ -264,12 +264,6 @@ GUARDS = {
         "test_homology.py::test_top_lifts_refuse_an_ill_defined_boundary",
     ("homology._top_lifts", "the lifted boundaries from dim {} do not compose to 0"):
         "test_homology.py::test_top_lifts_refuse_boundaries_that_do_not_compose_to_zero",
-    ("rep.checked_slice", "V at (a, m) = ({}, {}) is not an actual representation of the slice dimension"):
-        "test_tower.py::test_a_shifted_slice_is_checked_as_slice_rep_checks",
-    ("rep.checked_slice", "V at (a, m) = ({}, {}) has the wrong trivial multiplicity"):
-        "test_tower.py::test_a_shifted_slice_is_checked_as_slice_rep_checks",
-    ("rep.n_slice_rep", "the bottom slice representation for n = {} is not actual of dimension n"):
-        "test_rep.py::test_n_slice_rep_refuses_a_bottom_slice_of_another_dimension",
     ("tower.schedule", "exchanging planes across V({},{}) leaves no section of dimension n"):
         "test_tower.py::test_exchange_needs_the_plane_it_gives_up",
     ("tower.schedule", "the bottom section differs from the closed form of the integral slice"):
@@ -278,8 +272,6 @@ GUARDS = {
         "test_tower.py::test_slice_dimensions_must_strictly_decrease",
     ("tower.schedule", "the integral slice, of dimension {}, is not below the slice above, of {}"):
         "test_tower.py::test_slice_dimensions_must_strictly_decrease",
-    ("tower.verify_slice", "restriction to level {} changed the dimension of {}"):
-        "test_tower.py::test_verify_slice_refuses_a_restriction_that_changes_the_dimension",
     ("tower.verify_slice", "vanishing loop failed to stabilize"):
         "test_tower.py::test_verify_slice_gives_up_on_a_vanishing_loop_that_never_stops",
 }

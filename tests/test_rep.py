@@ -2,19 +2,13 @@
 representations, display forms, and the parser."""
 
 import ast
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from criteria import canonical_lambda, is_subrep
-from slicetower import rep
+from criteria import canonical_lambda, is_actual, is_subrep
 from slicetower.document import sphere_forms
-from slicetower.group import Group, InvariantError
+from slicetower.group import Group, p_adic_val
 from slicetower.params import slice_params
 from slicetower.rep import (
     Rep,
@@ -34,8 +28,6 @@ from slicetower.tower import SliceDescriptor, build_tower
 
 C9 = Group(3, 2)
 C3 = Group(3, 1)
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 GROUPS = [C3, C9, Group(5, 1), Group(5, 2), Group(7, 1), Group(3, 3)]
 
@@ -62,7 +54,7 @@ def test_rep_algebra():
     assert -v == Rep(C9, -1, (-2, 0))
     assert 3 * v == Rep(C9, 3, (6, 0))
     assert v.dim == 5 and w.dim == 8
-    assert v.is_actual and not (v - w).is_actual
+    assert is_actual(v) and not is_actual(v - w)
     assert v - v == Rep(C9, 0, (0, 0))
     with pytest.raises(ValueError):
         v + Rep(C3, 0, (1,))
@@ -113,37 +105,33 @@ def test_slice_rep_frozen():
             slice_rep(C9, a, m)
 
 
-def test_slice_rep_checks_hold_under_python_O():
-    # both checks raise, so -O keeps them: with lambda_block mutated,
-    # V(2,2) of S^7 over C_9 (5 rho - 1) is refused either way
-    script = textwrap.dedent("""
-        from slicetower import rep
-        from slicetower.group import Group
-        from slicetower.params import slice_params
-        m = slice_params(7, Group(3, 2))[1]
-        lambda_block = rep.lambda_block
-        mutants = {
-            # one level-0 plane too many takes two dimensions off V
-            "dim": lambda c, g: lambda_block(c, g) + rep.rotation_plane(g, 0),
-            # a level-0 plane for two trivial summands keeps the dimension
-            "trivial": lambda c, g: (lambda_block(c, g) - rep.trivial_rep(g, 2)
-                                     + rep.rotation_plane(g, 0)),
-        }
-        for name, mutant in mutants.items():
-            rep.lambda_block = mutant
-            try:
-                print(name, "passed:", rep.slice_rep(Group(3, 2), 2, m))
-            except AssertionError as e:
-                print(f"{name}: {e}")
-    """)
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "dim: V at (a, m) = (2, 5) is not an actual representation of the slice dimension",
-        "trivial: V at (a, m) = (2, 5) has the wrong trivial multiplicity",
-    ]
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_lambda_block_counts_the_weights_by_valuation(group):
+    # lambda(c) sums the planes of the weights 1..c, the weight w at level
+    # min(v_p(w), k), where a plane is two trivial summands
+    @given(st.integers(0, 3 * group.order + 5))
+    def check(c):
+        counts = [0] * (group.k + 1)
+        for w in range(1, c + 1):
+            counts[min(p_adic_val(w, group.p), group.k)] += 1
+        assert lambda_block(c, group) == Rep(group, 2 * counts[-1], tuple(counts[:-1]))
+
+    check()
+
+
+def test_slice_rep_is_actual_of_the_slice_dimension():
+    # what slice_rep's docstring proves for every a and m >= 1, over three
+    # periods 2p^(k - a) of m in every column and a few base dimensions past
+    checked = 0
+    for p, k in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2), (11, 1)):
+        group = Group(p, k)
+        for a in range(1, k + 1):
+            for m in range(1, 6 * p ** (k - a) + 6):
+                v, ell = slice_rep(group, a, m), m * (p ** k - p ** a) // 2
+                assert is_actual(v) and v.dim == m * p ** a - 1, (group, a, m)
+                assert v.trivial == m - 1 - 2 * (ell // p ** k), (group, a, m)
+                checked += 1
+    assert checked == 264
 
 
 def test_n_slice_rep_frozen():
@@ -158,14 +146,13 @@ def test_n_slice_rep_frozen():
         n_slice_rep(-1, C9)
 
 
-@pytest.mark.parametrize("n", [7, 9])
-def test_n_slice_rep_refuses_a_bottom_slice_of_another_dimension(monkeypatch, n):
-    # a first base dimension one too large, whether p divides n or not,
-    # moves the bottom slice off dimension n
-    real = slice_params
-    monkeypatch.setattr(rep, "slice_params", lambda n, group: [m + 1 for m in real(n, group)])
-    with pytest.raises(InvariantError, match=f"the bottom slice representation for n = {n} is not actual of dimension n"):
-        n_slice_rep.__wrapped__(n, C9)
+def test_n_slice_rep_is_actual_of_dimension_n():
+    # what n_slice_rep's docstring proves for every n, whether p divides n
+    # or not, for n = 0..2,999 over groups up to C_101
+    for group in (C3, C9, Group(3, 3), Group(5, 2), Group(7, 2), Group(101, 1)):
+        for n in range(3000):
+            w = n_slice_rep(n, group)
+            assert is_actual(w) and w.dim == n, (group, n)
 
 
 def test_identity_suite_over_grid():
@@ -180,7 +167,7 @@ def test_identity_suite_over_grid():
                         assert slice_rep(g, a, base_dims[b - 1]).dim == base_dims[b - 1] * p ** a - 1
                 w = n_slice_rep(n, g)
                 assert w.dim == n
-                assert w.is_actual
+                assert is_actual(w)
                 assert w + rho == n_slice_rep(n + g.order, g)
             assert n_slice_rep(g.order, g) == rho + trivial_rep(g, 2) - canonical_lambda(1, g)
             assert lambda_block(g.order, g) == regular_rep(g, 2)
@@ -191,10 +178,23 @@ def test_restrict_and_is_subrep():
     assert restrict_rep(v, 2) == v
     assert restrict_rep(v, 1) == Rep(C3, 7, (2,))
     assert restrict_rep(v, 0) == Rep(Group(3, 0), 11, ())
-    with pytest.raises(ValueError):
-        restrict_rep(v, 3)
+    for m in (-1, 3):  # Group.subgroup refuses a level outside 0..k
+        with pytest.raises(ValueError):
+            restrict_rep(v, m)
     assert is_subrep(Rep(C9, 1, (2, 0)), v)
     assert not is_subrep(Rep(C9, 2, (0, 0)), v)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_restriction_keeps_the_dimension(group):
+    # each plane of level >= m restricts to two trivial summands
+    @given(reps(group))
+    def check(v):
+        for m in range(group.k + 1):
+            w = restrict_rep(v, m)
+            assert (w.group, w.dim) == (group.subgroup(m), v.dim)
+
+    check()
 
 
 def test_rho_form():
